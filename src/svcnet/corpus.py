@@ -13,15 +13,30 @@ principle recover the latent coordinates exactly.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import SoundId
 from .errors import CorpusFormatError, DataError, StructuralError
 from .fileio import atomic_write_text, fmt_float
 
 CORPUS_HEADER_TAG = "svcnet-corpus v1"
+
+
+@dataclass(frozen=True, order=True)
+class SoundId:
+    """The modelling unit: a (phone, state) pair."""
+
+    phone: str
+    state: int
+
+    def __str__(self):
+        return f"{self.phone}:{self.state}"
+
+    @classmethod
+    def parse(cls, text):
+        phone, _, state = text.rpartition(":")
+        return cls(phone, int(state))
 
 
 @dataclass
@@ -191,7 +206,7 @@ def load_corpus(path):
     if header.get("format") != CORPUS_HEADER_TAG:
         raise CorpusFormatError(1, f"expected {CORPUS_HEADER_TAG} header")
     feature_dim = int(header["feature_dim"])
-    frames = []
+    frames, line_numbers = [], []
     for ln_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -211,8 +226,12 @@ def load_corpus(path):
                 feats, fields[0], fields[1], fields[2], fields[3], state, index
             )
         )
+        line_numbers.append(ln_no)
     if not frames:
         raise DataError(f"{path}: corpus file has no frames")
+    finite = np.isfinite(np.stack([f.features for f in frames])).all(axis=1)
+    if not finite.all():
+        raise CorpusFormatError(line_numbers[np.argmin(finite)], "non-finite feature value")
     return Corpus(
         frames,
         feature_dim,

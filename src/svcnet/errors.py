@@ -9,10 +9,6 @@ class DataError(ValueError):
     """Input data is empty, missing, or otherwise unusable."""
 
 
-class AlignmentError(ValueError):
-    """Frame/state alignment is impossible for the given inputs."""
-
-
 class CorpusFormatError(DataError):
     """A corpus file failed to parse; carries the offending line number."""
 

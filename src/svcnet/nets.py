@@ -5,7 +5,7 @@ descent; the loss is L = 1/2 * sum_i mask_i * (out_i - target_i)^2, so
 masked output units contribute exactly zero error and zero gradient.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -241,12 +241,16 @@ def load_model(path):
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or lines[0] != "svcnet-model v1":
         raise StructuralError(f"{path}: not an svcnet-model v1 file")
-    parts = lines[1].split()
+    spec_line = lines[1] if len(lines) > 1 else ""
+    parts = spec_line.split()
     if len(parts) != 3 or parts[0] != "layers":
-        raise StructuralError(f"{path}: malformed spec line {lines[1]!r}")
+        raise StructuralError(f"{path}: malformed spec line {spec_line!r}")
     sizes = tuple(int(s) for s in parts[1].split(","))
     activations = tuple(parts[2].split(","))
     spec = LayerSpec(sizes, activations)
+    needed = 2 + sum(n + 1 for n in sizes[1:])
+    if len(lines) < needed:
+        raise StructuralError(f"{path}: {len(lines)} lines, layers {parts[1]} need {needed}")
     weights, biases = [], []
     pos = 2
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -15,7 +15,7 @@ from . import corpus as corpus_mod
 from . import ppc as ppc_mod
 from . import recognizer as rec_mod
 from . import svc as svc_mod
-from .alignment import SoundId
+from .corpus import SoundId
 from .errors import DataError
 from .fileio import atomic_write_text, fmt_float
 from .nets import load_model
@@ -178,7 +178,6 @@ def load_recognizer_artifact(config):
 
 def split_speaker_words(corpus, speaker):
     """(first-half words, last ceil(half) words) for one speaker."""
-    utterances = corpus.by_utterance()
     words = sorted(
         {f.word for f in corpus.frames_of_speaker(speaker)}
     )
@@ -189,22 +188,6 @@ def split_speaker_words(corpus, speaker):
 def frames_for_words(corpus, speaker, words):
     keep = set(words)
     return [f for f in corpus.frames_of_speaker(speaker) if f.word in keep]
-
-
-def eval_utterances(net, utterances, svc_by_speaker, flags, avg):
-    """(error rate, prediction log rows) over a dict of utterances."""
-    errors = 0
-    log = []
-    for utt_id in sorted(utterances):
-        frames = utterances[utt_id]
-        feats = [f.features for f in frames]
-        label, _ = rec_mod.recognize(
-            net, feats, svc_by_speaker[frames[0].speaker], flags, avg
-        )
-        truth = frames[0].word
-        errors += label != truth
-        log.append((utt_id, truth, label, flags))
-    return errors / len(utterances), log
 
 
 def run_eval(config):

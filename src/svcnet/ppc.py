@@ -7,11 +7,11 @@ the codes over all of that speaker's frames of each sound.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import SoundId
+from .corpus import SoundId
 from .errors import DataError, StructuralError
 from .nets import (
     LayerSpec,

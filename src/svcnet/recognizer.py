@@ -9,7 +9,7 @@ by per-level availability flags; training always uses the speaker's own
 code at every level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -82,9 +82,6 @@ class RecognizerNet:
 
     def n_params(self):
         return sum(a.size for a in self.param_arrays())
-
-    def copy_params(self):
-        return [a.copy() for a in self.param_arrays()]
 
     @property
     def input_dim(self):

@@ -7,11 +7,12 @@ presentation's output activations (feedback mode), and never receive
 backpropagated error.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .alignment import SoundId
+from .corpus import SoundId
 from .errors import DataError, StructuralError
 from .fileio import atomic_write_text
 from .nets import (
@@ -51,12 +52,15 @@ class SoundLayout:
     def width(self):
         return len(self.sounds) * self.code_dim
 
+    @cached_property
+    def _offsets(self):
+        return {s: i * self.code_dim for i, s in enumerate(self.sounds)}
+
     def slot(self, sound):
         try:
-            i = self.sounds.index(sound)
-        except ValueError:
+            return self._offsets[sound]
+        except KeyError:
             raise StructuralError(f"sound {sound} not in layout") from None
-        return i * self.code_dim
 
     def slot_slice(self, sound):
         off = self.slot(sound)
@@ -86,32 +90,29 @@ class Accumulator:
 
     def reset(self):
         self.sums = np.zeros(self.layout.width)
-        self.counts = {s: 0 for s in self.layout.sounds}
-        self.heard = set()
+        self.counts = np.zeros(self.layout.width, dtype=int)
         self.last_output = None
 
     def mean(self, sound):
-        if self.counts[sound] == 0:
+        sl = self.layout.slot_slice(sound)
+        if self.counts[sl.start] == 0:
             raise DataError(f"sound {sound} has no observations")
-        return self.sums[self.layout.slot_slice(sound)] / self.counts[sound]
+        return self.sums[sl] / self.counts[sl]
 
     def observe(self, sound, code):
         """Fold one code into the running mean and build the net input."""
         sl = self.layout.slot_slice(sound)
         self.sums[sl] += np.asarray(code, dtype=float)
-        self.counts[sound] += 1
-        self.heard.add(sound)
+        self.counts[sl] += 1
         return self.input_vector()
 
     def input_vector(self):
+        """Running means in heard slots; elsewhere the feedback output or zero."""
         if self.mode == FEEDBACK and self.last_output is not None:
-            x = self.last_output.copy()
+            fill = self.last_output.copy()
         else:
-            x = np.zeros(self.layout.width)
-        for sound in self.heard:
-            sl = self.layout.slot_slice(sound)
-            x[sl] = self.sums[sl] / self.counts[sound]
-        return x
+            fill = np.zeros(self.layout.width)
+        return np.divide(self.sums, self.counts, out=fill, where=self.counts > 0)
 
     def commit_output(self, output):
         """Cache the caller's forward-pass output for feedback filling."""
@@ -173,15 +174,8 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
         frames = corpus.frames_of_speaker(s)
         profile = build_speaker_profile(s, frames, encoders)
         targets[s] = make_target(profile, layout)
-        per_utt = {}
-        for f in frames:
-            per_utt.setdefault(f.utterance, []).append(f)
-        utt_streams[s] = []
-        for utt in sorted(per_utt):
-            utt_frames = sorted(per_utt[utt], key=lambda f: f.index)
-            utt_streams[s].append(
-                [(f.sound, encode_frame(encoders[f.sound], f.features)) for f in utt_frames]
-            )
+        stream, ends = speaker_stream(frames, encoders)
+        utt_streams[s] = [stream[a + 1 : b + 1] for a, b in zip([-1] + ends, ends)]
 
     rng = np.random.default_rng(config.seed)
     acc = Accumulator(layout, mode)
@@ -262,4 +256,6 @@ def load_svcnet(model_path, layout_path):
     layout = SoundLayout(sounds, code_dim)
     if net.spec.sizes[0] != layout.width or net.spec.sizes[-1] != layout.width:
         raise StructuralError("model width does not match layout width")
+    if not 0 < bottleneck < len(net.spec.sizes) - 1:
+        raise StructuralError(f"{layout_path}: bottleneck {bottleneck} is not a hidden layer")
     return SVCNet(net, layout, bottleneck)

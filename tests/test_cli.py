@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -228,6 +230,45 @@ class TestReports:
         assert any(m.startswith("ppc_") for m in models)
         assert "svcnet.txt" in models and "svcnet.layout" in models
         assert "recognizer.txt" in models
+
+
+class TestMalformedArtifacts:
+    """Corrupted copies of the full run's outputs end in exit 2 with a
+    one-line message."""
+
+    @pytest.fixture
+    def out(self, full_run, tmp_path):
+        config, _ = full_run
+        out = tmp_path / "run"
+        shutil.copytree(config.out_dir, out)
+        return out
+
+    def eval_error(self, full_run, out, capsys):
+        _, cpath = full_run
+        assert main(["eval", "--config", cpath, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        return err
+
+    def test_truncated_svcnet_model(self, full_run, out, capsys):
+        path = out / "models" / "svcnet.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[: len(lines) // 2]))
+        assert "svcnet.txt" in self.eval_error(full_run, out, capsys)
+
+    def test_bottleneck_outside_hidden_layers(self, full_run, out, capsys):
+        path = out / "models" / "svcnet.layout"
+        path.write_text(re.sub(r"bottleneck=\d+", "bottleneck=9", path.read_text()))
+        assert "bottleneck 9" in self.eval_error(full_run, out, capsys)
+
+    def test_non_finite_corpus_feature(self, full_run, out, capsys):
+        path = out / "corpus.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[6] = "nan"
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert "line 3" in self.eval_error(full_run, out, capsys)
 
 
 class TestPlot:

@@ -3,6 +3,7 @@ import pytest
 
 from svcnet.corpus import (
     CorpusSpec,
+    SoundId,
     generate_corpus,
     load_corpus,
     load_latents,
@@ -12,6 +13,15 @@ from svcnet.corpus import (
     word_phones,
 )
 from svcnet.errors import CorpusFormatError, DataError, StructuralError
+
+
+class TestSoundId:
+    def test_ordering(self):
+        assert SoundId("p00", 1) < SoundId("p00", 2) < SoundId("p01", 0)
+
+    def test_parse_round_trip(self):
+        s = SoundId("p03", 2)
+        assert SoundId.parse(str(s)) == s
 
 
 def small_spec(**kw):
@@ -140,6 +150,20 @@ class TestRoundTrip:
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(path)
         assert exc.value.line_number == 4
+
+    def test_non_finite_feature_names_first_bad_line(self, tmp_path):
+        corpus, _ = generate_corpus(small_spec())
+        path = tmp_path / "corpus.csv"
+        save_corpus(corpus, path)
+        lines = path.read_text().splitlines()
+        for i, value in ((9, "inf"), (5, "nan")):
+            fields = lines[i].split(",")
+            fields[6] = value
+            lines[i] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert exc.value.line_number == 6
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

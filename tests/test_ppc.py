@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from svcnet.alignment import SoundId
-from svcnet.corpus import CorpusSpec, generate_corpus
+from svcnet.corpus import CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.nets import TrainConfig, forward, init_network
 from svcnet.ppc import (

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svcnet.alignment import SoundId
-from svcnet.corpus import CorpusSpec, generate_corpus
+from svcnet.corpus import CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.nets import TrainConfig
 from svcnet.ppc import SpeakerProfile, train_all_encoders
@@ -133,18 +132,36 @@ class TestAccumulator:
             Accumulator(LAYOUT, "magic")
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 100)), min_size=1, max_size=60))
-    def test_running_mean_matches_brute_force(self, events):
-        acc = Accumulator(LAYOUT, "zero_fill")
+    @given(
+        st.sampled_from(("zero_fill", "feedback")),
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 100), st.booleans()),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_running_mean_matches_brute_force(self, mode, events):
+        acc = Accumulator(LAYOUT, mode)
         seen = {}
-        for sound_i, code_i in events:
+        last_output = None
+        for step, (sound_i, code_i, commit) in enumerate(events):
             sound = SOUNDS[sound_i]
             code = np.array([code_i / 100.0, 1.0 - code_i / 100.0])
-            acc.observe(sound, code)
+            x = acc.observe(sound, code)
             seen.setdefault(sound, []).append(code)
+            if mode == "feedback" and last_output is not None:
+                brute = last_output.copy()
+            else:
+                brute = np.zeros(LAYOUT.width)
             for s, codes in seen.items():
-                brute = sum(codes) / len(codes)
-                np.testing.assert_allclose(acc.mean(s), brute, atol=1e-12)
+                mean = sum(codes) / len(codes)
+                off = SOUNDS.index(s) * 2  # independent slot-offset computation
+                brute[off : off + 2] = mean
+                assert np.array_equal(acc.mean(s), mean)
+            assert np.array_equal(x, brute)
+            if commit:
+                last_output = np.sin(np.arange(LAYOUT.width) + step)
+                acc.commit_output(last_output)
 
 
 def tiny_setup(epochs=3, n_speakers=3):
