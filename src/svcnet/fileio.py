@@ -1,7 +1,10 @@
-"""Small file helpers: atomic text writes and exact float formatting."""
+"""Small file helpers: atomic text writes, exact float formatting and
+header fields."""
 
 import os
 import tempfile
+
+from .errors import StructuralError
 
 
 def fmt_float(v):
@@ -24,3 +27,15 @@ def atomic_write_text(path, text):
         except OSError:
             pass
         raise
+
+
+def int_fields(path, items, names):
+    """Integer values of the `name=value` header items named in `names`,
+    in that order; StructuralError naming `path` if one is missing or not
+    an integer."""
+    fields = dict(item.partition("=")[::2] for item in items)
+    try:
+        return [int(fields[name]) for name in names]
+    except (KeyError, ValueError):
+        wanted = ", ".join(f"{name}=<int>" for name in names)
+        raise StructuralError(f"{path}: header needs {wanted}") from None

@@ -91,15 +91,6 @@ def _activate(z, kind):
     return z
 
 
-def _activation_deriv(a, kind):
-    # derivative expressed in terms of the activation value
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    if kind == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(a)
-
-
 def forward(params, x):
     """Return the activation vector of every layer, input included."""
     x = np.asarray(x, dtype=float)
@@ -131,21 +122,49 @@ def masked_loss(params, x, target, mask):
     return 0.5 * float(resid @ resid)
 
 
+def _times_deriv(v, a, kind, tmp, out):
+    """out = v * f'(a), with f'(a) formed first from the activation value."""
+    if kind == "sigmoid":
+        np.subtract(1.0, a, out=tmp)
+        tmp *= a
+    elif kind == "tanh":
+        np.multiply(a, a, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+    else:
+        if out is not v:
+            np.copyto(out, v)
+        return
+    np.multiply(v, tmp, out=out)
+
+
+def _backprop(weights_t, act_rows, act_cols, kinds, delta_cols, grad_w, tmp):
+    """The one backprop loop. On entry delta_cols[-1] holds the output
+    delta; fills the other deltas (the bias gradients) and grad_w. Every
+    array is a column (n, 1), a row (1, n) or a matrix, optionally under a
+    leading stack axis, and results are written into the given arrays."""
+    for layer in range(len(grad_w) - 1, -1, -1):
+        delta = delta_cols[layer]
+        np.multiply(delta, act_rows[layer], out=grad_w[layer])
+        if layer:
+            back = delta_cols[layer - 1]
+            np.matmul(weights_t[layer], delta, out=back)
+            _times_deriv(back, act_cols[layer], kinds[layer - 1], tmp[layer], back)
+
+
 def grads_from_activations(params, acts, target, mask):
     """Backprop given precomputed activations from forward()."""
     target, mask = _check_target_mask(params, target, mask)
     resid = np.where(mask, acts[-1] - target, 0.0)
-    delta = resid * _activation_deriv(acts[-1], params.spec.activations[-1])
-    n = len(params.weights)
-    grad_w = [None] * n
-    grad_b = [None] * n
-    for layer in range(n - 1, -1, -1):
-        grad_w[layer] = np.outer(delta, acts[layer])
-        grad_b[layer] = delta
-        if layer > 0:
-            delta = (params.weights[layer].T @ delta) * _activation_deriv(
-                acts[layer], params.spec.activations[layer - 1]
-            )
+    kinds = params.spec.activations
+    grad_w = [np.empty_like(w) for w in params.weights]
+    grad_b = [np.empty_like(b) for b in params.biases]
+    cols = [a[:, None] for a in acts]
+    tmp = [np.empty_like(c) for c in cols]
+    _times_deriv(resid, acts[-1], kinds[-1], tmp[-1][:, 0], grad_b[-1])
+    _backprop(
+        [w.T for w in params.weights], [a[None, :] for a in acts], cols, kinds,
+        [b[:, None] for b in grad_b], grad_w, tmp,
+    )
     return grad_w, grad_b
 
 
@@ -168,6 +187,105 @@ def sgd_step(params, grads, learning_rate):
             raise StructuralError(f"gradient shape {gb.shape} != bias {b.shape}")
         b -= learning_rate * gb
     return params
+
+
+def flat_views(flat, shapes):
+    """Consecutive views of the 1-D buffer `flat`, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+class FusedStep:
+    """Forward, masked backprop and SGD update in one in-place step, for S
+    networks of one spec trained side by side (S = 1 for a single net).
+
+    The constructor copies the networks' parameters into one flat buffer
+    and rebinds every `weights`/`biases` entry of each network to a view of
+    it, so the networks see each update. Gradients live in a second flat
+    buffer of the same layout, and one step updates all of them with a
+    single `flat -= lr * grad`. Shapes are checked here, once; a step
+    checks nothing. Arithmetic matches forward + grads_from_activations +
+    sgd_step on each network bit for bit: the stacked (S, out, in) matmuls
+    and products equal their per-network slices exactly.
+    """
+
+    def __init__(self, nets, learning_rate):
+        spec = nets[0].spec
+        for net in nets:
+            if net.spec != spec:
+                raise StructuralError(f"cannot step {net.spec} with {spec}")
+            for w, b, fan_in, fan_out in zip(
+                net.weights, net.biases, spec.sizes[:-1], spec.sizes[1:]
+            ):
+                if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
+                    raise StructuralError(f"parameter shapes do not match {spec}")
+        n = len(nets)
+        shapes = []
+        for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
+            shapes += [(n, fan_out, fan_in), (n, fan_out, 1)]
+        self.flat = np.empty(sum(int(np.prod(s)) for s in shapes))
+        self.grad = np.empty_like(self.flat)
+        params = flat_views(self.flat, shapes)
+        grads = flat_views(self.grad, shapes)
+        self._weights, self._bias_cols = params[0::2], params[1::2]
+        self._weights_t = [w.swapaxes(1, 2) for w in self._weights]
+        self._grad_w, self._delta_cols = grads[0::2], grads[1::2]
+        for s, net in enumerate(nets):
+            for layer, (w, b) in enumerate(zip(self._weights, self._bias_cols)):
+                w[s] = net.weights[layer]
+                b[s, :, 0] = net.biases[layer]
+                net.weights[layer] = w[s]
+                net.biases[layer] = b[s, :, 0]
+        self._kinds = spec.activations
+        self._cols = [np.empty((n, width, 1)) for width in spec.sizes]
+        self._rows = [c.swapaxes(1, 2) for c in self._cols]
+        self._tmp = [np.empty_like(c) for c in self._cols]
+        self.inputs = self._cols[0][:, :, 0]
+        self.outputs = self._cols[-1][:, :, 0]
+        self._resid = np.empty_like(self.outputs)
+        self._out_tmp = self._tmp[-1][:, :, 0]
+        self._out_delta = self._delta_cols[-1][:, :, 0]
+        self._learning_rate = learning_rate
+
+    def forward(self, x):
+        """Stacked forward pass of (S, in) inputs; returns the (S, out)
+        outputs, a buffer the next call overwrites."""
+        np.copyto(self.inputs, x)
+        cols = self._cols
+        for layer, kind in enumerate(self._kinds):
+            out = cols[layer + 1]
+            np.matmul(self._weights[layer], cols[layer], out=out)
+            out += self._bias_cols[layer]
+            if kind == "sigmoid":
+                expit(out, out=out)
+            elif kind == "tanh":
+                np.tanh(out, out=out)
+        return self.outputs
+
+    def __call__(self, x, target, mask=None):
+        """One SGD step on (S, in) inputs and (S, out) targets; `mask`
+        (broadcast against the targets, None for all units) selects the
+        output units that carry error. Returns the masked residual, a
+        buffer the next call overwrites."""
+        out = self.forward(x)
+        resid = self._resid
+        if mask is None:
+            np.subtract(out, target, out=resid)
+        else:
+            resid.fill(0.0)
+            np.subtract(out, target, out=resid, where=mask)
+        _times_deriv(resid, out, self._kinds[-1], self._out_tmp, self._out_delta)
+        _backprop(
+            self._weights_t, self._rows, self._cols, self._kinds,
+            self._delta_cols, self._grad_w, self._tmp,
+        )
+        np.multiply(self.grad, self._learning_rate, out=self.grad)
+        self.flat -= self.grad
+        return resid
 
 
 def numerical_gradient(params, x, target, mask, eps=1e-6):

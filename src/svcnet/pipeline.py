@@ -176,18 +176,16 @@ def load_recognizer_artifact(config):
 # ------------------------------------------------------------ evaluation
 
 
-def split_speaker_words(corpus, speaker):
-    """(first-half words, last ceil(half) words) for one speaker."""
-    words = sorted(
-        {f.word for f in corpus.frames_of_speaker(speaker)}
-    )
+def split_speaker_words(frames):
+    """(first-half words, last ceil(half) words) of one speaker's frames."""
+    words = sorted({f.word for f in frames})
     n_last = math.ceil(len(words) / 2)
     return words[: len(words) - n_last], words[len(words) - n_last :]
 
 
-def frames_for_words(corpus, speaker, words):
+def frames_for_words(frames, words):
     keep = set(words)
-    return [f for f in corpus.frames_of_speaker(speaker) if f.word in keep]
+    return [f for f in frames if f.word in keep]
 
 
 def run_eval(config):
@@ -198,7 +196,15 @@ def run_eval(config):
 
     train_svcs = all_speaker_svcs(config, svcnet, encoders, train)
     avg = rec_mod.compute_average_svc(list(train_svcs.values()))
-    test_svcs = all_speaker_svcs(config, svcnet, encoders, test)
+    # each test speaker's frames are fetched once and their whole-speech
+    # trajectory run once: it gives both the speaker code and the stability rows
+    test_frames = {s: test.frames_of_speaker(s) for s in test.speakers}
+    test_streams = {s: svc_mod.speaker_stream(test_frames[s], encoders) for s in test.speakers}
+    test_trajs = {
+        s: svc_mod.extract_svc(svcnet, stream, mode=config.accumulation_mode)
+        for s, (stream, _) in test_streams.items()
+    }
+    test_svcs = {s: svc_mod.final_svc(traj) for s, traj in test_trajs.items()}
 
     # availability-flag ablation over the full test set
     ablation_rows, ablation_log = rec_mod.ablation_eval(net, test, test_svcs, avg)
@@ -226,15 +232,15 @@ def run_eval(config):
     off = rec_mod.AvailabilityFlags.all_off()
     per_source_errors = {"none": [], "disjoint": [], "same": []}
     for speaker in test.speakers:
-        first_words, last_words = split_speaker_words(test, speaker)
-        eval_frames = frames_for_words(test, speaker, last_words)
+        first_words, last_words = split_speaker_words(test_frames[speaker])
+        eval_frames = frames_for_words(test_frames[speaker], last_words)
         utts = {}
         for f in eval_frames:
             utts.setdefault(f.utterance, []).append(f)
         for fr in utts.values():
             fr.sort(key=lambda f: f.index)
         svc_disjoint = speaker_svc(
-            config, svcnet, encoders, frames_for_words(test, speaker, first_words)
+            config, svcnet, encoders, frames_for_words(test_frames[speaker], first_words)
         )
         svc_same = speaker_svc(config, svcnet, encoders, eval_frames)
         for source, code, flags in (
@@ -257,11 +263,7 @@ def run_eval(config):
     # per-word code displacement on the test speakers
     stab_rows = []
     for speaker in test.speakers:
-        stream, boundaries = svc_mod.speaker_stream(
-            test.frames_of_speaker(speaker), encoders
-        )
-        traj = svc_mod.extract_svc(svcnet, stream, mode=config.accumulation_mode)
-        disps = svc_mod.svc_stability(traj, boundaries)
+        disps = svc_mod.svc_stability(test_trajs[speaker], test_streams[speaker][1])
         for k, d in enumerate(disps):
             stab_rows.append((speaker, k + 1, fmt_float(d)))
     write_report(
@@ -337,13 +339,10 @@ def run_plot(config, kind, sound=None):
     if kind == "svc_halves":
         rows = []
         for speaker in test.speakers:
-            first_words, last_words = split_speaker_words(test, speaker)
-            a = speaker_svc(
-                config, svcnet, encoders, frames_for_words(test, speaker, first_words)
-            )
-            b = speaker_svc(
-                config, svcnet, encoders, frames_for_words(test, speaker, last_words)
-            )
+            frames = test.frames_of_speaker(speaker)
+            first_words, last_words = split_speaker_words(frames)
+            a = speaker_svc(config, svcnet, encoders, frames_for_words(frames, first_words))
+            b = speaker_svc(config, svcnet, encoders, frames_for_words(frames, last_words))
             rows.append(
                 (speaker,)
                 + tuple(fmt_float(v) for v in a)

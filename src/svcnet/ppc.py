@@ -13,14 +13,7 @@ import numpy as np
 
 from .corpus import SoundId
 from .errors import DataError, StructuralError
-from .nets import (
-    LayerSpec,
-    TrainConfig,
-    forward,
-    grads_from_activations,
-    init_network,
-    sgd_step,
-)
+from .nets import FusedStep, LayerSpec, forward, init_network
 
 log = logging.getLogger(__name__)
 
@@ -57,24 +50,49 @@ def reconstruction_mse(net, frames):
     return total / (len(frames) * len(frames[0]))
 
 
+def _train_lockstep(sounds, frames, code_dim, config, seeds):
+    """Train one encoder per sound side by side on `frames` (S, N, dim):
+    every sound has N frames, its own seed for init and shuffling, and its
+    own permutation each epoch. Step t of an epoch presents frame
+    perm_s[t] to encoder s, so each encoder follows exactly the sequence
+    it would follow alone. Returns (encoders, per-sound epoch MSE lists)."""
+    n_sounds, n_frames, feature_dim = frames.shape
+    spec = encoder_spec(feature_dim, code_dim)
+    nets = [init_network(spec, seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    step = FusedStep(nets, config.learning_rate)
+    rows = frames.reshape(-1, feature_dim)
+    offsets = np.arange(n_sounds)[:, None] * n_frames
+    curves = np.empty((config.epochs, n_sounds))
+    for epoch in range(config.epochs):
+        order = np.array([rng.permutation(n_frames) for rng in rngs]) + offsets
+        for idx in order.T:
+            x = rows[idx]
+            step(x, x)
+        # reconstruction_mse, one frame at a time across all encoders
+        total = np.zeros(n_sounds)
+        for j in range(n_frames):
+            x = frames[:, j]
+            d = step.forward(x) - x
+            total += (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        curves[epoch] = total / (n_frames * feature_dim)
+        for sound, mse in zip(sounds, curves[epoch]):
+            if not np.isfinite(mse):
+                raise DataError(
+                    f"ppc training diverged at epoch {epoch}: encoder {sound} "
+                    f"reconstruction MSE {mse}"
+                )
+    encoders = [PPCEncoder(sound, net) for sound, net in zip(sounds, nets)]
+    return encoders, [curve.tolist() for curve in curves.T]
+
+
 def train_ppc_encoder(sound, frames_for_sound, code_dim, config):
     """Per-presentation reconstruction training, shuffled per epoch."""
     if len(frames_for_sound) == 0:
         raise DataError(f"no frames to train encoder for {sound}")
-    frames = [np.asarray(f, dtype=float) for f in frames_for_sound]
-    feature_dim = len(frames[0])
-    net = init_network(encoder_spec(feature_dim, code_dim), config.seed)
-    rng = np.random.default_rng(config.seed)
-    mask = np.ones(feature_dim, dtype=bool)
-    epoch_mse = []
-    for _ in range(config.epochs):
-        for i in rng.permutation(len(frames)):
-            x = frames[i]
-            acts = forward(net, x)
-            grads = grads_from_activations(net, acts, x, mask)
-            sgd_step(net, grads, config.learning_rate)
-        epoch_mse.append(reconstruction_mse(net, frames))
-    return PPCEncoder(sound, net), epoch_mse
+    frames = np.asarray(frames_for_sound, dtype=float)[None]
+    encoders, curves = _train_lockstep([sound], frames, code_dim, config, [config.seed])
+    return encoders[0], curves[0]
 
 
 def encode_frame(encoder, frame):
@@ -130,7 +148,9 @@ def sound_inventory(corpus, min_frames=2):
 
 
 def train_all_encoders(corpus, code_dim, config, min_frames=2):
-    """One encoder per surviving sound; deterministic per-sound seeds.
+    """One encoder per surviving sound; deterministic per-sound seeds
+    (config.seed + index in the sorted inventory). Sounds with equal frame
+    counts train in lockstep; the result equals training them one by one.
 
     Returns (encoders, per-sound epoch MSE curves).
     """
@@ -139,11 +159,20 @@ def train_all_encoders(corpus, code_dim, config, min_frames=2):
     for f in corpus.frames:
         if f.sound in by_sound:
             by_sound[f.sound].append(f.features)
-    encoders = {}
-    curves = {}
+    groups = {}
     for i, sound in enumerate(sounds):
-        cfg = TrainConfig(config.learning_rate, config.epochs, config.seed + i)
-        encoders[sound], curves[sound] = train_ppc_encoder(
-            sound, by_sound[sound], code_dim, cfg
+        groups.setdefault(len(by_sound[sound]), []).append(i)
+    encoders, curves = {}, {}
+    for members in groups.values():
+        group = [sounds[i] for i in members]
+        trained, group_curves = _train_lockstep(
+            group,
+            np.array([by_sound[s] for s in group], dtype=float),
+            code_dim,
+            config,
+            [config.seed + i for i in members],
         )
-    return encoders, curves
+        encoders.update(zip(group, trained))
+        curves.update(zip(group, group_curves))
+    # inventory order: the pipeline averages curves in this order
+    return {s: encoders[s] for s in sounds}, {s: curves[s] for s in sounds}

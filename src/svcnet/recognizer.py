@@ -15,9 +15,16 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, StructuralError
-from .fileio import atomic_write_text, fmt_float
+from .fileio import atomic_write_text, fmt_float, int_fields
+from .nets import flat_views
 
 SVC_HIDDEN_WIDTH = 2  # fixed side-path width
+PARAM_NAMES = (
+    "w_svc", "b_svc",
+    "w_acoustic", "b_acoustic", "u_acoustic",
+    "w_state", "b_state", "u_state",
+    "w_word", "b_word", "u_word",
+)
 
 
 @dataclass(frozen=True)
@@ -73,12 +80,7 @@ class RecognizerNet:
     u_word: np.ndarray
 
     def param_arrays(self):
-        return [
-            self.w_svc, self.b_svc,
-            self.w_acoustic, self.b_acoustic, self.u_acoustic,
-            self.w_state, self.b_state, self.u_state,
-            self.w_word, self.b_word, self.u_word,
-        ]
+        return [getattr(self, name) for name in PARAM_NAMES]
 
     def n_params(self):
         return sum(a.size for a in self.param_arrays())
@@ -141,29 +143,43 @@ def frame_loss(net, x, svc, target):
     return 0.5 * float(d @ d)
 
 
+def _gradients_into(net, x, svc, target, grads):
+    """Write the frame-loss gradients into `grads` (arrays shaped like
+    param_arrays, in that order); returns the loss at the current params."""
+    x = np.asarray(x, dtype=float)
+    svc = np.asarray(svc, dtype=float)
+    h = svc_hidden(net, svc)
+    a, s, y = forward_frame(net, x, h, h, h)
+    g_svc, dh, g_acoustic, da, gu_acoustic, g_state, ds, gu_state, g_word, dy, gu_word = grads
+    resid = y - target
+    np.multiply(resid, y, out=dy)
+    dy *= 1.0 - y
+    np.matmul(net.w_word.T, dy, out=ds)
+    ds *= s
+    ds *= 1.0 - s
+    np.matmul(net.w_state.T, ds, out=da)
+    da *= a
+    da *= 1.0 - a
+    np.add(net.u_acoustic.T @ da + net.u_state.T @ ds, net.u_word.T @ dy, out=dh)
+    dh *= h
+    dh *= 1.0 - h
+    for g, delta, inputs in (
+        (g_svc, dh, svc),
+        (g_acoustic, da, x), (gu_acoustic, da, h),
+        (g_state, ds, a), (gu_state, ds, h),
+        (g_word, dy, s), (gu_word, dy, h),
+    ):
+        np.multiply(delta[:, None], inputs[None, :], out=g)
+    return 0.5 * float(resid @ resid)
+
+
 def frame_gradients(net, x, svc, target):
     """Gradients of the squared-error frame loss, side path included.
 
     Returns (gradient list in param_arrays order, loss at the current params).
     """
-    x = np.asarray(x, dtype=float)
-    h = svc_hidden(net, svc)
-    a, s, y = forward_frame(net, x, h, h, h)
-    resid = y - target
-    loss = 0.5 * float(resid @ resid)
-    dy = resid * y * (1.0 - y)
-    ds = (net.w_word.T @ dy) * s * (1.0 - s)
-    da = (net.w_state.T @ ds) * a * (1.0 - a)
-    dh = (
-        net.u_acoustic.T @ da + net.u_state.T @ ds + net.u_word.T @ dy
-    ) * h * (1.0 - h)
-    grads = [
-        np.outer(dh, np.asarray(svc, dtype=float)), dh,
-        np.outer(da, x), da, np.outer(da, h),
-        np.outer(ds, a), ds, np.outer(ds, h),
-        np.outer(dy, s), dy, np.outer(dy, h),
-    ]
-    return grads, loss
+    grads = [np.empty_like(p) for p in net.param_arrays()]
+    return grads, _gradients_into(net, x, svc, target, grads)
 
 
 def window_frames(features_list, window):
@@ -199,18 +215,30 @@ def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
             target[word_index[f.word]] = 1.0
             presentations.append((x, svc_per_speaker[f.speaker], target))
 
+    # all parameters are views of one flat buffer and all gradients views
+    # of another, so one subtraction updates the whole net
+    shapes = [p.shape for p in net.param_arrays()]
+    flat = np.concatenate([p.ravel() for p in net.param_arrays()])
+    for name, view in zip(PARAM_NAMES, flat_views(flat, shapes)):
+        setattr(net, name, view)
+    grad = np.empty_like(flat)
+    grads = flat_views(grad, shapes)
+
     rng = np.random.default_rng(config.seed)
-    params = net.param_arrays()
     epoch_loss = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         total = 0.0
         for i in rng.permutation(len(presentations)):
             x, svc, target = presentations[i]
-            grads, loss = frame_gradients(net, x, svc, target)
-            for p, g in zip(params, grads):
-                p -= config.learning_rate * g
-            total += loss
+            total += _gradients_into(net, x, svc, target, grads)
+            np.multiply(grad, config.learning_rate, out=grad)
+            flat -= grad
         epoch_loss.append(total / len(presentations))
+        if not np.isfinite(epoch_loss[-1]):
+            raise DataError(
+                f"recognizer training diverged at epoch {epoch}: "
+                f"mean frame loss {epoch_loss[-1]}"
+            )
     return net, {"epoch_loss": epoch_loss, "presentations": config.epochs * len(presentations)}
 
 
@@ -279,26 +307,58 @@ def load_recognizer(path):
         lines = f.read().splitlines()
     if not lines or lines[0] != "svcnet-recognizer v1":
         raise StructuralError(f"{path}: not an svcnet-recognizer v1 file")
-    head = lines[1].split()
+    head = lines[1].split() if len(lines) > 1 else []
+    if len(head) < 2 or head[0] != "words":
+        raise StructuralError(f"{path}: malformed header line")
     words = tuple(head[1].split(","))
-    meta = dict(p.split("=") for p in head[2:])
-    feature_dim = int(meta["feature_dim"])
-    svc_dim = int(meta["svc_dim"])
-    window = int(meta["window"])
+    feature_dim, svc_dim, window = int_fields(
+        path, head[2:], ("feature_dim", "svc_dim", "window")
+    )
     arrays = []
     pos = 2
     while pos < len(lines) and lines[pos]:
         tag = lines[pos].split()
-        if tag[0] != "array":
+        if (
+            len(tag) not in (3, 4)
+            or tag[0] != "array"
+            or not all(t.isdigit() for t in tag[1:])
+            or int(tag[1]) != len(tag) - 2
+        ):
             raise StructuralError(f"{path}: malformed array header {lines[pos]!r}")
-        ndim = int(tag[1])
         shape = tuple(int(d) for d in tag[2:])
-        n_rows = shape[0] if ndim == 2 else 1
+        n_rows = shape[0] if len(shape) == 2 else 1
         pos += 1
-        rows = [[float(v) for v in lines[pos + r].split()] for r in range(n_rows)]
-        pos += n_rows
-        arr = np.array(rows, dtype=float)
+        if pos + n_rows > len(lines):
+            raise StructuralError(
+                f"{path}: truncated: array {len(arrays)} needs {n_rows} rows, "
+                f"{len(lines) - pos} left"
+            )
+        try:
+            arr = np.array(
+                [[float(v) for v in ln.split()] for ln in lines[pos : pos + n_rows]]
+            )
+        except ValueError:  # a non-number, or rows of unequal width
+            raise StructuralError(f"{path}: malformed rows in array {len(arrays)}") from None
+        if arr.size != int(np.prod(shape)):
+            raise StructuralError(f"{path}: array {len(arrays)} is not of shape {shape}")
         arrays.append(arr.reshape(shape))
-    if len(arrays) != 11:
-        raise StructuralError(f"{path}: expected 11 parameter arrays, got {len(arrays)}")
-    return RecognizerNet(words, feature_dim, svc_dim, window, *arrays)
+        pos += n_rows
+    if len(arrays) != len(PARAM_NAMES):
+        raise StructuralError(
+            f"{path}: expected {len(PARAM_NAMES)} parameter arrays, got {len(arrays)}"
+        )
+    net = RecognizerNet(words, feature_dim, svc_dim, window, *arrays)
+    h, a, s = SVC_HIDDEN_WIDTH, net.w_acoustic.shape[0], net.w_state.shape[0]
+    o = len(words)
+    expected = [
+        (h, svc_dim), (h,),
+        (a, net.input_dim), (a,), (a, h),
+        (s, a), (s,), (s, h),
+        (o, s), (o,), (o, h),
+    ]
+    for name, arr, shape in zip(PARAM_NAMES, arrays, expected):
+        if arr.shape != shape:
+            raise StructuralError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise StructuralError(f"{path}: non-finite value in {name}")
+    return net

@@ -14,16 +14,8 @@ import numpy as np
 
 from .corpus import SoundId
 from .errors import DataError, StructuralError
-from .fileio import atomic_write_text
-from .nets import (
-    LayerSpec,
-    forward,
-    grads_from_activations,
-    init_network,
-    load_model,
-    save_model,
-    sgd_step,
-)
+from .fileio import atomic_write_text, int_fields
+from .nets import FusedStep, LayerSpec, forward, init_network, load_model, save_model
 from .ppc import build_speaker_profile, encode_frame
 
 ZERO_FILL = "zero_fill"
@@ -179,10 +171,11 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
 
     rng = np.random.default_rng(config.seed)
     acc = Accumulator(layout, mode)
+    step = FusedStep([net], config.learning_rate)
     presentations = 0
     total_frames = sum(sum(len(u) for u in us) for us in utt_streams.values())
     epoch_loss = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         sweep_loss = 0.0
         for s in speakers:
             target, mask = targets[s]
@@ -190,15 +183,15 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
             order = rng.permutation(len(utt_streams[s]))
             for ui in order:
                 for sound, code in utt_streams[s][ui]:
-                    x = acc.observe(sound, code)
-                    acts = forward(net, x)
-                    grads = grads_from_activations(net, acts, target, mask)
-                    sgd_step(net, grads, config.learning_rate)
-                    acc.commit_output(acts[-1])
-                    resid = np.where(mask, acts[-1] - target, 0.0)
+                    resid = step(acc.observe(sound, code), target, mask)[0]
+                    acc.commit_output(step.outputs[0])
                     sweep_loss += 0.5 * float(resid @ resid)
                     presentations += 1
         epoch_loss.append(sweep_loss / max(1, total_frames))
+        if not np.isfinite(epoch_loss[-1]):
+            raise DataError(
+                f"svc training diverged at epoch {epoch}: mean masked loss {epoch_loss[-1]}"
+            )
     metrics = {"epoch_loss": epoch_loss, "presentations": presentations}
     return svcnet, metrics
 
@@ -246,12 +239,10 @@ def load_svcnet(model_path, layout_path):
     net = load_model(model_path)
     with open(layout_path) as f:
         lines = f.read().splitlines()
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if head[0:2] != ["svcnet-layout", "v1"]:
         raise StructuralError(f"{layout_path}: not an svcnet-layout v1 file")
-    fields = dict(p.split("=") for p in head[2:])
-    code_dim = int(fields["code_dim"])
-    bottleneck = int(fields["bottleneck"])
+    code_dim, bottleneck = int_fields(layout_path, head[2:], ("code_dim", "bottleneck"))
     sounds = tuple(SoundId.parse(ln) for ln in lines[1:] if ln)
     layout = SoundLayout(sounds, code_dim)
     if net.spec.sizes[0] != layout.width or net.spec.sizes[-1] != layout.width:

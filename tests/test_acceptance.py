@@ -187,14 +187,13 @@ def _half_codes(run):
     )
     halves = {}
     for speaker in test.speakers:
-        first_words, last_words = pipeline.split_speaker_words(test, speaker)
+        frames = test.frames_of_speaker(speaker)
+        first_words, last_words = pipeline.split_speaker_words(frames)
         a = pipeline.speaker_svc(
-            config, svcnet, encoders,
-            pipeline.frames_for_words(test, speaker, first_words),
+            config, svcnet, encoders, pipeline.frames_for_words(frames, first_words)
         )
         b = pipeline.speaker_svc(
-            config, svcnet, encoders,
-            pipeline.frames_for_words(test, speaker, last_words),
+            config, svcnet, encoders, pipeline.frames_for_words(frames, last_words)
         )
         halves[speaker] = (a, b)
     return halves

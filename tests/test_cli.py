@@ -261,6 +261,22 @@ class TestMalformedArtifacts:
         path.write_text(re.sub(r"bottleneck=\d+", "bottleneck=9", path.read_text()))
         assert "bottleneck 9" in self.eval_error(full_run, out, capsys)
 
+    @pytest.mark.parametrize(
+        "rewrite",
+        [lambda text: "", lambda text: text.replace("code_dim=", "cdim=")],
+        ids=["empty", "renamed_field"],
+    )
+    def test_malformed_layout(self, full_run, out, capsys, rewrite):
+        path = out / "models" / "svcnet.layout"
+        path.write_text(rewrite(path.read_text()))
+        assert "svcnet.layout" in self.eval_error(full_run, out, capsys)
+
+    def test_truncated_recognizer(self, full_run, out, capsys):
+        path = out / "models" / "recognizer.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:9]))  # stops inside w_acoustic's rows
+        assert "recognizer.txt" in self.eval_error(full_run, out, capsys)
+
     def test_non_finite_corpus_feature(self, full_run, out, capsys):
         path = out / "corpus.csv"
         lines = path.read_text().splitlines()
@@ -269,6 +285,18 @@ class TestMalformedArtifacts:
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         assert "line 3" in self.eval_error(full_run, out, capsys)
+
+
+class TestDivergence:
+    def test_diverging_ppc_training_exits_2_and_saves_nothing(self, tmp_path, capsys):
+        cfg = dict(TINY, out_dir=str(tmp_path / "run"), ppc_learning_rate=1e3)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("gen", "--config", str(path)) == 0
+        with np.errstate(all="ignore"):
+            assert run_cli("train", "--stage", "ppc", "--config", str(path)) == 2
+        assert "ppc training diverged at epoch" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run" / "models")
 
 
 class TestPlot:

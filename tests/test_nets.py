@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from svcnet.errors import StructuralError
 from svcnet.nets import (
+    ACTIVATIONS,
+    FusedStep,
     LayerSpec,
     NetworkParams,
     TrainConfig,
@@ -124,6 +126,30 @@ class TestBackward:
         )
         assert err < 1e-4
 
+    def test_matches_textbook_loop(self):
+        # the per-layer np.outer formulation, in its exact association order
+        def deriv(a, kind):
+            if kind == "sigmoid":
+                return a * (1.0 - a)
+            return 1.0 - a * a if kind == "tanh" else np.ones_like(a)
+
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            n_layers = int(rng.integers(2, 5))
+            sizes = tuple(int(rng.integers(1, 9)) for _ in range(n_layers))
+            kinds = tuple(str(rng.choice(ACTIVATIONS)) for _ in range(n_layers - 1))
+            p = init_network(LayerSpec(sizes, kinds), int(rng.integers(0, 2**31)))
+            x, t = rng.normal(size=sizes[0]), rng.normal(size=sizes[-1])
+            mask = rng.random(sizes[-1]) < 0.7
+            acts = forward(p, x)
+            delta = np.where(mask, acts[-1] - t, 0.0) * deriv(acts[-1], kinds[-1])
+            gw, gb = backward(p, x, t, mask)
+            for layer in range(n_layers - 2, -1, -1):
+                assert np.array_equal(gw[layer], np.outer(delta, acts[layer]))
+                assert np.array_equal(gb[layer], delta)
+                if layer:
+                    delta = (p.weights[layer].T @ delta) * deriv(acts[layer], kinds[layer - 1])
+
     def test_masked_target_invariance(self):
         p = init_network(spec([3, 3]), seed=4)
         x = np.array([0.5, -0.5, 1.0])
@@ -162,6 +188,39 @@ class TestSgdStep:
             cur = masked_loss(p, x, t, mask)
             assert cur < prev
             prev = cur
+
+    def test_fused_step_matches_backward_then_sgd_step(self):
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            n_layers = int(rng.integers(2, 5))
+            sizes = tuple(int(rng.integers(1, 9)) for _ in range(n_layers))
+            acts = tuple(str(rng.choice(ACTIVATIONS)) for _ in range(n_layers - 1))
+            n_nets = int(rng.integers(1, 4))
+            fused = [
+                init_network(LayerSpec(sizes, acts), int(rng.integers(0, 2**31)))
+                for _ in range(n_nets)
+            ]
+            looped = [p.copy() for p in fused]
+            step = FusedStep(fused, 0.1)
+            for _ in range(4):
+                x = rng.normal(size=(n_nets, sizes[0]))
+                t = rng.normal(size=(n_nets, sizes[-1]))
+                mask = rng.random((n_nets, sizes[-1])) < 0.7
+                resid = step(x, t, None if trial % 4 == 0 else mask).copy()
+                if trial % 4 == 0:
+                    mask[:] = True
+                for k, net in enumerate(looped):
+                    out = forward(net, x[k])[-1]
+                    assert np.array_equal(resid[k], np.where(mask[k], out - t[k], 0.0))
+                    sgd_step(net, backward(net, x[k], t[k], mask[k]), 0.1)
+            for a, b in zip(fused, looped):
+                for p, q in zip(a.weights + a.biases, b.weights + b.biases):
+                    assert np.array_equal(p, q)
+
+    def test_fused_step_rejects_mixed_specs(self):
+        nets = [init_network(spec([2, 3, 2]), 0), init_network(spec([2, 4, 2]), 0)]
+        with pytest.raises(StructuralError):
+            FusedStep(nets, 0.1)
 
     def test_reversible(self):
         p = init_network(spec([3, 4, 2]), seed=9)

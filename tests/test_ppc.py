@@ -3,7 +3,7 @@ import pytest
 
 from svcnet.corpus import CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
-from svcnet.nets import TrainConfig, forward, init_network
+from svcnet.nets import TrainConfig, forward, grads_from_activations, init_network, sgd_step
 from svcnet.ppc import (
     average_ppcs,
     build_speaker_profile,
@@ -119,6 +119,38 @@ def tiny_corpus():
 def tiny_encoders(corpus):
     encoders, _ = train_all_encoders(corpus, 2, TrainConfig(0.05, 5, 0))
     return encoders
+
+
+class TestTrainAllEncoders:
+    def test_lockstep_matches_per_sound_loop(self):
+        corpus = tiny_corpus()
+        sounds = sound_inventory(corpus)
+        counts = corpus.sound_counts()
+        assert len({counts[s] for s in sounds}) > 1  # several lockstep groups
+        cfg = TrainConfig(0.05, 3, seed=9)
+        encoders, curves = train_all_encoders(corpus, 2, cfg)
+        assert list(encoders) == sounds and list(curves) == sounds
+        for i, sound in enumerate(sounds):
+            frames = [f.features for f in corpus.frames if f.sound == sound]
+            net = init_network(encoder_spec(corpus.feature_dim, 2), cfg.seed + i)
+            rng = np.random.default_rng(cfg.seed + i)
+            mask = np.ones(corpus.feature_dim, dtype=bool)
+            curve = []
+            for _ in range(cfg.epochs):
+                for j in rng.permutation(len(frames)):
+                    acts = forward(net, frames[j])
+                    grads = grads_from_activations(net, acts, frames[j], mask)
+                    sgd_step(net, grads, cfg.learning_rate)
+                curve.append(reconstruction_mse(net, frames))
+            assert curves[sound] == curve
+            trained = encoders[sound].net
+            for a, b in zip(trained.weights + trained.biases, net.weights + net.biases):
+                assert np.array_equal(a, b)
+
+    def test_diverging_encoder_raises(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(DataError, match="ppc training diverged at epoch"):
+                train_all_encoders(tiny_corpus(), 2, TrainConfig(1e3, 5, 0))
 
 
 class TestSpeakerProfile:

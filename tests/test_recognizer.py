@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svcnet.corpus import CorpusSpec, generate_corpus
-from svcnet.errors import DataError
+from svcnet.errors import DataError, StructuralError
 from svcnet.recognizer import (
     SVC_HIDDEN_WIDTH,
     AvailabilityFlags,
@@ -81,6 +81,31 @@ class TestGradients:
                 num = (hi - lo) / (2 * eps)
                 assert gflat[i] == pytest.approx(num, rel=1e-4, abs=1e-9)
 
+    def test_matches_textbook_formulas(self):
+        # the allocating np.outer formulation, in its exact association order
+        rng = np.random.default_rng(4)
+        net = init_recognizer(WORDS, 4, 2, small_config(seed=2))
+        for _ in range(10):
+            x, svc = rng.normal(size=4), rng.random(2)
+            target = np.eye(3)[rng.integers(3)]
+            h = svc_hidden(net, svc)
+            a, s, y = forward_frame(net, x, h, h, h)
+            dy = (y - target) * y * (1.0 - y)
+            ds = (net.w_word.T @ dy) * s * (1.0 - s)
+            da = (net.w_state.T @ ds) * a * (1.0 - a)
+            dh = (
+                net.u_acoustic.T @ da + net.u_state.T @ ds + net.u_word.T @ dy
+            ) * h * (1.0 - h)
+            expected = [
+                np.outer(dh, svc), dh,
+                np.outer(da, x), da, np.outer(da, h),
+                np.outer(ds, a), ds, np.outer(ds, h),
+                np.outer(dy, s), dy, np.outer(dy, h),
+            ]
+            grads, _ = frame_gradients(net, x, svc, target)
+            for g, e in zip(grads, expected):
+                assert np.array_equal(g, e)
+
     def test_loss_is_pre_update(self):
         net = init_recognizer(WORDS, 4, 2, small_config())
         x = np.zeros(4)
@@ -125,6 +150,39 @@ class TestTraining:
             errors += label != frames[0].word
         assert errors == 0
         assert metrics["epoch_loss"][-1] < metrics["epoch_loss"][0]
+
+    def test_matches_per_presentation_loop(self):
+        corpus = tiny_corpus()
+        svcs = tiny_svcs(corpus)
+        cfg = small_config(epochs=2)
+        net, metrics = train_recognizer(corpus, svcs, cfg)
+
+        ref = init_recognizer(corpus.words, corpus.feature_dim, 2, cfg)
+        presentations = []
+        for frames in corpus.by_utterance().values():
+            for f in frames:
+                target = np.zeros(len(ref.words))
+                target[ref.words.index(f.word)] = 1.0
+                presentations.append((f.features, svcs[f.speaker], target))
+        rng = np.random.default_rng(cfg.seed)
+        losses = []
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for i in rng.permutation(len(presentations)):
+                grads, loss = frame_gradients(ref, *presentations[i])
+                for p, g in zip(ref.param_arrays(), grads):
+                    p -= cfg.learning_rate * g
+                total += loss
+            losses.append(total / len(presentations))
+        assert metrics["epoch_loss"] == losses
+        for a, b in zip(net.param_arrays(), ref.param_arrays()):
+            assert np.array_equal(a, b)
+
+    def test_non_finite_loss_stops_training(self):
+        corpus = tiny_corpus()
+        corpus.frames[0].features = np.full(corpus.feature_dim, np.nan)
+        with pytest.raises(DataError, match="recognizer training diverged at epoch 0"):
+            train_recognizer(corpus, tiny_svcs(corpus), small_config(epochs=2))
 
     def test_missing_svc(self):
         corpus = tiny_corpus()
@@ -271,3 +329,16 @@ class TestPersistence:
         assert loaded.window == net.window
         for a, b in zip(net.param_arrays(), loaded.param_arrays()):
             assert np.array_equal(a, b)
+
+    def test_truncation_is_a_structural_error(self, tmp_path):
+        corpus = tiny_corpus()
+        net, _ = train_recognizer(corpus, tiny_svcs(corpus), small_config(epochs=1))
+        path = tmp_path / "rec.txt"
+        save_recognizer(net, path)
+        lines = path.read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.txt"
+        for n in range(len(lines)):
+            for tail in ("", lines[n][: len(lines[n]) // 2]):
+                cut.write_text("".join(lines[:n]) + tail)
+                with pytest.raises(StructuralError, match="cut.txt"):
+                    load_recognizer(cut)

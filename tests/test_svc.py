@@ -226,6 +226,12 @@ class TestTrainSvcnet:
         with pytest.raises(DataError):
             train_svcnet(empty, encoders, layout, 2, cfg)
 
+    def test_non_finite_loss_stops_training(self):
+        corpus, encoders, layout, cfg = tiny_setup()
+        corpus.frames[0].features = np.full(corpus.feature_dim, np.nan)
+        with pytest.raises(DataError, match="svc training diverged at epoch 0"):
+            train_svcnet(corpus, encoders, layout, 2, cfg)
+
 
 class TestExtract:
     def _trained(self):
