@@ -4,45 +4,41 @@ evaluation reports, and all plot-data exports.
 
     python3 scripts/run_pipeline.py [--config PATH] [--out DIR] [--seed N]
 
-Equivalent to the `svcnet` CLI verbs run in order; per-stage wall times
-are printed at the end.
+Runs the `svcnet` CLI verbs in order, each with the flags given here, and
+prints each stage's wall time as it ends. Stops at the first verb that
+fails and exits with its status (1 usage error, 2 data/model error).
 """
 
-import argparse
 import sys
 import time
 
-from svcnet.cli import load_config
-from svcnet import pipeline
+from svcnet import cli
+
+VERBS = (
+    ("gen",),
+    ("train", "--stage", "ppc"),
+    ("train", "--stage", "svc"),
+    ("train", "--stage", "rec"),
+    ("eval",),
+    ("plot", "--kind", "ppc_scatter"),
+    ("plot", "--kind", "svc_trajectory"),
+    ("plot", "--kind", "svc_halves"),
+)
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", help="JSON run-configuration file")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="rebase all stage seeds from N")
-    args = parser.parse_args(argv)
-    config = load_config(args)
-
-    stages = [
-        ("gen", lambda: pipeline.run_gen(config)),
-        ("train ppc", lambda: pipeline.run_train_ppc(config)),
-        ("train svc", lambda: pipeline.run_train_svc(config)),
-        ("train rec", lambda: pipeline.run_train_rec(config)),
-        ("eval", lambda: pipeline.run_eval(config)),
-        ("plot ppc_scatter", lambda: pipeline.run_plot(config, "ppc_scatter")),
-        ("plot svc_trajectory", lambda: pipeline.run_plot(config, "svc_trajectory")),
-        ("plot svc_halves", lambda: pipeline.run_plot(config, "svc_halves")),
-    ]
-    timings = []
-    for name, fn in stages:
+    flags = sys.argv[1:] if argv is None else list(argv)
+    total = 0.0
+    for verb in VERBS:
         t0 = time.monotonic()
-        fn()
-        timings.append((name, time.monotonic() - t0))
-        print(f"{name}: done in {timings[-1][1]:.1f}s")
-
-    total = sum(t for _, t in timings)
-    print(f"\npipeline complete in {total:.1f}s; outputs under {config.out_dir}")
+        status = cli.main([*verb, *flags])
+        if status != 0:
+            return status
+        elapsed = time.monotonic() - t0
+        total += elapsed
+        name = " ".join(v for v in verb if not v.startswith("--"))
+        print(f"{name}: done in {elapsed:.1f}s")
+    print(f"\npipeline complete in {total:.1f}s")
     return 0
 
 

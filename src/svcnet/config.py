@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .corpus import CorpusSpec
 from .errors import DataError
+from .fileio import read_text
 from .nets import TrainConfig
 from .recognizer import RecognizerConfig
 from .svc import FEEDBACK, MODES
@@ -133,11 +134,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as f:
-            try:
-                data = json.load(f)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}: invalid config JSON: {e}") from e
+        try:
+            data = json.loads(read_text(path))
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: invalid config JSON: {e}") from e
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

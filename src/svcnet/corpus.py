@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorpusFormatError, DataError, StructuralError
-from .fileio import atomic_write_text, fmt_float
+from .fileio import atomic_write_text, fmt_float, read_text
 
 CORPUS_HEADER_TAG = "svcnet-corpus v1"
 
@@ -193,19 +193,20 @@ def save_corpus(corpus, path):
 
 
 def load_corpus(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty corpus file")
     if not lines[0].startswith("# "):
         raise CorpusFormatError(1, "missing header line")
-    try:
+    try:  # a JSON object with these keys; JSONDecodeError is a ValueError
         header = json.loads(lines[0][2:])
-    except json.JSONDecodeError as e:
-        raise CorpusFormatError(1, f"bad header: {e}") from e
+        feature_dim = int(header["feature_dim"])
+        states_per_phone = int(header["states_per_phone"])
+        speakers, words, phones = (tuple(header[k]) for k in ("speakers", "words", "phones"))
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorpusFormatError(1, f"bad header: {e!r}") from None
     if header.get("format") != CORPUS_HEADER_TAG:
         raise CorpusFormatError(1, f"expected {CORPUS_HEADER_TAG} header")
-    feature_dim = int(header["feature_dim"])
     frames, line_numbers = [], []
     for ln_no, line in enumerate(lines[1:], start=2):
         if not line:
@@ -232,14 +233,7 @@ def load_corpus(path):
     finite = np.isfinite(np.stack([f.features for f in frames])).all(axis=1)
     if not finite.all():
         raise CorpusFormatError(line_numbers[np.argmin(finite)], "non-finite feature value")
-    return Corpus(
-        frames,
-        feature_dim,
-        tuple(header["speakers"]),
-        tuple(header["words"]),
-        tuple(header["phones"]),
-        int(header["states_per_phone"]),
-    )
+    return Corpus(frames, feature_dim, speakers, words, phones, states_per_phone)
 
 
 def save_latents(latents, path):
@@ -250,8 +244,7 @@ def save_latents(latents, path):
 
 
 def load_latents(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     latents = {}
     for line in lines[1:]:
         if not line:

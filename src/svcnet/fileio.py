@@ -1,10 +1,18 @@
-"""Small file helpers: atomic text writes, exact float formatting and
-header fields."""
+"""File helpers: atomic text writes, exact float formatting, reading input
+files, and the one model-file format.
+
+A model file is a header line `svcnet-<kind> v2 key=value ...` (list values
+comma-joined), then named float arrays: a line `<name> <dims>` (one dim for
+a vector, two for a matrix) and one line per matrix row, values written
+with `fmt_float` so they round-trip exactly.
+"""
 
 import os
 import tempfile
 
-from .errors import StructuralError
+import numpy as np
+
+from .errors import DataError, StructuralError
 
 
 def fmt_float(v):
@@ -18,7 +26,7 @@ def atomic_write_text(path, text):
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -29,13 +37,78 @@ def atomic_write_text(path, text):
         raise
 
 
-def int_fields(path, items, names):
-    """Integer values of the `name=value` header items named in `names`,
-    in that order; StructuralError naming `path` if one is missing or not
-    an integer."""
-    fields = dict(item.partition("=")[::2] for item in items)
+def read_text(path):
+    """The text of a UTF-8 input file; DataError naming `path` if it is not UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def str_list(text):
+    return tuple(text.split(","))
+
+
+def write_arrays(path, kind, fields, arrays):
+    """Write a model file: `fields` maps names to a value or a tuple of
+    values, `arrays` maps names to 1-D or 2-D float arrays, in file order."""
+    head = [f"svcnet-{kind} v2"]
+    for name, value in fields.items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        head.append(f"{name}={text}")
+    lines = [" ".join(head)]
+    for name, arr in arrays.items():
+        lines.append(" ".join([name] + [str(d) for d in arr.shape]))
+        lines.extend(" ".join(fmt_float(v) for v in row) for row in np.atleast_2d(arr))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_arrays(path, kind, parsers, build):
+    """build({name: parsers[name](field text)}, {name: array, in file order})
+    for the model file at `path`. Malformed or non-finite content, and any
+    ValueError from a parser or `build`, raise StructuralError naming `path`."""
+    lines = read_text(path).splitlines()
     try:
-        return [int(fields[name]) for name in names]
-    except (KeyError, ValueError):
-        wanted = ", ".join(f"{name}=<int>" for name in names)
-        raise StructuralError(f"{path}: header needs {wanted}") from None
+        return build(*_parse(lines, kind, parsers))
+    except ValueError as e:
+        raise StructuralError(f"{path}: {e}") from None
+
+
+def _parse(lines, kind, parsers):
+    head = lines[0].split() if lines else []
+    if head[:2] != [f"svcnet-{kind}", "v2"]:
+        raise StructuralError(f"not an svcnet-{kind} v2 file")
+    items = dict(item.partition("=")[::2] for item in head[2:])
+    fields = {}
+    for name, parse in parsers.items():
+        try:
+            fields[name] = parse(items[name])
+        except (KeyError, ValueError):
+            raise StructuralError(f"header needs a valid {name}= field") from None
+    arrays = {}
+    pos = 1
+    while pos < len(lines):
+        name, *dims = lines[pos].split() or [""]
+        shape = tuple(int(d) for d in dims if d.isdecimal() and int(d) > 0)
+        if not name or name in arrays or len(dims) not in (1, 2) or len(shape) != len(dims):
+            raise StructuralError(f"line {pos + 1}: bad array header {lines[pos][:40]!r}")
+        n_rows = shape[0] if len(shape) == 2 else 1
+        rows = [ln.split() for ln in lines[pos + 1 : pos + 1 + n_rows]]
+        if len(rows) < n_rows:
+            raise StructuralError(f"truncated: {name} needs {n_rows} rows, {len(rows)} left")
+        if any(len(row) != shape[-1] for row in rows):
+            raise StructuralError(f"{name}: rows are not of shape {shape}")
+        arr = np.array([[float(v) for v in row] for row in rows]).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise StructuralError(f"{name}: non-finite value")
+        arrays[name] = arr
+        pos += 1 + n_rows
+    return fields, arrays
+
+
+def check_shapes(arrays, shapes):
+    """StructuralError unless `arrays` has exactly the names, order and shapes of `shapes`."""
+    found = {name: arr.shape for name, arr in arrays.items()}
+    if list(found.items()) != list(shapes.items()):
+        raise StructuralError(f"arrays {found}, expected {shapes}")

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import StructuralError
-from .fileio import atomic_write_text, fmt_float
+from .fileio import check_shapes, read_arrays, str_list, write_arrays
 
 ACTIVATIONS = ("sigmoid", "tanh", "linear")
 
@@ -338,53 +338,32 @@ def gradient_check_battery(n_networks=100, seed=0, eps=1e-6):
     return worst
 
 
+MODEL_FIELDS = {"sizes": str_list, "activations": str_list}  # LayerSpec makes sizes ints
+
+
+def model_arrays(params):
+    """Spec fields and named arrays (w0 b0 w1 b1 ...) of a network, for a model file."""
+    arrays = {}
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+    return {"sizes": params.spec.sizes, "activations": params.spec.activations}, arrays
+
+
+def model_from_arrays(fields, arrays):
+    """Inverse of model_arrays; StructuralError for a bad spec, array name or shape."""
+    spec = LayerSpec(fields["sizes"], fields["activations"])
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(zip(spec.sizes[:-1], spec.sizes[1:])):
+        shapes[f"w{i}"], shapes[f"b{i}"] = (fan_out, fan_in), (fan_out,)
+    check_shapes(arrays, shapes)
+    values = list(arrays.values())  # w0 b0 w1 b1 ..., as checked
+    return NetworkParams(spec, values[::2], values[1::2])
+
+
 def save_model(params, path):
     """Versioned text format; load(save(m)) reproduces parameters exactly."""
-    lines = ["svcnet-model v1"]
-    lines.append(
-        "layers "
-        + ",".join(str(s) for s in params.spec.sizes)
-        + " "
-        + ",".join(params.spec.activations)
-    )
-    for w, b in zip(params.weights, params.biases):
-        for row in w:
-            lines.append(" ".join(fmt_float(v) for v in row))
-        lines.append(" ".join(fmt_float(v) for v in b))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_arrays(path, "model", *model_arrays(params))
 
 
 def load_model(path):
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0] != "svcnet-model v1":
-        raise StructuralError(f"{path}: not an svcnet-model v1 file")
-    spec_line = lines[1] if len(lines) > 1 else ""
-    parts = spec_line.split()
-    if len(parts) != 3 or parts[0] != "layers":
-        raise StructuralError(f"{path}: malformed spec line {spec_line!r}")
-    sizes = tuple(int(s) for s in parts[1].split(","))
-    activations = tuple(parts[2].split(","))
-    spec = LayerSpec(sizes, activations)
-    needed = 2 + sum(n + 1 for n in sizes[1:])
-    if len(lines) < needed:
-        raise StructuralError(f"{path}: {len(lines)} lines, layers {parts[1]} need {needed}")
-    weights, biases = [], []
-    pos = 2
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        rows = []
-        for _ in range(fan_out):
-            rows.append([float(v) for v in lines[pos].split()])
-            pos += 1
-        w = np.array(rows, dtype=float)
-        b = np.array([float(v) for v in lines[pos].split()], dtype=float)
-        pos += 1
-        if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-            raise StructuralError(f"{path}: parameter block shape mismatch")
-        weights.append(w)
-        biases.append(b)
-    params = NetworkParams(spec, weights, biases)
-    for w in weights + biases:
-        if not np.all(np.isfinite(w)):
-            raise StructuralError(f"{path}: non-finite parameter value")
-    return params
+    return read_arrays(path, "model", MODEL_FIELDS, model_from_arrays)

@@ -8,6 +8,7 @@ header with the config hash, seeds, and corpus path.
 import glob
 import math
 import os
+import re
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from . import svc as svc_mod
 from .corpus import SoundId
 from .errors import DataError
 from .fileio import atomic_write_text, fmt_float
-from .nets import load_model
+from .nets import load_model, save_model
 
 
 def provenance_header(config):
@@ -72,8 +73,6 @@ def run_train_ppc(config):
         train, config.ppc_dim, config.ppc_train_config(), config.min_sound_frames
     )
     os.makedirs(config.resolved_model_dir, exist_ok=True)
-    from .nets import save_model
-
     for sound, enc in encoders.items():
         save_model(enc.net, ppc_model_path(config, sound))
     n_epochs = config.ppc_epochs
@@ -92,16 +91,16 @@ def load_encoders(config):
         raise DataError(f"no encoder models found (expected {pattern})")
     encoders = {}
     for p in paths:
-        stem = os.path.basename(p)[len("ppc_") : -len(".txt")]
-        phone, _, state = stem.rpartition("_")
-        sound = SoundId(phone, int(state))
+        name = re.fullmatch(r"ppc_(.+)_([0-9]+)\.txt", os.path.basename(p))
+        if name is None:
+            raise DataError(f"{p}: encoder file name is not ppc_<phone>_<state>.txt")
+        sound = SoundId(name[1], int(name[2]))
         encoders[sound] = ppc_mod.PPCEncoder(sound, load_model(p))
     return encoders
 
 
-def svcnet_paths(config):
-    d = config.resolved_model_dir
-    return os.path.join(d, "svcnet.txt"), os.path.join(d, "svcnet.layout")
+def svcnet_path(config):
+    return os.path.join(config.resolved_model_dir, "svcnet.txt")
 
 
 def run_train_svc(config):
@@ -117,20 +116,17 @@ def run_train_svc(config):
         mode=config.accumulation_mode,
         flank_width=config.svc_flank,
     )
-    model_path, layout_path = svcnet_paths(config)
-    svc_mod.save_svcnet(svcnet, model_path, layout_path)
+    svc_mod.save_svcnet(svcnet, svcnet_path(config))
     rows = [(e, fmt_float(l)) for e, l in enumerate(metrics["epoch_loss"])]
     write_report(config, "metrics_svc.csv", ("epoch", "mean_masked_loss"), rows)
     return svcnet, metrics
 
 
 def load_svcnet_artifact(config):
-    model_path, layout_path = svcnet_paths(config)
-    if not (os.path.exists(model_path) and os.path.exists(layout_path)):
-        raise DataError(
-            f"missing pattern-completion model ({model_path}, {layout_path})"
-        )
-    return svc_mod.load_svcnet(model_path, layout_path)
+    path = svcnet_path(config)
+    if not os.path.exists(path):
+        raise DataError(f"missing pattern-completion model ({path})")
+    return svc_mod.load_svcnet(path)
 
 
 def speaker_svc(config, svcnet, encoders, frames):
@@ -255,7 +251,7 @@ def run_eval(config):
                 )
                 per_source_errors[source].append(label != frames[0].word)
     table2_rows = [
-        (source, fmt_float(float(np.mean(per_source_errors[source]))))
+        (source, fmt_float(rec_mod.error_rate(per_source_errors[source])))
         for source in ("none", "disjoint", "same")
     ]
     write_report(config, "table2.csv", ("svc_source", "error_rate"), table2_rows)
@@ -271,7 +267,7 @@ def run_eval(config):
     )
     return {
         "ablation": ablation_rows,
-        "table2": {s: float(np.mean(v)) for s, v in per_source_errors.items()},
+        "table2": {s: rec_mod.error_rate(v) for s, v in per_source_errors.items()},
         "n_table2_utterances": len(per_source_errors["none"]),
     }
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, StructuralError
-from .fileio import atomic_write_text, fmt_float, int_fields
+from .fileio import check_shapes, read_arrays, str_list, write_arrays
 from .nets import flat_views
 
 SVC_HIDDEN_WIDTH = 2  # fixed side-path width
@@ -267,6 +267,11 @@ def compute_average_svc(svcs):
     return np.asarray(svcs, dtype=float).mean(axis=0)
 
 
+def error_rate(wrong):
+    """Share of misrecognized utterances, from one flag per utterance."""
+    return sum(wrong) / len(wrong)
+
+
 def ablation_eval(net, test_corpus, svc_per_speaker, avg):
     """Error rate for each of the 8 availability combinations, plus the
     per-utterance prediction log."""
@@ -274,91 +279,40 @@ def ablation_eval(net, test_corpus, svc_per_speaker, avg):
     rows = []
     log = []
     for flags in flag_grid():
-        errors = 0
-        total = 0
+        wrong = []
         for utt_id, frames in utterances.items():
             feats = [f.features for f in frames]
             label, _ = recognize(net, feats, svc_per_speaker[frames[0].speaker], flags, avg)
             truth = frames[0].word
-            if label != truth:
-                errors += 1
-            total += 1
+            wrong.append(label != truth)
             log.append((utt_id, truth, label, flags))
-        rows.append((flags, errors / total))
+        rows.append((flags, error_rate(wrong)))
     return rows, log
 
 
+REC_FIELDS = dict(
+    words=str_list, feature_dim=int, svc_dim=int, window=int, acoustic_units=int, state_units=int
+)
+
+
 def save_recognizer(net, path):
-    lines = ["svcnet-recognizer v1"]
-    lines.append(
-        f"words {','.join(net.words)} feature_dim={net.feature_dim} "
-        f"svc_dim={net.svc_dim} window={net.window}"
+    fields = dict(
+        words=net.words, feature_dim=net.feature_dim, svc_dim=net.svc_dim, window=net.window,
+        acoustic_units=net.w_acoustic.shape[0], state_units=net.w_state.shape[0],
     )
-    for arr in net.param_arrays():
-        mat = np.atleast_2d(arr)
-        lines.append(f"array {arr.ndim} {' '.join(str(d) for d in arr.shape)}")
-        for row in mat:
-            lines.append(" ".join(fmt_float(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_arrays(path, "recognizer", fields, dict(zip(PARAM_NAMES, net.param_arrays())))
+
+
+def _recognizer_from_arrays(fields, arrays):
+    words, feature_dim, svc_dim, window, a, s = fields.values()  # REC_FIELDS order
+    if window < 0:
+        raise StructuralError(f"window {window} is negative")
+    h, o, i = SVC_HIDDEN_WIDTH, len(words), feature_dim * (2 * window + 1)
+    shapes = [(h, svc_dim), (h,), (a, i), (a,), (a, h), (s, a), (s,), (s, h)]
+    shapes += [(o, s), (o,), (o, h)]
+    check_shapes(arrays, dict(zip(PARAM_NAMES, shapes)))
+    return RecognizerNet(words, feature_dim, svc_dim, window, **arrays)
 
 
 def load_recognizer(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != "svcnet-recognizer v1":
-        raise StructuralError(f"{path}: not an svcnet-recognizer v1 file")
-    head = lines[1].split() if len(lines) > 1 else []
-    if len(head) < 2 or head[0] != "words":
-        raise StructuralError(f"{path}: malformed header line")
-    words = tuple(head[1].split(","))
-    feature_dim, svc_dim, window = int_fields(
-        path, head[2:], ("feature_dim", "svc_dim", "window")
-    )
-    arrays = []
-    pos = 2
-    while pos < len(lines) and lines[pos]:
-        tag = lines[pos].split()
-        if (
-            len(tag) not in (3, 4)
-            or tag[0] != "array"
-            or not all(t.isdigit() for t in tag[1:])
-            or int(tag[1]) != len(tag) - 2
-        ):
-            raise StructuralError(f"{path}: malformed array header {lines[pos]!r}")
-        shape = tuple(int(d) for d in tag[2:])
-        n_rows = shape[0] if len(shape) == 2 else 1
-        pos += 1
-        if pos + n_rows > len(lines):
-            raise StructuralError(
-                f"{path}: truncated: array {len(arrays)} needs {n_rows} rows, "
-                f"{len(lines) - pos} left"
-            )
-        try:
-            arr = np.array(
-                [[float(v) for v in ln.split()] for ln in lines[pos : pos + n_rows]]
-            )
-        except ValueError:  # a non-number, or rows of unequal width
-            raise StructuralError(f"{path}: malformed rows in array {len(arrays)}") from None
-        if arr.size != int(np.prod(shape)):
-            raise StructuralError(f"{path}: array {len(arrays)} is not of shape {shape}")
-        arrays.append(arr.reshape(shape))
-        pos += n_rows
-    if len(arrays) != len(PARAM_NAMES):
-        raise StructuralError(
-            f"{path}: expected {len(PARAM_NAMES)} parameter arrays, got {len(arrays)}"
-        )
-    net = RecognizerNet(words, feature_dim, svc_dim, window, *arrays)
-    h, a, s = SVC_HIDDEN_WIDTH, net.w_acoustic.shape[0], net.w_state.shape[0]
-    o = len(words)
-    expected = [
-        (h, svc_dim), (h,),
-        (a, net.input_dim), (a,), (a, h),
-        (s, a), (s,), (s, h),
-        (o, s), (o,), (o, h),
-    ]
-    for name, arr, shape in zip(PARAM_NAMES, arrays, expected):
-        if arr.shape != shape:
-            raise StructuralError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise StructuralError(f"{path}: non-finite value in {name}")
-    return net
+    return read_arrays(path, "recognizer", REC_FIELDS, _recognizer_from_arrays)

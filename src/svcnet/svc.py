@@ -14,8 +14,9 @@ import numpy as np
 
 from .corpus import SoundId
 from .errors import DataError, StructuralError
-from .fileio import atomic_write_text, int_fields
-from .nets import FusedStep, LayerSpec, forward, init_network, load_model, save_model
+from .fileio import read_arrays, str_list, write_arrays
+from .nets import MODEL_FIELDS, FusedStep, LayerSpec, forward, init_network
+from .nets import model_arrays, model_from_arrays
 from .ppc import build_speaker_profile, encode_frame
 
 ZERO_FILL = "zero_fill"
@@ -228,25 +229,26 @@ def final_svc(trajectory):
     return trajectory.mean(axis=0)
 
 
-def save_svcnet(svcnet, model_path, layout_path):
-    save_model(svcnet.net, model_path)
-    lines = [f"svcnet-layout v1 code_dim={svcnet.layout.code_dim} bottleneck={svcnet.bottleneck_index}"]
-    lines.extend(str(s) for s in svcnet.layout.sounds)
-    atomic_write_text(layout_path, "\n".join(lines) + "\n")
+SVCNET_FIELDS = {**MODEL_FIELDS, "code_dim": int, "bottleneck": int, "sounds": str_list}
 
 
-def load_svcnet(model_path, layout_path):
-    net = load_model(model_path)
-    with open(layout_path) as f:
-        lines = f.read().splitlines()
-    head = lines[0].split() if lines else []
-    if head[0:2] != ["svcnet-layout", "v1"]:
-        raise StructuralError(f"{layout_path}: not an svcnet-layout v1 file")
-    code_dim, bottleneck = int_fields(layout_path, head[2:], ("code_dim", "bottleneck"))
-    sounds = tuple(SoundId.parse(ln) for ln in lines[1:] if ln)
-    layout = SoundLayout(sounds, code_dim)
+def save_svcnet(svcnet, path):
+    """One file: the net's spec and arrays, and the layout in the header."""
+    fields, arrays = model_arrays(svcnet.net)
+    fields.update(code_dim=svcnet.layout.code_dim, bottleneck=svcnet.bottleneck_index)
+    fields["sounds"] = svcnet.layout.sounds
+    write_arrays(path, "completion", fields, arrays)
+
+
+def _svcnet_from_arrays(fields, arrays):
+    net = model_from_arrays(fields, arrays)
+    layout = SoundLayout(tuple(map(SoundId.parse, fields["sounds"])), fields["code_dim"])
     if net.spec.sizes[0] != layout.width or net.spec.sizes[-1] != layout.width:
-        raise StructuralError("model width does not match layout width")
-    if not 0 < bottleneck < len(net.spec.sizes) - 1:
-        raise StructuralError(f"{layout_path}: bottleneck {bottleneck} is not a hidden layer")
-    return SVCNet(net, layout, bottleneck)
+        raise StructuralError(f"model width does not match layout width {layout.width}")
+    if not 0 < fields["bottleneck"] < len(net.spec.sizes) - 1:
+        raise StructuralError(f"bottleneck {fields['bottleneck']} is not a hidden layer")
+    return SVCNet(net, layout, fields["bottleneck"])
+
+
+def load_svcnet(path):
+    return read_arrays(path, "completion", SVCNET_FIELDS, _svcnet_from_arrays)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import runpy
 import shutil
 
 import numpy as np
@@ -228,8 +229,10 @@ class TestReports:
         config, _ = full_run
         models = sorted(os.listdir(config.resolved_model_dir))
         assert any(m.startswith("ppc_") for m in models)
-        assert "svcnet.txt" in models and "svcnet.layout" in models
-        assert "recognizer.txt" in models
+        assert [m for m in models if not m.startswith("ppc_")] == [
+            "recognizer.txt",
+            "svcnet.txt",
+        ]
 
 
 class TestMalformedArtifacts:
@@ -257,19 +260,49 @@ class TestMalformedArtifacts:
         assert "svcnet.txt" in self.eval_error(full_run, out, capsys)
 
     def test_bottleneck_outside_hidden_layers(self, full_run, out, capsys):
-        path = out / "models" / "svcnet.layout"
+        path = out / "models" / "svcnet.txt"
         path.write_text(re.sub(r"bottleneck=\d+", "bottleneck=9", path.read_text()))
         assert "bottleneck 9" in self.eval_error(full_run, out, capsys)
 
     @pytest.mark.parametrize(
         "rewrite",
-        [lambda text: "", lambda text: text.replace("code_dim=", "cdim=")],
-        ids=["empty", "renamed_field"],
+        [
+            lambda text: re.sub(r"sounds=\S*", "sounds=", text, count=1),
+            lambda text: "",
+            lambda text: text.replace("code_dim=", "cdim=", 1),
+            lambda text: text.replace("sounds=p00:0", "sounds=p00:x", 1),
+        ],
+        ids=["empty", "empty_file", "renamed_field", "non_integer_state"],
     )
     def test_malformed_layout(self, full_run, out, capsys, rewrite):
-        path = out / "models" / "svcnet.layout"
-        path.write_text(rewrite(path.read_text()))
-        assert "svcnet.layout" in self.eval_error(full_run, out, capsys)
+        path = out / "models" / "svcnet.txt"
+        text = path.read_text()
+        assert rewrite(text) != text
+        path.write_text(rewrite(text))
+        assert "svcnet.txt" in self.eval_error(full_run, out, capsys)
+
+    @pytest.mark.parametrize("name", ["svcnet.txt", "ppc_p00_0.txt", "recognizer.txt"])
+    def test_non_numeric_parameter(self, full_run, out, capsys, name):
+        path = out / "models" / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = re.sub(r"\d", "x", lines[2], count=1)
+        path.write_text("".join(lines))
+        assert name in self.eval_error(full_run, out, capsys)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["models/svcnet.txt", "models/ppc_p00_0.txt", "models/recognizer.txt", "corpus.csv"],
+    )
+    def test_undecodable_byte(self, full_run, out, capsys, name):
+        path = out / name
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF
+        path.write_bytes(bytes(data))
+        assert os.path.basename(name) in self.eval_error(full_run, out, capsys)
+
+    def test_stray_encoder_file_name(self, full_run, out, capsys):
+        shutil.copy(out / "models" / "ppc_p00_0.txt", out / "models" / "ppc_foo.txt")
+        assert "ppc_foo.txt" in self.eval_error(full_run, out, capsys)
 
     def test_truncated_recognizer(self, full_run, out, capsys):
         path = out / "models" / "recognizer.txt"
@@ -285,6 +318,29 @@ class TestMalformedArtifacts:
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         assert "line 3" in self.eval_error(full_run, out, capsys)
+
+
+class TestRunPipeline:
+    """scripts/run_pipeline.py runs the CLI verbs in order."""
+
+    def run_script(self, *argv):
+        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_pipeline.py")
+        return runpy.run_path(script)["main"](list(argv))
+
+    def test_runs_every_stage(self, tiny_config_path, capsys):
+        assert self.run_script("--config", tiny_config_path) == 0
+        out = capsys.readouterr().out
+        for name in ("gen", "train ppc", "train svc", "train rec", "eval",
+                     "plot ppc_scatter", "plot svc_trajectory", "plot svc_halves"):
+            assert f"\n{name}: done in " in "\n" + out
+
+    def test_stops_at_first_failure(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_speakers": 0, "out_dir": str(tmp_path / "run")}))
+        assert self.run_script("--config", str(path)) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert "done in" not in captured.out
 
 
 class TestDivergence:

@@ -303,10 +303,16 @@ class TestSerialization:
             assert np.array_equal(a, b)
 
     def test_header_line(self, tmp_path):
-        p = init_network(spec([2, 2]), seed=0)
+        p = init_network(spec([2, 1]), seed=0)
+        p.weights[0][:] = [[0.5, -1.0]]
+        p.biases[0][:] = [0.1]
         path = tmp_path / "model.txt"
         save_model(p, path)
-        assert path.read_text().splitlines()[0] == "svcnet-model v1"
+        assert path.read_text() == (
+            "svcnet-model v2 sizes=2,1 activations=sigmoid\n"
+            "w0 1 2\n0.5 -1.0\n"
+            "b0 1\n0.1\n"
+        )
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"

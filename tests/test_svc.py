@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,12 +322,20 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         corpus, encoders, layout, cfg = tiny_setup()
         svcnet, _ = train_svcnet(corpus, encoders, layout, 2, cfg)
-        mp, lp = tmp_path / "svcnet.txt", tmp_path / "svcnet.layout"
-        save_svcnet(svcnet, mp, lp)
-        loaded = load_svcnet(mp, lp)
+        path = tmp_path / "svcnet.txt"
+        save_svcnet(svcnet, path)
+        assert os.listdir(tmp_path) == ["svcnet.txt"]
+        head = path.read_text().splitlines()[0].split()
+        assert head[:2] == ["svcnet-completion", "v2"]
+        assert "bottleneck=2" in head and "code_dim=2" in head
+        assert f"sounds={','.join(map(str, layout.sounds))}" in head
+        loaded = load_svcnet(path)
         assert loaded.layout == svcnet.layout
         assert loaded.bottleneck_index == svcnet.bottleneck_index
-        for a, b in zip(svcnet.net.weights, loaded.net.weights):
+        assert loaded.net.spec == svcnet.net.spec
+        for a, b in zip(
+            svcnet.net.weights + svcnet.net.biases, loaded.net.weights + loaded.net.biases
+        ):
             assert np.array_equal(a, b)
 
 
