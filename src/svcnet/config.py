@@ -138,10 +138,19 @@ class RunConfig:
             data = json.loads(read_text(path))
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid config JSON: {e}") from e
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise DataError(f"{path}: config must be a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in data.items():
+            # a JSON integer is a valid float; a JSON boolean is no number
+            allowed = (int, float) if types[key] is float else types[key]
+            if not isinstance(value, allowed) or isinstance(value, bool):
+                raise DataError(
+                    f"{path}: config key {key!r} must be {types[key].__name__}, got {value!r}"
+                )
         return cls(**data)
 
     def save(self, path):

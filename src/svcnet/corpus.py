@@ -175,7 +175,24 @@ def generate_corpus(spec):
     return corpus, latents
 
 
+NAME_RULE = "is not a string free of commas and whitespace"
+
+
+def bad_name(names):
+    """The first name that is not a string free of commas and whitespace
+    (the corpus and model formats split on both), else None."""
+    for name in names:
+        if not isinstance(name, str) or any(c == "," or c.isspace() for c in name):
+            return name
+    return None
+
+
 def save_corpus(corpus, path):
+    for kind, names in (("speaker", corpus.speakers), ("word", corpus.words),
+                        ("phone", corpus.phones)):
+        bad = bad_name(names)
+        if bad is not None:
+            raise DataError(f"{path}: {kind} name {bad!r} {NAME_RULE}")
     header = {
         "format": CORPUS_HEADER_TAG,
         "feature_dim": corpus.feature_dim,
@@ -197,16 +214,19 @@ def load_corpus(path):
     if not lines:
         raise DataError(f"{path}: empty corpus file")
     if not lines[0].startswith("# "):
-        raise CorpusFormatError(1, "missing header line")
+        raise CorpusFormatError(path, 1, "missing header line")
     try:  # a JSON object with these keys; JSONDecodeError is a ValueError
         header = json.loads(lines[0][2:])
         feature_dim = int(header["feature_dim"])
         states_per_phone = int(header["states_per_phone"])
         speakers, words, phones = (tuple(header[k]) for k in ("speakers", "words", "phones"))
     except (KeyError, TypeError, ValueError) as e:
-        raise CorpusFormatError(1, f"bad header: {e!r}") from None
+        raise CorpusFormatError(path, 1, f"bad header: {e!r}") from None
     if header.get("format") != CORPUS_HEADER_TAG:
-        raise CorpusFormatError(1, f"expected {CORPUS_HEADER_TAG} header")
+        raise CorpusFormatError(path, 1, f"expected {CORPUS_HEADER_TAG} header")
+    bad = bad_name(speakers + words + phones)
+    if bad is not None:
+        raise CorpusFormatError(path, 1, f"name {bad!r} {NAME_RULE}")
     frames, line_numbers = [], []
     for ln_no, line in enumerate(lines[1:], start=2):
         if not line:
@@ -214,14 +234,14 @@ def load_corpus(path):
         fields = line.split(",")
         if len(fields) != 6 + feature_dim:
             raise CorpusFormatError(
-                ln_no, f"expected {6 + feature_dim} fields, got {len(fields)}"
+                path, ln_no, f"expected {6 + feature_dim} fields, got {len(fields)}"
             )
         try:
             state = int(fields[4])
             index = int(fields[5])
             feats = np.array([float(v) for v in fields[6:]], dtype=float)
         except ValueError as e:
-            raise CorpusFormatError(ln_no, str(e)) from e
+            raise CorpusFormatError(path, ln_no, str(e)) from e
         frames.append(
             AcousticFrame(
                 feats, fields[0], fields[1], fields[2], fields[3], state, index
@@ -232,7 +252,9 @@ def load_corpus(path):
         raise DataError(f"{path}: corpus file has no frames")
     finite = np.isfinite(np.stack([f.features for f in frames])).all(axis=1)
     if not finite.all():
-        raise CorpusFormatError(line_numbers[np.argmin(finite)], "non-finite feature value")
+        raise CorpusFormatError(
+            path, line_numbers[np.argmin(finite)], "non-finite feature value"
+        )
     return Corpus(frames, feature_dim, speakers, words, phones, states_per_phone)
 
 

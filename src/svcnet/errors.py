@@ -10,8 +10,10 @@ class DataError(ValueError):
 
 
 class CorpusFormatError(DataError):
-    """A corpus file failed to parse; carries the offending line number."""
+    """A corpus file failed to parse; carries the file's path and the
+    offending line number."""
 
-    def __init__(self, line_number, message):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, path, line_number, message):
+        super().__init__(f"{path}: line {line_number}: {message}")
+        self.path = path
         self.line_number = line_number

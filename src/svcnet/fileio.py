@@ -52,11 +52,16 @@ def str_list(text):
 
 def write_arrays(path, kind, fields, arrays):
     """Write a model file: `fields` maps names to a value or a tuple of
-    values, `arrays` maps names to 1-D or 2-D float arrays, in file order."""
+    values, `arrays` maps names to 1-D or 2-D float arrays, in file order.
+    A value whose text holds whitespace, ',' or '=' would not read back
+    as written, so it is refused (DataError) before anything is written."""
     head = [f"svcnet-{kind} v2"]
     for name, value in fields.items():
-        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-        head.append(f"{name}={text}")
+        values = [str(v) for v in (value if isinstance(value, tuple) else (value,))]
+        for text in values:
+            if any(c in ",=" or c.isspace() for c in text):
+                raise DataError(f"{path}: {name} value {text!r} has whitespace, ',' or '='")
+        head.append(f"{name}={','.join(values)}")
     lines = [" ".join(head)]
     for name, arr in arrays.items():
         lines.append(" ".join([name] + [str(d) for d in arr.shape]))

@@ -1,8 +1,10 @@
 """Dense feedforward networks with masked squared-error backprop.
 
-All parameters are float64. Training is plain per-presentation gradient
-descent; the loss is L = 1/2 * sum_i mask_i * (out_i - target_i)^2, so
-masked output units contribute exactly zero error and zero gradient.
+All parameters are float64. Training is plain gradient descent, per
+presentation (FusedStep) or on the summed gradients of a batch of input
+rows (SharedStep); the loss is
+L = 1/2 * sum_i mask_i * (out_i - target_i)^2, so masked output units
+contribute exactly zero error and zero gradient.
 """
 
 from dataclasses import dataclass
@@ -83,11 +85,12 @@ def init_network(spec, seed):
     return NetworkParams(spec, weights, biases)
 
 
-def _activate(z, kind):
+def _activate(z, kind, out=None):
+    """f(z); in place with out=z."""
     if kind == "sigmoid":
-        return expit(z)
+        return expit(z, out=out)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
 
 
@@ -260,10 +263,7 @@ class FusedStep:
             out = cols[layer + 1]
             np.matmul(self._weights[layer], cols[layer], out=out)
             out += self._bias_cols[layer]
-            if kind == "sigmoid":
-                expit(out, out=out)
-            elif kind == "tanh":
-                np.tanh(out, out=out)
+            _activate(out, kind, out=out)
         return self.outputs
 
     def __call__(self, x, target, mask=None):
@@ -283,6 +283,87 @@ class FusedStep:
             self._weights_t, self._rows, self._cols, self._kinds,
             self._delta_cols, self._grad_w, self._tmp,
         )
+        np.multiply(self.grad, self._learning_rate, out=self.grad)
+        self.flat -= self.grad
+        return resid
+
+
+class SharedStep:
+    """One SGD step of a single network on S input rows at once, with one
+    update from the rows' summed gradients (mini-batch SGD; gradients are
+    summed, not averaged, so the learning rate keeps its per-presentation
+    scale).
+
+    Per layer the forward pass is one (S, in) @ W.T; backprop forms the
+    weight gradient as delta.T @ acts and the bias gradient as the column
+    sum of delta. Parameters and gradients live in flat buffers as in
+    FusedStep: the net's `weights`/`biases` are rebound to views of
+    `flat`, `grad_w`/`grad_b` are views of `grad`, and the update is one
+    `flat -= lr * grad`. Every buffer is allocated here.
+
+    A row whose `active` entry is False contributes nothing: its input and
+    target are never read (the input buffer keeps that row's last active
+    input, zeros at first) and its output delta is zero, so garbage in an
+    inactive row cannot change the parameters.
+    """
+
+    def __init__(self, net, n_rows, learning_rate):
+        spec = net.spec
+        shapes = []
+        for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
+            shapes += [(fan_out, fan_in), (fan_out,)]
+        current = [p for pair in zip(net.weights, net.biases) for p in pair]
+        if [p.shape for p in current] != shapes:
+            raise StructuralError(f"parameter shapes do not match {spec}")
+        self.flat = np.concatenate([p.reshape(-1) for p in current])
+        self.grad = np.empty_like(self.flat)
+        params = flat_views(self.flat, shapes)
+        grads = flat_views(self.grad, shapes)
+        self._weights, self._biases = params[0::2], params[1::2]
+        self.grad_w, self.grad_b = grads[0::2], grads[1::2]
+        net.weights[:], net.biases[:] = self._weights, self._biases
+        self._kinds = spec.activations
+        self._acts = [np.zeros((n_rows, width)) for width in spec.sizes]
+        self._deltas = [np.empty((n_rows, width)) for width in spec.sizes[1:]]
+        self._tmp = [np.empty_like(d) for d in self._deltas]
+        self.outputs = self._acts[-1]
+        self._mask = np.empty(self.outputs.shape, dtype=bool)
+        self._resid = np.empty_like(self.outputs)
+        self._learning_rate = learning_rate
+
+    def gradients(self, x, target, mask, active):
+        """Fill `grad_w`/`grad_b` with the gradients of the masked loss
+        summed over the active rows, without updating. `x` is (S, in),
+        `target` and `mask` (S, out) and `active` (S,) bool. Returns the
+        masked residual (zero in inactive rows), a buffer the next call
+        overwrites."""
+        rows = active[:, None]
+        acts = self._acts
+        np.copyto(acts[0], x, where=rows)
+        for layer, kind in enumerate(self._kinds):
+            out = acts[layer + 1]
+            np.matmul(acts[layer], self._weights[layer].T, out=out)
+            out += self._biases[layer]
+            _activate(out, kind, out=out)
+        np.logical_and(mask, rows, out=self._mask)
+        resid = self._resid
+        resid.fill(0.0)
+        np.subtract(self.outputs, target, out=resid, where=self._mask)
+        deltas, kinds = self._deltas, self._kinds
+        _times_deriv(resid, self.outputs, kinds[-1], self._tmp[-1], deltas[-1])
+        for layer in range(len(deltas) - 1, -1, -1):
+            delta = deltas[layer]
+            np.matmul(delta.T, acts[layer], out=self.grad_w[layer])
+            np.add.reduce(delta, axis=0, out=self.grad_b[layer])
+            if layer:
+                back = deltas[layer - 1]
+                np.matmul(delta, self._weights[layer], out=back)
+                _times_deriv(back, acts[layer], kinds[layer - 1], self._tmp[layer - 1], back)
+        return resid
+
+    def __call__(self, x, target, mask, active):
+        """gradients(), then one update of the shared parameters."""
+        resid = self.gradients(x, target, mask, active)
         np.multiply(self.grad, self._learning_rate, out=self.grad)
         self.flat -= self.grad
         return resid

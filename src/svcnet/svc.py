@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import SoundId
 from .errors import DataError, StructuralError
 from .fileio import read_arrays, str_list, write_arrays
-from .nets import MODEL_FIELDS, FusedStep, LayerSpec, forward, init_network
+from .nets import MODEL_FIELDS, LayerSpec, SharedStep, forward, init_network
 from .nets import model_arrays, model_from_arrays
 from .ppc import build_speaker_profile, encode_frame
 
@@ -72,44 +72,61 @@ def make_target(profile, layout):
 
 
 class Accumulator:
-    """Running per-sound means of observed codes plus the input-building rule."""
+    """Running per-sound means of observed codes plus the input-building
+    rule, for S speakers side by side: row r of `sums`, `counts` and
+    `last_output`, each (S, W), belongs to speaker r. `observe`, `mean`
+    and `commit_output` are the one-speaker calls (S = 1, row 0)."""
 
-    def __init__(self, layout, mode=FEEDBACK):
+    def __init__(self, layout, mode=FEEDBACK, n_rows=1):
         if mode not in MODES:
             raise StructuralError(f"unknown accumulation mode {mode!r}")
         self.layout = layout
         self.mode = mode
+        self._row_starts = np.arange(n_rows) * layout.width
+        self._code_cols = np.arange(layout.code_dim)
         self.reset()
 
     def reset(self):
-        self.sums = np.zeros(self.layout.width)
-        self.counts = np.zeros(self.layout.width, dtype=int)
-        self.last_output = None
+        shape = (len(self._row_starts), self.layout.width)
+        self.sums = np.zeros(shape)
+        self.counts = np.zeros(shape, dtype=int)
+        self.last_output = np.zeros(shape)  # stays zero in zero_fill mode
 
-    def mean(self, sound):
+    def mean(self, sound, row=0):
         sl = self.layout.slot_slice(sound)
-        if self.counts[sl.start] == 0:
+        if self.counts[row, sl.start] == 0:
             raise DataError(f"sound {sound} has no observations")
-        return self.sums[sl] / self.counts[sl]
+        return self.sums[row, sl] / self.counts[row, sl]
 
     def observe(self, sound, code):
-        """Fold one code into the running mean and build the net input."""
+        """Fold one code into the running mean and build the (W,) net input."""
         sl = self.layout.slot_slice(sound)
-        self.sums[sl] += np.asarray(code, dtype=float)
-        self.counts[sl] += 1
-        return self.input_vector()
+        self.sums[0, sl] += np.asarray(code, dtype=float)
+        self.counts[0, sl] += 1
+        return self.inputs()[0]
 
-    def input_vector(self):
+    def observe_rows(self, slots, codes, active):
+        """Fold codes[r] (code_dim,) into row r's running means at slot
+        offset slots[r], for every row r with active[r]; other rows are
+        not touched. Returns the (S, W) net inputs."""
+        rows = self._row_starts
+        if not active.all():
+            slots, codes, rows = slots[active], codes[active], rows[active]
+        cols = (rows + slots)[:, None] + self._code_cols  # distinct: one slot per row
+        self.sums.reshape(-1)[cols] += codes
+        self.counts.reshape(-1)[cols] += 1
+        return self.inputs()
+
+    def inputs(self):
         """Running means in heard slots; elsewhere the feedback output or zero."""
-        if self.mode == FEEDBACK and self.last_output is not None:
-            fill = self.last_output.copy()
-        else:
-            fill = np.zeros(self.layout.width)
+        fill = self.last_output.copy()
         return np.divide(self.sums, self.counts, out=fill, where=self.counts > 0)
 
     def commit_output(self, output):
-        """Cache the caller's forward-pass output for feedback filling."""
-        self.last_output = np.asarray(output, dtype=float).copy()
+        """Cache the caller's forward-pass output, (W,) or (S, W), for
+        feedback filling; zero_fill mode ignores it."""
+        if self.mode == FEEDBACK:
+            self.last_output[...] = output
 
 
 @dataclass
@@ -151,49 +168,58 @@ def speaker_stream(frames, encoders):
 
 
 def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank_width=4):
-    """Two-pass scheme per speaker: fix the full-profile target, then step
-    through the speaker's speech accumulating codes, updating after every
-    presentation. Word (utterance) order is reshuffled every sweep so the
-    completion behaviour does not bind to one arrival order; frames inside
-    an utterance stay in temporal order. Returns (svcnet, metrics)."""
-    if not corpus.frames:
+    """Two-pass scheme: fix each speaker's full-profile target, then step
+    through all speakers' speech side by side, each speaker in its own
+    accumulator row. Time step t presents every speaker's t-th frame and
+    updates the shared weights once, by the speakers' summed gradients; a
+    speaker whose stream has ended is masked out (no accumulation, loss or
+    gradient). Every sweep each speaker draws its own utterance (word)
+    order from the one rng, in speaker order, so the completion behaviour
+    does not bind to one arrival order; frames inside an utterance stay in
+    temporal order. Returns (svcnet, metrics)."""
+    if not corpus.frames or not corpus.speakers:
         raise DataError("empty corpus")
     svcnet = build_svcnet(layout, svc_dim, flank_width, config.seed)
-    net = svcnet.net
-    speakers = list(corpus.speakers)
-    targets = {}
-    utt_streams = {}
-    for s in speakers:
+    n_rows = len(corpus.speakers)
+    targets = np.empty((n_rows, layout.width))
+    masks = np.empty((n_rows, layout.width), dtype=bool)
+    slots, codes, utterances = [], [], []
+    for row, s in enumerate(corpus.speakers):
         frames = corpus.frames_of_speaker(s)
         profile = build_speaker_profile(s, frames, encoders)
-        targets[s] = make_target(profile, layout)
+        targets[row], masks[row] = make_target(profile, layout)
         stream, ends = speaker_stream(frames, encoders)
-        utt_streams[s] = [stream[a + 1 : b + 1] for a, b in zip([-1] + ends, ends)]
+        slots.append(np.array([layout.slot(sound) for sound, _ in stream]))
+        codes.append(np.array([code for _, code in stream]))
+        utterances.append([np.arange(a + 1, b + 1) for a, b in zip([-1] + ends, ends)])
 
+    lengths = np.array([len(s) for s in slots])
+    n_steps, n_frames = int(lengths.max()), int(lengths.sum())
+    active = np.arange(n_steps)[:, None] < lengths  # (T, S)
+    step_slots = np.zeros((n_steps, n_rows), dtype=int)
+    step_codes = np.zeros((n_steps, n_rows, layout.code_dim))
     rng = np.random.default_rng(config.seed)
-    acc = Accumulator(layout, mode)
-    step = FusedStep([net], config.learning_rate)
-    presentations = 0
-    total_frames = sum(sum(len(u) for u in us) for us in utt_streams.values())
+    acc = Accumulator(layout, mode, n_rows)
+    step = SharedStep(svcnet.net, n_rows, config.learning_rate)
     epoch_loss = []
     for epoch in range(config.epochs):
+        for row, utts in enumerate(utterances):
+            order = np.concatenate([utts[i] for i in rng.permutation(len(utts))])
+            step_slots[: lengths[row], row] = slots[row][order]
+            step_codes[: lengths[row], row] = codes[row][order]
+        acc.reset()
         sweep_loss = 0.0
-        for s in speakers:
-            target, mask = targets[s]
-            acc.reset()
-            order = rng.permutation(len(utt_streams[s]))
-            for ui in order:
-                for sound, code in utt_streams[s][ui]:
-                    resid = step(acc.observe(sound, code), target, mask)[0]
-                    acc.commit_output(step.outputs[0])
-                    sweep_loss += 0.5 * float(resid @ resid)
-                    presentations += 1
-        epoch_loss.append(sweep_loss / max(1, total_frames))
+        for t in range(n_steps):
+            x = acc.observe_rows(step_slots[t], step_codes[t], active[t])
+            resid = step(x, targets, masks, active[t]).reshape(-1)
+            acc.commit_output(step.outputs)
+            sweep_loss += 0.5 * float(resid @ resid)
+        epoch_loss.append(sweep_loss / n_frames)
         if not np.isfinite(epoch_loss[-1]):
             raise DataError(
                 f"svc training diverged at epoch {epoch}: mean masked loss {epoch_loss[-1]}"
             )
-    metrics = {"epoch_loss": epoch_loss, "presentations": presentations}
+    metrics = {"epoch_loss": epoch_loss, "presentations": config.epochs * n_frames}
     return svcnet, metrics
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import svcnet.svc as svc_mod
-from svcnet import pipeline
+from svcnet import pipeline, quality
 from svcnet.config import RunConfig
 from svcnet.corpus import load_latents
 from svcnet.nets import TrainConfig, gradient_check_battery, init_network
@@ -147,129 +147,59 @@ def test_criterion_03_ppc_quality(run):
     )
 
 
-def _test_trajectories(run):
-    test, encoders, svcnet = run["test"], run["encoders"], run["svcnet"]
-    mode = run["config"].accumulation_mode
-    out = {}
-    for speaker in test.speakers:
-        stream, boundaries = svc_mod.speaker_stream(
-            test.frames_of_speaker(speaker), encoders
-        )
-        traj = svc_mod.extract_svc(svcnet, stream, mode=mode)
-        out[speaker] = (traj, boundaries)
-    return out
-
-
 def test_criterion_04_code_stability(run):
-    good = 0
-    details = []
-    trajs = _test_trajectories(run)
-    for speaker, (traj, boundaries) in trajs.items():
-        disps = svc_mod.svc_stability(traj, boundaries)
-        early = disps[0]
-        late = float(np.mean(disps[3:]))
-        ok = late <= 0.25 * early
-        good += ok
-        details.append(f"{speaker}:{late / max(early, 1e-12):.2f}")
-    frac = good / len(trajs)
+    result = quality.code_stability(
+        run["svcnet"], run["encoders"], run["test"], run["config"].accumulation_mode
+    )
     report(
         4,
         "code movement per word settles to <= 25% of the first transition "
         "after ~4 words for >= 70% of test speakers",
-        frac >= 0.7,
-        f"{good}/{len(trajs)} " + " ".join(details),
+        result.ok,
+        result.detail,
     )
-
-
-def _half_codes(run):
-    config, test, encoders, svcnet = (
-        run["config"], run["test"], run["encoders"], run["svcnet"],
-    )
-    halves = {}
-    for speaker in test.speakers:
-        frames = test.frames_of_speaker(speaker)
-        first_words, last_words = pipeline.split_speaker_words(frames)
-        a = pipeline.speaker_svc(
-            config, svcnet, encoders, pipeline.frames_for_words(frames, first_words)
-        )
-        b = pipeline.speaker_svc(
-            config, svcnet, encoders, pipeline.frames_for_words(frames, last_words)
-        )
-        halves[speaker] = (a, b)
-    return halves
 
 
 def test_criterion_05_utterance_independence(run):
-    halves = _half_codes(run)
-    config, test, encoders, svcnet = (
-        run["config"], run["test"], run["encoders"], run["svcnet"],
+    result = quality.utterance_independence(
+        run["config"], run["svcnet"], run["encoders"], run["test"]
     )
-    # each speaker's canonical code comes from their full test stream
-    full = pipeline.all_speaker_svcs(config, svcnet, encoders, test)
-    good = 0
-    for speaker, (a, b) in halves.items():
-        d_same = np.linalg.norm(a - b)
-        d_other = min(
-            np.linalg.norm(a - full[other]) for other in full if other != speaker
-        )
-        good += d_same < d_other
-    frac = good / len(halves)
     report(
         5,
         "first-half and second-half codes of one speaker lie closer together "
         "than to any other speaker for >= 70% of test speakers",
-        frac >= 0.7,
-        f"{good}/{len(halves)}",
+        result.ok,
+        result.detail,
     )
 
 
 def test_criterion_06_latent_recovery(run):
-    config, train, test, encoders, svcnet = (
-        run["config"], run["train"], run["test"], run["encoders"], run["svcnet"],
+    config = run["config"]
+    result = quality.latent_recovery(
+        config, run["svcnet"], run["encoders"], run["train"], run["test"],
+        load_latents(config.resolved_latents_path),
     )
-    latents = load_latents(config.resolved_latents_path)
-    train_svcs = pipeline.all_speaker_svcs(config, svcnet, encoders, train)
-    test_svcs = pipeline.all_speaker_svcs(config, svcnet, encoders, test)
-
-    def design(svcs, speakers):
-        x = np.array([svcs[s] for s in speakers])
-        return np.hstack([x, np.ones((len(speakers), 1))])
-
-    y_train = np.array([latents[s] for s in train.speakers])
-    coef, *_ = np.linalg.lstsq(design(train_svcs, train.speakers), y_train, rcond=None)
-    y_test = np.array([latents[s] for s in test.speakers])
-    pred = design(test_svcs, test.speakers) @ coef
-    ss_res = float(np.sum((pred - y_test) ** 2))
-    ss_tot = float(np.sum((y_test - y_test.mean(axis=0)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot
     report(6, "affine map from code to ground-truth speaker latents reaches R^2 >= 0.6",
-           r2 >= 0.6, f"R^2 {r2:.3f}")
+           result.ok, result.detail)
 
 
 def test_criterion_07_injection_helps(run):
-    rows = run["summary"]["ablation"]
-    err_none = rows[0][1]
-    err_all = rows[-1][1]
+    result = quality.injection_helps(run["summary"])
     report(
         7,
         "error with the true code at every level <= error with the average code",
-        err_all <= err_none,
-        f"{err_all:.3f} vs {err_none:.3f}",
+        result.ok,
+        result.detail,
     )
 
 
 def test_criterion_08_word_subset_protocol(run):
-    t2 = run["summary"]["table2"]
-    quantum = 1.0 / run["summary"]["n_table2_utterances"]
-    ok = (
-        t2["disjoint"] <= t2["none"]
-        and abs(t2["disjoint"] - t2["same"]) <= 0.5 * t2["same"] + quantum
-    )
+    result = quality.word_subset_protocol(run["summary"])
     report(
         8,
         "a code from unrelated words helps, and nearly matches a same-words code",
-        ok,
-        f"none {t2['none']:.3f} disjoint {t2['disjoint']:.3f} same {t2['same']:.3f}",
+        result.ok,
+        result.detail,
     )
 
 

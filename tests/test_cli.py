@@ -107,6 +107,27 @@ class TestGen:
         assert run_cli("gen", "--config", str(path)) == 2
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_speakers", "x"), ("n_speakers", 2.5), ("ppc_learning_rate", "0.1"),
+         ("svc_epochs", True), ("accumulation_mode", 1), ("out_dir", None)],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), key: value}))
+        assert run_cli("gen", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(path) in err and repr(key) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_integer_for_float_field(self, tmp_path, capsys):
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps({"noise_std": 0, "svc_learning_rate": 1}))
+        config = RunConfig.from_file(str(path))
+        assert config.noise_std == 0 and config.svc_learning_rate == 1
+
+
 class TestMissingPrerequisites:
     def test_train_ppc_without_corpus(self, tiny_config_path, capsys):
         assert run_cli("train", "--stage", "ppc", "--config", tiny_config_path) == 2
@@ -317,7 +338,7 @@ class TestMalformedArtifacts:
         fields[6] = "nan"
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        assert "line 3" in self.eval_error(full_run, out, capsys)
+        assert f"{path}: line 3: non-finite" in self.eval_error(full_run, out, capsys)
 
 
 class TestRunPipeline:

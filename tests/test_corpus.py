@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,8 @@ class TestRoundTrip:
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(path)
         assert exc.value.line_number == 4
+        assert exc.value.path == path
+        assert str(exc.value).startswith(f"{path}: line 4: ")
 
     def test_non_finite_feature_names_first_bad_line(self, tmp_path):
         corpus, _ = generate_corpus(small_spec())
@@ -164,6 +169,36 @@ class TestRoundTrip:
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(path)
         assert exc.value.line_number == 6
+        assert str(exc.value) == f"{path}: line 6: non-finite feature value"
+
+    def test_bad_header_names_file(self, tmp_path):
+        corpus, _ = generate_corpus(small_spec())
+        path = tmp_path / "corpus.csv"
+        save_corpus(corpus, path)
+        path.write_text(path.read_text().replace('"feature_dim"', '"feature_dims"', 1))
+        with pytest.raises(CorpusFormatError, match=r"^\S*corpus.csv: line 1: bad header: "):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("bad", ["w 1", "w,1", "w\t1", "w\n1"])
+    @pytest.mark.parametrize("kind", ["speakers", "words", "phones"])
+    def test_name_with_comma_or_whitespace_is_refused(self, tmp_path, kind, bad):
+        corpus, _ = generate_corpus(small_spec())
+        names = getattr(corpus, kind)
+        path = tmp_path / "corpus.csv"
+        setattr(corpus, kind, (bad,) + names[1:])
+        with pytest.raises(DataError, match=f"{path}: .*name {re.escape(repr(bad))}"):
+            save_corpus(corpus, path)
+        assert not path.exists()
+        setattr(corpus, kind, names)
+        save_corpus(corpus, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0][2:])
+        header[kind][0] = bad
+        lines[0] = "# " + json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert exc.value.line_number == 1 and repr(bad) in str(exc.value)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -60,6 +60,20 @@ class TestArrays:
         with pytest.raises(StructuralError, match=f"bad.txt.*{message}"):
             read_arrays(path, "thing", {"n": int}, both)
 
+    @pytest.mark.parametrize("value", ["a b", ("a b", "c"), ("c,d",), "x=y", "t\tab"])
+    def test_header_value_that_would_split_is_refused(self, tmp_path, value):
+        path = tmp_path / "a.txt"
+        with pytest.raises(DataError, match="a.txt: n value .* has whitespace"):
+            write_arrays(path, "thing", {"n": value}, {"v": np.ones(1)})
+        assert not path.exists()
+
+    def test_recognizer_word_with_space_is_refused_at_save(self, tmp_path):
+        config = RecognizerConfig(acoustic_units=2, state_units=2, window=1, seed=3)
+        net = init_recognizer(("a b", "c,d"), 2, 1, config)
+        with pytest.raises(DataError, match="'a b'"):
+            save_recognizer(net, tmp_path / "recognizer.txt")
+        assert not (tmp_path / "recognizer.txt").exists()
+
     def test_undecodable_byte_is_a_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"svcnet-thing v2 n=1\nv 1\n1.\xff\n")

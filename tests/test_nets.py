@@ -18,6 +18,8 @@ from svcnet.nets import (
     masked_loss,
     numerical_gradient,
     relative_gradient_error,
+    SharedStep,
+    grads_from_activations,
     save_model,
     sgd_step,
 )
@@ -216,6 +218,73 @@ class TestSgdStep:
             for a, b in zip(fused, looped):
                 for p, q in zip(a.weights + a.biases, b.weights + b.biases):
                     assert np.array_equal(p, q)
+
+    def test_shared_step_sums_row_gradients(self):
+        """The batched step's gradients equal the sum of per-row backprop
+        and central differences of the summed masked loss, over random
+        specs, 1-4 rows and masks with all-masked and inactive rows; the
+        update is one -lr * gradient."""
+        rng = np.random.default_rng(9)
+        for trial in range(40):
+            n_layers = int(rng.integers(2, 5))
+            sizes = tuple(int(rng.integers(1, 9)) for _ in range(n_layers))
+            acts = tuple(str(rng.choice(ACTIVATIONS)) for _ in range(n_layers - 1))
+            n_rows = int(rng.integers(1, 5))
+            net = init_network(LayerSpec(sizes, acts), int(rng.integers(0, 2**31)))
+            ref = net.copy()
+            step = SharedStep(net, n_rows, 0.1)
+            x = rng.normal(size=(n_rows, sizes[0]))
+            t = rng.normal(size=(n_rows, sizes[-1]))
+            mask = rng.random((n_rows, sizes[-1])) < 0.7
+            mask[rng.integers(n_rows)] = trial % 3 != 0  # some all-masked rows
+            active = rng.random(n_rows) < 0.7
+            resid = step.gradients(x, t, mask, active).copy()
+            grads = (step.grad_w, step.grad_b)
+            for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+                assert np.array_equal(a, b)  # gradients() does not update
+            summed = ([np.zeros_like(w) for w in ref.weights],
+                      [np.zeros_like(b) for b in ref.biases])
+            numeric = ([np.zeros_like(w) for w in ref.weights],
+                       [np.zeros_like(b) for b in ref.biases])
+            for r in np.flatnonzero(active):
+                out = forward(ref, x[r])
+                expect = np.where(mask[r], out[-1] - t[r], 0.0)
+                np.testing.assert_allclose(resid[r], expect, rtol=1e-12, atol=1e-15)
+                row = grads_from_activations(ref, out, t[r], mask[r])
+                num = numerical_gradient(ref, x[r], t[r], mask[r], 1e-6)
+                for total, part in zip(summed[0] + summed[1] + numeric[0] + numeric[1],
+                                       row[0] + row[1] + num[0] + num[1]):
+                    total += part
+            assert np.all(resid[~active] == 0.0)
+            assert relative_gradient_error(grads, summed) < 1e-12
+            assert relative_gradient_error(grads, numeric) < 1e-6
+            expected = [p - 0.1 * g for p, g in zip(ref.weights + ref.biases,
+                                                   grads[0] + grads[1])]
+            step(x, t, mask, active)
+            for a, b in zip(net.weights + net.biases, expected):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("garbage", [np.nan, np.inf, -1e300, 7.0])
+    def test_shared_step_ignores_inactive_rows(self, garbage):
+        """Inputs and targets of inactive rows, and targets of masked
+        units, are never read: garbage there leaves the parameters
+        byte-identical."""
+        rng = np.random.default_rng(10)
+        sizes = (5, 4, 2, 4, 5)
+        nets = [init_network(spec(sizes, ["sigmoid", "tanh", "sigmoid", "linear"]), 3)
+                for _ in range(2)]
+        clean, dirty = (SharedStep(net, 4, 0.1) for net in nets)
+        for _ in range(6):
+            x = rng.random((4, 5))
+            t = rng.random((4, 5))
+            mask = rng.random((4, 5)) < 0.6
+            active = rng.random(4) < 0.6
+            clean(x, t, mask, active)
+            x[~active] = garbage
+            t[~active] = garbage
+            t[~mask] = garbage
+            dirty(x, t, mask, active)
+        assert clean.flat.tobytes() == dirty.flat.tobytes()
 
     def test_fused_step_rejects_mixed_specs(self):
         nets = [init_network(spec([2, 3, 2]), 0), init_network(spec([2, 4, 2]), 0)]

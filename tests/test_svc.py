@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from svcnet.corpus import CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
-from svcnet.nets import TrainConfig
-from svcnet.ppc import SpeakerProfile, train_all_encoders
+from svcnet.nets import TrainConfig, forward, grads_from_activations, sgd_step
+from svcnet.ppc import SpeakerProfile, build_speaker_profile, train_all_encoders
 from svcnet.svc import (
     Accumulator,
     SoundLayout,
@@ -133,37 +133,61 @@ class TestAccumulator:
         with pytest.raises(StructuralError):
             Accumulator(LAYOUT, "magic")
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(("zero_fill", "feedback")),
+        st.integers(1, 4),
         st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 100), st.booleans()),
+            st.tuples(
+                st.integers(0, 5), st.integers(0, 100), st.booleans(), st.integers(0, 15)
+            ),
             min_size=1,
             max_size=60,
         ),
     )
-    def test_running_mean_matches_brute_force(self, mode, events):
-        acc = Accumulator(LAYOUT, mode)
-        seen = {}
-        last_output = None
-        for step, (sound_i, code_i, commit) in enumerate(events):
-            sound = SOUNDS[sound_i]
-            code = np.array([code_i / 100.0, 1.0 - code_i / 100.0])
-            x = acc.observe(sound, code)
-            seen.setdefault(sound, []).append(code)
-            if mode == "feedback" and last_output is not None:
-                brute = last_output.copy()
-            else:
-                brute = np.zeros(LAYOUT.width)
-            for s, codes in seen.items():
-                mean = sum(codes) / len(codes)
-                off = SOUNDS.index(s) * 2  # independent slot-offset computation
-                brute[off : off + 2] = mean
-                assert np.array_equal(acc.mean(s), mean)
-            assert np.array_equal(x, brute)
+    def test_running_mean_matches_brute_force(self, mode, n_rows, events):
+        """Row r of an n_rows accumulator, fed by observe_rows while
+        active, equals brute-force means and a one-speaker accumulator fed
+        the same stream by observe."""
+        acc = Accumulator(LAYOUT, mode, n_rows)
+        singles = [Accumulator(LAYOUT, mode) for _ in range(n_rows)]
+        seen = [{} for _ in range(n_rows)]
+        last_output = [None] * n_rows
+        for step, (sound_i, code_i, commit, active_bits) in enumerate(events):
+            rows = range(n_rows)
+            sounds = [SOUNDS[(sound_i + r) % len(SOUNDS)] for r in rows]
+            codes = np.array(
+                [[c / 100.0, 1.0 - c / 100.0] for c in ((code_i + 37 * r) % 101 for r in rows)]
+            )
+            active = np.array([step == 0 or not active_bits >> r & 1 for r in rows])
+            x_rows = acc.observe_rows(
+                np.array([LAYOUT.slot(s) for s in sounds]), codes, active
+            )
+            for r in rows:
+                if active[r]:
+                    x = singles[r].observe(sounds[r], codes[r])
+                    seen[r].setdefault(sounds[r], []).append(codes[r])
+                if mode == "feedback" and last_output[r] is not None:
+                    brute = last_output[r].copy()
+                else:
+                    brute = np.zeros(LAYOUT.width)
+                for s, row_codes in seen[r].items():
+                    mean = sum(row_codes) / len(row_codes)
+                    off = SOUNDS.index(s) * 2  # independent slot-offset computation
+                    brute[off : off + 2] = mean
+                    assert np.array_equal(acc.mean(s, r), mean)
+                    assert np.array_equal(singles[r].mean(s), mean)
+                assert np.array_equal(x_rows[r], brute)
+                if active[r]:
+                    assert np.array_equal(x, brute)
+                assert np.array_equal(acc.sums[r], singles[r].sums[0])
+                assert np.array_equal(acc.counts[r], singles[r].counts[0])
             if commit:
-                last_output = np.sin(np.arange(LAYOUT.width) + step)
-                acc.commit_output(last_output)
+                outputs = np.sin(np.arange(LAYOUT.width) + step + 10 * np.arange(n_rows)[:, None])
+                acc.commit_output(outputs)
+                for r in rows:
+                    singles[r].commit_output(outputs[r])
+                    last_output[r] = outputs[r]
 
 
 def tiny_setup(epochs=3, n_speakers=3):
@@ -183,6 +207,52 @@ class TestTrainSvcnet:
         corpus, encoders, layout, cfg = tiny_setup(epochs=2)
         _, metrics = train_svcnet(corpus, encoders, layout, 2, cfg)
         assert metrics["presentations"] == 2 * len(corpus.frames)
+
+    def test_matches_reference_loop(self):
+        """Lockstep training equals a plain loop: every sweep each speaker
+        draws its utterance order from the one rng, in speaker order; at
+        step t every speaker that has a t-th frame folds it into its own
+        accumulator and backprops, and the summed gradients update the
+        weights once. Speaker 0 lacks a word, so its stream ends early."""
+        corpus, encoders, layout, cfg = tiny_setup(epochs=3)
+        first = corpus.speakers[0]
+        corpus.frames = [
+            f for f in corpus.frames if f.speaker != first or f.word != corpus.words[0]
+        ]
+        trained, metrics = train_svcnet(corpus, encoders, layout, 2, cfg)
+
+        ref = build_svcnet(layout, 2, 4, cfg.seed).net
+        targets, utterances = [], []
+        for s in corpus.speakers:
+            frames = corpus.frames_of_speaker(s)
+            targets.append(make_target(build_speaker_profile(s, frames, encoders), layout))
+            stream, ends = speaker_stream(frames, encoders)
+            utterances.append([stream[a + 1 : b + 1] for a, b in zip([-1] + ends, ends)])
+        rng = np.random.default_rng(cfg.seed)
+        losses = []
+        for _ in range(cfg.epochs):
+            seqs = [sum((utts[i] for i in rng.permutation(len(utts))), [])
+                    for utts in utterances]
+            accs = [Accumulator(layout) for _ in seqs]
+            loss = 0.0
+            for t in range(max(map(len, seqs))):
+                total = ([np.zeros_like(w) for w in ref.weights],
+                         [np.zeros_like(b) for b in ref.biases])
+                for seq, acc, (target, mask) in zip(seqs, accs, targets):
+                    if t < len(seq):
+                        acts = forward(ref, acc.observe(*seq[t]))
+                        acc.commit_output(acts[-1])
+                        loss += 0.5 * np.sum(np.where(mask, acts[-1] - target, 0.0) ** 2)
+                        gw, gb = grads_from_activations(ref, acts, target, mask)
+                        for g, part in zip(total[0] + total[1], gw + gb):
+                            g += part
+                sgd_step(ref, total, cfg.learning_rate)
+            losses.append(loss / sum(map(len, seqs)))
+
+        assert metrics["presentations"] == cfg.epochs * len(corpus.frames)
+        np.testing.assert_allclose(metrics["epoch_loss"], losses, rtol=1e-10)
+        for a, b in zip(trained.net.weights + trained.net.biases, ref.weights + ref.biases):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
 
     def test_convergence_single_speaker(self):
         corpus, encoders, layout, _ = tiny_setup(n_speakers=2)
@@ -227,6 +297,9 @@ class TestTrainSvcnet:
         empty = corpus.restricted_to_speakers([])
         with pytest.raises(DataError):
             train_svcnet(empty, encoders, layout, 2, cfg)
+        corpus.speakers = ()  # frames but no speaker rows to train
+        with pytest.raises(DataError):
+            train_svcnet(corpus, encoders, layout, 2, cfg)
 
     def test_non_finite_loss_stops_training(self):
         corpus, encoders, layout, cfg = tiny_setup()
