@@ -14,6 +14,17 @@ from .recognizer import RecognizerConfig
 from .svc import FEEDBACK, MODES
 
 
+# (keys, lowest value, whether the lowest value itself is allowed)
+RANGES = (
+    (("n_speakers", "n_words", "phones_per_word", "states_per_phone", "frames_per_state",
+      "feature_dim", "latent_dim", "ppc_dim", "svc_dim", "rec_acoustic_units",
+      "rec_state_units"), 1, True),
+    (("corpus_seed", "split_seed", "ppc_seed", "svc_seed", "rec_seed", "svc_flank",
+      "rec_window", "ppc_epochs", "svc_epochs", "rec_epochs", "noise_std"), 0, True),
+    (("ppc_learning_rate", "svc_learning_rate", "rec_learning_rate"), 0, False),
+)
+
+
 @dataclass
 class RunConfig:
     out_dir: str = "runs/default"
@@ -63,6 +74,14 @@ class RunConfig:
     def __post_init__(self):
         if self.accumulation_mode not in MODES:
             raise DataError(f"accumulation_mode must be one of {MODES}")
+        for keys, low, inclusive in RANGES:
+            for key in keys:
+                value = getattr(self, key)
+                if not (value >= low if inclusive else value > low):  # NaN fails too
+                    raise DataError(
+                        f"config key {key!r} must be {'>=' if inclusive else '>'} {low}, "
+                        f"got {value!r}"
+                    )
 
     # resolved paths -----------------------------------------------------
     @property
@@ -122,6 +141,8 @@ class RunConfig:
         }
 
     def rebase_seeds(self, seed):
+        if seed < 0:
+            raise DataError(f"seed must be >= 0, got {seed}")
         self.corpus_seed = seed
         self.split_seed = seed + 1
         self.ppc_seed = seed + 2
@@ -151,7 +172,10 @@ class RunConfig:
                 raise DataError(
                     f"{path}: config key {key!r} must be {types[key].__name__}, got {value!r}"
                 )
-        return cls(**data)
+        try:
+            return cls(**data)
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
 
     def save(self, path):
         from .fileio import atomic_write_text

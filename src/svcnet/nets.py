@@ -85,7 +85,7 @@ def init_network(spec, seed):
     return NetworkParams(spec, weights, biases)
 
 
-def _activate(z, kind, out=None):
+def activate(z, kind, out=None):
     """f(z); in place with out=z."""
     if kind == "sigmoid":
         return expit(z, out=out)
@@ -103,8 +103,55 @@ def forward(params, x):
         )
     acts = [x]
     for w, b, kind in zip(params.weights, params.biases, params.spec.activations):
-        acts.append(_activate(w @ acts[-1] + b, kind))
+        acts.append(activate(w @ acts[-1] + b, kind))
     return acts
+
+
+class RowForward:
+    """Stacked forward passes of one network on N input rows at a time,
+    into output buffers allocated once.
+
+    Row n of every layer equals forward(params, x[n]) bit for bit: the
+    stacked product W @ x[:, :, None] runs one matrix-vector product per
+    row, the kernel of W @ x[n] (the matrix product x @ W.T can differ in
+    the last bits), and the bias is added elementwise, to the flat
+    (N * width,) buffer against the bias tiled N times, which spares the
+    broadcast's overhead in a loop of small steps. The tiled biases are
+    copies taken here: build a new RowForward after changing the biases.
+    """
+
+    def __init__(self, params, n_rows):
+        spec = params.spec
+        self.outputs = [np.empty((n_rows, width)) for width in spec.sizes[1:]]
+        self._cols = [out[:, :, None] for out in self.outputs]
+        self._flat = [out.reshape(-1) for out in self.outputs]
+        tiled = [np.repeat(b[None], n_rows, axis=0).reshape(-1) for b in params.biases]
+        self._layers = list(zip(params.weights, tiled, spec.activations))
+
+    def __call__(self, x):
+        """Forward pass of the (N, in) rows x, which may be the last
+        output buffer (the input is read by the first layer only); returns
+        the activations of every layer, input included. The outputs are
+        the buffers the next call overwrites."""
+        col = x[:, :, None]
+        for layer, (w, b, kind) in enumerate(self._layers):
+            np.matmul(w, col, out=self._cols[layer])
+            col, flat = self._cols[layer], self._flat[layer]
+            flat += b
+            activate(flat, kind, out=flat)
+        return [x] + self.outputs
+
+
+def forward_rows(params, x):
+    """Activations of every layer for each row of the (N, in) input x,
+    input included: one (N, width) array per layer, row n equal to
+    forward(params, x[n]) bit for bit (see RowForward)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.spec.sizes[0]:
+        raise StructuralError(
+            f"input has shape {x.shape}, expected (N, {params.spec.sizes[0]})"
+        )
+    return RowForward(params, len(x))(x)
 
 
 def _check_target_mask(params, target, mask):
@@ -263,7 +310,7 @@ class FusedStep:
             out = cols[layer + 1]
             np.matmul(self._weights[layer], cols[layer], out=out)
             out += self._bias_cols[layer]
-            _activate(out, kind, out=out)
+            activate(out, kind, out=out)
         return self.outputs
 
     def __call__(self, x, target, mask=None):
@@ -344,7 +391,7 @@ class SharedStep:
             out = acts[layer + 1]
             np.matmul(acts[layer], self._weights[layer].T, out=out)
             out += self._biases[layer]
-            _activate(out, kind, out=out)
+            activate(out, kind, out=out)
         np.logical_and(mask, rows, out=self._mask)
         resid = self._resid
         resid.fill(0.0)

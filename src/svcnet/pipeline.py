@@ -129,19 +129,22 @@ def load_svcnet_artifact(config):
     return svc_mod.load_svcnet(path)
 
 
+def speaker_svcs(config, svcnet, encoders, frame_sets):
+    """Final speaker code of each frame set: run its stream, average the
+    whole trajectory. All streams run together (svc.extract_svcs)."""
+    streams = [stream for stream, _ in svc_mod.speaker_streams(frame_sets, encoders)]
+    trajs = svc_mod.extract_svcs(svcnet, streams, mode=config.accumulation_mode)
+    return [svc_mod.final_svc(traj) for traj in trajs]
+
+
 def speaker_svc(config, svcnet, encoders, frames):
-    """Final speaker code from a frame set: run the stream, average the
-    whole trajectory."""
-    stream, _ = svc_mod.speaker_stream(frames, encoders)
-    traj = svc_mod.extract_svc(svcnet, stream, mode=config.accumulation_mode)
-    return svc_mod.final_svc(traj)
+    """Final speaker code from one frame set."""
+    return speaker_svcs(config, svcnet, encoders, [frames])[0]
 
 
 def all_speaker_svcs(config, svcnet, encoders, corpus):
-    return {
-        s: speaker_svc(config, svcnet, encoders, corpus.frames_of_speaker(s))
-        for s in corpus.speakers
-    }
+    frame_sets = [corpus.frames_of_speaker(s) for s in corpus.speakers]
+    return dict(zip(corpus.speakers, speaker_svcs(config, svcnet, encoders, frame_sets)))
 
 
 def recognizer_path(config):
@@ -184,6 +187,35 @@ def frames_for_words(frames, words):
     return [f for f in frames if f.word in keep]
 
 
+def half_svcs(config, svcnet, encoders, halves, frame_sets):
+    """Speaker -> (code from the first-half words, code from the last-half
+    words), from that speaker's codable frame set and its word halves
+    (held_out_frames); all halves run together."""
+    subsets = [
+        frames_for_words(frames, words)
+        for frames, pair in zip(frame_sets, halves.values()) for words in pair
+    ]
+    codes = speaker_svcs(config, svcnet, encoders, subsets)
+    return {s: (codes[2 * k], codes[2 * k + 1]) for k, s in enumerate(halves)}
+
+
+def held_out_frames(test, encoders):
+    """Each test speaker's frames, the codable subset of each
+    (ppc.codable_frames: one warning for all skipped frames), and each
+    speaker's (first-half words, last-half words) for the
+    same-vs-different-words protocol; DataError for a speaker with fewer
+    than 2 words, whose first half would be empty."""
+    frames = {s: test.frames_of_speaker(s) for s in test.speakers}
+    halves = {s: split_speaker_words(speaker_frames) for s, speaker_frames in frames.items()}
+    for speaker, (first_words, last_words) in halves.items():
+        if not first_words:
+            raise DataError(
+                f"test speaker {speaker} has {len(last_words)} word(s); "
+                "the word-subset protocol needs >= 2"
+            )
+    return frames, ppc_mod.codable_frames(list(frames.values()), encoders), halves
+
+
 def run_eval(config):
     _, train, test = load_split(config)
     encoders = load_encoders(config)
@@ -194,12 +226,12 @@ def run_eval(config):
     avg = rec_mod.compute_average_svc(list(train_svcs.values()))
     # each test speaker's frames are fetched once and their whole-speech
     # trajectory run once: it gives both the speaker code and the stability rows
-    test_frames = {s: test.frames_of_speaker(s) for s in test.speakers}
-    test_streams = {s: svc_mod.speaker_stream(test_frames[s], encoders) for s in test.speakers}
-    test_trajs = {
-        s: svc_mod.extract_svc(svcnet, stream, mode=config.accumulation_mode)
-        for s, (stream, _) in test_streams.items()
-    }
+    test_frames, coded, halves = held_out_frames(test, encoders)
+    half_codes = half_svcs(config, svcnet, encoders, halves, coded)
+    test_streams = dict(zip(test.speakers, svc_mod.speaker_streams(coded, encoders)))
+    test_trajs = dict(zip(test.speakers, svc_mod.extract_svcs(
+        svcnet, [stream for stream, _ in test_streams.values()], mode=config.accumulation_mode
+    )))
     test_svcs = {s: svc_mod.final_svc(traj) for s, traj in test_trajs.items()}
 
     # availability-flag ablation over the full test set
@@ -227,29 +259,25 @@ def run_eval(config):
     on = rec_mod.AvailabilityFlags.all_on()
     off = rec_mod.AvailabilityFlags.all_off()
     per_source_errors = {"none": [], "disjoint": [], "same": []}
-    for speaker in test.speakers:
-        first_words, last_words = split_speaker_words(test_frames[speaker])
-        eval_frames = frames_for_words(test_frames[speaker], last_words)
+    for speaker, (_, last_words) in halves.items():
         utts = {}
-        for f in eval_frames:
+        for f in frames_for_words(test_frames[speaker], last_words):
             utts.setdefault(f.utterance, []).append(f)
-        for fr in utts.values():
-            fr.sort(key=lambda f: f.index)
-        svc_disjoint = speaker_svc(
-            config, svcnet, encoders, frames_for_words(test_frames[speaker], first_words)
-        )
-        svc_same = speaker_svc(config, svcnet, encoders, eval_frames)
+        feats, words = [], []
+        for utt_id in sorted(utts):
+            frames = sorted(utts[utt_id], key=lambda f: f.index)
+            feats.append([f.features for f in frames])
+            words.append(frames[0].word)
+        svc_disjoint, svc_same = half_codes[speaker]
         for source, code, flags in (
             ("none", avg, off),
             ("disjoint", svc_disjoint, on),
             ("same", svc_same, on),
         ):
-            for utt_id in sorted(utts):
-                frames = utts[utt_id]
-                label, _ = rec_mod.recognize(
-                    net, [f.features for f in frames], code, flags, avg
-                )
-                per_source_errors[source].append(label != frames[0].word)
+            scores = rec_mod.recognize_utterances(net, feats, code, [flags], avg)[0]
+            per_source_errors[source].extend(
+                net.words[label] != word for label, word in zip(scores.argmax(axis=-1), words)
+            )
     table2_rows = [
         (source, fmt_float(rec_mod.error_rate(per_source_errors[source])))
         for source in ("none", "disjoint", "same")
@@ -298,25 +326,25 @@ def run_plot(config, kind, sound=None):
         target = SoundId.parse(sound) if sound else sounds[0]
         if target not in encoders:
             raise DataError(f"no encoder for sound {target}")
-        rows_raw = []
-        for f in corpus.frames:
-            if f.sound == target:
-                rows_raw.append((f.speaker, f.index, ppc_mod.encode_frame(encoders[target], f.features)))
-        rotated = principal_rotation([c for _, _, c in rows_raw])
+        frames = [f for f in corpus.frames if f.sound == target]
+        feats = [f.features for f in frames]
+        codes = ppc_mod.encode_frames(encoders, [target] * len(frames), feats)
         rows = [
-            (spk, idx) + tuple(fmt_float(v) for v in rot)
-            for (spk, idx, _), rot in zip(rows_raw, rotated)
+            (f.speaker, f.index) + tuple(fmt_float(v) for v in rot)
+            for f, rot in zip(frames, principal_rotation(codes))
         ]
         cols = ("speaker", "frame") + tuple(f"code_{i}" for i in range(config.ppc_dim))
         return [write_report(config, f"ppc_scatter_{target.phone}_{target.state}.csv", cols, rows)]
     svcnet = load_svcnet_artifact(config)
     if kind == "svc_trajectory":
+        streams = svc_mod.speaker_streams(
+            [test.frames_of_speaker(s) for s in test.speakers], encoders
+        )
+        trajs = svc_mod.extract_svcs(
+            svcnet, [stream for stream, _ in streams], mode=config.accumulation_mode
+        )
         paths = []
-        for speaker in test.speakers:
-            stream, boundaries = svc_mod.speaker_stream(
-                test.frames_of_speaker(speaker), encoders
-            )
-            traj = svc_mod.extract_svc(svcnet, stream, mode=config.accumulation_mode)
+        for speaker, (_, boundaries), traj in zip(test.speakers, streams, trajs):
             bset = sorted(boundaries)
             rows = []
             word = 0
@@ -333,17 +361,12 @@ def run_plot(config, kind, sound=None):
             )
         return paths
     if kind == "svc_halves":
-        rows = []
-        for speaker in test.speakers:
-            frames = test.frames_of_speaker(speaker)
-            first_words, last_words = split_speaker_words(frames)
-            a = speaker_svc(config, svcnet, encoders, frames_for_words(frames, first_words))
-            b = speaker_svc(config, svcnet, encoders, frames_for_words(frames, last_words))
-            rows.append(
-                (speaker,)
-                + tuple(fmt_float(v) for v in a)
-                + tuple(fmt_float(v) for v in b)
-            )
+        _, coded, halves = held_out_frames(test, encoders)
+        halves = half_svcs(config, svcnet, encoders, halves, coded)
+        rows = [
+            (speaker,) + tuple(fmt_float(v) for v in np.concatenate(pair))
+            for speaker, pair in halves.items()
+        ]
         cols = (
             ("speaker",)
             + tuple(f"first_{i}" for i in range(config.svc_dim))

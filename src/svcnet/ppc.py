@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import SoundId
 from .errors import DataError, StructuralError
-from .nets import FusedStep, LayerSpec, forward, init_network
+from .nets import FusedStep, LayerSpec, activate, forward, init_network
 
 log = logging.getLogger(__name__)
 
@@ -100,6 +100,26 @@ def encode_frame(encoder, frame):
     return forward(encoder.net, frame)[1]
 
 
+def encode_frames(encoders, sounds, frames):
+    """Codes (N, code_dim) of frames of mixed sounds: row n equals
+    encode_frame(encoders[sounds[n]], frames[n]) bit for bit. One stacked
+    pass codes every row: each row meets its own sound's encoder weights,
+    gathered into an (N, code_dim, dim) stack, one matrix-vector product
+    per row, the kernel of W @ x."""
+    bank = {sound: i for i, sound in enumerate(dict.fromkeys(sounds))}
+    for sound in bank:
+        if sound not in encoders:
+            raise StructuralError(f"no encoder for sound {sound}")
+    nets = [encoders[sound].net for sound in bank]
+    if any(net.spec != nets[0].spec for net in nets):
+        raise StructuralError("encoders of different specs cannot code together")
+    which = [bank[sound] for sound in sounds]
+    x = np.asarray(frames, dtype=float)
+    z = np.matmul(np.stack([net.weights[0] for net in nets])[which], x[:, :, None])[:, :, 0]
+    z += np.stack([net.biases[0] for net in nets])[which]
+    return activate(z, nets[0].spec.activations[0], out=z)
+
+
 def average_ppcs(codes):
     if len(codes) == 0:
         raise DataError("cannot average an empty code list")
@@ -118,16 +138,43 @@ class SpeakerProfile:
             raise StructuralError("profile codes must cover exactly the heard sounds")
 
 
+def codable_frames(frame_sets, encoders):
+    """Each frame set with only the frames whose sound has an encoder. A
+    sound missing from the training split, or dropped there as scarce, has
+    no encoder and no slot in the code layout, so its frames are skipped,
+    with one warning that counts them. DataError for a set with no frame
+    left."""
+    kept = [[f for f in frames if f.sound in encoders] for frames in frame_sets]
+    skipped = [
+        f for frames, codable in zip(frame_sets, kept) if len(codable) < len(frames)
+        for f in frames if f.sound not in encoders
+    ]
+    if skipped:
+        log.warning(
+            "skipping %d frame(s) of speaker(s) %s: no encoder for sound(s) %s",
+            len(skipped),
+            " ".join(sorted({f.speaker for f in skipped})),
+            " ".join(str(s) for s in sorted({f.sound for f in skipped})),
+        )
+    for frames, codable in zip(frame_sets, kept):
+        if not codable:
+            raise DataError(
+                f"speaker {frames[0].speaker} has no frame of a sound with an encoder"
+                if frames else "no frames to code"
+            )
+    return kept
+
+
 def build_speaker_profile(speaker, frames, encoders):
     """Average the per-frame codes of one speaker, per sound."""
     if not frames:
         raise DataError(f"speaker {speaker} has no frames")
-    per_sound = {}
-    for f in frames:
-        if f.sound not in encoders:
-            raise StructuralError(f"no encoder for sound {f.sound}")
-        per_sound.setdefault(f.sound, []).append(encode_frame(encoders[f.sound], f.features))
-    codes = {s: average_ppcs(cs) for s, cs in per_sound.items()}
+    sounds = [f.sound for f in frames]
+    frame_codes = encode_frames(encoders, sounds, [f.features for f in frames])
+    rows = {}
+    for i, sound in enumerate(sounds):
+        rows.setdefault(sound, []).append(i)
+    codes = {sound: average_ppcs(frame_codes[idx]) for sound, idx in rows.items()}
     return SpeakerProfile(speaker, codes, set(codes))
 
 

@@ -28,10 +28,10 @@ def code_stability(svcnet, encoders, test, mode):
     """Criterion 4: per test speaker, the mean code displacement from the
     fourth word transition on is <= 25% of the first transition, for
     >= 70% of the speakers."""
+    streams = svc_mod.speaker_streams([test.frames_of_speaker(s) for s in test.speakers], encoders)
+    trajs = svc_mod.extract_svcs(svcnet, [stream for stream, _ in streams], mode=mode)
     good, details = 0, []
-    for speaker in test.speakers:
-        stream, boundaries = svc_mod.speaker_stream(test.frames_of_speaker(speaker), encoders)
-        traj = svc_mod.extract_svc(svcnet, stream, mode=mode)
+    for speaker, (_, boundaries), traj in zip(test.speakers, streams, trajs):
         disps = svc_mod.svc_stability(traj, boundaries)
         early = disps[0]
         late = float(np.mean(disps[3:]))
@@ -47,14 +47,10 @@ def utterance_independence(config, svcnet, encoders, test):
     full code, for >= 70% of test speakers."""
     # each speaker's canonical code comes from their full test stream
     full = pipeline.all_speaker_svcs(config, svcnet, encoders, test)
+    _, coded, halves = pipeline.held_out_frames(test, encoders)
+    halves = pipeline.half_svcs(config, svcnet, encoders, halves, coded)
     good = 0
-    for speaker in test.speakers:
-        frames = test.frames_of_speaker(speaker)
-        first_words, last_words = pipeline.split_speaker_words(frames)
-        a, b = (
-            pipeline.speaker_svc(config, svcnet, encoders, pipeline.frames_for_words(frames, w))
-            for w in (first_words, last_words)
-        )
+    for speaker, (a, b) in halves.items():
         d_same = np.linalg.norm(a - b)
         d_other = min(np.linalg.norm(a - full[o]) for o in full if o != speaker)
         good += d_same < d_other
@@ -113,10 +109,5 @@ def code_swap_error(config, svcnet, encoders, net, train, test):
     svcs = pipeline.all_speaker_svcs(config, svcnet, encoders, test)
     speakers = list(test.speakers)
     swapped = {s: svcs[speakers[(i + 1) % len(speakers)]] for i, s in enumerate(speakers)}
-    on = rec_mod.AvailabilityFlags.all_on()
-    wrong = []
-    for frames in test.by_utterance().values():
-        feats = [f.features for f in frames]
-        label, _ = rec_mod.recognize(net, feats, swapped[frames[0].speaker], on, avg)
-        wrong.append(label != frames[0].word)
-    return rec_mod.error_rate(wrong)
+    rows, _ = rec_mod.ablation_eval(net, test, swapped, avg)
+    return rows[-1][1]  # every level on

@@ -183,17 +183,14 @@ def frame_gradients(net, x, svc, target):
 
 
 def window_frames(features_list, window):
-    """Stack +-window neighbours around each frame, edge-padded."""
+    """(n, (2 * window + 1) * dim) array: each frame stacked with its
+    +-window neighbours, edge-padded."""
+    feats = np.array(features_list, dtype=float)
     if window == 0:
-        return [np.asarray(f, dtype=float) for f in features_list]
-    n = len(features_list)
-    out = []
-    for i in range(n):
-        parts = []
-        for k in range(i - window, i + window + 1):
-            parts.append(np.asarray(features_list[min(max(k, 0), n - 1)], dtype=float))
-        out.append(np.concatenate(parts))
-    return out
+        return feats
+    n = len(feats)
+    around = np.clip(np.arange(n)[:, None] + np.arange(-window, window + 1), 0, n - 1)
+    return feats[around].reshape(n, -1)
 
 
 def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
@@ -242,22 +239,66 @@ def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
     return net, {"epoch_loss": epoch_loss, "presentations": config.epochs * len(presentations)}
 
 
+def _utterance_means(rows, lengths):
+    """Mean over each utterance of rows (..., n_rows, n_words), the
+    utterances' rows consecutive. Summed from zero in row order, as a
+    running += over the frames does: step k adds every utterance's k-th
+    row, or zero where the utterance is shorter, which adds nothing."""
+    lengths = np.asarray(lengths)
+    utterance = np.repeat(np.arange(len(lengths)), lengths)
+    position = np.arange(len(utterance)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    padded = np.zeros(rows.shape[:-2] + (lengths.max(), len(lengths), rows.shape[-1]))
+    padded[..., position, utterance, :] = rows
+    sums = np.zeros(padded.shape[:-3] + padded.shape[-2:])
+    for k in range(padded.shape[-3]):
+        sums += padded[..., k, :, :]
+    return sums / lengths[:, None]
+
+
+def recognize_utterances(net, utterances, svc, flag_list, avg):
+    """Mean word scores (n_flags, n_utterances, n_words) of each utterance
+    (a sequence of feature vectors) under each flag setting; per level the
+    side path runs from the true code (flag on) or the cross-speaker
+    average (flag off).
+
+    All frames go through the net as one block of stacked rows (W @
+    rows[:, :, None], one matrix-vector product per row), so the scores
+    equal per-frame forward_frame sums bit for bit. Each layer's main-path
+    product is formed once per distinct input: the acoustic one once, the
+    state one per acoustic flag and the word one per (acoustic, state)
+    flags. The block's arrays grow with its frames; callers pass one
+    speaker's utterances at a time."""
+    if len(utterances) == 0 or any(len(u) == 0 for u in utterances):
+        raise DataError("empty utterance")
+    hidden = {True: svc_hidden(net, svc), False: svc_hidden(net, np.asarray(avg, dtype=float))}
+    x = np.concatenate([window_frames(u, net.window) for u in utterances])
+    if x.shape[1] != net.input_dim:
+        raise StructuralError(f"frame input width {x.shape[1]} != {net.input_dim}")
+
+    def main_path(w, b, inputs):
+        z = np.matmul(w, inputs[:, :, None])[:, :, 0]
+        z += b
+        return z
+
+    into_acoustic = main_path(net.w_acoustic, net.b_acoustic, x)
+    into_state, into_word = {}, {}
+    y = np.empty((len(flag_list), len(x), len(net.words)))
+    for k, flags in enumerate(flag_list):
+        a_key, s_key = flags.acoustic, (flags.acoustic, flags.state)
+        if a_key not in into_state:
+            a = expit(into_acoustic + net.u_acoustic @ hidden[flags.acoustic])
+            into_state[a_key] = main_path(net.w_state, net.b_state, a)
+        if s_key not in into_word:
+            s = expit(into_state[a_key] + net.u_state @ hidden[flags.state])
+            into_word[s_key] = main_path(net.w_word, net.b_word, s)
+        expit(into_word[s_key] + net.u_word @ hidden[flags.word], out=y[k])
+    return _utterance_means(y, [len(u) for u in utterances])
+
+
 def recognize(net, utterance_features, svc, flags, avg):
     """Classify one utterance; per level the side path runs from the true
     code (flag on) or the cross-speaker average (flag off)."""
-    if len(utterance_features) == 0:
-        raise DataError("empty utterance")
-    h_true = svc_hidden(net, svc)
-    h_avg = svc_hidden(net, np.asarray(avg, dtype=float))
-    h_a = h_true if flags.acoustic else h_avg
-    h_s = h_true if flags.state else h_avg
-    h_w = h_true if flags.word else h_avg
-    xs = window_frames(list(utterance_features), net.window)
-    scores = np.zeros(len(net.words))
-    for x in xs:
-        _, _, y = forward_frame(net, x, h_a, h_s, h_w)
-        scores += y
-    scores /= len(xs)
+    scores = recognize_utterances(net, [utterance_features], svc, [flags], avg)[0, 0]
     return net.words[int(np.argmax(scores))], scores
 
 
@@ -274,18 +315,27 @@ def error_rate(wrong):
 
 def ablation_eval(net, test_corpus, svc_per_speaker, avg):
     """Error rate for each of the 8 availability combinations, plus the
-    per-utterance prediction log."""
+    per-utterance prediction log. Each speaker's utterances are
+    recognized under all 8 settings as one block."""
     utterances = test_corpus.by_utterance()
+    grid = flag_grid()
+    by_speaker = {}
+    for i, frames in enumerate(utterances.values()):
+        by_speaker.setdefault(frames[0].speaker, []).append(i)
+    predicted = np.empty((len(grid), len(utterances)), dtype=int)
+    blocks = list(utterances.values())
+    for speaker, members in by_speaker.items():
+        feats = [[f.features for f in blocks[i]] for i in members]
+        scores = recognize_utterances(net, feats, svc_per_speaker[speaker], grid, avg)
+        predicted[:, members] = scores.argmax(axis=-1)
     rows = []
     log = []
-    for flags in flag_grid():
+    for flags, labels in zip(grid, predicted):
         wrong = []
-        for utt_id, frames in utterances.items():
-            feats = [f.features for f in frames]
-            label, _ = recognize(net, feats, svc_per_speaker[frames[0].speaker], flags, avg)
+        for (utt_id, frames), label in zip(utterances.items(), labels):
             truth = frames[0].word
-            wrong.append(label != truth)
-            log.append((utt_id, truth, label, flags))
+            wrong.append(net.words[label] != truth)
+            log.append((utt_id, truth, net.words[label], flags))
         rows.append((flags, error_rate(wrong)))
     return rows, log
 

@@ -15,9 +15,9 @@ import numpy as np
 from .corpus import SoundId
 from .errors import DataError, StructuralError
 from .fileio import read_arrays, str_list, write_arrays
-from .nets import MODEL_FIELDS, LayerSpec, SharedStep, forward, init_network
+from .nets import MODEL_FIELDS, LayerSpec, RowForward, SharedStep, forward_rows, init_network
 from .nets import model_arrays, model_from_arrays
-from .ppc import build_speaker_profile, encode_frame
+from .ppc import build_speaker_profile, codable_frames, encode_frames
 
 ZERO_FILL = "zero_fill"
 FEEDBACK = "feedback"
@@ -155,16 +155,34 @@ def build_svcnet(layout, svc_dim, flank_width, seed):
     return SVCNet(init_network(spec, seed), layout, bottleneck)
 
 
+def speaker_streams(frame_sets, encoders):
+    """One (stream, boundaries) pair per frame set: the (SoundId, code)
+    stream in temporal order and the end-of-word positions. Frames of a
+    sound without an encoder are skipped (ppc.codable_frames). The frames
+    of all sets are coded by one stacked pass (ppc.encode_frames)."""
+    ordered = [
+        sorted(frames, key=lambda f: (f.utterance, f.index))
+        for frames in codable_frames(frame_sets, encoders)
+    ]
+    flat = [f for frames in ordered for f in frames]
+    sounds = [f.sound for f in flat]
+    codes = encode_frames(encoders, sounds, [f.features for f in flat])
+    result, start = [], 0
+    for frames in ordered:
+        end = start + len(frames)
+        utterances = [f.utterance for f in frames]
+        boundaries = [
+            i for i in range(len(frames))
+            if i + 1 == len(frames) or utterances[i + 1] != utterances[i]
+        ]
+        result.append((list(zip(sounds[start:end], codes[start:end])), boundaries))
+        start = end
+    return result
+
+
 def speaker_stream(frames, encoders):
     """(SoundId, code) stream in temporal order plus end-of-word boundaries."""
-    ordered = sorted(frames, key=lambda f: (f.utterance, f.index))
-    stream = [(f.sound, encode_frame(encoders[f.sound], f.features)) for f in ordered]
-    boundaries = []
-    for i in range(len(ordered)):
-        last = i + 1 == len(ordered)
-        if last or ordered[i + 1].utterance != ordered[i].utterance:
-            boundaries.append(i)
-    return stream, boundaries
+    return speaker_streams([frames], encoders)[0]
 
 
 def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank_width=4):
@@ -183,12 +201,13 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
     n_rows = len(corpus.speakers)
     targets = np.empty((n_rows, layout.width))
     masks = np.empty((n_rows, layout.width), dtype=bool)
+    frame_sets = codable_frames([corpus.frames_of_speaker(s) for s in corpus.speakers], encoders)
     slots, codes, utterances = [], [], []
-    for row, s in enumerate(corpus.speakers):
-        frames = corpus.frames_of_speaker(s)
-        profile = build_speaker_profile(s, frames, encoders)
+    for row, (frames, (stream, ends)) in enumerate(
+        zip(frame_sets, speaker_streams(frame_sets, encoders))
+    ):
+        profile = build_speaker_profile(corpus.speakers[row], frames, encoders)
         targets[row], masks[row] = make_target(profile, layout)
-        stream, ends = speaker_stream(frames, encoders)
         slots.append(np.array([layout.slot(sound) for sound, _ in stream]))
         codes.append(np.array([code for _, code in stream]))
         utterances.append([np.arange(a + 1, b + 1) for a, b in zip([-1] + ends, ends)])
@@ -223,19 +242,65 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
     return svcnet, metrics
 
 
+def _running_means(layout, stream):
+    """(T, W) inputs of the accumulator after each presentation of a
+    labelled stream, zero in unheard slots, and the (T, W) heard mask.
+    One cumsum per stream; its sequential adds equal the accumulator's
+    running += bit for bit."""
+    n, dim = len(layout.sounds), layout.code_dim
+    steps = np.arange(len(stream))
+    sounds = np.array([layout.slot(sound) // dim for sound, _ in stream])
+    sums = np.zeros((len(stream), n, dim))
+    counts = np.zeros((len(stream), n, 1), dtype=int)
+    sums[steps, sounds] = [code for _, code in stream]
+    counts[steps, sounds] = 1
+    np.cumsum(sums, axis=0, out=sums)
+    np.cumsum(counts, axis=0, out=counts)
+    heard = np.broadcast_to(counts > 0, sums.shape)
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=heard)
+    return means.reshape(len(stream), -1), heard.reshape(len(stream), -1)
+
+
+def extract_svcs(svcnet, streams, mode=FEEDBACK):
+    """The accumulate/forward loop without weight updates for many
+    labelled streams: one (T, svc_dim) trajectory of bottleneck
+    snapshots per stream, each equal bit for bit to running the
+    stream alone through an Accumulator and forward().
+
+    zero_fill mode runs one stacked forward over all steps of a stream.
+    Feedback mode steps all streams in lockstep, one stacked forward per
+    step into buffers allocated once, whose last output becomes the next
+    input outside the heard slots; a stream that has ended keeps a row
+    whose values are never read."""
+    if mode not in MODES:
+        raise StructuralError(f"unknown accumulation mode {mode!r}")
+    if any(len(stream) == 0 for stream in streams):
+        raise DataError("empty stream")
+    net, bottleneck, layout = svcnet.net, svcnet.bottleneck_index, svcnet.layout
+    if mode == ZERO_FILL:
+        return [forward_rows(net, _running_means(layout, s)[0])[bottleneck] for s in streams]
+    lengths = [len(stream) for stream in streams]
+    n_steps, n_rows = max(lengths), len(streams)
+    means = np.zeros((n_steps, n_rows, layout.width))
+    heard = np.zeros(means.shape, dtype=bool)
+    for row, stream in enumerate(streams):
+        means[: lengths[row], row], heard[: lengths[row], row] = _running_means(layout, stream)
+    means, heard = means.reshape(n_steps, -1), heard.reshape(n_steps, -1)
+    step = RowForward(net, n_rows)
+    x = step.outputs[-1]  # the last output fills the unheard slots
+    x.fill(0.0)
+    flat_x = x.reshape(-1)
+    codes = np.empty((n_steps, n_rows, svcnet.code_dim))
+    for t in range(n_steps):
+        np.copyto(flat_x, means[t], where=heard[t])
+        codes[t] = step(x)[bottleneck]
+    return [codes[:n, row].copy() for row, n in enumerate(lengths)]
+
+
 def extract_svc(svcnet, labelled_stream, mode=FEEDBACK):
     """Run the accumulate/forward loop without weight updates; one
     bottleneck snapshot per presentation."""
-    if len(labelled_stream) == 0:
-        raise DataError("empty stream")
-    acc = Accumulator(svcnet.layout, mode)
-    trajectory = []
-    for sound, code in labelled_stream:
-        x = acc.observe(sound, code)
-        acts = forward(svcnet.net, x)
-        trajectory.append(acts[svcnet.bottleneck_index].copy())
-        acc.commit_output(acts[-1])
-    return np.asarray(trajectory)
+    return extract_svcs(svcnet, [labelled_stream], mode)[0]
 
 
 def svc_stability(trajectory, word_boundaries):

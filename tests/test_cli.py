@@ -9,8 +9,9 @@ import pytest
 
 from svcnet.cli import main
 from svcnet.config import RunConfig
+from svcnet.corpus import SoundId
 from svcnet.errors import DataError
-from svcnet.pipeline import principal_rotation
+from svcnet.pipeline import load_split, principal_rotation
 
 TINY = dict(
     n_speakers=6,
@@ -436,3 +437,126 @@ class TestPrincipalRotation:
         rng = np.random.default_rng(6)
         pts = rng.random((8, 2))
         assert np.array_equal(principal_rotation(pts), principal_rotation(pts.copy()))
+
+
+class TestConfigRanges:
+    """Out-of-range config values and seeds are refused before any work,
+    with exit 2 and one line that names the key."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("corpus_seed", -1), ("rec_seed", -3), ("rec_window", -1), ("svc_flank", -1),
+         ("ppc_dim", 0), ("svc_dim", 0), ("rec_acoustic_units", 0), ("rec_state_units", -2),
+         ("n_speakers", 0), ("frames_per_state", 0), ("ppc_epochs", -1), ("rec_epochs", -5),
+         ("svc_learning_rate", 0), ("ppc_learning_rate", -0.1),
+         ("rec_learning_rate", float("nan")), ("noise_std", -0.5)],
+    )
+    def test_out_of_range_value(self, tmp_path, capsys, key, value):
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), key: value}))
+        assert run_cli("gen", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(path) in err and repr(key) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_window_refused_before_training(self, tiny_config_path, capsys):
+        cfg = json.loads(open(tiny_config_path).read())
+        assert run_cli("gen", "--config", tiny_config_path) == 0
+        capsys.readouterr()
+        cfg["rec_window"] = -1
+        with open(tiny_config_path, "w") as f:
+            json.dump(cfg, f)
+        assert run_cli("train", "--stage", "rec", "--config", tiny_config_path) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "'rec_window' must be >= 0" in err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        assert run_cli("gen", "--out", str(tmp_path / "run"), "--seed", "-5") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "seed must be >= 0" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_bounds_themselves_accepted(self):
+        config = RunConfig(svc_flank=0, rec_window=0, ppc_epochs=0, noise_std=0.0,
+                           corpus_seed=0, n_speakers=1, ppc_dim=1)
+        config.rebase_seeds(0)
+        assert config.seeds()["corpus"] == 0
+
+
+def drop_training_frames_of(config, phone, state, keep):
+    """Rewrite the corpus so the training speakers keep only `keep` of
+    their frames of one sound; the test speakers keep all of theirs."""
+    _, train, _ = load_split(config)
+    lines = open(config.resolved_corpus_path).read().splitlines()
+    out, kept = [lines[0]], 0
+    for line in lines[1:]:
+        speaker, _, _, p, s = line.split(",")[:5]
+        if speaker in train.speakers and (p, s) == (phone, str(state)):
+            if kept == keep:
+                continue
+            kept += 1
+        out.append(line)
+    assert len(out) < len(lines)
+    with open(config.resolved_corpus_path, "w") as f:
+        f.write("\n".join(out) + "\n")
+
+
+class TestSoundWithoutEncoder:
+    """A sound with no encoder, because the training split lacks it or has
+    too few frames of it, has no slot in the code layout: its frames are
+    skipped with one warning per stage and every verb still runs."""
+
+    @pytest.mark.parametrize("keep", [0, 1], ids=["missing", "scarce"])
+    def test_pipeline_runs(self, tiny_config_path, capsys, caplog, keep):
+        config = RunConfig.from_file(tiny_config_path)
+        assert run_cli("gen", "--config", tiny_config_path) == 0
+        drop_training_frames_of(config, "p00", 0, keep)
+        with caplog.at_level("WARNING"):
+            assert run_cli("train", "--stage", "ppc", "--config", tiny_config_path) == 0
+        assert not os.path.exists(os.path.join(config.resolved_model_dir, "ppc_p00_0.txt"))
+        assert ("dropping sound p00:0" in caplog.text) == (keep == 1)
+        for verb in (("train", "--stage", "svc"), ("train", "--stage", "rec"), ("eval",),
+                     ("plot", "--kind", "svc_trajectory"), ("plot", "--kind", "svc_halves")):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                assert run_cli(*verb, "--config", tiny_config_path) == 0, verb
+            skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+            if verb[0] == "train":
+                assert len(skips) == keep  # the one frame left in training
+            else:
+                assert skips and all("no encoder for sound(s) p00:0" in m for m in skips)
+        _, header, rows = read_report(config, "table2.csv")
+        assert header == ["svc_source", "error_rate"] and len(rows) == 3
+
+    def test_eval_counts_skipped_test_frames(self, tiny_config_path, caplog):
+        config = RunConfig.from_file(tiny_config_path)
+        assert run_cli("gen", "--config", tiny_config_path) == 0
+        drop_training_frames_of(config, "p00", 0, 0)
+        for verb in (("ppc",), ("svc",), ("rec",)):
+            assert run_cli("train", "--stage", *verb, "--config", tiny_config_path) == 0
+        _, _, test = load_split(config)
+        n_test = sum(f.sound == SoundId("p00", 0) for f in test.frames)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert run_cli("eval", "--config", tiny_config_path) == 0
+        speakers = " ".join(sorted(test.speakers))
+        assert f"skipping {n_test} frame(s) of speaker(s) {speakers}" in caplog.text
+
+
+class TestWordSubsetProtocol:
+    def test_single_word_speakers_named(self, tmp_path, capsys):
+        cfg = dict(TINY, n_words=1, out_dir=str(tmp_path / "run"))
+        path = tmp_path / "one_word.json"
+        path.write_text(json.dumps(cfg))
+        cpath = str(path)
+        for verb in (("gen",), ("train", "--stage", "ppc"), ("train", "--stage", "svc"),
+                     ("train", "--stage", "rec")):
+            assert run_cli(*verb, "--config", cpath) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cpath) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        first = load_split(RunConfig.from_file(cpath))[2].speakers[0]
+        assert f"test speaker {first} has 1 word(s)" in err
+        assert "word-subset protocol needs >= 2" in err

@@ -9,9 +9,11 @@ from svcnet.nets import (
     FusedStep,
     LayerSpec,
     NetworkParams,
+    RowForward,
     TrainConfig,
     backward,
     forward,
+    forward_rows,
     gradient_check_battery,
     init_network,
     load_model,
@@ -103,6 +105,48 @@ class TestForward:
         p = init_network(spec([2, 2]), seed=0)
         with pytest.raises(StructuralError):
             forward(p, np.zeros(3))
+
+
+class TestForwardRows:
+    """The stacked forward equals forward() row by row, exactly: any
+    difference in the last bits would change saved codes and reports."""
+
+    def test_equals_forward_per_row(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n_layers = int(rng.integers(2, 6))
+            sizes = [int(rng.integers(1, 70)) for _ in range(n_layers)]
+            acts = [str(rng.choice(ACTIVATIONS)) for _ in range(n_layers - 1)]
+            p = init_network(LayerSpec(tuple(sizes), tuple(acts)), int(rng.integers(1 << 30)))
+            for b in p.biases:
+                b[:] = rng.normal(0, 1, b.shape)
+            x = rng.normal(0, 2, (int(rng.choice([1, 2, 7, 60, 241])), sizes[0]))
+            rows = forward_rows(p, x)
+            assert [a.shape for a in rows] == [(len(x), w) for w in sizes]
+            for n in range(len(x)):
+                for batched, single in zip(rows, forward(p, x[n])):
+                    assert np.array_equal(batched[n], single)
+
+    def test_steps_fed_back_from_the_last_output(self):
+        """RowForward called on its own last output buffer, as a recurrent
+        loop does, equals forward() on a copy of that output."""
+        rng = np.random.default_rng(3)
+        p = init_network(spec([9, 4, 2, 4, 9]), seed=1)
+        step = RowForward(p, 3)
+        x = step.outputs[-1]
+        x[:] = rng.random((3, 9))
+        for _ in range(5):
+            inputs = x.copy()
+            acts = step(x)
+            for n in range(3):
+                for batched, single in zip(acts[1:], forward(p, inputs[n])[1:]):
+                    assert np.array_equal(batched[n], single)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_bad_input_shape(self, shape):
+        p = init_network(spec([2, 2]), seed=0)
+        with pytest.raises(StructuralError):
+            forward_rows(p, np.zeros(shape))
 
 
 class TestBackward:

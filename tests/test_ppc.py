@@ -7,7 +7,9 @@ from svcnet.nets import TrainConfig, forward, grads_from_activations, init_netwo
 from svcnet.ppc import (
     average_ppcs,
     build_speaker_profile,
+    codable_frames,
     encode_frame,
+    encode_frames,
     encoder_spec,
     reconstruction_mse,
     sound_inventory,
@@ -151,6 +153,64 @@ class TestTrainAllEncoders:
         with np.errstate(all="ignore"):
             with pytest.raises(DataError, match="ppc training diverged at epoch"):
                 train_all_encoders(tiny_corpus(), 2, TrainConfig(1e3, 5, 0))
+
+
+class TestEncodeFrames:
+    def test_equals_encode_frame_per_row(self):
+        """Frames of mixed sounds, in corpus order, coded in one pass."""
+        corpus = tiny_corpus()
+        encoders = tiny_encoders(corpus)
+        frames = [f for f in corpus.frames if f.sound in encoders]
+        codes = encode_frames(encoders, [f.sound for f in frames], [f.features for f in frames])
+        assert codes.shape == (len(frames), 2)
+        for f, code in zip(frames, codes):
+            assert np.array_equal(code, encode_frame(encoders[f.sound], f.features))
+
+    def test_single_frame(self):
+        corpus = tiny_corpus()
+        encoders = tiny_encoders(corpus)
+        f = corpus.frames[5]
+        codes = encode_frames(encoders, [f.sound], [f.features])
+        assert np.array_equal(codes[0], encode_frame(encoders[f.sound], f.features))
+
+    def test_missing_encoder(self):
+        corpus = tiny_corpus()
+        encoders = tiny_encoders(corpus)
+        f = corpus.frames[0]
+        del encoders[f.sound]
+        with pytest.raises(StructuralError, match=str(f.sound)):
+            encode_frames(encoders, [f.sound], [f.features])
+
+
+class TestCodableFrames:
+    def test_skips_frames_without_encoder_with_one_warning(self, caplog):
+        corpus = tiny_corpus()
+        encoders = tiny_encoders(corpus)
+        del encoders[SOUND]
+        sets = [corpus.frames_of_speaker(s) for s in corpus.speakers]
+        with caplog.at_level("WARNING", logger="svcnet.ppc"):
+            kept = codable_frames(sets, encoders)
+        n_skipped = sum(f.sound == SOUND for f in corpus.frames)
+        assert n_skipped > 0
+        for frames, codable in zip(sets, kept):
+            assert codable == [f for f in frames if f.sound != SOUND]
+        assert len(caplog.records) == 1
+        assert f"skipping {n_skipped} frame(s)" in caplog.text and str(SOUND) in caplog.text
+
+    def test_all_codable_is_silent(self, caplog):
+        corpus = tiny_corpus()
+        encoders = tiny_encoders(corpus)
+        with caplog.at_level("WARNING", logger="svcnet.ppc"):
+            kept = codable_frames([corpus.frames], encoders)
+        assert kept == [corpus.frames] and not caplog.records
+
+    def test_no_codable_frame_names_speaker(self):
+        corpus = tiny_corpus()
+        frames = corpus.frames_of_speaker(corpus.speakers[1])
+        with pytest.raises(DataError, match=f"speaker {corpus.speakers[1]} has no frame"):
+            codable_frames([frames], {})
+        with pytest.raises(DataError):
+            codable_frames([[]], tiny_encoders(corpus))
 
 
 class TestSpeakerProfile:

@@ -16,6 +16,7 @@ from svcnet.recognizer import (
     init_recognizer,
     load_recognizer,
     recognize,
+    recognize_utterances,
     save_recognizer,
     svc_hidden,
     train_recognizer,
@@ -247,6 +248,65 @@ class TestRecognize:
             recognize(net, [], np.zeros(2), AvailabilityFlags.all_on(), np.zeros(2))
 
 
+def reference_scores(net, features, svc, flags, avg):
+    """Mean per-frame forward_frame output over one utterance, each frame
+    windowed by hand; the per-frame loop the batched recognizer replaces."""
+    h_true, h_avg = svc_hidden(net, svc), svc_hidden(net, avg)
+    levels = [h_true if on else h_avg for on in (flags.acoustic, flags.state, flags.word)]
+    n = len(features)
+    scores = np.zeros(len(net.words))
+    for i in range(n):
+        x = np.concatenate([
+            features[min(max(k, 0), n - 1)] for k in range(i - net.window, i + net.window + 1)
+        ])
+        scores += forward_frame(net, x, *levels)[2]
+    scores /= n
+    return scores
+
+
+class TestBatchedRecognizer:
+    @pytest.mark.parametrize("window", [0, 2])
+    def test_equals_per_frame_loop(self, window):
+        """All 8 flag settings, utterances of unequal length (one of a
+        single frame), random biases: the scores match exactly."""
+        rng = np.random.default_rng(window)
+        net = init_recognizer(WORDS, 6, 2, small_config(window=window))
+        for p in net.param_arrays():
+            p[...] = rng.normal(0, 1, p.shape)
+        utterances = [list(rng.normal(0, 1, (n, 6))) for n in (5, 1, 9, 2)]
+        svc, avg = rng.random(2), rng.random(2)
+        grid = flag_grid()
+        scores = recognize_utterances(net, utterances, svc, grid, avg)
+        assert scores.shape == (8, len(utterances), len(WORDS))
+        for k, flags in enumerate(grid):
+            for u, feats in enumerate(utterances):
+                expected = reference_scores(net, feats, svc, flags, avg)
+                assert np.array_equal(scores[k, u], expected)
+                assert np.array_equal(recognize(net, feats, svc, flags, avg)[1], expected)
+
+    def test_flag_subset_and_order(self):
+        net = init_recognizer(WORDS, 6, 2, small_config())
+        rng = np.random.default_rng(5)
+        utterances = [list(rng.normal(0, 1, (3, 6)))]
+        svc, avg = rng.random(2), rng.random(2)
+        flags = [AvailabilityFlags(True, False, True), AvailabilityFlags.all_off()]
+        scores = recognize_utterances(net, utterances, svc, flags, avg)
+        for k, f in enumerate(flags):
+            assert np.array_equal(scores[k, 0], reference_scores(net, utterances[0], svc, f, avg))
+
+    def test_empty_utterance_in_block(self):
+        net = init_recognizer(WORDS, 6, 2, small_config())
+        with pytest.raises(DataError):
+            recognize_utterances(
+                net, [[np.zeros(6)], []], np.zeros(2), flag_grid(), np.zeros(2)
+            )
+
+    def test_wrong_feature_width(self):
+        net = init_recognizer(WORDS, 6, 2, small_config())
+        with pytest.raises(StructuralError):
+            recognize_utterances(net, [[np.zeros(5)]], np.zeros(2), flag_grid(), np.zeros(2))
+
+
 class TestAblation:
     def test_eight_rows_canonical_order(self):
         corpus = tiny_corpus()
@@ -282,6 +342,27 @@ class TestAblation:
                 wrong += label != frames[0].word
             assert rate == pytest.approx(wrong / len(utterances))
         assert len(log) == 8 * len(utterances)
+
+
+    def test_interleaved_speakers_keep_utterance_order(self):
+        """Utterances are recognized in per-speaker blocks; the log still
+        follows the corpus's utterance order when speakers interleave."""
+        corpus = tiny_corpus()
+        svcs = tiny_svcs(corpus)
+        net, _ = train_recognizer(corpus, svcs, small_config(epochs=2))
+        rng = np.random.default_rng(4)
+        corpus.frames = [corpus.frames[i] for i in rng.permutation(len(corpus.frames))]
+        avg = np.array([0.3, 0.6])
+        rows, log = ablation_eval(net, corpus, svcs, avg)
+        utterances = corpus.by_utterance()
+        expected = []
+        for flags in flag_grid():
+            for utt_id, frames in utterances.items():
+                label, _ = recognize(
+                    net, [f.features for f in frames], svcs[frames[0].speaker], flags, avg
+                )
+                expected.append((utt_id, frames[0].word, label, flags))
+        assert log == expected
 
 
 class TestAverageSvc:

@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from svcnet.corpus import CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.nets import TrainConfig, forward, grads_from_activations, sgd_step
-from svcnet.ppc import SpeakerProfile, build_speaker_profile, train_all_encoders
+from svcnet.ppc import SpeakerProfile, build_speaker_profile, encode_frame, train_all_encoders
 from svcnet.svc import (
+    MODES,
     Accumulator,
     SoundLayout,
     build_svcnet,
     extract_svc,
+    extract_svcs,
     final_svc,
     load_svcnet,
     make_target,
     save_svcnet,
     speaker_stream,
+    speaker_streams,
     svc_stability,
     train_svcnet,
 )
@@ -345,6 +348,70 @@ class TestExtract:
         svcnet, stream, bounds = self._trained()
         assert bounds[-1] == len(stream) - 1
         assert bounds == sorted(bounds)
+
+
+def reference_trajectory(svcnet, stream, mode):
+    """The accumulate/forward loop, one presentation at a time."""
+    acc = Accumulator(svcnet.layout, mode)
+    trajectory = []
+    for sound, code in stream:
+        acts = forward(svcnet.net, acc.observe(sound, code))
+        trajectory.append(acts[svcnet.bottleneck_index].copy())
+        acc.commit_output(acts[-1])
+    return np.array(trajectory)
+
+
+class TestBatchedExtract:
+    """extract_svcs equals the per-presentation loop exactly, whatever
+    streams run beside a stream and however long they are."""
+
+    def _streams(self, flank_width=4):
+        corpus, encoders, layout, cfg = tiny_setup()
+        svcnet, _ = train_svcnet(corpus, encoders, layout, 2, cfg, flank_width=flank_width)
+        full = [speaker_stream(corpus.frames_of_speaker(s), encoders)[0] for s in corpus.speakers]
+        return svcnet, full
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("flank_width", [0, 4])
+    def test_equals_reference_loop(self, mode, flank_width):
+        svcnet, full = self._streams(flank_width)
+        batches = [
+            [full[0]],
+            [full[2][:1]],
+            [full[0], full[1][:5], full[2][:1]],
+            [full[1][::-1], full[0][3:], full[2], full[0][:2] * 3],
+        ]
+        for streams in batches:
+            trajs = extract_svcs(svcnet, streams, mode)
+            assert len(trajs) == len(streams)
+            for stream, traj in zip(streams, trajs):
+                assert traj.shape == (len(stream), 2)
+                assert np.array_equal(traj, reference_trajectory(svcnet, stream, mode))
+                assert np.array_equal(extract_svc(svcnet, stream, mode), traj)
+
+    def test_empty_stream_among_others(self):
+        svcnet, full = self._streams()
+        with pytest.raises(DataError, match="empty stream"):
+            extract_svcs(svcnet, [full[0], []])
+
+    def test_unknown_mode(self):
+        svcnet, full = self._streams()
+        with pytest.raises(StructuralError):
+            extract_svcs(svcnet, [full[0]], "bogus")
+
+    def test_speaker_streams_equal_per_frame_encoding(self):
+        corpus, encoders, _, _ = tiny_setup()
+        rng = np.random.default_rng(8)
+        sets = [corpus.frames_of_speaker(s) for s in corpus.speakers]
+        sets.append([sets[1][i] for i in rng.permutation(len(sets[1]))][:7])
+        for frames, (stream, bounds) in zip(sets, speaker_streams(sets, encoders)):
+            ordered = sorted(frames, key=lambda f: (f.utterance, f.index))
+            assert [sound for sound, _ in stream] == [f.sound for f in ordered]
+            for (_, code), f in zip(stream, ordered):
+                assert np.array_equal(code, encode_frame(encoders[f.sound], f.features))
+            ends = [i for i in range(len(ordered) - 1)
+                    if ordered[i + 1].utterance != ordered[i].utterance]
+            assert bounds == ends + [len(ordered) - 1]
 
 
 class TestStability:
