@@ -10,9 +10,11 @@ suite computes them (`svcnet.quality`), with `*` marking a value that
 misses its threshold, and the code-swap error (each test speaker
 recognized with another test speaker's code, every level on; when it
 equals the own-code error, criterion 7's value, the recognizer does not
-use the code) and the first 12 hex digits of a SHA-256 over the model
-files, which identifies the trained models. A last row counts the seeds
-that passed each criterion. A full run takes several minutes.
+use the code), and the first 12 hex digits of a SHA-256 over the model
+files and one over the report files, which identify the trained models
+and the reports (the reports' `#` provenance lines name the temporary
+directory, so they are left out). A last row counts the seeds that
+passed each criterion. A full run takes several minutes.
 """
 
 import hashlib
@@ -25,26 +27,32 @@ from svcnet.config import RunConfig
 from svcnet.corpus import load_latents
 
 COLUMNS = ("seed", "c4 stable", "c5 indep", "c6 R^2", "c7 own/avg", "c8 none/disj/same",
-           "swap", "models")
-WIDTHS = (4, 10, 9, 7, 12, 18, 6, 12)
+           "swap", "models", "reports")
+WIDTHS = (4, 10, 9, 7, 12, 18, 6, 12, 12)
 
 
 def row(cells):
     return "  ".join(str(c).rjust(w) for c, w in zip(cells, WIDTHS))
 
 
-def models_digest(model_dir):
+def digest(directory, skip_comments=False):
+    """SHA-256 over the file names and bytes of a directory, optionally
+    without the lines that start with `#`; the first 12 hex digits."""
     h = hashlib.sha256()
-    for name in sorted(os.listdir(model_dir)):
+    for name in sorted(os.listdir(directory)):
         h.update(f"{name}\n".encode())
-        with open(os.path.join(model_dir, name), "rb") as f:
-            h.update(f.read())
+        with open(os.path.join(directory, name), "rb") as f:
+            data = f.read()
+        if skip_comments:
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"#"))
+        h.update(data)
     return h.hexdigest()[:12]
 
 
 def measure(seed, out_dir):
     """Run the default pipeline for one seed; criterion 4-8 results, the
-    code-swap error and the models' digest."""
+    code-swap error and the digests of the models and the reports."""
     config = RunConfig(out_dir=out_dir)
     config.rebase_seeds(seed)
     pipeline.run_gen(config)
@@ -62,7 +70,9 @@ def measure(seed, out_dir):
         quality.word_subset_protocol(summary),
     )
     swap = quality.code_swap_error(config, svcnet, encoders, net, train, test)
-    return results, summary, swap, models_digest(config.resolved_model_dir)
+    digests = (digest(config.resolved_model_dir),
+               digest(config.resolved_report_dir, skip_comments=True))
+    return results, summary, swap, digests
 
 
 def main(argv=None):
@@ -76,7 +86,7 @@ def main(argv=None):
     passed = [0] * 5
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix="svcnet-quality-") as out_dir:
-            results, summary, swap, digest = measure(seed, out_dir)
+            results, summary, swap, digests = measure(seed, out_dir)
         c4, c5, c6 = results[:3]
         ablation, t2 = summary["ablation"], summary["table2"]
         cells = [
@@ -87,7 +97,7 @@ def main(argv=None):
             f"{t2['none']:.3f}/{t2['disjoint']:.3f}/{t2['same']:.3f}",
         ]
         cells = [c + ("" if r.ok else "*") for c, r in zip(cells, results)]
-        print(row([seed, *cells, f"{swap:.3f}", digest]), flush=True)
+        print(row([seed, *cells, f"{swap:.3f}", *digests]), flush=True)
         passed = [p + r.ok for p, r in zip(passed, results)]
     print(row(["pass", *(f"{p}/{len(seeds)}" for p in passed)]))
     return 0

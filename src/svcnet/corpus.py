@@ -10,10 +10,18 @@ Prototypes and the per-sound speaker-effect matrices M are drawn once from
 the corpus seed; speaker latents are uniform on the unit square. The
 speaker effect is affine per sound, so a narrow bottleneck can in
 principle recover the latent coordinates exactly.
+
+A corpus is held in columns: one (N, D) feature array and one integer
+array per label (Corpus). Its rows are kept in canonical order, so a
+speaker's or an utterance's frames are one contiguous slice, and a corpus
+file whose rows are shuffled loads to the same corpus as a sorted one.
 """
 
 import json
+import re
+import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,11 +29,12 @@ from .errors import CorpusFormatError, DataError, StructuralError
 from .fileio import atomic_write_text, fmt_float, read_text
 
 CORPUS_HEADER_TAG = "svcnet-corpus v1"
+LABELS = ("speaker", "utterance", "word", "sound", "index")
 
 
-@dataclass(frozen=True, order=True)
-class SoundId:
-    """The modelling unit: a (phone, state) pair."""
+class SoundId(NamedTuple):
+    """The modelling unit: a (phone, state) pair, ordered by phone, then
+    state. A tuple, so that hashing it and comparing it run in C."""
 
     phone: str
     state: int
@@ -68,58 +77,110 @@ class CorpusSpec:
             raise StructuralError("noise_std must be >= 0")
 
 
-@dataclass
-class AcousticFrame:
-    features: np.ndarray
-    speaker: str
-    utterance: str
-    word: str
-    phone: str
-    state: int
-    index: int  # frame position within its utterance
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _name_order(names):
+    """(the indices of `names` in name order, each name's rank in it)."""
+    by_name = sorted(range(len(names)), key=list(names).__getitem__)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[by_name] = np.arange(len(names))
+    return by_name, rank
+
+
+class Corpus:
+    """Labelled frames in columns, one row per frame: `frames` is a
+    read-only (N, D) feature array, and beside it one integer column per
+    label, each indexing a tuple of names:
+
+        speaker    `speakers`, the header's speakers
+        utterance  `utterances`, the utterance ids in sorted order
+        word       `words`, the header's words
+        sound      `sounds`, the sorted SoundId table of the corpus's sounds
+        index      (no table) the frame's position within its utterance
+
+    The constructor takes the feature rows and `labels`, a column for each
+    name in LABELS (utterance ids may index `utterances` in any order),
+    and sorts the rows into canonical order, by (speaker, utterance,
+    index); `rows` and the methods built on it keep that order, so a
+    speaker's or an utterance's frames are one contiguous slice."""
+
+    def __init__(self, frames, labels, *, speakers, utterances, words, phones, sounds,
+                 states_per_phone):
+        self.speakers, self.words, self.phones = tuple(speakers), tuple(words), tuple(phones)
+        self.sounds, self.states_per_phone = tuple(sounds), states_per_phone
+        # utterance ids in name order, so that sorting ids sorts names
+        by_name, rank = _name_order(utterances)
+        self.utterances = tuple(utterances[i] for i in by_name)
+        columns = {k: np.asarray(labels[k], dtype=np.intp) for k in LABELS}
+        columns["utterance"] = rank[columns["utterance"]]
+        order = np.lexsort((columns["index"], columns["utterance"], columns["speaker"]))
+        self.frames = _read_only(np.asarray(frames, dtype=float)[order])
+        for k in LABELS:
+            setattr(self, k, _read_only(columns[k][order]))
 
     @property
-    def sound(self):
-        return SoundId(self.phone, self.state)
+    def feature_dim(self):
+        return self.frames.shape[1]
 
+    def __len__(self):
+        return len(self.frames)
 
-@dataclass
-class Corpus:
-    frames: list
-    feature_dim: int
-    speakers: tuple
-    words: tuple
-    phones: tuple
-    states_per_phone: int
+    def rows(self, which):
+        """The corpus of the rows that `which`, a boolean mask or a forward
+        slice, selects; they keep their order. The name tables are shared."""
+        if isinstance(which, slice):
+            if (which.step or 1) < 0:
+                raise StructuralError("a row selection keeps the row order")
+        elif np.asarray(which).dtype != bool:
+            raise StructuralError("rows are selected by a boolean mask or a slice")
+        view = object.__new__(Corpus)
+        view.__dict__.update(self.__dict__)
+        view.frames = _read_only(self.frames[which])
+        for k in LABELS:
+            setattr(view, k, _read_only(getattr(self, k)[which]))
+        return view
 
     def frames_of_speaker(self, speaker):
-        return [f for f in self.frames if f.speaker == speaker]
+        """The rows of one speaker, a slice; no rows for an unknown speaker."""
+        try:
+            k = self.speakers.index(speaker)
+        except ValueError:
+            return self.rows(slice(0, 0))
+        lo, hi = np.searchsorted(self.speaker, (k, k + 1))
+        return self.rows(slice(lo, hi))
+
+    def utterance_bounds(self):
+        """Row offsets at which the utterances start, then the row count:
+        utterance u is rows bounds[u]:bounds[u + 1]."""
+        starts = np.flatnonzero(self.utterance[1:] != self.utterance[:-1]) + 1
+        return np.concatenate(([0], starts, [len(self)])) if len(self) else np.zeros(1, int)
 
     def by_utterance(self):
-        """Utterance id -> frames in temporal order, insertion-ordered."""
-        groups = {}
-        for f in self.frames:
-            groups.setdefault(f.utterance, []).append(f)
-        for frames in groups.values():
-            frames.sort(key=lambda f: f.index)
-        return groups
+        """Utterance id -> its rows in temporal order, a slice, in row order."""
+        bounds = self.utterance_bounds()
+        return {
+            self.utterances[self.utterance[lo]]: self.rows(slice(lo, hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        }
 
     def sound_counts(self):
-        counts = {}
-        for f in self.frames:
-            counts[f.sound] = counts.get(f.sound, 0) + 1
-        return counts
+        """SoundId -> number of rows, for the sounds that have rows."""
+        counts = np.bincount(self.sound, minlength=len(self.sounds))
+        return {self.sounds[k]: int(counts[k]) for k in np.flatnonzero(counts)}
 
     def restricted_to_speakers(self, speakers):
+        """The rows of `speakers`; the speaker table keeps header order."""
         keep = set(speakers)
-        return Corpus(
-            [f for f in self.frames if f.speaker in keep],
-            self.feature_dim,
-            tuple(s for s in self.speakers if s in keep),
-            self.words,
-            self.phones,
-            self.states_per_phone,
-        )
+        kept = [k for k, s in enumerate(self.speakers) if s in keep]
+        renumber = np.full(len(self.speakers), -1)
+        renumber[kept] = np.arange(len(kept))
+        view = self.rows(renumber[self.speaker] >= 0)
+        view.speaker = _read_only(renumber[view.speaker])
+        view.speakers = tuple(self.speakers[k] for k in kept)
+        return view
 
 
 def word_phones(spec, word_index):
@@ -134,43 +195,58 @@ def word_phones(spec, word_index):
     return [f"p{(start + i + shift) % p:02d}" for i in range(spec.phones_per_word)]
 
 
+def _sound_column(phones, states_per_phone, phone, state):
+    """(sorted SoundId table of the (phone, state) pairs that occur, each
+    row's index into it), from phone ids into `phones` and states."""
+    by_name, rank = _name_order(phones)
+    keys, sound = np.unique(rank[phone] * states_per_phone + state, return_inverse=True)
+    table = tuple(SoundId(phones[by_name[k // states_per_phone]], k % states_per_phone)
+                  for k in keys.tolist())
+    return table, sound
+
+
 def generate_corpus(spec):
     """Deterministic corpus plus ground-truth latents per speaker."""
     rng = np.random.default_rng(spec.seed)
     speakers = tuple(f"s{i:02d}" for i in range(spec.n_speakers))
     words = tuple(f"w{i:02d}" for i in range(spec.n_words))
     phones = tuple(f"p{i:02d}" for i in range(spec.n_words))
+    n_states, dim = spec.states_per_phone, spec.feature_dim
 
-    prototypes = {}
-    effects = {}
-    for phone in phones:
-        for state in range(spec.states_per_phone):
-            sound = SoundId(phone, state)
-            prototypes[sound] = rng.normal(0.0, 1.0, spec.feature_dim)
-            effects[sound] = rng.normal(
-                0.0, spec.speaker_effect_scale, (spec.feature_dim, spec.latent_dim)
-            )
+    # sound p * n_states + s is (phones[p], s); drawn in that order
+    prototypes = np.empty((len(phones) * n_states, dim))
+    effects = np.empty((len(phones) * n_states, dim, spec.latent_dim))
+    for k in range(len(prototypes)):
+        prototypes[k] = rng.normal(0.0, 1.0, dim)
+        effects[k] = rng.normal(0.0, spec.speaker_effect_scale, (dim, spec.latent_dim))
 
     latents = {s: rng.uniform(0.0, 1.0, spec.latent_dim) for s in speakers}
 
-    frames = []
-    for speaker in speakers:
-        latent = latents[speaker]
-        for wi, word in enumerate(words):
-            utt = f"{speaker}-{word}"
-            idx = 0
-            for phone in word_phones(spec, wi):
-                for state in range(spec.states_per_phone):
-                    sound = SoundId(phone, state)
-                    base = prototypes[sound] + effects[sound] @ latent
-                    for _ in range(spec.frames_per_state):
-                        feats = base + rng.normal(0.0, spec.noise_std, spec.feature_dim)
-                        frames.append(
-                            AcousticFrame(feats, speaker, utt, word, phone, state, idx)
-                        )
-                        idx += 1
+    # one utterance per (speaker, word), its frames phone by phone, state
+    # by state; the rows run speaker by speaker, word by word, and the
+    # noise of all rows is one draw in that order (the numbers of one
+    # draw per frame)
+    phone_index = {p: i for i, p in enumerate(phones)}
+    utt_sounds = [
+        np.repeat([phone_index[p] * n_states + s for p in word_phones(spec, wi)
+                   for s in range(n_states)], spec.frames_per_state)
+        for wi in range(len(words))
+    ]
+    per_speaker = np.concatenate(utt_sounds)
+    n_utt = len(utt_sounds[0])
+    base = np.stack([prototypes + effects @ latents[s] for s in speakers])
+    speaker = np.repeat(np.arange(len(speakers)), len(per_speaker))
+    sound = np.tile(per_speaker, len(speakers))
+    frames = base[speaker, sound] + rng.normal(0.0, spec.noise_std, (len(sound), dim))
+    word = np.tile(np.repeat(np.arange(len(words)), n_utt), len(speakers))
+    table, sound = _sound_column(phones, n_states, sound // n_states, sound % n_states)
     corpus = Corpus(
-        frames, spec.feature_dim, speakers, words, phones, spec.states_per_phone
+        frames,
+        dict(speaker=speaker, utterance=speaker * len(words) + word, word=word, sound=sound,
+             index=np.tile(np.arange(n_utt), len(speakers) * len(words))),
+        speakers=speakers,
+        utterances=[f"{s}-{w}" for s in speakers for w in words],
+        words=words, phones=phones, sounds=table, states_per_phone=n_states,
     )
     return corpus, latents
 
@@ -202,21 +278,115 @@ def save_corpus(corpus, path):
         "states_per_phone": corpus.states_per_phone,
     }
     lines = ["# " + json.dumps(header, sort_keys=True)]
-    for f in corpus.frames:
-        fields = [f.speaker, f.utterance, f.word, f.phone, str(f.state), str(f.index)]
-        fields.extend(fmt_float(v) for v in f.features)
+    sounds = [(s.phone, str(s.state)) for s in corpus.sounds]
+    for speaker, utterance, word, sound, index, features in zip(
+        corpus.speaker.tolist(), corpus.utterance.tolist(), corpus.word.tolist(),
+        corpus.sound.tolist(), corpus.index.tolist(), corpus.frames.tolist(),
+    ):
+        fields = [corpus.speakers[speaker], corpus.utterances[utterance], corpus.words[word],
+                  *sounds[sound], str(index)]
+        fields.extend(map(repr, features))  # repr round-trips a float exactly
         lines.append(",".join(fields))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_corpus(path):
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty corpus file")
-    if not lines[0].startswith("# "):
+def _loadtxt(texts):
+    """np.loadtxt of comma-separated texts, as a 2-D array. A text that is
+    empty or blank is skipped by loadtxt, which the caller sees as a row
+    count that differs from len(texts)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "input contained no data"
+        return np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+
+
+def _float_rows(path, numbers, texts, width, labels, what):
+    """(len(texts), width) floats, one row per comma-separated text (a
+    line after its `labels` label fields), parsed in one pass.
+    CorpusFormatError names the first bad line, numbers[i]: one of another
+    width, with a value that is no float, or with a non-finite `what`
+    value."""
+    try:
+        values = _loadtxt(texts)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(texts), width):
+        for number, text in zip(numbers, texts):
+            fields = text.count(",") + 1
+            if fields != width:
+                raise CorpusFormatError(
+                    path, number, f"expected {labels + width} fields, got {labels + fields}"
+                )
+            try:
+                error = None if _loadtxt([text]).shape == (1, width) else "no value"
+            except ValueError as e:
+                error = re.sub(r" at row \d+, column \d+\.?$", "", str(e))
+            if error is not None:
+                raise CorpusFormatError(path, number, error)
+        raise CorpusFormatError(path, numbers[0], "unreadable values")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise CorpusFormatError(path, numbers[np.argmin(finite)], f"non-finite {what} value")
+    return values
+
+
+def _int_column(path, numbers, texts, what, high):
+    """The integers of `texts`, each in [0, high); CorpusFormatError naming
+    the first line whose text is no such integer."""
+    try:
+        values = np.array(texts, dtype=np.int64)
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or not ((values >= 0) & (values < high)).all():
+        for number, text in zip(numbers, texts):
+            try:
+                fits = 0 <= np.array(text, dtype=np.int64) < high
+            except (ValueError, OverflowError):
+                fits = False
+            if not fits:
+                raise CorpusFormatError(path, number, f"{what} {text!r} is not in [0, {high})")
+    return values
+
+
+def _name_column(path, numbers, texts, what, names):
+    """Each text's index in `names`; CorpusFormatError naming the first
+    line whose text is not one of them."""
+    index = {name: i for i, name in enumerate(names)}
+    ids = np.array([index.get(text, -1) for text in texts])
+    if (ids < 0).any():
+        i = int(np.argmax(ids < 0))
+        raise CorpusFormatError(path, numbers[i], f"{what} {texts[i]!r} is not in the header")
+    return ids
+
+
+def _check_utterances(path, numbers, utterance, speaker, word, index):
+    """Every row of an utterance has the speaker and the word of its first
+    row, and no (utterance, index) pair repeats; CorpusFormatError naming
+    the first line, in file order, that breaks either."""
+    _, first = np.unique(utterance, return_index=True)
+    ref = first[utterance]
+    differs = (speaker != speaker[ref]) | (word != word[ref])
+    if differs.any():
+        i = int(np.argmax(differs))
+        kind = "speaker" if speaker[i] != speaker[ref[i]] else "word"
+        raise CorpusFormatError(
+            path, numbers[i], f"{kind} differs from line {numbers[ref[i]]} of its utterance"
+        )
+    order = np.lexsort((index, utterance))
+    repeat = (utterance[order[1:]] == utterance[order[:-1]]) & (
+        index[order[1:]] == index[order[:-1]]
+    )
+    if repeat.any():
+        i = int(order[1:][repeat].min())  # a stable sort: the later line of a pair
+        raise CorpusFormatError(path, numbers[i], f"frame index {index[i]} repeats in its utterance")
+
+
+def _header(path, line):
+    """(feature_dim, states_per_phone, speakers, words, phones) of a
+    corpus header line."""
+    if not line.startswith("# "):
         raise CorpusFormatError(path, 1, "missing header line")
     try:  # a JSON object with these keys; JSONDecodeError is a ValueError
-        header = json.loads(lines[0][2:])
+        header = json.loads(line[2:])
         feature_dim = int(header["feature_dim"])
         states_per_phone = int(header["states_per_phone"])
         speakers, words, phones = (tuple(header[k]) for k in ("speakers", "words", "phones"))
@@ -224,38 +394,61 @@ def load_corpus(path):
         raise CorpusFormatError(path, 1, f"bad header: {e!r}") from None
     if header.get("format") != CORPUS_HEADER_TAG:
         raise CorpusFormatError(path, 1, f"expected {CORPUS_HEADER_TAG} header")
+    if feature_dim < 1 or not 1 <= states_per_phone < 2**31:
+        raise CorpusFormatError(
+            path, 1, "feature_dim must be >= 1 and states_per_phone in [1, 2**31)"
+        )
     bad = bad_name(speakers + words + phones)
     if bad is not None:
         raise CorpusFormatError(path, 1, f"name {bad!r} {NAME_RULE}")
-    frames, line_numbers = [], []
-    for ln_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 6 + feature_dim:
-            raise CorpusFormatError(
-                path, ln_no, f"expected {6 + feature_dim} fields, got {len(fields)}"
-            )
-        try:
-            state = int(fields[4])
-            index = int(fields[5])
-            feats = np.array([float(v) for v in fields[6:]], dtype=float)
-        except ValueError as e:
-            raise CorpusFormatError(path, ln_no, str(e)) from e
-        frames.append(
-            AcousticFrame(
-                feats, fields[0], fields[1], fields[2], fields[3], state, index
-            )
-        )
-        line_numbers.append(ln_no)
-    if not frames:
+    for kind, names in (("speaker", speakers), ("word", words), ("phone", phones)):
+        if len(set(names)) < len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise CorpusFormatError(path, 1, f"{kind} {twice!r} is listed twice")
+    return feature_dim, states_per_phone, speakers, words, phones
+
+
+def _data_lines(lines):
+    """(line numbers, lines) of the non-empty lines after the header."""
+    numbered = [(n, line) for n, line in enumerate(lines[1:], start=2) if line]
+    return [n for n, _ in numbered], [line for _, line in numbered]
+
+
+def load_corpus(path):
+    """Parse a corpus file: the header, the six label fields of each line
+    with one split, and all feature fields in one pass. The rows may come
+    in any order; the corpus holds them in canonical order. A bad header
+    or row raises CorpusFormatError naming the file and the line."""
+    lines = read_text(path).splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty corpus file")
+    feature_dim, states_per_phone, speakers, words, phones = _header(path, lines[0])
+    numbers, data = _data_lines(lines)
+    if not data:
         raise DataError(f"{path}: corpus file has no frames")
-    finite = np.isfinite(np.stack([f.features for f in frames])).all(axis=1)
-    if not finite.all():
-        raise CorpusFormatError(
-            path, line_numbers[np.argmin(finite)], "non-finite feature value"
-        )
-    return Corpus(frames, feature_dim, speakers, words, phones, states_per_phone)
+    rows = [line.split(",", 6) for line in data]
+    for number, row in zip(numbers, rows):
+        if len(row) < 7:
+            raise CorpusFormatError(
+                path, number, f"expected {6 + feature_dim} fields, got {len(row)}"
+            )
+    speaker, utterance, word, phone, state, index, rest = zip(*rows)
+    features = _float_rows(path, numbers, rest, feature_dim, 6, "feature")
+    speaker = _name_column(path, numbers, speaker, "speaker", speakers)
+    word = _name_column(path, numbers, word, "word", words)
+    phone = _name_column(path, numbers, phone, "phone", phones)
+    state = _int_column(path, numbers, state, "state", states_per_phone)
+    index = _int_column(path, numbers, index, "frame index", 2**62)
+    utterances = sorted(set(utterance))
+    utterance = _name_column(path, numbers, utterance, "utterance", utterances)
+    _check_utterances(path, numbers, utterance, speaker, word, index)
+    sounds, sound = _sound_column(phones, states_per_phone, phone, state)
+    return Corpus(
+        features,
+        dict(speaker=speaker, utterance=utterance, word=word, sound=sound, index=index),
+        speakers=speakers, utterances=utterances, words=words, phones=phones,
+        sounds=sounds, states_per_phone=states_per_phone,
+    )
 
 
 def save_latents(latents, path):
@@ -266,16 +459,27 @@ def save_latents(latents, path):
 
 
 def load_latents(path):
+    """Speaker -> latent vector. The values are parsed and checked as a
+    corpus's features are; a row of another width than the header, a
+    repeated speaker or a file without rows is refused, naming the file
+    (and the line)."""
     lines = read_text(path).splitlines()
-    latents = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        fields = line.split(",")
-        latents[fields[0]] = np.array([float(v) for v in fields[1:]], dtype=float)
-    if not latents:
+    width = len(lines[0].split(",")) - 1 if lines else 0
+    if width < 1:
+        raise CorpusFormatError(path, 1, "expected a header: speaker,l_0,...")
+    numbers, data = _data_lines(lines)
+    if not data:
         raise DataError(f"{path}: no latents found")
-    return latents
+    rows = [line.split(",", 1) for line in data]
+    for number, row in zip(numbers, rows):
+        if len(row) < 2:
+            raise CorpusFormatError(path, number, f"expected {1 + width} fields, got 1")
+    speakers = [row[0] for row in rows]
+    values = _float_rows(path, numbers, [row[1] for row in rows], width, 1, "latent")
+    if len(set(speakers)) < len(speakers):
+        i = next(i for i, s in enumerate(speakers) if s in speakers[:i])
+        raise CorpusFormatError(path, numbers[i], f"speaker {speakers[i]!r} repeats")
+    return dict(zip(speakers, values))
 
 
 def split_corpus(corpus, train_fraction, seed):

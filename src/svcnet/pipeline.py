@@ -176,15 +176,17 @@ def load_recognizer_artifact(config):
 
 
 def split_speaker_words(frames):
-    """(first-half words, last ceil(half) words) of one speaker's frames."""
-    words = sorted({f.word for f in frames})
+    """(first-half words, last ceil(half) words) of one speaker's rows, as
+    word ids in word-name order."""
+    present = np.flatnonzero(np.bincount(frames.word, minlength=len(frames.words)))
+    words = sorted(present.tolist(), key=frames.words.__getitem__)
     n_last = math.ceil(len(words) / 2)
     return words[: len(words) - n_last], words[len(words) - n_last :]
 
 
 def frames_for_words(frames, words):
-    keep = set(words)
-    return [f for f in frames if f.word in keep]
+    """The rows of word ids `words`."""
+    return frames.rows(np.isin(frames.word, words))
 
 
 def half_svcs(config, svcnet, encoders, halves, frame_sets):
@@ -260,14 +262,10 @@ def run_eval(config):
     off = rec_mod.AvailabilityFlags.all_off()
     per_source_errors = {"none": [], "disjoint": [], "same": []}
     for speaker, (_, last_words) in halves.items():
-        utts = {}
-        for f in frames_for_words(test_frames[speaker], last_words):
-            utts.setdefault(f.utterance, []).append(f)
-        feats, words = [], []
-        for utt_id in sorted(utts):
-            frames = sorted(utts[utt_id], key=lambda f: f.index)
-            feats.append([f.features for f in frames])
-            words.append(frames[0].word)
+        frames = frames_for_words(test_frames[speaker], last_words)
+        bounds = frames.utterance_bounds()
+        feats = [frames.frames[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        words = [frames.words[w] for w in frames.word[bounds[:-1]]]
         svc_disjoint, svc_same = half_codes[speaker]
         for source, code, flags in (
             ("none", avg, off),
@@ -326,12 +324,15 @@ def run_plot(config, kind, sound=None):
         target = SoundId.parse(sound) if sound else sounds[0]
         if target not in encoders:
             raise DataError(f"no encoder for sound {target}")
-        frames = [f for f in corpus.frames if f.sound == target]
-        feats = [f.features for f in frames]
-        codes = ppc_mod.encode_frames(encoders, [target] * len(frames), feats)
+        if target not in corpus.sounds:
+            raise DataError(f"no frames of sound {target} in the corpus")
+        frames = corpus.rows(corpus.sound == corpus.sounds.index(target))
+        codes = ppc_mod.encode_frames(encoders, frames.sounds, frames.sound, frames.frames)
         rows = [
-            (f.speaker, f.index) + tuple(fmt_float(v) for v in rot)
-            for f, rot in zip(frames, principal_rotation(codes))
+            (corpus.speakers[speaker], index) + tuple(fmt_float(v) for v in rot)
+            for speaker, index, rot in zip(
+                frames.speaker.tolist(), frames.index.tolist(), principal_rotation(codes)
+            )
         ]
         cols = ("speaker", "frame") + tuple(f"code_{i}" for i in range(config.ppc_dim))
         return [write_report(config, f"ppc_scatter_{target.phone}_{target.state}.csv", cols, rows)]

@@ -100,23 +100,27 @@ def encode_frame(encoder, frame):
     return forward(encoder.net, frame)[1]
 
 
-def encode_frames(encoders, sounds, frames):
-    """Codes (N, code_dim) of frames of mixed sounds: row n equals
-    encode_frame(encoders[sounds[n]], frames[n]) bit for bit. One stacked
-    pass codes every row: each row meets its own sound's encoder weights,
-    gathered into an (N, code_dim, dim) stack, one matrix-vector product
-    per row, the kernel of W @ x."""
-    bank = {sound: i for i, sound in enumerate(dict.fromkeys(sounds))}
-    for sound in bank:
-        if sound not in encoders:
-            raise StructuralError(f"no encoder for sound {sound}")
-    nets = [encoders[sound].net for sound in bank]
-    if any(net.spec != nets[0].spec for net in nets):
+def encode_frames(encoders, sounds, ids, frames):
+    """Codes (N, code_dim) of frames of mixed sounds, frames[n] a frame of
+    sound sounds[ids[n]] (a sound table and integer ids into it): row n
+    equals encode_frame(encoders[sounds[ids[n]]], frames[n]) bit for bit.
+    One stacked pass codes every row: each row meets its own sound's
+    encoder weights, gathered by sound id into an (N, code_dim, dim)
+    stack, one matrix-vector product per row, the kernel of W @ x."""
+    present = np.flatnonzero(np.bincount(ids, minlength=len(sounds)))
+    found = [encoders.get(sounds[k]) for k in present.tolist()]
+    missing = [sounds[k] for k, encoder in zip(present, found) if encoder is None]
+    if missing:
+        raise StructuralError(f"no encoder for sound {missing[0]}")
+    nets = [encoder.net for encoder in found]
+    if len({(net.spec.sizes, net.spec.activations) for net in nets}) > 1:
         raise StructuralError("encoders of different specs cannot code together")
-    which = [bank[sound] for sound in sounds]
+    bank = np.zeros(len(sounds), dtype=np.intp)
+    bank[present] = np.arange(len(present))
+    which = bank[ids]
     x = np.asarray(frames, dtype=float)
-    z = np.matmul(np.stack([net.weights[0] for net in nets])[which], x[:, :, None])[:, :, 0]
-    z += np.stack([net.biases[0] for net in nets])[which]
+    z = np.matmul(np.array([net.weights[0] for net in nets])[which], x[:, :, None])[:, :, 0]
+    z += np.array([net.biases[0] for net in nets])[which]
     return activate(z, nets[0].spec.activations[0], out=z)
 
 
@@ -139,59 +143,66 @@ class SpeakerProfile:
 
 
 def codable_frames(frame_sets, encoders):
-    """Each frame set with only the frames whose sound has an encoder. A
-    sound missing from the training split, or dropped there as scarce, has
-    no encoder and no slot in the code layout, so its frames are skipped,
-    with one warning that counts them. DataError for a set with no frame
-    left."""
-    kept = [[f for f in frames if f.sound in encoders] for frames in frame_sets]
-    skipped = [
-        f for frames, codable in zip(frame_sets, kept) if len(codable) < len(frames)
-        for f in frames if f.sound not in encoders
-    ]
+    """Each frame set (a corpus, such as one speaker's rows) with only the
+    rows whose sound has an encoder. A sound missing from the training
+    split, or dropped there as scarce, has no encoder and no slot in the
+    code layout, so its frames are skipped, with one warning that counts
+    them. The sets share one sound table, whose sounds are looked up once.
+    DataError for a set with no frame left."""
+    if not frame_sets:
+        return []
+    sounds = frame_sets[0].sounds
+    if any(frames.sounds != sounds for frames in frame_sets):
+        raise StructuralError("frame sets to code together must share one sound table")
+    coded = np.array([sound in encoders for sound in sounds], dtype=bool)
+    kept, skipped = [], []
+    for frames in frame_sets:
+        ok = coded[frames.sound]
+        kept.append(frames if ok.all() else frames.rows(ok))
+        if not ok.all():
+            skipped.append(frames.rows(~ok))
     if skipped:
         log.warning(
             "skipping %d frame(s) of speaker(s) %s: no encoder for sound(s) %s",
-            len(skipped),
-            " ".join(sorted({f.speaker for f in skipped})),
-            " ".join(str(s) for s in sorted({f.sound for f in skipped})),
+            sum(len(frames) for frames in skipped),
+            " ".join(sorted({f.speakers[k] for f in skipped for k in set(f.speaker.tolist())})),
+            " ".join(str(sounds[k]) for k in np.unique(np.concatenate([f.sound for f in skipped]))),
         )
     for frames, codable in zip(frame_sets, kept):
-        if not codable:
+        if len(codable) == 0:
             raise DataError(
-                f"speaker {frames[0].speaker} has no frame of a sound with an encoder"
-                if frames else "no frames to code"
+                f"speaker {frames.speakers[frames.speaker[0]]} has no frame of a sound with an "
+                "encoder" if len(frames) else "no frames to code"
             )
     return kept
 
 
 def build_speaker_profile(speaker, frames, encoders):
-    """Average the per-frame codes of one speaker, per sound."""
-    if not frames:
+    """Average the per-frame codes of one speaker's rows, per sound."""
+    if len(frames) == 0:
         raise DataError(f"speaker {speaker} has no frames")
-    sounds = [f.sound for f in frames]
-    frame_codes = encode_frames(encoders, sounds, [f.features for f in frames])
-    rows = {}
-    for i, sound in enumerate(sounds):
-        rows.setdefault(sound, []).append(i)
-    codes = {sound: average_ppcs(frame_codes[idx]) for sound, idx in rows.items()}
+    frame_codes = encode_frames(encoders, frames.sounds, frames.sound, frames.frames)
+    codes = {
+        frames.sounds[k]: average_ppcs(frame_codes[frames.sound == k])
+        for k in np.unique(frames.sound)
+    }
     return SpeakerProfile(speaker, codes, set(codes))
+
+
+def _inventory(corpus, min_frames):
+    """Sound ids, in table order, with enough training frames; scarce
+    sounds are dropped with a warning."""
+    counts = np.bincount(corpus.sound, minlength=len(corpus.sounds))
+    for k in np.flatnonzero((counts > 0) & (counts < min_frames)):
+        log.warning(
+            "dropping sound %s: only %d frame(s) in the training set", corpus.sounds[k], counts[k]
+        )
+    return np.flatnonzero(counts >= max(min_frames, 1))
 
 
 def sound_inventory(corpus, min_frames=2):
     """Sorted sounds with enough training frames; scarce ones are dropped."""
-    counts = corpus.sound_counts()
-    kept = []
-    for sound in sorted(counts):
-        if counts[sound] >= min_frames:
-            kept.append(sound)
-        else:
-            log.warning(
-                "dropping sound %s: only %d frame(s) in the training set",
-                sound,
-                counts[sound],
-            )
-    return kept
+    return [corpus.sounds[k] for k in _inventory(corpus, min_frames)]
 
 
 def train_all_encoders(corpus, code_dim, config, min_frames=2):
@@ -201,20 +212,18 @@ def train_all_encoders(corpus, code_dim, config, min_frames=2):
 
     Returns (encoders, per-sound epoch MSE curves).
     """
-    sounds = sound_inventory(corpus, min_frames)
-    by_sound = {s: [] for s in sounds}
-    for f in corpus.frames:
-        if f.sound in by_sound:
-            by_sound[f.sound].append(f.features)
+    kept = _inventory(corpus, min_frames)
+    sounds = [corpus.sounds[k] for k in kept]
+    by_sound = [corpus.frames[corpus.sound == k] for k in kept]  # in row order
     groups = {}
-    for i, sound in enumerate(sounds):
-        groups.setdefault(len(by_sound[sound]), []).append(i)
+    for i, frames in enumerate(by_sound):
+        groups.setdefault(len(frames), []).append(i)
     encoders, curves = {}, {}
     for members in groups.values():
         group = [sounds[i] for i in members]
         trained, group_curves = _train_lockstep(
             group,
-            np.array([by_sound[s] for s in group], dtype=float),
+            np.array([by_sound[i] for i in members]),
             code_dim,
             config,
             [config.seed + i for i in members],

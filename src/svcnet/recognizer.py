@@ -182,35 +182,37 @@ def frame_gradients(net, x, svc, target):
     return grads, _gradients_into(net, x, svc, target, grads)
 
 
-def window_frames(features_list, window):
+def window_frames(features, window, bounds=None):
     """(n, (2 * window + 1) * dim) array: each frame stacked with its
-    +-window neighbours, edge-padded."""
-    feats = np.array(features_list, dtype=float)
+    +-window neighbours within its utterance, edge-padded. The frames are
+    one utterance, or consecutive utterances starting at the row offsets
+    `bounds` (which end with n)."""
+    feats = np.array(features, dtype=float)
     if window == 0:
         return feats
     n = len(feats)
-    around = np.clip(np.arange(n)[:, None] + np.arange(-window, window + 1), 0, n - 1)
+    bounds = np.array([0, n] if bounds is None else bounds)
+    first = np.repeat(bounds[:-1], np.diff(bounds))
+    last = np.repeat(bounds[1:] - 1, np.diff(bounds))
+    around = np.arange(n)[:, None] + np.arange(-window, window + 1)
+    around = np.clip(around, first[:, None], last[:, None])
     return feats[around].reshape(n, -1)
 
 
 def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
     """Per-presentation supervised training on one-of-N word targets, the
-    speaker's own code always on the side-path inputs. Returns (net, metrics)."""
+    speaker's own code always on the side-path inputs: each frame of the
+    corpus, in row order, is one presentation. Returns (net, metrics)."""
     for speaker in corpus.speakers:
         if speaker not in svc_per_speaker:
             raise DataError(f"speaker {speaker} has no speaker code")
     if svc_dim is None:
         svc_dim = len(next(iter(svc_per_speaker.values())))
     net = init_recognizer(corpus.words, corpus.feature_dim, svc_dim, config)
-    word_index = {w: i for i, w in enumerate(net.words)}
 
-    presentations = []
-    for utt_frames in corpus.by_utterance().values():
-        xs = window_frames([f.features for f in utt_frames], config.window)
-        for f, x in zip(utt_frames, xs):
-            target = np.zeros(len(net.words))
-            target[word_index[f.word]] = 1.0
-            presentations.append((x, svc_per_speaker[f.speaker], target))
+    inputs = window_frames(corpus.frames, config.window, corpus.utterance_bounds())
+    svcs = np.array([svc_per_speaker[s] for s in corpus.speakers], dtype=float)[corpus.speaker]
+    targets = np.eye(len(net.words))[corpus.word]
 
     # all parameters are views of one flat buffer and all gradients views
     # of another, so one subtraction updates the whole net
@@ -225,18 +227,17 @@ def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
     epoch_loss = []
     for epoch in range(config.epochs):
         total = 0.0
-        for i in rng.permutation(len(presentations)):
-            x, svc, target = presentations[i]
-            total += _gradients_into(net, x, svc, target, grads)
+        for i in rng.permutation(len(inputs)):
+            total += _gradients_into(net, inputs[i], svcs[i], targets[i], grads)
             np.multiply(grad, config.learning_rate, out=grad)
             flat -= grad
-        epoch_loss.append(total / len(presentations))
+        epoch_loss.append(total / len(inputs))
         if not np.isfinite(epoch_loss[-1]):
             raise DataError(
                 f"recognizer training diverged at epoch {epoch}: "
                 f"mean frame loss {epoch_loss[-1]}"
             )
-    return net, {"epoch_loss": epoch_loss, "presentations": config.epochs * len(presentations)}
+    return net, {"epoch_loss": epoch_loss, "presentations": config.epochs * len(inputs)}
 
 
 def _utterance_means(rows, lengths):
@@ -315,25 +316,25 @@ def error_rate(wrong):
 
 def ablation_eval(net, test_corpus, svc_per_speaker, avg):
     """Error rate for each of the 8 availability combinations, plus the
-    per-utterance prediction log. Each speaker's utterances are
-    recognized under all 8 settings as one block."""
-    utterances = test_corpus.by_utterance()
+    per-utterance prediction log in row order. Each speaker's utterances
+    are recognized under all 8 settings as one block."""
+    bounds = test_corpus.utterance_bounds()
+    starts = bounds[:-1]
     grid = flag_grid()
-    by_speaker = {}
-    for i, frames in enumerate(utterances.values()):
-        by_speaker.setdefault(frames[0].speaker, []).append(i)
-    predicted = np.empty((len(grid), len(utterances)), dtype=int)
-    blocks = list(utterances.values())
-    for speaker, members in by_speaker.items():
-        feats = [[f.features for f in blocks[i]] for i in members]
-        scores = recognize_utterances(net, feats, svc_per_speaker[speaker], grid, avg)
-        predicted[:, members] = scores.argmax(axis=-1)
+    predicted = np.empty((len(grid), len(starts)), dtype=int)
+    speaker = test_corpus.speaker[starts]
+    # a speaker's utterances are consecutive
+    for block in np.split(np.arange(len(starts)), np.flatnonzero(np.diff(speaker)) + 1):
+        feats = [test_corpus.frames[bounds[u] : bounds[u + 1]] for u in block]
+        svc = svc_per_speaker[test_corpus.speakers[speaker[block[0]]]]
+        predicted[:, block] = recognize_utterances(net, feats, svc, grid, avg).argmax(axis=-1)
+    utterances = [test_corpus.utterances[u] for u in test_corpus.utterance[starts]]
+    truths = [test_corpus.words[w] for w in test_corpus.word[starts]]
     rows = []
     log = []
     for flags, labels in zip(grid, predicted):
         wrong = []
-        for (utt_id, frames), label in zip(utterances.items(), labels):
-            truth = frames[0].word
+        for utt_id, truth, label in zip(utterances, truths, labels):
             wrong.append(net.words[label] != truth)
             log.append((utt_id, truth, net.words[label], flags))
         rows.append((flags, error_rate(wrong)))

@@ -46,14 +46,24 @@ class SoundLayout:
         return len(self.sounds) * self.code_dim
 
     @cached_property
-    def _offsets(self):
-        return {s: i * self.code_dim for i, s in enumerate(self.sounds)}
+    def _numbers(self):
+        return {s: i for i, s in enumerate(self.sounds)}
 
     def slot(self, sound):
         try:
-            return self._offsets[sound]
+            return self._numbers[sound] * self.code_dim
         except KeyError:
             raise StructuralError(f"sound {sound} not in layout") from None
+
+    def slot_numbers(self, stream):
+        """Each presentation's slot number (its sound's index in `sounds`)
+        in a Stream; the sounds of its table are looked up once."""
+        numbers = np.array([self._numbers.get(s, -1) for s in stream.sounds], dtype=np.intp)
+        slots = numbers[stream.sound]
+        if (slots < 0).any():
+            sound = stream.sounds[stream.sound[np.argmax(slots < 0)]]
+            raise StructuralError(f"sound {sound} not in layout")
+        return slots
 
     def slot_slice(self, sound):
         off = self.slot(sound)
@@ -155,33 +165,44 @@ def build_svcnet(layout, svc_dim, flank_width, seed):
     return SVCNet(init_network(spec, seed), layout, bottleneck)
 
 
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """A speaker's coded speech in temporal order: presentation t is a
+    frame of sound sounds[sound[t]] (a sound table and integer ids into it)
+    with code codes[t]."""
+
+    sounds: tuple
+    sound: np.ndarray  # (T,)
+    codes: np.ndarray  # (T, code_dim)
+
+    def __len__(self):
+        return len(self.sound)
+
+
 def speaker_streams(frame_sets, encoders):
-    """One (stream, boundaries) pair per frame set: the (SoundId, code)
-    stream in temporal order and the end-of-word positions. Frames of a
-    sound without an encoder are skipped (ppc.codable_frames). The frames
-    of all sets are coded by one stacked pass (ppc.encode_frames)."""
-    ordered = [
-        sorted(frames, key=lambda f: (f.utterance, f.index))
-        for frames in codable_frames(frame_sets, encoders)
-    ]
-    flat = [f for frames in ordered for f in frames]
-    sounds = [f.sound for f in flat]
-    codes = encode_frames(encoders, sounds, [f.features for f in flat])
+    """One (Stream, boundaries) pair per frame set (one speaker's rows of
+    a corpus, in temporal order): the coded stream and the end-of-word
+    positions. Frames of a sound without an encoder are skipped
+    (ppc.codable_frames). The frames of all sets are coded by one stacked
+    pass (ppc.encode_frames)."""
+    kept = codable_frames(frame_sets, encoders)
+    if not kept:
+        return []
+    sounds = kept[0].sounds
+    ids = np.concatenate([frames.sound for frames in kept])
+    codes = encode_frames(encoders, sounds, ids, np.concatenate([f.frames for f in kept]))
     result, start = [], 0
-    for frames in ordered:
+    for frames in kept:
         end = start + len(frames)
-        utterances = [f.utterance for f in frames]
-        boundaries = [
-            i for i in range(len(frames))
-            if i + 1 == len(frames) or utterances[i + 1] != utterances[i]
-        ]
-        result.append((list(zip(sounds[start:end], codes[start:end])), boundaries))
+        utterance = frames.utterance
+        boundaries = np.flatnonzero(utterance[1:] != utterance[:-1]).tolist() + [len(frames) - 1]
+        result.append((Stream(sounds, ids[start:end], codes[start:end]), boundaries))
         start = end
     return result
 
 
 def speaker_stream(frames, encoders):
-    """(SoundId, code) stream in temporal order plus end-of-word boundaries."""
+    """Coded stream in temporal order plus end-of-word boundaries."""
     return speaker_streams([frames], encoders)[0]
 
 
@@ -195,7 +216,7 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
     order from the one rng, in speaker order, so the completion behaviour
     does not bind to one arrival order; frames inside an utterance stay in
     temporal order. Returns (svcnet, metrics)."""
-    if not corpus.frames or not corpus.speakers:
+    if len(corpus) == 0 or not corpus.speakers:
         raise DataError("empty corpus")
     svcnet = build_svcnet(layout, svc_dim, flank_width, config.seed)
     n_rows = len(corpus.speakers)
@@ -208,8 +229,8 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
     ):
         profile = build_speaker_profile(corpus.speakers[row], frames, encoders)
         targets[row], masks[row] = make_target(profile, layout)
-        slots.append(np.array([layout.slot(sound) for sound, _ in stream]))
-        codes.append(np.array([code for _, code in stream]))
+        slots.append(layout.slot_numbers(stream) * layout.code_dim)
+        codes.append(stream.codes)
         utterances.append([np.arange(a + 1, b + 1) for a, b in zip([-1] + ends, ends)])
 
     lengths = np.array([len(s) for s in slots])
@@ -244,28 +265,26 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
 
 def _running_means(layout, stream):
     """(T, W) inputs of the accumulator after each presentation of a
-    labelled stream, zero in unheard slots, and the (T, W) heard mask.
+    Stream, zero in unheard slots, and the (T, n_sounds, 1) heard mask.
     One cumsum per stream; its sequential adds equal the accumulator's
-    running += bit for bit."""
-    n, dim = len(layout.sounds), layout.code_dim
-    steps = np.arange(len(stream))
-    sounds = np.array([layout.slot(sound) // dim for sound, _ in stream])
-    sums = np.zeros((len(stream), n, dim))
-    counts = np.zeros((len(stream), n, 1), dtype=int)
-    sums[steps, sounds] = [code for _, code in stream]
-    counts[steps, sounds] = 1
+    running += bit for bit, and an unheard slot's sum, 0.0, divided by 1
+    stays 0.0."""
+    steps, slots = np.arange(len(stream)), layout.slot_numbers(stream)
+    sums = np.zeros((len(stream), len(layout.sounds), layout.code_dim))
+    counts = np.zeros((len(stream), len(layout.sounds), 1), dtype=int)
+    sums[steps, slots] = stream.codes
+    counts[steps, slots] = 1
     np.cumsum(sums, axis=0, out=sums)
     np.cumsum(counts, axis=0, out=counts)
-    heard = np.broadcast_to(counts > 0, sums.shape)
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=heard)
-    return means.reshape(len(stream), -1), heard.reshape(len(stream), -1)
+    sums /= np.maximum(counts, 1)
+    return sums.reshape(len(stream), -1), counts > 0
 
 
 def extract_svcs(svcnet, streams, mode=FEEDBACK):
     """The accumulate/forward loop without weight updates for many
-    labelled streams: one (T, svc_dim) trajectory of bottleneck
-    snapshots per stream, each equal bit for bit to running the
-    stream alone through an Accumulator and forward().
+    Streams: one (T, svc_dim) trajectory of bottleneck snapshots per
+    stream, each equal bit for bit to running the stream alone through an
+    Accumulator and forward().
 
     zero_fill mode runs one stacked forward over all steps of a stream.
     Feedback mode steps all streams in lockstep, one stacked forward per
@@ -282,7 +301,7 @@ def extract_svcs(svcnet, streams, mode=FEEDBACK):
     lengths = [len(stream) for stream in streams]
     n_steps, n_rows = max(lengths), len(streams)
     means = np.zeros((n_steps, n_rows, layout.width))
-    heard = np.zeros(means.shape, dtype=bool)
+    heard = np.zeros((n_steps, n_rows, len(layout.sounds), layout.code_dim), dtype=bool)
     for row, stream in enumerate(streams):
         means[: lengths[row], row], heard[: lengths[row], row] = _running_means(layout, stream)
     means, heard = means.reshape(n_steps, -1), heard.reshape(n_steps, -1)
@@ -297,10 +316,10 @@ def extract_svcs(svcnet, streams, mode=FEEDBACK):
     return [codes[:n, row].copy() for row, n in enumerate(lengths)]
 
 
-def extract_svc(svcnet, labelled_stream, mode=FEEDBACK):
+def extract_svc(svcnet, stream, mode=FEEDBACK):
     """Run the accumulate/forward loop without weight updates; one
     bottleneck snapshot per presentation."""
-    return extract_svcs(svcnet, [labelled_stream], mode)[0]
+    return extract_svcs(svcnet, [stream], mode)[0]
 
 
 def svc_stability(trajectory, word_boundaries):

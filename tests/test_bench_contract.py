@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
 import pytest
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
@@ -36,3 +37,41 @@ def test_target_resolves(target):
         assert inspect.isclass(owner)
         assert attr in owner.__dict__  # the tracer replaces the class's own attribute
     assert callable(getattr(owner, attr))
+
+
+def test_corpus_calls_of_the_benchmark():
+    """The corpus calls perfbench/run.py and tracing.py make, on a tiny
+    split: row and utterance counts, a speaker's rows as enrollment input,
+    sound counts keyed by SoundId, and the frames_of_speaker hook."""
+    from svcnet import pipeline
+    from svcnet.config import RunConfig
+    from svcnet.corpus import CorpusSpec, SoundId, generate_corpus, split_corpus
+    from svcnet.nets import TrainConfig
+    from svcnet.ppc import train_all_encoders
+    from svcnet.svc import SoundLayout, build_svcnet
+
+    spec = CorpusSpec(n_speakers=5, n_words=3, phones_per_word=2, states_per_phone=2,
+                      frames_per_state=2, seed=3, feature_dim=5)
+    corpus, _ = generate_corpus(spec)
+    train, test = split_corpus(corpus, 0.6, seed=1)
+    per_speaker = spec.n_words * spec.phones_per_word * spec.states_per_phone * 2
+    assert len(test.frames) == len(test.speakers) * per_speaker
+    assert len(test.by_utterance()) == len(test.speakers) * spec.n_words
+
+    counts = train.sound_counts()
+    assert all(isinstance(sound, SoundId) for sound in counts)
+    assert sum(counts.values()) == len(train.frames)
+    encoders, _ = train_all_encoders(train, 2, TrainConfig(0.05, 1, 0))
+    assert sum(counts[s] for s in encoders) == len(train.frames)
+
+    svcnet = build_svcnet(SoundLayout.from_sounds(encoders, 2), 1, 0, seed=2)
+    hook = load_tracing()._HOOKS["corpus.Corpus.frames_of_speaker"]
+    extra = {"frames_returned": 0, "frames_scanned": 0}
+    for speaker in test.speakers:
+        frames = test.frames_of_speaker(speaker)
+        assert len(frames) == per_speaker
+        hook(extra, (test, speaker), frames)
+        code = pipeline.speaker_svc(RunConfig(), svcnet, encoders, frames)
+        assert code.shape == (1,) and np.all(np.isfinite(code))
+    assert extra["frames_returned"] == len(test.frames)
+    assert extra["frames_scanned"] == len(test.speakers) * len(test.frames)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import runpy
 import shutil
@@ -342,6 +343,60 @@ class TestMalformedArtifacts:
         assert f"{path}: line 3: non-finite" in self.eval_error(full_run, out, capsys)
 
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, "zz", "speaker 'zz' is not in the header"),
+            (0, "s01", "speaker differs from line 2 of its utterance"),
+            (2, "w99", "word 'w99' is not in the header"),
+            (2, "w01", "word differs from line 2 of its utterance"),
+            (3, "p99", "phone 'p99' is not in the header"),
+            (4, "7", "state '7' is not in [0, 2)"),
+            (5, "0", "frame index 0 repeats in its utterance"),
+        ],
+        ids=["unknown_speaker", "other_speaker", "unknown_word", "other_word",
+             "unknown_phone", "state", "repeated_index"],
+    )
+    def test_bad_corpus_row(self, full_run, out, capsys, column, value, message):
+        path = out / "corpus.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        assert lines[1].split(",")[:3] == fields[:3] and fields[5] == "1"
+        fields[column] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert f"{path}: line 3: {message}" in self.eval_error(full_run, out, capsys)
+
+
+class TestShuffledCorpus:
+    def test_shuffled_rows_train_and_evaluate_identically(self, full_run, tmp_path):
+        """A corpus file whose rows are shuffled loads to the canonical
+        order: every stage writes the same models and report rows."""
+        config, cpath = full_run
+        out = tmp_path / "run"
+        shutil.copytree(config.out_dir, out)
+        path = out / "corpus.csv"
+        lines = path.read_text().splitlines()
+        body = lines[1:]
+        random.Random(7).shuffle(body)
+        path.write_text("\n".join([lines[0]] + body) + "\n")
+        shutil.rmtree(out / "models")
+        shutil.rmtree(out / "reports")
+        for verb in (("train", "--stage", "ppc"), ("train", "--stage", "svc"),
+                     ("train", "--stage", "rec"), ("eval",)):
+            assert main([*verb, "--config", cpath, "--out", str(out)]) == 0
+        for name in os.listdir(config.resolved_model_dir):
+            original = os.path.join(config.resolved_model_dir, name)
+            assert (out / "models" / name).read_bytes() == open(original, "rb").read(), name
+        for name in ("metrics_ppc.csv", "metrics_svc.csv", "metrics_rec.csv", "ablation.csv",
+                     "table2.csv", "stability.csv", "predictions.txt"):
+            rows = [
+                [line for line in open(p).read().splitlines() if not line.startswith("#")]
+                for p in (os.path.join(config.resolved_report_dir, name), out / "reports" / name)
+            ]
+            assert rows[0] == rows[1], name
+
+
 class TestRunPipeline:
     """scripts/run_pipeline.py runs the CLI verbs in order."""
 
@@ -536,7 +591,7 @@ class TestSoundWithoutEncoder:
         for verb in (("ppc",), ("svc",), ("rec",)):
             assert run_cli("train", "--stage", *verb, "--config", tiny_config_path) == 0
         _, _, test = load_split(config)
-        n_test = sum(f.sound == SoundId("p00", 0) for f in test.frames)
+        n_test = int(np.sum(test.sound == test.sounds.index(SoundId("p00", 0))))
         caplog.clear()
         with caplog.at_level("WARNING"):
             assert run_cli("eval", "--config", tiny_config_path) == 0

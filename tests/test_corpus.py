@@ -1,10 +1,14 @@
 import json
+import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svcnet.corpus import (
+    Corpus,
     CorpusSpec,
     SoundId,
     generate_corpus,
@@ -25,6 +29,16 @@ class TestSoundId:
     def test_parse_round_trip(self):
         s = SoundId("p03", 2)
         assert SoundId.parse(str(s)) == s
+
+
+def labels(corpus):
+    """Every row's labels, by name."""
+    return [
+        (corpus.speakers[s], corpus.utterances[u], corpus.words[w], corpus.sounds[k], i)
+        for s, u, w, k, i in zip(
+            corpus.speaker, corpus.utterance, corpus.word, corpus.sound, corpus.index
+        )
+    ]
 
 
 def small_spec(**kw):
@@ -73,11 +87,8 @@ class TestGenerate:
         c1, l1 = generate_corpus(small_spec())
         c2, l2 = generate_corpus(small_spec())
         assert len(c1.frames) == len(c2.frames)
-        for a, b in zip(c1.frames, c2.frames):
-            assert np.array_equal(a.features, b.features)
-            assert (a.speaker, a.utterance, a.word, a.phone, a.state, a.index) == (
-                b.speaker, b.utterance, b.word, b.phone, b.state, b.index
-            )
+        assert np.array_equal(c1.frames, c2.frames)
+        assert labels(c1) == labels(c2)
         for s in l1:
             assert np.array_equal(l1[s], l2[s])
 
@@ -96,26 +107,23 @@ class TestGenerate:
     def test_zero_noise_repeats_frames(self):
         corpus, _ = generate_corpus(small_spec(noise_std=0.0))
         by_key = {}
-        for f in corpus.frames:
-            by_key.setdefault((f.speaker, f.phone, f.state), []).append(f.features)
+        for speaker, sound, features in zip(corpus.speaker, corpus.sound, corpus.frames):
+            by_key.setdefault((speaker, sound), []).append(features)
         for feats in by_key.values():
             for v in feats[1:]:
                 assert np.array_equal(v, feats[0])
 
     def test_finite_features(self):
         corpus, _ = generate_corpus(small_spec())
-        assert all(np.all(np.isfinite(f.features)) for f in corpus.frames)
+        assert np.all(np.isfinite(corpus.frames))
 
     def test_distinct_latents_distinct_frames_noiseless(self):
         corpus, latents = generate_corpus(small_spec(noise_std=0.0))
-        s0, s1 = corpus.speakers[0], corpus.speakers[1]
-        f0 = corpus.frames_of_speaker(s0)[0]
-        f1 = next(
-            f
-            for f in corpus.frames_of_speaker(s1)
-            if (f.phone, f.state, f.word) == (f0.phone, f0.state, f0.word)
+        s0, s1 = corpus.frames_of_speaker(corpus.speakers[0]), corpus.frames_of_speaker(
+            corpus.speakers[1]
         )
-        assert not np.array_equal(f0.features, f1.features)
+        same = (s1.sound == s0.sound[0]) & (s1.word == s0.word[0])
+        assert not np.array_equal(s0.frames[0], s1.frames[np.argmax(same)])
 
 
 class TestRoundTrip:
@@ -128,9 +136,8 @@ class TestRoundTrip:
         assert loaded.words == corpus.words
         assert loaded.feature_dim == corpus.feature_dim
         assert len(loaded.frames) == len(corpus.frames)
-        for a, b in zip(corpus.frames, loaded.frames):
-            assert np.array_equal(a.features, b.features)
-            assert a.utterance == b.utterance and a.state == b.state
+        assert np.array_equal(corpus.frames, loaded.frames)
+        assert labels(loaded) == labels(corpus)
 
     def test_latents_round_trip(self, tmp_path):
         _, latents = generate_corpus(small_spec())
@@ -207,6 +214,260 @@ class TestRoundTrip:
             load_corpus(path)
 
 
+def rewrite_rows(path, edit):
+    """Rewrite a saved corpus's data lines: edit(fields, k) gets the
+    fields of data line k (file line k + 2) and edits them in place."""
+    lines = path.read_text().splitlines()
+    for k in range(len(lines) - 1):
+        fields = lines[k + 1].split(",")
+        edit(fields, k)
+        lines[k + 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def saved(tmp_path, **kw):
+    corpus, _ = generate_corpus(small_spec(**kw))
+    path = tmp_path / "corpus.csv"
+    save_corpus(corpus, path)
+    return corpus, path
+
+
+class TestColumns:
+    def test_rows_in_canonical_order(self):
+        corpus, _ = generate_corpus(small_spec())
+        keys = [(s, corpus.utterances[u], i)
+                for s, u, i in zip(corpus.speaker, corpus.utterance, corpus.index)]
+        assert keys == sorted(keys)
+        assert list(corpus.utterances) == sorted(corpus.utterances)
+        assert list(corpus.sounds) == sorted(corpus.sounds)
+        assert corpus.frames.shape == (len(corpus), corpus.feature_dim)
+
+    def test_frames_are_read_only(self):
+        corpus, _ = generate_corpus(small_spec())
+        for array in (corpus.frames, corpus.speaker, corpus.frames_of_speaker("s01").frames):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_speaker_and_utterance_are_slices(self):
+        corpus, _ = generate_corpus(small_spec())
+        for k, speaker in enumerate(corpus.speakers):
+            rows = corpus.frames_of_speaker(speaker)
+            assert np.shares_memory(rows.frames, corpus.frames)
+            assert np.array_equal(rows.frames, corpus.frames[corpus.speaker == k])
+            assert set(rows.speaker.tolist()) == {k}
+        assert len(corpus.frames_of_speaker("nobody")) == 0
+        utterances = corpus.by_utterance()
+        assert list(utterances) == [corpus.utterances[u] for u in dict.fromkeys(corpus.utterance)]
+        for name, rows in utterances.items():
+            u = corpus.utterances.index(name)
+            assert np.array_equal(rows.frames, corpus.frames[corpus.utterance == u])
+            assert rows.index.tolist() == sorted(rows.index.tolist())
+
+    def test_sound_counts(self):
+        corpus, _ = generate_corpus(small_spec())
+        brute = {}
+        for k in corpus.sound:
+            brute[corpus.sounds[k]] = brute.get(corpus.sounds[k], 0) + 1
+        assert corpus.sound_counts() == brute
+        assert set(corpus.frames_of_speaker("s00").sound_counts()) <= set(brute)
+
+    def test_restricted_renumbers_speakers(self):
+        corpus, _ = generate_corpus(small_spec())
+        sub = corpus.restricted_to_speakers(["s03", "s01"])
+        assert sub.speakers == ("s01", "s03")
+        assert labels(sub) == [row for row in labels(corpus) if row[0] in sub.speakers]
+        assert np.array_equal(sub.frames_of_speaker("s03").frames,
+                              corpus.frames_of_speaker("s03").frames)
+
+    def test_rows_keeps_order(self):
+        corpus, _ = generate_corpus(small_spec())
+        mask = corpus.word == 1
+        assert labels(corpus.rows(mask)) == [r for r, m in zip(labels(corpus), mask) if m]
+        assert labels(corpus.rows(slice(3, 9))) == labels(corpus)[3:9]
+        for which in (slice(None, None, -1), np.arange(4)[::-1], [0, 1]):
+            with pytest.raises(StructuralError):
+                corpus.rows(which)
+
+    def test_constructor_sorts_rows(self):
+        corpus, _ = generate_corpus(small_spec())
+        order = np.random.default_rng(3).permutation(len(corpus))
+        names = dict(speakers=corpus.speakers, utterances=corpus.utterances[::-1],
+                     words=corpus.words, phones=corpus.phones, sounds=corpus.sounds,
+                     states_per_phone=corpus.states_per_phone)
+        flipped = len(corpus.utterances) - 1 - corpus.utterance  # ids into the reversed names
+        columns = dict(speaker=corpus.speaker, utterance=flipped, word=corpus.word,
+                       sound=corpus.sound, index=corpus.index)
+        shuffled = Corpus(corpus.frames[order], {k: v[order] for k, v in columns.items()},
+                          **names)
+        assert shuffled.utterances == corpus.utterances
+        assert labels(shuffled) == labels(corpus)
+        assert np.array_equal(shuffled.frames, corpus.frames)
+
+
+class TestParse:
+    """load_corpus parses the features in one pass and checks every label
+    against the header; each bad row is refused, naming file and line."""
+
+    def test_shuffled_file_loads_to_canonical_order(self, tmp_path):
+        corpus, path = saved(tmp_path)
+        lines = path.read_text().splitlines()
+        body = lines[1:]
+        random.Random(2).shuffle(body)
+        body.insert(5, "")  # blank lines are skipped
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([lines[0]] + body) + "\n")
+        loaded = load_corpus(shuffled)
+        assert np.array_equal(loaded.frames, corpus.frames)
+        assert labels(loaded) == labels(corpus)
+        save_corpus(loaded, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_features_round_trip_bit_for_bit(self, tmp_path_factory, data):
+        """The one-pass parse reads every value save_corpus writes as
+        float() does, subnormals, extremes and signed zero included."""
+        corpus, _ = generate_corpus(small_spec(n_speakers=2, n_words=2))
+        special = st.sampled_from([
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 1e-310, 1.0, -1.0,
+        ])
+        values = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+        frames = np.array(data.draw(st.lists(
+            values, min_size=corpus.frames.size, max_size=corpus.frames.size
+        ))).reshape(corpus.frames.shape)
+        corpus.frames = frames
+        path = tmp_path_factory.mktemp("roundtrip") / "corpus.csv"
+        save_corpus(corpus, path)
+        loaded = load_corpus(path)
+        assert loaded.frames.tobytes() == frames.tobytes()
+        by_float = [[float(v) for v in line.split(",")[6:]]
+                    for line in path.read_text().splitlines()[1:]]
+        assert np.array(by_float).tobytes() == frames.tobytes()
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, "zz", "speaker 'zz' is not in the header"),
+            (2, "w99", "word 'w99' is not in the header"),
+            (3, "p99", "phone 'p99' is not in the header"),
+            (4, "7", "state '7' is not in [0, 2)"),
+            (4, "-1", "state '-1' is not in [0, 2)"),
+            (4, "x", "state 'x' is not in [0, 2)"),
+            (5, "1.5", "frame index '1.5' is not in [0, "),
+            (7, "one", "could not convert string 'one' to float64"),
+        ],
+        ids=["speaker", "word", "phone", "state", "negative_state", "state_text",
+             "index", "feature"],
+    )
+    def test_bad_label_names_line(self, tmp_path, column, value, message):
+        _, path = saved(tmp_path)
+
+        def edit(fields, k):
+            if k == 6:
+                fields[column] = value
+
+        rewrite_rows(path, edit)
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert exc.value.line_number == 8 and exc.value.path == path
+        assert str(exc.value).startswith(f"{path}: line 8: {message}")
+
+    @pytest.mark.parametrize(
+        "blank, message", [("", "no value"), (" ", "could not convert string ' ' to float64")]
+    )
+    def test_blank_feature_is_refused(self, tmp_path, blank, message):
+        """loadtxt skips a blank line; the row count check catches it."""
+        _, path = saved(tmp_path, feature_dim=1)
+
+        def edit(fields, k):
+            if k == 2:
+                fields[6] = blank
+
+        rewrite_rows(path, edit)
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line 4: {message}"
+
+    def test_repeated_frame_index(self, tmp_path):
+        _, path = saved(tmp_path)
+
+        def edit(fields, k):
+            if k == 3:
+                fields[5] = "1"  # data line 1 holds index 1 of the same utterance
+
+        rewrite_rows(path, edit)
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line 5: frame index 1 repeats in its utterance"
+
+    @pytest.mark.parametrize("column, kind", [(0, "speaker"), (2, "word")])
+    def test_utterance_rows_disagree(self, tmp_path, column, kind):
+        corpus, path = saved(tmp_path)
+        other = {0: corpus.speakers[1], 2: corpus.words[1]}[column]
+
+        def edit(fields, k):
+            if k == 2:
+                fields[column] = other
+
+        rewrite_rows(path, edit)
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line 4: {kind} differs from line 2 of its utterance"
+
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_wrong_field_count(self, tmp_path, cut):
+        corpus, path = saved(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[4] = ",".join(lines[4].split(",")[:-cut])
+        path.write_text("\n".join(lines) + "\n")
+        width = 6 + corpus.feature_dim
+        with pytest.raises(CorpusFormatError, match=f"line 5: expected {width} fields, got "
+                                                    f"{width - cut}"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("kind", ["speakers", "words", "phones"])
+    def test_name_listed_twice(self, tmp_path, kind):
+        corpus, path = saved(tmp_path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0][2:])
+        header[kind][1] = header[kind][0]
+        lines[0] = "# " + json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match=r"line 1: \w+ '\w+' is listed twice"):
+            load_corpus(path)
+
+
+class TestLatents:
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("s00,0.5,x\n", 2, "could not convert string 'x' to float64"),
+            ("s00,0.5,0.1\ns01,nan,0.2\n", 3, "non-finite latent value"),
+            ("s00,0.5,inf\n", 2, "non-finite latent value"),
+            ("s00,nan,0.1\ns01,0.5\n", 3, "expected 3 fields, got 2"),
+            ("s00,0.5,0.1,0.3\n", 2, "expected 3 fields, got 4"),
+            ("s00\n", 2, "expected 3 fields, got 1"),
+            ("s00,0.5,0.1\ns00,0.2,0.2\n", 3, "speaker 's00' repeats"),
+        ],
+        ids=["bad_float", "nan", "inf", "ragged_short", "ragged_long", "no_values",
+             "duplicate"],
+    )
+    def test_bad_row_names_line(self, tmp_path, body, line, message):
+        path = tmp_path / "latents.csv"
+        path.write_text("speaker,l_0,l_1\n" + body)
+        with pytest.raises(DataError) as exc:
+            load_latents(path)
+        assert str(exc.value) == f"{path}: line {line}: {message}"
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "latents.csv"
+        for text in ("", "speaker\n", "speaker,l_0\n"):
+            path.write_text(text)
+            with pytest.raises(DataError, match=str(path)):
+                load_latents(path)
+
+
 class TestSplit:
     def test_half_split_counts(self):
         corpus, _ = generate_corpus(small_spec(n_speakers=20))
@@ -217,7 +478,7 @@ class TestSplit:
         corpus, _ = generate_corpus(small_spec())
         train, test = split_corpus(corpus, 0.5, seed=3)
         assert not set(train.speakers) & set(test.speakers)
-        ids = lambda c: {(f.utterance, f.index) for f in c.frames}
+        ids = lambda c: {(c.utterances[u], i) for u, i in zip(c.utterance, c.index)}
         assert ids(train) | ids(test) == ids(corpus)
 
     def test_needs_two_speakers(self):

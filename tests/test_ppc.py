@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from svcnet.corpus import CorpusSpec, SoundId, generate_corpus
+from svcnet.corpus import LABELS, CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.nets import TrainConfig, forward, grads_from_activations, init_network, sgd_step
 from svcnet.ppc import (
@@ -118,6 +120,14 @@ def tiny_corpus():
     return generate_corpus(spec)[0]
 
 
+def rows_of(corpus, sound):
+    return corpus.rows(corpus.sound == corpus.sounds.index(sound))
+
+
+def coded_ids(corpus, encoders):
+    return [k for k, sound in enumerate(corpus.sounds) if sound in encoders]
+
+
 def tiny_encoders(corpus):
     encoders, _ = train_all_encoders(corpus, 2, TrainConfig(0.05, 5, 0))
     return encoders
@@ -133,7 +143,7 @@ class TestTrainAllEncoders:
         encoders, curves = train_all_encoders(corpus, 2, cfg)
         assert list(encoders) == sounds and list(curves) == sounds
         for i, sound in enumerate(sounds):
-            frames = [f.features for f in corpus.frames if f.sound == sound]
+            frames = list(corpus.frames[corpus.sound == corpus.sounds.index(sound)])
             net = init_network(encoder_spec(corpus.feature_dim, 2), cfg.seed + i)
             rng = np.random.default_rng(cfg.seed + i)
             mask = np.ones(corpus.feature_dim, dtype=bool)
@@ -160,26 +170,27 @@ class TestEncodeFrames:
         """Frames of mixed sounds, in corpus order, coded in one pass."""
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
-        frames = [f for f in corpus.frames if f.sound in encoders]
-        codes = encode_frames(encoders, [f.sound for f in frames], [f.features for f in frames])
+        frames = corpus.rows(np.isin(corpus.sound, coded_ids(corpus, encoders)))
+        codes = encode_frames(encoders, frames.sounds, frames.sound, frames.frames)
         assert codes.shape == (len(frames), 2)
-        for f, code in zip(frames, codes):
-            assert np.array_equal(code, encode_frame(encoders[f.sound], f.features))
+        for k, features, code in zip(frames.sound, frames.frames, codes):
+            assert np.array_equal(code, encode_frame(encoders[frames.sounds[k]], features))
 
     def test_single_frame(self):
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
-        f = corpus.frames[5]
-        codes = encode_frames(encoders, [f.sound], [f.features])
-        assert np.array_equal(codes[0], encode_frame(encoders[f.sound], f.features))
+        f = corpus.rows(slice(5, 6))
+        codes = encode_frames(encoders, f.sounds, f.sound, f.frames)
+        assert np.array_equal(codes[0], encode_frame(encoders[f.sounds[f.sound[0]]], f.frames[0]))
 
     def test_missing_encoder(self):
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
-        f = corpus.frames[0]
-        del encoders[f.sound]
-        with pytest.raises(StructuralError, match=str(f.sound)):
-            encode_frames(encoders, [f.sound], [f.features])
+        f = corpus.rows(slice(0, 1))
+        sound = f.sounds[f.sound[0]]
+        del encoders[sound]
+        with pytest.raises(StructuralError, match=str(sound)):
+            encode_frames(encoders, f.sounds, f.sound, f.frames)
 
 
 class TestCodableFrames:
@@ -190,10 +201,12 @@ class TestCodableFrames:
         sets = [corpus.frames_of_speaker(s) for s in corpus.speakers]
         with caplog.at_level("WARNING", logger="svcnet.ppc"):
             kept = codable_frames(sets, encoders)
-        n_skipped = sum(f.sound == SOUND for f in corpus.frames)
+        n_skipped = int(np.sum(corpus.sound == corpus.sounds.index(SOUND)))
         assert n_skipped > 0
         for frames, codable in zip(sets, kept):
-            assert codable == [f for f in frames if f.sound != SOUND]
+            keep = frames.sound != frames.sounds.index(SOUND)
+            assert np.array_equal(codable.frames, frames.frames[keep])
+            assert np.array_equal(codable.sound, frames.sound[keep])
         assert len(caplog.records) == 1
         assert f"skipping {n_skipped} frame(s)" in caplog.text and str(SOUND) in caplog.text
 
@@ -201,8 +214,15 @@ class TestCodableFrames:
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
         with caplog.at_level("WARNING", logger="svcnet.ppc"):
-            kept = codable_frames([corpus.frames], encoders)
-        assert kept == [corpus.frames] and not caplog.records
+            kept = codable_frames([corpus], encoders)
+        assert kept == [corpus] and not caplog.records
+
+    def test_sets_of_two_sound_tables_are_refused(self):
+        corpus = tiny_corpus()
+        other = corpus.rows(corpus.sound > 0)
+        other.sounds = other.sounds[1:]  # another corpus's table
+        with pytest.raises(StructuralError, match="one sound table"):
+            codable_frames([corpus, other], tiny_encoders(corpus))
 
     def test_no_codable_frame_names_speaker(self):
         corpus = tiny_corpus()
@@ -210,7 +230,7 @@ class TestCodableFrames:
         with pytest.raises(DataError, match=f"speaker {corpus.speakers[1]} has no frame"):
             codable_frames([frames], {})
         with pytest.raises(DataError):
-            codable_frames([[]], tiny_encoders(corpus))
+            codable_frames([corpus.rows(slice(0, 0))], tiny_encoders(corpus))
 
 
 class TestSpeakerProfile:
@@ -220,13 +240,13 @@ class TestSpeakerProfile:
         speaker = corpus.speakers[0]
         frames = corpus.frames_of_speaker(speaker)
         profile = build_speaker_profile(speaker, frames, encoders)
-        assert profile.heard == {f.sound for f in frames}
+        assert profile.heard == {frames.sounds[k] for k in frames.sound}
         assert set(profile.codes) == profile.heard
 
     def test_single_sound_speaker(self):
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
-        frames = [f for f in corpus.frames if f.sound == SOUND][:3]
+        frames = rows_of(corpus, SOUND).rows(slice(0, 3))
         profile = build_speaker_profile("x", frames, encoders)
         assert profile.heard == {SOUND}
         assert len(profile.codes) == 1
@@ -239,9 +259,8 @@ class TestSpeakerProfile:
         profile = build_speaker_profile(speaker, frames, encoders)
         for sound in profile.heard:
             codes = [
-                encode_frame(encoders[sound], f.features)
-                for f in frames
-                if f.sound == sound
+                encode_frame(encoders[sound], features)
+                for features in rows_of(frames, sound).frames
             ]
             np.testing.assert_allclose(
                 profile.codes[sound], sum(codes) / len(codes), atol=1e-12
@@ -253,7 +272,10 @@ class TestSpeakerProfile:
         speaker = corpus.speakers[2]
         frames = corpus.frames_of_speaker(speaker)
         p1 = build_speaker_profile(speaker, frames, encoders)
-        p2 = build_speaker_profile(speaker, frames[::-1], encoders)
+        backwards = copy.copy(frames)  # the same rows, last first
+        for column in ("frames",) + LABELS:
+            setattr(backwards, column, getattr(frames, column)[::-1])
+        p2 = build_speaker_profile(speaker, backwards, encoders)
         for sound in p1.heard:
             np.testing.assert_allclose(p1.codes[sound], p2.codes[sound], atol=1e-9)
 
@@ -264,7 +286,7 @@ class TestSpeakerProfile:
     def test_missing_encoder(self):
         corpus = tiny_corpus()
         with pytest.raises(StructuralError):
-            build_speaker_profile("x", corpus.frames[:2], {})
+            build_speaker_profile("x", corpus.rows(slice(0, 2)), {})
 
 
 class TestSoundInventory:

@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from svcnet.corpus import CorpusSpec, generate_corpus
+from svcnet.corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.recognizer import (
     SVC_HIDDEN_WIDTH,
@@ -122,6 +124,14 @@ def tiny_corpus():
     return generate_corpus(spec)[0]
 
 
+def speaker_of(frames):
+    return frames.speakers[frames.speaker[0]]
+
+
+def word_of(frames):
+    return frames.words[frames.word[0]]
+
+
 def tiny_svcs(corpus):
     rng = np.random.default_rng(21)
     return {s: rng.random(2) for s in corpus.speakers}
@@ -145,10 +155,8 @@ class TestTraining:
         flags = AvailabilityFlags.all_on()
         errors = 0
         for utt, frames in corpus.by_utterance().items():
-            label, _ = recognize(
-                net, [f.features for f in frames], svcs[frames[0].speaker], flags, avg
-            )
-            errors += label != frames[0].word
+            label, _ = recognize(net, list(frames.frames), svcs[speaker_of(frames)], flags, avg)
+            errors += label != word_of(frames)
         assert errors == 0
         assert metrics["epoch_loss"][-1] < metrics["epoch_loss"][0]
 
@@ -161,10 +169,10 @@ class TestTraining:
         ref = init_recognizer(corpus.words, corpus.feature_dim, 2, cfg)
         presentations = []
         for frames in corpus.by_utterance().values():
-            for f in frames:
+            for features, word, speaker in zip(frames.frames, frames.word, frames.speaker):
                 target = np.zeros(len(ref.words))
-                target[ref.words.index(f.word)] = 1.0
-                presentations.append((f.features, svcs[f.speaker], target))
+                target[ref.words.index(corpus.words[word])] = 1.0
+                presentations.append((features, svcs[corpus.speakers[speaker]], target))
         rng = np.random.default_rng(cfg.seed)
         losses = []
         for _ in range(cfg.epochs):
@@ -181,7 +189,9 @@ class TestTraining:
 
     def test_non_finite_loss_stops_training(self):
         corpus = tiny_corpus()
-        corpus.frames[0].features = np.full(corpus.feature_dim, np.nan)
+        nan_first = corpus.frames.copy()
+        nan_first[0] = np.nan
+        corpus.frames = nan_first
         with pytest.raises(DataError, match="recognizer training diverged at epoch 0"):
             train_recognizer(corpus, tiny_svcs(corpus), small_config(epochs=2))
 
@@ -200,7 +210,7 @@ class TestRecognize:
 
     def test_substitution_identity(self):
         net, corpus, svcs = self._net()
-        frames = [f.features for f in corpus.frames[:6]]
+        frames = list(corpus.frames[:6])
         avg = np.array([0.4, 0.6])
         outputs = [
             recognize(net, frames, avg, flags, avg) for flags in flag_grid()
@@ -211,18 +221,18 @@ class TestRecognize:
 
     def test_single_frame_scores(self):
         net, corpus, svcs = self._net()
-        f = corpus.frames[0]
-        svc = svcs[f.speaker]
+        features = corpus.frames[0]
+        svc = svcs[corpus.speakers[corpus.speaker[0]]]
         avg = np.zeros(2)
         flags = AvailabilityFlags.all_on()
-        _, scores = recognize(net, [f.features], svc, flags, avg)
+        _, scores = recognize(net, [features], svc, flags, avg)
         h = svc_hidden(net, svc)
-        _, _, y = forward_frame(net, f.features, h, h, h)
+        _, _, y = forward_frame(net, features, h, h, h)
         assert np.array_equal(scores, y)
 
     def test_scores_match_independent_forward(self):
         net, corpus, svcs = self._net()
-        frames = [f.features for f in corpus.frames[:5]]
+        frames = list(corpus.frames[:5])
         svc, avg = np.array([0.2, 0.8]), np.array([0.5, 0.5])
         flags = AvailabilityFlags(True, False, True)
         _, scores = recognize(net, frames, svc, flags, avg)
@@ -236,7 +246,7 @@ class TestRecognize:
 
     def test_pure(self):
         net, corpus, svcs = self._net()
-        frames = [f.features for f in corpus.frames[:4]]
+        frames = list(corpus.frames[:4])
         args = (frames, np.array([0.3, 0.3]), AvailabilityFlags.all_on(), np.zeros(2))
         r1 = recognize(net, *args)
         r2 = recognize(net, *args)
@@ -337,31 +347,40 @@ class TestAblation:
             wrong = 0
             for utt_id, frames in utterances.items():
                 label, _ = recognize(
-                    net, [f.features for f in frames], svcs[frames[0].speaker], flags, avg
+                    net, list(frames.frames), svcs[speaker_of(frames)], flags, avg
                 )
-                wrong += label != frames[0].word
+                wrong += label != word_of(frames)
             assert rate == pytest.approx(wrong / len(utterances))
         assert len(log) == 8 * len(utterances)
 
 
-    def test_interleaved_speakers_keep_utterance_order(self):
-        """Utterances are recognized in per-speaker blocks; the log still
-        follows the corpus's utterance order when speakers interleave."""
+    def test_interleaved_speakers_keep_utterance_order(self, tmp_path):
+        """A corpus file whose rows are shuffled, speakers interleaved,
+        loads to the canonical row order, so the ablation rows and the
+        prediction log equal those of the sorted file, whose log follows
+        the utterances' row order."""
         corpus = tiny_corpus()
         svcs = tiny_svcs(corpus)
         net, _ = train_recognizer(corpus, svcs, small_config(epochs=2))
-        rng = np.random.default_rng(4)
-        corpus.frames = [corpus.frames[i] for i in rng.permutation(len(corpus.frames))]
+        path = tmp_path / "corpus.csv"
+        save_corpus(corpus, path)
+        lines = path.read_text().splitlines()
+        body = lines[1:]
+        random.Random(4).shuffle(body)
+        assert body != lines[1:]
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([lines[0]] + body) + "\n")
         avg = np.array([0.3, 0.6])
-        rows, log = ablation_eval(net, corpus, svcs, avg)
+        rows, log = ablation_eval(net, load_corpus(shuffled), svcs, avg)
+        assert (rows, log) == ablation_eval(net, load_corpus(path), svcs, avg)
         utterances = corpus.by_utterance()
         expected = []
         for flags in flag_grid():
             for utt_id, frames in utterances.items():
                 label, _ = recognize(
-                    net, [f.features for f in frames], svcs[frames[0].speaker], flags, avg
+                    net, list(frames.frames), svcs[speaker_of(frames)], flags, avg
                 )
-                expected.append((utt_id, frames[0].word, label, flags))
+                expected.append((utt_id, word_of(frames), label, flags))
         assert log == expected
 
 

@@ -13,6 +13,7 @@ from svcnet.svc import (
     MODES,
     Accumulator,
     SoundLayout,
+    Stream,
     build_svcnet,
     extract_svc,
     extract_svcs,
@@ -30,6 +31,23 @@ SOUNDS = tuple(
     sorted(SoundId(f"p{i:02d}", s) for i in range(3) for s in range(2))
 )
 LAYOUT = SoundLayout(SOUNDS, code_dim=2)
+
+
+def pairs(stream):
+    """A Stream's (SoundId, code) presentations."""
+    return [(stream.sounds[k], code) for k, code in zip(stream.sound, stream.codes)]
+
+
+def part(stream, which):
+    """The presentations `which` (a slice or index array) of a Stream."""
+    return Stream(stream.sounds, stream.sound[which], stream.codes[which])
+
+
+def with_nan_first_row(frames):
+    """A copy of a feature array whose first row is NaN."""
+    bad = frames.copy()
+    bad[0] = np.nan
+    return bad
 
 
 class TestLayout:
@@ -218,10 +236,7 @@ class TestTrainSvcnet:
         accumulator and backprops, and the summed gradients update the
         weights once. Speaker 0 lacks a word, so its stream ends early."""
         corpus, encoders, layout, cfg = tiny_setup(epochs=3)
-        first = corpus.speakers[0]
-        corpus.frames = [
-            f for f in corpus.frames if f.speaker != first or f.word != corpus.words[0]
-        ]
+        corpus = corpus.rows((corpus.speaker != 0) | (corpus.word != 0))
         trained, metrics = train_svcnet(corpus, encoders, layout, 2, cfg)
 
         ref = build_svcnet(layout, 2, 4, cfg.seed).net
@@ -230,7 +245,8 @@ class TestTrainSvcnet:
             frames = corpus.frames_of_speaker(s)
             targets.append(make_target(build_speaker_profile(s, frames, encoders), layout))
             stream, ends = speaker_stream(frames, encoders)
-            utterances.append([stream[a + 1 : b + 1] for a, b in zip([-1] + ends, ends)])
+            presented = pairs(stream)
+            utterances.append([presented[a + 1 : b + 1] for a, b in zip([-1] + ends, ends)])
         rng = np.random.default_rng(cfg.seed)
         losses = []
         for _ in range(cfg.epochs):
@@ -270,8 +286,7 @@ class TestTrainSvcnet:
         corpus, encoders, layout, cfg = tiny_setup()
         # drop one sound from every speaker so some slots stay masked
         victim = layout.sounds[0]
-        reduced = corpus.restricted_to_speakers(corpus.speakers)
-        reduced.frames = [f for f in reduced.frames if f.sound != victim]
+        reduced = corpus.rows(corpus.sound != corpus.sounds.index(victim))
         net1, _ = train_svcnet(reduced, encoders, layout, 2, cfg)
 
         original = svc_mod.make_target
@@ -306,7 +321,7 @@ class TestTrainSvcnet:
 
     def test_non_finite_loss_stops_training(self):
         corpus, encoders, layout, cfg = tiny_setup()
-        corpus.frames[0].features = np.full(corpus.feature_dim, np.nan)
+        corpus.frames = with_nan_first_row(corpus.frames)
         with pytest.raises(DataError, match="svc training diverged at epoch 0"):
             train_svcnet(corpus, encoders, layout, 2, cfg)
 
@@ -354,7 +369,7 @@ def reference_trajectory(svcnet, stream, mode):
     """The accumulate/forward loop, one presentation at a time."""
     acc = Accumulator(svcnet.layout, mode)
     trajectory = []
-    for sound, code in stream:
+    for sound, code in pairs(stream):
         acts = forward(svcnet.net, acc.observe(sound, code))
         trajectory.append(acts[svcnet.bottleneck_index].copy())
         acc.commit_output(acts[-1])
@@ -377,9 +392,10 @@ class TestBatchedExtract:
         svcnet, full = self._streams(flank_width)
         batches = [
             [full[0]],
-            [full[2][:1]],
-            [full[0], full[1][:5], full[2][:1]],
-            [full[1][::-1], full[0][3:], full[2], full[0][:2] * 3],
+            [part(full[2], slice(1))],
+            [full[0], part(full[1], slice(5)), part(full[2], slice(1))],
+            [part(full[1], slice(None, None, -1)), part(full[0], slice(3, None)), full[2],
+             part(full[0], [0, 1] * 3)],
         ]
         for streams in batches:
             trajs = extract_svcs(svcnet, streams, mode)
@@ -403,14 +419,19 @@ class TestBatchedExtract:
         corpus, encoders, _, _ = tiny_setup()
         rng = np.random.default_rng(8)
         sets = [corpus.frames_of_speaker(s) for s in corpus.speakers]
-        sets.append([sets[1][i] for i in rng.permutation(len(sets[1]))][:7])
+        some = np.zeros(len(sets[1]), dtype=bool)
+        some[rng.permutation(len(sets[1]))[:7]] = True
+        sets.append(sets[1].rows(some))
         for frames, (stream, bounds) in zip(sets, speaker_streams(sets, encoders)):
-            ordered = sorted(frames, key=lambda f: (f.utterance, f.index))
-            assert [sound for sound, _ in stream] == [f.sound for f in ordered]
-            for (_, code), f in zip(stream, ordered):
-                assert np.array_equal(code, encode_frame(encoders[f.sound], f.features))
-            ends = [i for i in range(len(ordered) - 1)
-                    if ordered[i + 1].utterance != ordered[i].utterance]
+            utterances = [frames.utterances[u] for u in frames.utterance]
+            ordered = sorted(range(len(frames)), key=lambda i: (utterances[i], frames.index[i]))
+            assert [sound for sound, _ in pairs(stream)] == [
+                frames.sounds[frames.sound[i]] for i in ordered
+            ]
+            for (sound, code), i in zip(pairs(stream), ordered):
+                assert np.array_equal(code, encode_frame(encoders[sound], frames.frames[i]))
+            ends = [k for k in range(len(ordered) - 1)
+                    if utterances[ordered[k + 1]] != utterances[ordered[k]]]
             assert bounds == ends + [len(ordered) - 1]
 
 
