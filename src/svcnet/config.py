@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 from .corpus import CorpusSpec
@@ -20,8 +21,9 @@ RANGES = (
       "feature_dim", "latent_dim", "ppc_dim", "svc_dim", "rec_acoustic_units",
       "rec_state_units"), 1, True),
     (("corpus_seed", "split_seed", "ppc_seed", "svc_seed", "rec_seed", "svc_flank",
-      "rec_window", "ppc_epochs", "svc_epochs", "rec_epochs", "noise_std"), 0, True),
-    (("ppc_learning_rate", "svc_learning_rate", "rec_learning_rate"), 0, False),
+      "rec_window", "ppc_epochs", "svc_epochs", "rec_epochs", "noise_std",
+      "speaker_effect_scale"), 0, True),
+    (("ppc_learning_rate", "svc_learning_rate", "rec_learning_rate", "train_fraction"), 0, False),
 )
 
 
@@ -74,6 +76,11 @@ class RunConfig:
     def __post_init__(self):
         if self.accumulation_mode not in MODES:
             raise DataError(f"accumulation_mode must be one of {MODES}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            # JSON allows NaN, Infinity and integers too large for a float
+            if field.type is float and not abs(value) <= sys.float_info.max:
+                raise DataError(f"config key {field.name!r} must be a finite float, got {value!r}")
         for keys, low, inclusive in RANGES:
             for key in keys:
                 value = getattr(self, key)

@@ -44,7 +44,10 @@ class SoundId(NamedTuple):
 
     @classmethod
     def parse(cls, text):
+        """The inverse of str(): "phone:state"; DataError otherwise."""
         phone, _, state = text.rpartition(":")
+        if not phone or not state.isdecimal():
+            raise DataError(f"bad sound {text!r}: expected phone:state, such as p00:0")
         return cls(phone, int(state))
 
 

@@ -1,9 +1,8 @@
-"""Per-sound bottleneck encoders and speaker pronunciation profiles.
+"""Per-sound bottleneck encoders.
 
 One encoder per (phone, state) pair is trained to reconstruct its input
 frames through a narrow sigmoid bottleneck; the bottleneck activations
-are the pronunciation code for that sound. A speaker's profile averages
-the codes over all of that speaker's frames of each sound.
+are the pronunciation code for that sound.
 """
 
 import logging
@@ -124,24 +123,6 @@ def encode_frames(encoders, sounds, ids, frames):
     return activate(z, nets[0].spec.activations[0], out=z)
 
 
-def average_ppcs(codes):
-    if len(codes) == 0:
-        raise DataError("cannot average an empty code list")
-    codes = np.asarray(codes, dtype=float)
-    return codes.mean(axis=0)
-
-
-@dataclass
-class SpeakerProfile:
-    speaker: str
-    codes: dict  # SoundId -> averaged code vector
-    heard: set
-
-    def __post_init__(self):
-        if set(self.codes) != self.heard:
-            raise StructuralError("profile codes must cover exactly the heard sounds")
-
-
 def codable_frames(frame_sets, encoders):
     """Each frame set (a corpus, such as one speaker's rows) with only the
     rows whose sound has an encoder. A sound missing from the training
@@ -175,18 +156,6 @@ def codable_frames(frame_sets, encoders):
                 "encoder" if len(frames) else "no frames to code"
             )
     return kept
-
-
-def build_speaker_profile(speaker, frames, encoders):
-    """Average the per-frame codes of one speaker's rows, per sound."""
-    if len(frames) == 0:
-        raise DataError(f"speaker {speaker} has no frames")
-    frame_codes = encode_frames(encoders, frames.sounds, frames.sound, frames.frames)
-    codes = {
-        frames.sounds[k]: average_ppcs(frame_codes[frames.sound == k])
-        for k in np.unique(frames.sound)
-    }
-    return SpeakerProfile(speaker, codes, set(codes))
 
 
 def _inventory(corpus, min_frames):

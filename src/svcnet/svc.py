@@ -17,7 +17,7 @@ from .errors import DataError, StructuralError
 from .fileio import read_arrays, str_list, write_arrays
 from .nets import MODEL_FIELDS, LayerSpec, RowForward, SharedStep, forward_rows, init_network
 from .nets import model_arrays, model_from_arrays
-from .ppc import build_speaker_profile, codable_frames, encode_frames
+from .ppc import codable_frames, encode_frames
 
 ZERO_FILL = "zero_fill"
 FEEDBACK = "feedback"
@@ -70,61 +70,38 @@ class SoundLayout:
         return slice(off, off + self.code_dim)
 
 
-def make_target(profile, layout):
-    """Heard slots carry the averaged code; unheard slots are zero and masked."""
-    target = np.zeros(layout.width)
-    mask = np.zeros(layout.width, dtype=bool)
-    for sound in profile.heard:
-        sl = layout.slot_slice(sound)  # raises for sounds missing from layout
-        target[sl] = profile.codes[sound]
-        mask[sl] = True
-    return target, mask
+def _check_mode(mode):
+    if mode not in MODES:
+        raise StructuralError(f"unknown accumulation mode {mode!r}")
 
 
 class Accumulator:
-    """Running per-sound means of observed codes plus the input-building
-    rule, for S speakers side by side: row r of `sums`, `counts` and
-    `last_output`, each (S, W), belongs to speaker r. `observe`, `mean`
-    and `commit_output` are the one-speaker calls (S = 1, row 0)."""
+    """One speaker's running per-sound means of observed codes plus the
+    input-building rule, one presentation at a time: the reference that
+    _running_means computes for many streams at once."""
 
-    def __init__(self, layout, mode=FEEDBACK, n_rows=1):
-        if mode not in MODES:
-            raise StructuralError(f"unknown accumulation mode {mode!r}")
+    def __init__(self, layout, mode=FEEDBACK):
+        _check_mode(mode)
         self.layout = layout
         self.mode = mode
-        self._row_starts = np.arange(n_rows) * layout.width
-        self._code_cols = np.arange(layout.code_dim)
         self.reset()
 
     def reset(self):
-        shape = (len(self._row_starts), self.layout.width)
-        self.sums = np.zeros(shape)
-        self.counts = np.zeros(shape, dtype=int)
-        self.last_output = np.zeros(shape)  # stays zero in zero_fill mode
+        self.sums = np.zeros(self.layout.width)
+        self.counts = np.zeros(self.layout.width, dtype=int)
+        self.last_output = np.zeros(self.layout.width)  # stays zero in zero_fill mode
 
-    def mean(self, sound, row=0):
+    def mean(self, sound):
         sl = self.layout.slot_slice(sound)
-        if self.counts[row, sl.start] == 0:
+        if self.counts[sl.start] == 0:
             raise DataError(f"sound {sound} has no observations")
-        return self.sums[row, sl] / self.counts[row, sl]
+        return self.sums[sl] / self.counts[sl]
 
     def observe(self, sound, code):
         """Fold one code into the running mean and build the (W,) net input."""
         sl = self.layout.slot_slice(sound)
-        self.sums[0, sl] += np.asarray(code, dtype=float)
-        self.counts[0, sl] += 1
-        return self.inputs()[0]
-
-    def observe_rows(self, slots, codes, active):
-        """Fold codes[r] (code_dim,) into row r's running means at slot
-        offset slots[r], for every row r with active[r]; other rows are
-        not touched. Returns the (S, W) net inputs."""
-        rows = self._row_starts
-        if not active.all():
-            slots, codes, rows = slots[active], codes[active], rows[active]
-        cols = (rows + slots)[:, None] + self._code_cols  # distinct: one slot per row
-        self.sums.reshape(-1)[cols] += codes
-        self.counts.reshape(-1)[cols] += 1
+        self.sums[sl] += np.asarray(code, dtype=float)
+        self.counts[sl] += 1
         return self.inputs()
 
     def inputs(self):
@@ -133,8 +110,8 @@ class Accumulator:
         return np.divide(self.sums, self.counts, out=fill, where=self.counts > 0)
 
     def commit_output(self, output):
-        """Cache the caller's forward-pass output, (W,) or (S, W), for
-        feedback filling; zero_fill mode ignores it."""
+        """Cache the caller's (W,) forward-pass output for feedback
+        filling; zero_fill mode ignores it."""
         if self.mode == FEEDBACK:
             self.last_output[...] = output
 
@@ -201,58 +178,84 @@ def speaker_streams(frame_sets, encoders):
     return result
 
 
-def speaker_stream(frames, encoders):
-    """Coded stream in temporal order plus end-of-word boundaries."""
-    return speaker_streams([frames], encoders)[0]
+def _running_means(layout, streams):
+    """The accumulator's inputs for many Streams side by side, both
+    (T, S, W) with T the longest stream: means[t, s] holds stream s's
+    running per-sound means after its presentation t, zero in unheard
+    slots, and heard[t, s] marks its heard slots; a stream that has ended
+    keeps its last row. One scatter of the codes and counts, then one
+    running sum over time whose adds equal the accumulator's += bit for
+    bit; an unheard slot's sum, 0.0, divided by 1 stays 0.0."""
+    lengths = [len(stream) for stream in streams]
+    if min(lengths) == 0:
+        raise DataError("empty stream")
+    n_steps, width = max(lengths), layout.width
+    steps = np.concatenate([np.arange(n) for n in lengths])[:, None]
+    starts = np.concatenate([layout.slot_numbers(s) * layout.code_dim + row * width
+                             for row, s in enumerate(streams)])
+    cols = starts[:, None] + np.arange(layout.code_dim)
+    acc = np.zeros((n_steps, 2, len(streams) * width))  # sums and counts
+    acc[steps, 0, cols] = np.concatenate([stream.codes for stream in streams])
+    acc[steps, 1, cols] = 1.0
+    if len(streams) == 1:  # cumsum adds one value at a time: quickest on narrow rows
+        np.cumsum(acc, axis=0, out=acc)
+    else:  # whole rows at a time
+        for prev, row in zip(acc[:-1], acc[1:]):
+            row += prev
+    sums, counts = acc[:, 0], acc[:, 1]
+    heard = counts > 0
+    sums /= np.maximum(counts, 1, out=counts)
+    shape = (n_steps, len(streams), width)
+    return sums.reshape(shape), heard.reshape(shape)
+
+
+def make_target(stream, layout):
+    """A speaker's profile, the net's target, and its mask, both (W,): the
+    profile averages the codes over all of the speaker's frames of each
+    sound (the running means after the Stream's last presentation).
+    Unheard slots are zero and masked."""
+    means, heard = _running_means(layout, [stream])
+    return means[-1, 0], heard[-1, 0]
 
 
 def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank_width=4):
     """Two-pass scheme: fix each speaker's full-profile target, then step
-    through all speakers' speech side by side, each speaker in its own
-    accumulator row. Time step t presents every speaker's t-th frame and
-    updates the shared weights once, by the speakers' summed gradients; a
-    speaker whose stream has ended is masked out (no accumulation, loss or
-    gradient). Every sweep each speaker draws its own utterance (word)
-    order from the one rng, in speaker order, so the completion behaviour
-    does not bind to one arrival order; frames inside an utterance stay in
-    temporal order. Returns (svcnet, metrics)."""
+    through all speakers' speech side by side, one row each. Time step t
+    presents every speaker's t-th frame and updates the shared weights
+    once, by the speakers' summed gradients; a speaker whose stream has
+    ended is masked out (no loss or gradient). Every sweep each speaker
+    draws its own utterance (word) order from the one rng, in speaker
+    order, so the completion behaviour does not bind to one arrival order;
+    frames inside an utterance stay in temporal order. Returns (svcnet,
+    metrics)."""
+    _check_mode(mode)
     if len(corpus) == 0 or not corpus.speakers:
         raise DataError("empty corpus")
     svcnet = build_svcnet(layout, svc_dim, flank_width, config.seed)
-    n_rows = len(corpus.speakers)
-    targets = np.empty((n_rows, layout.width))
-    masks = np.empty((n_rows, layout.width), dtype=bool)
-    frame_sets = codable_frames([corpus.frames_of_speaker(s) for s in corpus.speakers], encoders)
-    slots, codes, utterances = [], [], []
-    for row, (frames, (stream, ends)) in enumerate(
-        zip(frame_sets, speaker_streams(frame_sets, encoders))
-    ):
-        profile = build_speaker_profile(corpus.speakers[row], frames, encoders)
-        targets[row], masks[row] = make_target(profile, layout)
-        slots.append(layout.slot_numbers(stream) * layout.code_dim)
-        codes.append(stream.codes)
-        utterances.append([np.arange(a + 1, b + 1) for a, b in zip([-1] + ends, ends)])
-
-    lengths = np.array([len(s) for s in slots])
-    n_steps, n_frames = int(lengths.max()), int(lengths.sum())
+    coded = speaker_streams([corpus.frames_of_speaker(s) for s in corpus.speakers], encoders)
+    targets, masks = map(np.array, zip(*(make_target(stream, layout) for stream, _ in coded)))
+    utterances = [np.split(np.arange(len(stream)), [b + 1 for b in ends[:-1]])
+                  for stream, ends in coded]
+    lengths = np.array([len(stream) for stream, _ in coded])
+    n_steps, n_frames, n_rows = int(lengths.max()), int(lengths.sum()), len(coded)
     active = np.arange(n_steps)[:, None] < lengths  # (T, S)
-    step_slots = np.zeros((n_steps, n_rows), dtype=int)
-    step_codes = np.zeros((n_steps, n_rows, layout.code_dim))
     rng = np.random.default_rng(config.seed)
-    acc = Accumulator(layout, mode, n_rows)
     step = SharedStep(svcnet.net, n_rows, config.learning_rate)
+    x = np.empty((n_rows, layout.width))  # heard means over the last outputs, or over zeros
     epoch_loss = []
     for epoch in range(config.epochs):
-        for row, utts in enumerate(utterances):
+        streams = []
+        for (stream, _), utts in zip(coded, utterances):
             order = np.concatenate([utts[i] for i in rng.permutation(len(utts))])
-            step_slots[: lengths[row], row] = slots[row][order]
-            step_codes[: lengths[row], row] = codes[row][order]
-        acc.reset()
+            streams.append(Stream(stream.sounds, stream.sound[order], stream.codes[order]))
+        means, heard = _running_means(layout, streams)
+        x.fill(0.0)
         sweep_loss = 0.0
         for t in range(n_steps):
-            x = acc.observe_rows(step_slots[t], step_codes[t], active[t])
+            np.copyto(x, means[t], where=heard[t])  # heard slots only grow
             resid = step(x, targets, masks, active[t]).reshape(-1)
-            acc.commit_output(step.outputs)
+            if mode == FEEDBACK:
+                x[...] = step.outputs
             sweep_loss += 0.5 * float(resid @ resid)
         epoch_loss.append(sweep_loss / n_frames)
         if not np.isfinite(epoch_loss[-1]):
@@ -261,23 +264,6 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
             )
     metrics = {"epoch_loss": epoch_loss, "presentations": config.epochs * n_frames}
     return svcnet, metrics
-
-
-def _running_means(layout, stream):
-    """(T, W) inputs of the accumulator after each presentation of a
-    Stream, zero in unheard slots, and the (T, n_sounds, 1) heard mask.
-    One cumsum per stream; its sequential adds equal the accumulator's
-    running += bit for bit, and an unheard slot's sum, 0.0, divided by 1
-    stays 0.0."""
-    steps, slots = np.arange(len(stream)), layout.slot_numbers(stream)
-    sums = np.zeros((len(stream), len(layout.sounds), layout.code_dim))
-    counts = np.zeros((len(stream), len(layout.sounds), 1), dtype=int)
-    sums[steps, slots] = stream.codes
-    counts[steps, slots] = 1
-    np.cumsum(sums, axis=0, out=sums)
-    np.cumsum(counts, axis=0, out=counts)
-    sums /= np.maximum(counts, 1)
-    return sums.reshape(len(stream), -1), counts > 0
 
 
 def extract_svcs(svcnet, streams, mode=FEEDBACK):
@@ -291,27 +277,20 @@ def extract_svcs(svcnet, streams, mode=FEEDBACK):
     step into buffers allocated once, whose last output becomes the next
     input outside the heard slots; a stream that has ended keeps a row
     whose values are never read."""
-    if mode not in MODES:
-        raise StructuralError(f"unknown accumulation mode {mode!r}")
-    if any(len(stream) == 0 for stream in streams):
-        raise DataError("empty stream")
-    net, bottleneck, layout = svcnet.net, svcnet.bottleneck_index, svcnet.layout
-    if mode == ZERO_FILL:
-        return [forward_rows(net, _running_means(layout, s)[0])[bottleneck] for s in streams]
+    _check_mode(mode)
+    if not streams:
+        return []
+    net, bottleneck = svcnet.net, svcnet.bottleneck_index
+    means, heard = _running_means(svcnet.layout, streams)
     lengths = [len(stream) for stream in streams]
-    n_steps, n_rows = max(lengths), len(streams)
-    means = np.zeros((n_steps, n_rows, layout.width))
-    heard = np.zeros((n_steps, n_rows, len(layout.sounds), layout.code_dim), dtype=bool)
-    for row, stream in enumerate(streams):
-        means[: lengths[row], row], heard[: lengths[row], row] = _running_means(layout, stream)
-    means, heard = means.reshape(n_steps, -1), heard.reshape(n_steps, -1)
-    step = RowForward(net, n_rows)
+    if mode == ZERO_FILL:
+        return [forward_rows(net, means[:n, row])[bottleneck] for row, n in enumerate(lengths)]
+    step = RowForward(net, len(streams))
     x = step.outputs[-1]  # the last output fills the unheard slots
     x.fill(0.0)
-    flat_x = x.reshape(-1)
-    codes = np.empty((n_steps, n_rows, svcnet.code_dim))
-    for t in range(n_steps):
-        np.copyto(flat_x, means[t], where=heard[t])
+    codes = np.empty((len(means), len(streams), svcnet.code_dim))
+    for t in range(len(means)):
+        np.copyto(x, means[t], where=heard[t])
         codes[t] = step(x)[bottleneck]
     return [codes[:n, row].copy() for row, n in enumerate(lengths)]
 

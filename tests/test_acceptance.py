@@ -96,8 +96,8 @@ def test_criterion_02_masked_target_independence(run, monkeypatch):
     )
     original = svc_mod.make_target
 
-    def corrupted(profile, lay):
-        target, mask = original(profile, lay)
+    def corrupted(stream, lay):
+        target, mask = original(stream, lay)
         target = target.copy()
         target[~mask] = 777.0
         return target, mask

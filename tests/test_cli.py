@@ -458,6 +458,15 @@ class TestPlot:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("sound", ["p00", "p00:x"])
+    def test_scatter_malformed_sound(self, full_run, capsys, sound):
+        _, cpath = full_run
+        capsys.readouterr()
+        code = main(["plot", "--kind", "ppc_scatter", "--sound", sound, "--config", cpath])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and repr(sound) in err
+
 
 class TestSeedRebase:
     def test_seed_flag_changes_corpus(self, tmp_path):
@@ -510,6 +519,28 @@ class TestConfigRanges:
         path = tmp_path / "range.json"
         path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), key: value}))
         assert run_cli("gen", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(path) in err and repr(key) in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, verb",
+        [("train_fraction", float("nan"), "train --stage ppc"),
+         ("train_fraction", 0.0, "train --stage ppc"),
+         ("speaker_effect_scale", -1.0, "gen"),
+         ("speaker_effect_scale", float("inf"), "gen"),
+         ("noise_std", float("inf"), "gen"),
+         ("noise_std", 10**400, "gen"),
+         ("svc_learning_rate", float("inf"), "train --stage svc")],
+    )
+    def test_float_out_of_range_or_non_finite(self, tmp_path, capsys, key, value, verb):
+        """JSON's NaN and Infinity literals and integers beyond any float
+        parse; every float key refuses them, and the fraction and the
+        effect scale are range-checked."""
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), key: value}))
+        assert run_cli(*verb.split(), "--config", str(path)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert str(path) in err and repr(key) in err

@@ -7,8 +7,6 @@ from svcnet.corpus import LABELS, CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.nets import TrainConfig, forward, grads_from_activations, init_network, sgd_step
 from svcnet.ppc import (
-    average_ppcs,
-    build_speaker_profile,
     codable_frames,
     encode_frame,
     encode_frames,
@@ -18,6 +16,7 @@ from svcnet.ppc import (
     train_all_encoders,
     train_ppc_encoder,
 )
+from svcnet.svc import SoundLayout, make_target, speaker_streams
 
 SOUND = SoundId("p00", 0)
 
@@ -90,26 +89,6 @@ class TestEncodeFrame:
         for f in frames:
             c = encode_frame(enc, f)
             assert np.all(c > 0) and np.all(c < 1)
-
-
-class TestAveragePpcs:
-    def test_single(self):
-        c = np.array([0.2, 0.7])
-        assert np.array_equal(average_ppcs([c]), c)
-
-    def test_arithmetic(self):
-        out = average_ppcs([np.array([0.0, 0.0]), np.array([2.0, 4.0])])
-        assert np.array_equal(out, np.array([1.0, 2.0]))
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(5)
-        codes = [rng.random(3) for _ in range(100)]
-        brute = sum(codes) / len(codes)
-        np.testing.assert_allclose(average_ppcs(codes), brute, atol=1e-12)
-
-    def test_empty(self):
-        with pytest.raises(DataError):
-            average_ppcs([])
 
 
 def tiny_corpus():
@@ -233,60 +212,67 @@ class TestCodableFrames:
             codable_frames([corpus.rows(slice(0, 0))], tiny_encoders(corpus))
 
 
+def profile(frames, encoders):
+    """A speaker's profile: the per-sound mean of the codes of its
+    frames (svc.make_target of its coded stream), keyed by sound."""
+    layout = SoundLayout.from_sounds(encoders, 2)
+    stream, _ = speaker_streams([frames], encoders)[0]
+    target, mask = make_target(stream, layout)
+    return {s: target[layout.slot_slice(s)] for s in layout.sounds if mask[layout.slot(s)]}
+
+
 class TestSpeakerProfile:
     def test_heard_matches_frames(self):
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
-        speaker = corpus.speakers[0]
-        frames = corpus.frames_of_speaker(speaker)
-        profile = build_speaker_profile(speaker, frames, encoders)
-        assert profile.heard == {frames.sounds[k] for k in frames.sound}
-        assert set(profile.codes) == profile.heard
+        frames = corpus.frames_of_speaker(corpus.speakers[0])
+        codes = profile(frames, encoders)
+        assert set(codes) == {frames.sounds[k] for k in frames.sound}
 
     def test_single_sound_speaker(self):
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
         frames = rows_of(corpus, SOUND).rows(slice(0, 3))
-        profile = build_speaker_profile("x", frames, encoders)
-        assert profile.heard == {SOUND}
-        assert len(profile.codes) == 1
+        assert set(profile(frames, encoders)) == {SOUND}
 
     def test_codes_equal_brute_force_mean(self):
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
-        speaker = corpus.speakers[1]
-        frames = corpus.frames_of_speaker(speaker)
-        profile = build_speaker_profile(speaker, frames, encoders)
-        for sound in profile.heard:
+        frames = corpus.frames_of_speaker(corpus.speakers[1])
+        for sound, code in profile(frames, encoders).items():
             codes = [
                 encode_frame(encoders[sound], features)
                 for features in rows_of(frames, sound).frames
             ]
-            np.testing.assert_allclose(
-                profile.codes[sound], sum(codes) / len(codes), atol=1e-12
-            )
+            np.testing.assert_allclose(code, sum(codes) / len(codes), atol=1e-12)
 
     def test_permutation_invariant(self):
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
-        speaker = corpus.speakers[2]
-        frames = corpus.frames_of_speaker(speaker)
-        p1 = build_speaker_profile(speaker, frames, encoders)
+        frames = corpus.frames_of_speaker(corpus.speakers[2])
+        p1 = profile(frames, encoders)
         backwards = copy.copy(frames)  # the same rows, last first
         for column in ("frames",) + LABELS:
             setattr(backwards, column, getattr(frames, column)[::-1])
-        p2 = build_speaker_profile(speaker, backwards, encoders)
-        for sound in p1.heard:
-            np.testing.assert_allclose(p1.codes[sound], p2.codes[sound], atol=1e-9)
+        p2 = profile(backwards, encoders)
+        assert set(p1) == set(p2)
+        for sound in p1:
+            np.testing.assert_allclose(p1[sound], p2[sound], atol=1e-9)
 
     def test_no_frames(self):
+        corpus = tiny_corpus()
         with pytest.raises(DataError):
-            build_speaker_profile("x", [], {})
+            profile(corpus.rows(slice(0, 0)), tiny_encoders(corpus))
 
     def test_missing_encoder(self):
+        """A sound without an encoder has no slot in the layout."""
         corpus = tiny_corpus()
+        encoders = tiny_encoders(corpus)
+        frames = corpus.rows(slice(0, 2))
+        stream, _ = speaker_streams([frames], encoders)[0]
+        layout = SoundLayout.from_sounds(set(encoders) - {frames.sounds[frames.sound[0]]}, 2)
         with pytest.raises(StructuralError):
-            build_speaker_profile("x", corpus.rows(slice(0, 2)), {})
+            make_target(stream, layout)
 
 
 class TestSoundInventory:

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from svcnet.corpus import CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.nets import TrainConfig, forward, grads_from_activations, sgd_step
-from svcnet.ppc import SpeakerProfile, build_speaker_profile, encode_frame, train_all_encoders
+from svcnet.ppc import encode_frame, train_all_encoders
 from svcnet.svc import (
+    FEEDBACK,
     MODES,
+    ZERO_FILL,
     Accumulator,
     SoundLayout,
     Stream,
+    _running_means,
     build_svcnet,
     extract_svc,
     extract_svcs,
@@ -21,7 +24,6 @@ from svcnet.svc import (
     load_svcnet,
     make_target,
     save_svcnet,
-    speaker_stream,
     speaker_streams,
     svc_stability,
     train_svcnet,
@@ -71,21 +73,36 @@ class TestLayout:
             LAYOUT.slot(SoundId("zz", 0))
 
 
-def profile_for(heard, value=0.5):
-    codes = {s: np.full(2, value) for s in heard}
-    return SpeakerProfile("spk", codes, set(heard))
+def stream_of(presented, sounds=SOUNDS):
+    """A Stream of (SoundId, code) presentations over a sound table."""
+    ids = np.array([sounds.index(sound) for sound, _ in presented], dtype=np.intp)
+    codes = np.array([code for _, code in presented], dtype=float).reshape(-1, 2)
+    return Stream(tuple(sounds), ids, codes)
+
+
+def brute_means(presented):
+    """Per-sound means of (SoundId, code) presentations in their slots,
+    zero elsewhere, and the heard mask; slot offsets computed apart from
+    the layout, code_dim 2."""
+    means, heard = np.zeros(LAYOUT.width), np.zeros(LAYOUT.width, dtype=bool)
+    for sound in {sound for sound, _ in presented}:
+        codes = [code for s, code in presented if s == sound]
+        off = SOUNDS.index(sound) * 2
+        means[off : off + 2] = sum(codes) / len(codes)
+        heard[off : off + 2] = True
+    return means, heard
 
 
 class TestMakeTarget:
     def test_all_heard(self):
-        profile = profile_for(SOUNDS, 0.3)
-        target, mask = make_target(profile, LAYOUT)
+        stream = stream_of([(s, np.full(2, 0.3)) for s in SOUNDS * 2])
+        target, mask = make_target(stream, LAYOUT)
         assert np.all(mask)
         assert np.all(target == 0.3)
 
     def test_unheard_masked_zero(self):
-        heard = SOUNDS[1:]
-        target, mask = make_target(profile_for(heard), LAYOUT)
+        stream = stream_of([(s, np.full(2, 0.5)) for s in SOUNDS[1:]])
+        target, mask = make_target(stream, LAYOUT)
         sl = LAYOUT.slot_slice(SOUNDS[0])
         assert not mask[sl].any()
         assert np.all(target[sl] == 0)
@@ -94,16 +111,31 @@ class TestMakeTarget:
     def test_slot_round_trip(self):
         rng = np.random.default_rng(0)
         codes = {s: rng.random(2) for s in SOUNDS}
-        profile = SpeakerProfile("spk", codes, set(SOUNDS))
-        target, _ = make_target(profile, LAYOUT)
+        target, _ = make_target(stream_of(list(codes.items())), LAYOUT)
         for s in SOUNDS:
             off = SOUNDS.index(s) * 2  # independent slot-offset computation
             assert np.array_equal(target[off : off + 2], codes[s])
 
     def test_sound_missing_from_layout(self):
-        profile = profile_for([SoundId("zz", 0)])
+        zz = SoundId("zz", 0)
         with pytest.raises(StructuralError):
-            make_target(profile, LAYOUT)
+            make_target(stream_of([(zz, np.zeros(2))], SOUNDS + (zz,)), LAYOUT)
+
+    def test_matches_brute_force_mean(self):
+        """Each heard slot holds the sum of the sound's codes, in stream
+        order, divided by their count."""
+        rng = np.random.default_rng(5)
+        presented = [(SOUNDS[k], rng.random(2)) for k in rng.integers(0, 4, 100)]
+        presented += [(SOUNDS[4], np.zeros(2)), (SOUNDS[4], np.array([2.0, 4.0]))]
+        target, mask = make_target(stream_of(presented), LAYOUT)
+        means, heard = brute_means(presented)
+        assert np.array_equal(mask, heard) and not mask[LAYOUT.slot_slice(SOUNDS[5])].any()
+        assert np.array_equal(target, means)
+        assert np.array_equal(target[LAYOUT.slot_slice(SOUNDS[4])], [1.0, 2.0])
+
+    def test_empty_stream(self):
+        with pytest.raises(DataError, match="empty stream"):
+            make_target(stream_of([]), LAYOUT)
 
 
 class TestAccumulator:
@@ -156,59 +188,38 @@ class TestAccumulator:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from(("zero_fill", "feedback")),
-        st.integers(1, 4),
         st.lists(
-            st.tuples(
-                st.integers(0, 5), st.integers(0, 100), st.booleans(), st.integers(0, 15)
-            ),
+            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 100)), min_size=1, max_size=30),
             min_size=1,
-            max_size=60,
-        ),
+            max_size=4,
+        )
     )
-    def test_running_mean_matches_brute_force(self, mode, n_rows, events):
-        """Row r of an n_rows accumulator, fed by observe_rows while
-        active, equals brute-force means and a one-speaker accumulator fed
-        the same stream by observe."""
-        acc = Accumulator(LAYOUT, mode, n_rows)
-        singles = [Accumulator(LAYOUT, mode) for _ in range(n_rows)]
-        seen = [{} for _ in range(n_rows)]
-        last_output = [None] * n_rows
-        for step, (sound_i, code_i, commit, active_bits) in enumerate(events):
-            rows = range(n_rows)
-            sounds = [SOUNDS[(sound_i + r) % len(SOUNDS)] for r in rows]
-            codes = np.array(
-                [[c / 100.0, 1.0 - c / 100.0] for c in ((code_i + 37 * r) % 101 for r in rows)]
-            )
-            active = np.array([step == 0 or not active_bits >> r & 1 for r in rows])
-            x_rows = acc.observe_rows(
-                np.array([LAYOUT.slot(s) for s in sounds]), codes, active
-            )
-            for r in rows:
-                if active[r]:
-                    x = singles[r].observe(sounds[r], codes[r])
-                    seen[r].setdefault(sounds[r], []).append(codes[r])
-                if mode == "feedback" and last_output[r] is not None:
-                    brute = last_output[r].copy()
-                else:
-                    brute = np.zeros(LAYOUT.width)
-                for s, row_codes in seen[r].items():
-                    mean = sum(row_codes) / len(row_codes)
-                    off = SOUNDS.index(s) * 2  # independent slot-offset computation
-                    brute[off : off + 2] = mean
-                    assert np.array_equal(acc.mean(s, r), mean)
-                    assert np.array_equal(singles[r].mean(s), mean)
-                assert np.array_equal(x_rows[r], brute)
-                if active[r]:
-                    assert np.array_equal(x, brute)
-                assert np.array_equal(acc.sums[r], singles[r].sums[0])
-                assert np.array_equal(acc.counts[r], singles[r].counts[0])
-            if commit:
-                outputs = np.sin(np.arange(LAYOUT.width) + step + 10 * np.arange(n_rows)[:, None])
-                acc.commit_output(outputs)
-                for r in rows:
-                    singles[r].commit_output(outputs[r])
-                    last_output[r] = outputs[r]
+    def test_running_mean_matches_brute_force(self, events):
+        """The stacked running means of streams of unequal length equal,
+        at every step of every stream, brute-force means and the inputs of
+        one-speaker accumulators: a zero_fill one, and a feedback one whose
+        last output lies under the heard slots; a stream that has ended
+        keeps its last row."""
+        presented = [
+            [(SOUNDS[k], np.array([c / 100.0, 1.0 - c / 100.0])) for k, c in stream]
+            for stream in events
+        ]
+        means, heard = _running_means(LAYOUT, [stream_of(p) for p in presented])
+        assert means.shape == heard.shape == (max(map(len, events)), len(events), LAYOUT.width)
+        for row, stream in enumerate(presented):
+            zero_fill, feedback = Accumulator(LAYOUT, ZERO_FILL), Accumulator(LAYOUT, FEEDBACK)
+            for t, (sound, code) in enumerate(stream):
+                brute, brute_heard = brute_means(stream[: t + 1])
+                assert np.array_equal(means[t, row], brute)
+                assert np.array_equal(heard[t, row], brute_heard)
+                assert np.array_equal(zero_fill.observe(sound, code), means[t, row])
+                last = np.sin(np.arange(LAYOUT.width) + t + 10 * row)
+                feedback.commit_output(last)
+                np.copyto(last, means[t, row], where=heard[t, row])
+                assert np.array_equal(feedback.observe(sound, code), last)
+                assert np.array_equal(zero_fill.mean(sound), brute[LAYOUT.slot_slice(sound)])
+            assert (means[len(stream) :, row] == means[len(stream) - 1, row]).all()
+            assert (heard[len(stream) :, row] == heard[len(stream) - 1, row]).all()
 
 
 def tiny_setup(epochs=3, n_speakers=3):
@@ -230,48 +241,51 @@ class TestTrainSvcnet:
         assert metrics["presentations"] == 2 * len(corpus.frames)
 
     def test_matches_reference_loop(self):
-        """Lockstep training equals a plain loop: every sweep each speaker
-        draws its utterance order from the one rng, in speaker order; at
-        step t every speaker that has a t-th frame folds it into its own
-        accumulator and backprops, and the summed gradients update the
-        weights once. Speaker 0 lacks a word, so its stream ends early."""
+        """Lockstep training equals a plain loop, in both modes: every
+        sweep each speaker draws its utterance order from the one rng, in
+        speaker order; at step t every speaker that has a t-th frame folds
+        it into its own accumulator and backprops, and the summed
+        gradients update the weights once. Each target is the running mean
+        of a zero_fill accumulator fed the speaker's whole stream in
+        temporal order. Speaker 0 lacks a word, so its stream ends early."""
         corpus, encoders, layout, cfg = tiny_setup(epochs=3)
         corpus = corpus.rows((corpus.speaker != 0) | (corpus.word != 0))
-        trained, metrics = train_svcnet(corpus, encoders, layout, 2, cfg)
-
-        ref = build_svcnet(layout, 2, 4, cfg.seed).net
         targets, utterances = [], []
         for s in corpus.speakers:
-            frames = corpus.frames_of_speaker(s)
-            targets.append(make_target(build_speaker_profile(s, frames, encoders), layout))
-            stream, ends = speaker_stream(frames, encoders)
+            stream, ends = speaker_streams([corpus.frames_of_speaker(s)], encoders)[0]
             presented = pairs(stream)
+            whole = Accumulator(layout, ZERO_FILL)
+            target = [whole.observe(*pair) for pair in presented][-1]
+            targets.append((target, whole.counts > 0))
             utterances.append([presented[a + 1 : b + 1] for a, b in zip([-1] + ends, ends)])
-        rng = np.random.default_rng(cfg.seed)
-        losses = []
-        for _ in range(cfg.epochs):
-            seqs = [sum((utts[i] for i in rng.permutation(len(utts))), [])
-                    for utts in utterances]
-            accs = [Accumulator(layout) for _ in seqs]
-            loss = 0.0
-            for t in range(max(map(len, seqs))):
-                total = ([np.zeros_like(w) for w in ref.weights],
-                         [np.zeros_like(b) for b in ref.biases])
-                for seq, acc, (target, mask) in zip(seqs, accs, targets):
-                    if t < len(seq):
-                        acts = forward(ref, acc.observe(*seq[t]))
-                        acc.commit_output(acts[-1])
-                        loss += 0.5 * np.sum(np.where(mask, acts[-1] - target, 0.0) ** 2)
-                        gw, gb = grads_from_activations(ref, acts, target, mask)
-                        for g, part in zip(total[0] + total[1], gw + gb):
-                            g += part
-                sgd_step(ref, total, cfg.learning_rate)
-            losses.append(loss / sum(map(len, seqs)))
+        for mode in MODES:
+            trained, metrics = train_svcnet(corpus, encoders, layout, 2, cfg, mode=mode)
+            ref = build_svcnet(layout, 2, 4, cfg.seed).net
+            rng = np.random.default_rng(cfg.seed)
+            losses = []
+            for _ in range(cfg.epochs):
+                seqs = [sum((utts[i] for i in rng.permutation(len(utts))), [])
+                        for utts in utterances]
+                accs = [Accumulator(layout, mode) for _ in seqs]
+                loss = 0.0
+                for t in range(max(map(len, seqs))):
+                    total = ([np.zeros_like(w) for w in ref.weights],
+                             [np.zeros_like(b) for b in ref.biases])
+                    for seq, acc, (target, mask) in zip(seqs, accs, targets):
+                        if t < len(seq):
+                            acts = forward(ref, acc.observe(*seq[t]))
+                            acc.commit_output(acts[-1])
+                            loss += 0.5 * np.sum(np.where(mask, acts[-1] - target, 0.0) ** 2)
+                            gw, gb = grads_from_activations(ref, acts, target, mask)
+                            for g, part in zip(total[0] + total[1], gw + gb):
+                                g += part
+                    sgd_step(ref, total, cfg.learning_rate)
+                losses.append(loss / sum(map(len, seqs)))
 
-        assert metrics["presentations"] == cfg.epochs * len(corpus.frames)
-        np.testing.assert_allclose(metrics["epoch_loss"], losses, rtol=1e-10)
-        for a, b in zip(trained.net.weights + trained.net.biases, ref.weights + ref.biases):
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
+            assert metrics["presentations"] == cfg.epochs * len(corpus.frames)
+            np.testing.assert_allclose(metrics["epoch_loss"], losses, rtol=1e-10)
+            for a, b in zip(trained.net.weights + trained.net.biases, ref.weights + ref.biases):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
 
     def test_convergence_single_speaker(self):
         corpus, encoders, layout, _ = tiny_setup(n_speakers=2)
@@ -291,8 +305,8 @@ class TestTrainSvcnet:
 
         original = svc_mod.make_target
 
-        def corrupted(profile, lay):
-            target, mask = original(profile, lay)
+        def corrupted(stream, lay):
+            target, mask = original(stream, lay)
             target[~mask] = 777.0  # garbage where no error may flow
             return target, mask
 
@@ -330,9 +344,9 @@ class TestExtract:
     def _trained(self):
         corpus, encoders, layout, cfg = tiny_setup()
         svcnet, _ = train_svcnet(corpus, encoders, layout, 2, cfg)
-        stream, bounds = speaker_stream(
-            corpus.frames_of_speaker(corpus.speakers[0]), encoders
-        )
+        stream, bounds = speaker_streams(
+            [corpus.frames_of_speaker(corpus.speakers[0])], encoders
+        )[0]
         return svcnet, stream, bounds
 
     def test_trajectory_shape(self):
@@ -383,7 +397,8 @@ class TestBatchedExtract:
     def _streams(self, flank_width=4):
         corpus, encoders, layout, cfg = tiny_setup()
         svcnet, _ = train_svcnet(corpus, encoders, layout, 2, cfg, flank_width=flank_width)
-        full = [speaker_stream(corpus.frames_of_speaker(s), encoders)[0] for s in corpus.speakers]
+        full = [stream for stream, _ in speaker_streams(
+            [corpus.frames_of_speaker(s) for s in corpus.speakers], encoders)]
         return svcnet, full
 
     @pytest.mark.parametrize("mode", MODES)
