@@ -16,7 +16,7 @@ from svcnet.ppc import (
     train_all_encoders,
     train_ppc_encoder,
 )
-from svcnet.svc import SoundLayout, make_target, speaker_streams
+from svcnet.svc import SoundLayout, Stream, make_target, speaker_streams
 
 SOUND = SoundId("p00", 0)
 
@@ -89,6 +89,32 @@ class TestEncodeFrame:
         for f in frames:
             c = encode_frame(enc, f)
             assert np.all(c > 0) and np.all(c < 1)
+
+
+def average_ppcs(codes):
+    """The mean of one sound's codes, as its profile slot holds it
+    (svc.make_target of a stream that presents only that sound)."""
+    layout = SoundLayout((SOUND,), len(codes[0]))
+    stream = Stream((SOUND,), np.zeros(len(codes), dtype=int), np.array(codes))
+    target, mask = make_target(stream, layout)
+    assert mask.all()
+    return target
+
+
+class TestAveragePpcs:
+    def test_single(self):
+        c = np.array([0.2, 0.7])
+        assert np.array_equal(average_ppcs([c]), c)
+
+    def test_arithmetic(self):
+        out = average_ppcs([np.array([0.0, 0.0]), np.array([2.0, 4.0])])
+        assert np.array_equal(out, np.array([1.0, 2.0]))
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(5)
+        codes = [rng.random(3) for _ in range(100)]
+        brute = sum(codes) / len(codes)
+        np.testing.assert_allclose(average_ppcs(codes), brute, atol=1e-12)
 
 
 def tiny_corpus():
