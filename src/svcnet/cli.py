@@ -100,8 +100,10 @@ def run(argv):
         else:
             _, metrics = pipeline.run_train_rec(config)
             print(
-                f"train rec: final frame loss {metrics['epoch_loss'][-1]:.5f}"
-                if metrics["epoch_loss"] else "train rec: 0 epochs"
+                f"train rec: {metrics['presentations']} presentations in "
+                f"{metrics['batches']} batches, final frame loss "
+                f"{metrics['epoch_loss'][-1]:.5f}" if metrics["epoch_loss"] else
+                "train rec: 0 epochs"
             )
         return 0
     if args.command == "eval":

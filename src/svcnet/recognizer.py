@@ -9,7 +9,7 @@ by per-level availability flags; training always uses the speaker's own
 code at every level.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -19,6 +19,7 @@ from .fileio import check_shapes, read_arrays, str_list, write_arrays
 from .nets import flat_views
 
 SVC_HIDDEN_WIDTH = 2  # fixed side-path width
+BATCH_FRAMES = 16  # frames per training step
 PARAM_NAMES = (
     "w_svc", "b_svc",
     "w_acoustic", "b_acoustic", "u_acoustic",
@@ -143,43 +144,109 @@ def frame_loss(net, x, svc, target):
     return 0.5 * float(d @ d)
 
 
-def _gradients_into(net, x, svc, target, grads):
-    """Write the frame-loss gradients into `grads` (arrays shaped like
-    param_arrays, in that order); returns the loss at the current params."""
-    x = np.asarray(x, dtype=float)
-    svc = np.asarray(svc, dtype=float)
-    h = svc_hidden(net, svc)
-    a, s, y = forward_frame(net, x, h, h, h)
-    g_svc, dh, g_acoustic, da, gu_acoustic, g_state, ds, gu_state, g_word, dy, gu_word = grads
-    resid = y - target
-    np.multiply(resid, y, out=dy)
-    dy *= 1.0 - y
-    np.matmul(net.w_word.T, dy, out=ds)
-    ds *= s
-    ds *= 1.0 - s
-    np.matmul(net.w_state.T, ds, out=da)
-    da *= a
-    da *= 1.0 - a
-    np.add(net.u_acoustic.T @ da + net.u_state.T @ ds, net.u_word.T @ dy, out=dh)
-    dh *= h
-    dh *= 1.0 - h
-    for g, delta, inputs in (
-        (g_svc, dh, svc),
-        (g_acoustic, da, x), (gu_acoustic, da, h),
-        (g_state, ds, a), (gu_state, ds, h),
-        (g_word, dy, s), (gu_word, dy, h),
-    ):
-        np.multiply(delta[:, None], inputs[None, :], out=g)
-    return 0.5 * float(resid @ resid)
+class BatchStep:
+    """One SGD step of the recognizer on a batch of frames, with one update
+    from the frames' summed gradients (mini-batch SGD, as nets.SharedStep;
+    summed, not averaged, so the learning rate keeps its per-presentation
+    scale).
+
+    The net's parameters are rebound to views of `flat` and `grads` are
+    views of `grad`, both in PARAM_NAMES order, so the update is one
+    `flat -= lr * grad`. A batch is up to `n_rows` rows of the training
+    arrays, gathered by index into buffers allocated here, as is every
+    activation and delta. Per level the forward pass is
+    `rows @ W.T + b + H @ U.T` with `H = expit(codes @ w_svc.T + b_svc)`;
+    backprop forms each weight gradient as `delta.T @ inputs` and each bias
+    gradient as the column sum of delta.
+    """
+
+    def __init__(self, net, n_rows, learning_rate):
+        shapes = [p.shape for p in net.param_arrays()]
+        self.flat = np.concatenate([p.ravel() for p in net.param_arrays()])
+        for name, view in zip(PARAM_NAMES, flat_views(self.flat, shapes)):
+            setattr(net, name, view)
+        self.grad = np.empty_like(self.flat)
+        self.grads = flat_views(self.grad, shapes)
+        self.net = net
+        self._learning_rate = learning_rate
+        o = len(net.words)
+        levels = (SVC_HIDDEN_WIDTH, net.w_acoustic.shape[0], net.w_state.shape[0], o)
+        # gathered rows; activations, deltas and temporaries per level; residual
+        widths = (net.input_dim, net.svc_dim, o) + levels * 3 + (o,)
+        self._buffers = [np.empty((n_rows, w)) for w in widths]
+
+    def gradients(self, inputs, codes, targets, rows):
+        """Fill `grads` with the frame-loss gradients of rows `rows` of the
+        training arrays, summed over the rows, without updating. Returns the
+        rows' summed frame loss at the current parameters."""
+        net = self.net
+        bufs = self._buffers
+        if len(rows) != len(bufs[0]):
+            bufs = [b[: len(rows)] for b in bufs]
+        x, code, target, h, a, s, y, dh, da, ds, dy, th, ta, ts, ty, resid = bufs
+        np.take(inputs, rows, axis=0, out=x)
+        np.take(codes, rows, axis=0, out=code)
+        np.take(targets, rows, axis=0, out=target)
+        np.matmul(code, net.w_svc.T, out=h)
+        h += net.b_svc
+        expit(h, out=h)
+        for out, below, w, b, u, tmp in (
+            (a, x, net.w_acoustic, net.b_acoustic, net.u_acoustic, ta),
+            (s, a, net.w_state, net.b_state, net.u_state, ts),
+            (y, s, net.w_word, net.b_word, net.u_word, ty),
+        ):
+            np.matmul(below, w.T, out=out)
+            out += b
+            np.matmul(h, u.T, out=tmp)
+            out += tmp
+            expit(out, out=out)
+
+        # each delta is (upstream term * act) * (1 - act), the textbook's order
+        np.subtract(y, target, out=resid)
+        np.multiply(resid, y, out=dy)
+        dy *= np.subtract(1.0, y, out=ty)
+        np.matmul(dy, net.w_word, out=ds)
+        ds *= s
+        ds *= np.subtract(1.0, s, out=ts)
+        np.matmul(ds, net.w_state, out=da)
+        da *= a
+        da *= np.subtract(1.0, a, out=ta)
+        np.matmul(da, net.u_acoustic, out=dh)
+        dh += np.matmul(ds, net.u_state, out=th)
+        dh += np.matmul(dy, net.u_word, out=th)
+        dh *= h
+        dh *= np.subtract(1.0, h, out=th)
+        g_svc, gb_svc, g_a, gb_a, gu_a, g_s, gb_s, gu_s, g_w, gb_w, gu_w = self.grads
+        for g, delta, below in (
+            (g_svc, dh, code),
+            (g_a, da, x), (gu_a, da, h),
+            (g_s, ds, a), (gu_s, ds, h),
+            (g_w, dy, s), (gu_w, dy, h),
+        ):
+            np.matmul(delta.T, below, out=g)
+        for g, delta in ((gb_svc, dh), (gb_a, da), (gb_s, ds), (gb_w, dy)):
+            np.add.reduce(delta, axis=0, out=g)
+        return 0.5 * float(np.vdot(resid, resid))
+
+    def __call__(self, inputs, codes, targets, rows):
+        """gradients(), then one update of the parameters."""
+        loss = self.gradients(inputs, codes, targets, rows)
+        np.multiply(self.grad, self._learning_rate, out=self.grad)
+        self.flat -= self.grad
+        return loss
 
 
 def frame_gradients(net, x, svc, target):
-    """Gradients of the squared-error frame loss, side path included.
+    """Gradients of the squared-error frame loss, side path included: the
+    training step's gradients on a one-frame batch, taken on a copy of the
+    net's parameters.
 
     Returns (gradient list in param_arrays order, loss at the current params).
     """
-    grads = [np.empty_like(p) for p in net.param_arrays()]
-    return grads, _gradients_into(net, x, svc, target, grads)
+    step = BatchStep(replace(net), 1, 0.0)
+    rows = [np.asarray(v, dtype=float)[None] for v in (x, svc, target)]
+    loss = step.gradients(*rows, np.zeros(1, dtype=int))
+    return step.grads, loss
 
 
 def window_frames(features, window, bounds=None):
@@ -199,45 +266,59 @@ def window_frames(features, window, bounds=None):
     return feats[around].reshape(n, -1)
 
 
-def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
-    """Per-presentation supervised training on one-of-N word targets, the
-    speaker's own code always on the side-path inputs: each frame of the
-    corpus, in row order, is one presentation. Returns (net, metrics)."""
-    for speaker in corpus.speakers:
+def _speaker_codes(corpus, svc_per_speaker, svc_dim):
+    """(n_speakers, svc_dim) array of the corpus speakers' codes, in
+    corpus.speakers order; refuses a speaker whose code is missing or is
+    not a finite vector of length svc_dim."""
+    codes = np.empty((len(corpus.speakers), svc_dim))
+    for k, speaker in enumerate(corpus.speakers):
         if speaker not in svc_per_speaker:
             raise DataError(f"speaker {speaker} has no speaker code")
+        code = np.asarray(svc_per_speaker[speaker])
+        if (code.shape != (svc_dim,) or code.dtype.kind not in "iuf"
+                or not np.isfinite(code).all()):
+            raise DataError(
+                f"speaker {speaker}: speaker code is not a finite vector of length {svc_dim}"
+            )
+        codes[k] = code
+    return codes
+
+
+def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
+    """Mini-batch supervised training on one-of-N word targets, the
+    speaker's own code always on the side-path inputs. Each epoch steps
+    through a fresh permutation of the corpus frames in consecutive slices
+    of BATCH_FRAMES (the last one shorter), one BatchStep per slice; an
+    epoch's loss is the mean over frames of each frame's loss at the
+    parameters before its batch's update. Returns (net, metrics)."""
     if svc_dim is None:
-        svc_dim = len(next(iter(svc_per_speaker.values())))
+        svc_dim = np.size(svc_per_speaker.get(corpus.speakers[0], ()))
+    codes = _speaker_codes(corpus, svc_per_speaker, svc_dim)[corpus.speaker]
     net = init_recognizer(corpus.words, corpus.feature_dim, svc_dim, config)
-
     inputs = window_frames(corpus.frames, config.window, corpus.utterance_bounds())
-    svcs = np.array([svc_per_speaker[s] for s in corpus.speakers], dtype=float)[corpus.speaker]
     targets = np.eye(len(net.words))[corpus.word]
+    n = len(inputs)
 
-    # all parameters are views of one flat buffer and all gradients views
-    # of another, so one subtraction updates the whole net
-    shapes = [p.shape for p in net.param_arrays()]
-    flat = np.concatenate([p.ravel() for p in net.param_arrays()])
-    for name, view in zip(PARAM_NAMES, flat_views(flat, shapes)):
-        setattr(net, name, view)
-    grad = np.empty_like(flat)
-    grads = flat_views(grad, shapes)
-
+    step = BatchStep(net, BATCH_FRAMES, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     epoch_loss = []
     for epoch in range(config.epochs):
+        order = rng.permutation(n)
         total = 0.0
-        for i in rng.permutation(len(inputs)):
-            total += _gradients_into(net, inputs[i], svcs[i], targets[i], grads)
-            np.multiply(grad, config.learning_rate, out=grad)
-            flat -= grad
-        epoch_loss.append(total / len(inputs))
+        for start in range(0, n, BATCH_FRAMES):
+            total += step(inputs, codes, targets, order[start : start + BATCH_FRAMES])
+        epoch_loss.append(total / n)
         if not np.isfinite(epoch_loss[-1]):
             raise DataError(
                 f"recognizer training diverged at epoch {epoch}: "
                 f"mean frame loss {epoch_loss[-1]}"
             )
-    return net, {"epoch_loss": epoch_loss, "presentations": config.epochs * len(inputs)}
+    metrics = {
+        "epoch_loss": epoch_loss,
+        "presentations": config.epochs * n,
+        "batches": config.epochs * -(-n // BATCH_FRAMES),
+    }
+    return net, metrics
 
 
 def _utterance_means(rows, lengths):

@@ -8,6 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
+from svcnet import pipeline
 from svcnet.cli import main
 from svcnet.config import RunConfig
 from svcnet.corpus import SoundId
@@ -152,6 +153,45 @@ class TestMissingPrerequisites:
         assert run_cli("train", "--stage", "ppc", "--config", tiny_config_path) == 0
         assert run_cli("train", "--stage", "svc", "--config", tiny_config_path) == 0
         assert run_cli("eval", "--config", tiny_config_path) == 2
+
+
+class TestTrainRec:
+    def trained_svc(self, path, capsys):
+        for verb in ("gen", "ppc", "svc"):
+            argv = (verb,) if verb == "gen" else ("train", "--stage", verb)
+            assert run_cli(*argv, "--config", path) == 0
+        capsys.readouterr()
+
+    def test_prints_presentations_batches_and_final_loss(self, tiny_config_path, capsys):
+        self.trained_svc(tiny_config_path, capsys)
+        assert run_cli("train", "--stage", "rec", "--config", tiny_config_path) == 0
+        config = RunConfig.from_file(tiny_config_path)
+        n = len(load_split(config)[1].frames)
+        epochs = TINY["rec_epochs"]
+        last = read_report(config, "metrics_rec.csv")[2][-1][1]
+        assert capsys.readouterr().out == (
+            f"train rec: {epochs * n} presentations in {epochs * -(-n // 16)} batches, "
+            f"final frame loss {float(last):.5f}\n"
+        )
+
+    @pytest.mark.parametrize("code", [[0.5, 0.5, 0.5], [0.5, float("nan")]])
+    def test_bad_speaker_code_exits_2(self, tiny_config_path, capsys, monkeypatch, code):
+        """A code that is not a finite vector of svc_dim values is refused
+        before the first step, naming the speaker."""
+        self.trained_svc(tiny_config_path, capsys)
+        real = pipeline.all_speaker_svcs
+
+        def one_bad_code(*args):
+            svcs = real(*args)
+            svcs[next(iter(svcs))] = np.array(code)
+            return svcs
+
+        monkeypatch.setattr(pipeline, "all_speaker_svcs", one_bad_code)
+        assert run_cli("train", "--stage", "rec", "--config", tiny_config_path) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.match(r"error: speaker \S+: speaker code is not a finite vector of length 2$",
+                        err.strip())
 
 
 @pytest.fixture(scope="module")

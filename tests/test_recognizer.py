@@ -2,12 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from svcnet.corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.recognizer import (
+    BATCH_FRAMES,
     SVC_HIDDEN_WIDTH,
     AvailabilityFlags,
+    BatchStep,
     RecognizerConfig,
     ablation_eval,
     compute_average_svc,
@@ -109,6 +112,75 @@ class TestGradients:
             for g, e in zip(grads, expected):
                 assert np.array_equal(g, e)
 
+    def batch(self, seed, n_rows=5):
+        """A net bound to a BatchStep and n_rows random frames, codes and
+        one-of-N targets."""
+        rng = np.random.default_rng(seed)
+        net = init_recognizer(WORDS, 4, 2, small_config(seed=seed))
+        for p in net.param_arrays():
+            p[...] = rng.normal(0, 1, p.shape)
+        rows = (rng.normal(size=(n_rows, 4)), rng.random((n_rows, 2)),
+                np.eye(3)[rng.integers(3, size=n_rows)])
+        step = BatchStep(net, n_rows, 0.1)
+        return net, step, rows
+
+    def test_batch_matches_finite_differences(self):
+        """The step's summed gradients on 5 rows against central
+        differences of the summed frame loss."""
+        net, step, rows = self.batch(6)
+        loss = step.gradients(*rows, np.arange(5))
+
+        def summed_loss():
+            return sum(frame_loss(net, *frame) for frame in zip(*rows))
+
+        assert loss == pytest.approx(summed_loss(), rel=1e-12)
+        eps = 1e-6
+        for arr, g in zip(net.param_arrays(), step.grads):
+            flat, gflat = arr.reshape(-1), g.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = summed_loss()
+                flat[i] = orig - eps
+                lo = summed_loss()
+                flat[i] = orig
+                num = (hi - lo) / (2 * eps)
+                assert gflat[i] == pytest.approx(num, rel=1e-4, abs=1e-9)
+
+    def test_batch_matches_summed_textbook_gradients(self):
+        """The step's gradients on 5 rows against the sum of the per-frame
+        np.outer gradients. The step forms each weight gradient as one
+        matrix product over the batch, which adds the frames' terms in the
+        BLAS kernel's order, so the two agree to rounding, not bit for bit."""
+        net, step, rows = self.batch(7)
+        step.gradients(*rows, np.arange(5))
+        expected = [np.zeros_like(p) for p in net.param_arrays()]
+        for x, svc, target in zip(*rows):
+            h = svc_hidden(net, svc)
+            a, s, y = forward_frame(net, x, h, h, h)
+            dy = (y - target) * y * (1.0 - y)
+            ds = (net.w_word.T @ dy) * s * (1.0 - s)
+            da = (net.w_state.T @ ds) * a * (1.0 - a)
+            dh = (
+                net.u_acoustic.T @ da + net.u_state.T @ ds + net.u_word.T @ dy
+            ) * h * (1.0 - h)
+            frame = [
+                np.outer(dh, svc), dh,
+                np.outer(da, x), da, np.outer(da, h),
+                np.outer(ds, a), ds, np.outer(ds, h),
+                np.outer(dy, s), dy, np.outer(dy, h),
+            ]
+            for e, f in zip(expected, frame):
+                e += f
+        for g, e in zip(step.grads, expected):
+            np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-15)
+
+    def test_frame_gradients_leave_the_net_alone(self):
+        net = init_recognizer(WORDS, 4, 2, small_config())
+        params = net.param_arrays()
+        frame_gradients(net, np.ones(4), np.ones(2), np.array([1.0, 0, 0]))
+        assert all(p is q for p, q in zip(net.param_arrays(), params))
+
     def test_loss_is_pre_update(self):
         net = init_recognizer(WORDS, 4, 2, small_config())
         x = np.zeros(4)
@@ -160,30 +232,58 @@ class TestTraining:
         assert errors == 0
         assert metrics["epoch_loss"][-1] < metrics["epoch_loss"][0]
 
-    def test_matches_per_presentation_loop(self):
-        corpus = tiny_corpus()
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_matches_mini_batch_reference_loop(self, window):
+        """Textbook batched formulas, allocating, on the same permutation,
+        BATCH_FRAMES slices and summed updates. 72 frames, so every epoch
+        ends on a batch of 8. The reference forms the same products in the
+        same order, so the parameters are equal bit for bit; the epoch loss
+        is summed frame by frame here and batch by batch in the step, so
+        the two agree to rounding."""
+        spec = CorpusSpec(
+            n_speakers=3, n_words=3, phones_per_word=2, states_per_phone=2,
+            frames_per_state=2, noise_std=0.02, seed=13, feature_dim=6, latent_dim=2,
+        )
+        corpus = generate_corpus(spec)[0]
+        assert len(corpus.frames) % BATCH_FRAMES == 8
         svcs = tiny_svcs(corpus)
-        cfg = small_config(epochs=2)
+        cfg = small_config(epochs=3, window=window)
         net, metrics = train_recognizer(corpus, svcs, cfg)
 
         ref = init_recognizer(corpus.words, corpus.feature_dim, 2, cfg)
-        presentations = []
-        for frames in corpus.by_utterance().values():
-            for features, word, speaker in zip(frames.frames, frames.word, frames.speaker):
-                target = np.zeros(len(ref.words))
-                target[ref.words.index(corpus.words[word])] = 1.0
-                presentations.append((features, svcs[corpus.speakers[speaker]], target))
+        inputs = window_frames(corpus.frames, window, corpus.utterance_bounds())
+        codes = np.array([svcs[corpus.speakers[k]] for k in corpus.speaker])
+        targets = np.eye(len(corpus.words))[corpus.word]
         rng = np.random.default_rng(cfg.seed)
         losses = []
         for _ in range(cfg.epochs):
+            order = rng.permutation(len(inputs))
             total = 0.0
-            for i in rng.permutation(len(presentations)):
-                grads, loss = frame_gradients(ref, *presentations[i])
+            for start in range(0, len(order), BATCH_FRAMES):
+                rows = order[start : start + BATCH_FRAMES]
+                x, c, t = inputs[rows], codes[rows], targets[rows]
+                h = expit(c @ ref.w_svc.T + ref.b_svc)
+                a = expit(x @ ref.w_acoustic.T + ref.b_acoustic + h @ ref.u_acoustic.T)
+                s = expit(a @ ref.w_state.T + ref.b_state + h @ ref.u_state.T)
+                y = expit(s @ ref.w_word.T + ref.b_word + h @ ref.u_word.T)
+                dy = (y - t) * y * (1.0 - y)
+                ds = (dy @ ref.w_word) * s * (1.0 - s)
+                da = (ds @ ref.w_state) * a * (1.0 - a)
+                dh = (da @ ref.u_acoustic + ds @ ref.u_state + dy @ ref.u_word) * h * (1.0 - h)
+                grads = [
+                    dh.T @ c, dh.sum(axis=0),
+                    da.T @ x, da.sum(axis=0), da.T @ h,
+                    ds.T @ a, ds.sum(axis=0), ds.T @ h,
+                    dy.T @ s, dy.sum(axis=0), dy.T @ h,
+                ]
+                for d in y - t:
+                    total += 0.5 * float(d @ d)
                 for p, g in zip(ref.param_arrays(), grads):
                     p -= cfg.learning_rate * g
-                total += loss
-            losses.append(total / len(presentations))
-        assert metrics["epoch_loss"] == losses
+            losses.append(total / len(order))
+        assert metrics["epoch_loss"] == pytest.approx(losses, rel=1e-12)
+        assert metrics["presentations"] == 3 * 72
+        assert metrics["batches"] == 3 * 5
         for a, b in zip(net.param_arrays(), ref.param_arrays()):
             assert np.array_equal(a, b)
 
@@ -199,6 +299,27 @@ class TestTraining:
         corpus = tiny_corpus()
         with pytest.raises(DataError):
             train_recognizer(corpus, {}, small_config())
+
+    def test_ragged_codes(self):
+        corpus = tiny_corpus()
+        svcs = tiny_svcs(corpus)
+        svcs[corpus.speakers[1]] = np.ones(3)
+        with pytest.raises(DataError, match=f"speaker {corpus.speakers[1]}: .* length 2"):
+            train_recognizer(corpus, svcs, small_config(), svc_dim=2)
+
+    def test_codes_of_the_wrong_length(self):
+        corpus = tiny_corpus()
+        svcs = {s: np.ones(3) for s in corpus.speakers}
+        with pytest.raises(DataError, match=f"speaker {corpus.speakers[0]}: .* length 2"):
+            train_recognizer(corpus, svcs, small_config(), svc_dim=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_code(self, bad):
+        corpus = tiny_corpus()
+        svcs = tiny_svcs(corpus)
+        svcs[corpus.speakers[2]] = np.array([0.5, bad])
+        with pytest.raises(DataError, match=f"speaker {corpus.speakers[2]}: .* finite"):
+            train_recognizer(corpus, svcs, small_config())
 
 
 class TestRecognize:
