@@ -1,10 +1,11 @@
 """Dense feedforward networks with masked squared-error backprop.
 
-All parameters are float64. Training is plain gradient descent, per
-presentation (FusedStep) or on the summed gradients of a batch of input
-rows (SharedStep); the loss is
+All parameters are float64. Training is plain gradient descent by Step:
+N networks of one spec, each updated once per step by the summed
+gradients of its B input rows. The loss is
 L = 1/2 * sum_i mask_i * (out_i - target_i)^2, so masked output units
-contribute exactly zero error and zero gradient.
+contribute exactly zero error and zero gradient. forward, backward and
+sgd_step are the per-presentation references Step is checked against.
 """
 
 from dataclasses import dataclass
@@ -187,34 +188,26 @@ def _times_deriv(v, a, kind, tmp, out):
     np.multiply(v, tmp, out=out)
 
 
-def _backprop(weights_t, act_rows, act_cols, kinds, delta_cols, grad_w, tmp):
-    """The one backprop loop. On entry delta_cols[-1] holds the output
-    delta; fills the other deltas (the bias gradients) and grad_w. Every
-    array is a column (n, 1), a row (1, n) or a matrix, optionally under a
-    leading stack axis, and results are written into the given arrays."""
-    for layer in range(len(grad_w) - 1, -1, -1):
-        delta = delta_cols[layer]
-        np.multiply(delta, act_rows[layer], out=grad_w[layer])
-        if layer:
-            back = delta_cols[layer - 1]
-            np.matmul(weights_t[layer], delta, out=back)
-            _times_deriv(back, act_cols[layer], kinds[layer - 1], tmp[layer], back)
+def _deriv(a, kind):
+    """f'(z) from the activation value a = f(z)."""
+    if kind == "sigmoid":
+        return (1.0 - a) * a
+    if kind == "tanh":
+        return 1.0 - a * a
+    return 1.0
 
 
 def grads_from_activations(params, acts, target, mask):
-    """Backprop given precomputed activations from forward()."""
+    """Backprop given precomputed activations from forward(): the textbook
+    per-presentation formulas, a reference independent of Step."""
     target, mask = _check_target_mask(params, target, mask)
-    resid = np.where(mask, acts[-1] - target, 0.0)
     kinds = params.spec.activations
-    grad_w = [np.empty_like(w) for w in params.weights]
-    grad_b = [np.empty_like(b) for b in params.biases]
-    cols = [a[:, None] for a in acts]
-    tmp = [np.empty_like(c) for c in cols]
-    _times_deriv(resid, acts[-1], kinds[-1], tmp[-1][:, 0], grad_b[-1])
-    _backprop(
-        [w.T for w in params.weights], [a[None, :] for a in acts], cols, kinds,
-        [b[:, None] for b in grad_b], grad_w, tmp,
-    )
+    grad_w, grad_b = [None] * len(kinds), [None] * len(kinds)
+    back = np.where(mask, acts[-1] - target, 0.0)
+    for layer in range(len(kinds) - 1, -1, -1):
+        delta = back * _deriv(acts[layer + 1], kinds[layer])
+        grad_w[layer], grad_b[layer] = np.outer(delta, acts[layer]), delta
+        back = params.weights[layer].T @ delta
     return grad_w, grad_b
 
 
@@ -249,167 +242,109 @@ def flat_views(flat, shapes):
     return views
 
 
-class FusedStep:
-    """Forward, masked backprop and SGD update in one in-place step, for S
-    networks of one spec trained side by side (S = 1 for a single net).
+class Step:
+    """Forward, masked backprop and SGD update in one in-place step, for N
+    networks of one spec, each on B input rows and updated once by its
+    rows' summed gradients (not averaged: the learning rate keeps its
+    per-presentation scale). At B = 1 each network's step equals
+    forward + backward + sgd_step on it bit for bit.
 
-    The constructor copies the networks' parameters into one flat buffer
-    and rebinds every `weights`/`biases` entry of each network to a view of
-    it, so the networks see each update. Gradients live in a second flat
-    buffer of the same layout, and one step updates all of them with a
-    single `flat -= lr * grad`. Shapes are checked here, once; a step
-    checks nothing. Arithmetic matches forward + grads_from_activations +
-    sgd_step on each network bit for bit: the stacked (S, out, in) matmuls
-    and products equal their per-network slices exactly.
+    Parameters are copied into one flat buffer, weights (N, out, in) and
+    biases (N, 1, out), and each network's `weights`/`biases` are rebound
+    to views of it; `grad_w`/`grad_b` are views of a second buffer of the
+    same layout, so the update is one `flat -= lr * grad`. Activations are
+    (N, B, width); per layer the forward pass is `acts @ W.T`, the weight
+    gradient `delta.T @ acts`, the bias gradient delta summed over rows.
+    Shapes are checked and every buffer is allocated here, once.
+
+    An inactive row contributes nothing: its input and target are never
+    read (its input keeps that row's last active one, zeros at first) and
+    its delta is zero, so garbage there cannot change the parameters.
     """
 
-    def __init__(self, nets, learning_rate):
+    def __init__(self, nets, n_rows, learning_rate):
         spec = nets[0].spec
+        shapes = []
+        for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
+            shapes += [(fan_out, fan_in), (fan_out,)]
         for net in nets:
             if net.spec != spec:
                 raise StructuralError(f"cannot step {net.spec} with {spec}")
-            for w, b, fan_in, fan_out in zip(
-                net.weights, net.biases, spec.sizes[:-1], spec.sizes[1:]
-            ):
-                if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-                    raise StructuralError(f"parameter shapes do not match {spec}")
+            if [p.shape for pair in zip(net.weights, net.biases) for p in pair] != shapes:
+                raise StructuralError(f"parameter shapes do not match {spec}")
         n = len(nets)
-        shapes = []
-        for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
-            shapes += [(n, fan_out, fan_in), (n, fan_out, 1)]
+        shapes = [(n, 1) + s if len(s) == 1 else (n,) + s for s in shapes]
         self.flat = np.empty(sum(int(np.prod(s)) for s in shapes))
         self.grad = np.empty_like(self.flat)
         params = flat_views(self.flat, shapes)
         grads = flat_views(self.grad, shapes)
-        self._weights, self._bias_cols = params[0::2], params[1::2]
+        self._weights, self._biases = params[0::2], params[1::2]
         self._weights_t = [w.swapaxes(1, 2) for w in self._weights]
-        self._grad_w, self._delta_cols = grads[0::2], grads[1::2]
-        for s, net in enumerate(nets):
-            for layer, (w, b) in enumerate(zip(self._weights, self._bias_cols)):
-                w[s] = net.weights[layer]
-                b[s, :, 0] = net.biases[layer]
-                net.weights[layer] = w[s]
-                net.biases[layer] = b[s, :, 0]
+        self.grad_w, self.grad_b = grads[0::2], grads[1::2]
+        for k, net in enumerate(nets):
+            for layer, (w, b) in enumerate(zip(self._weights, self._biases)):
+                w[k], b[k, 0] = net.weights[layer], net.biases[layer]
+                net.weights[layer], net.biases[layer] = w[k], b[k, 0]
         self._kinds = spec.activations
-        self._cols = [np.empty((n, width, 1)) for width in spec.sizes]
-        self._rows = [c.swapaxes(1, 2) for c in self._cols]
-        self._tmp = [np.empty_like(c) for c in self._cols]
-        self.inputs = self._cols[0][:, :, 0]
-        self.outputs = self._cols[-1][:, :, 0]
+        self._acts = [np.zeros((n, n_rows, width)) for width in spec.sizes]
+        # on one row a layer's delta is its bias gradient
+        self._summed = n_rows > 1
+        self._deltas = ([np.empty((n, n_rows, width)) for width in spec.sizes[1:]]
+                        if self._summed else self.grad_b)
+        self._deltas_t = [d.swapaxes(1, 2) for d in self._deltas]
+        self._tmp = [np.empty_like(d) for d in self._deltas]
+        self.outputs = self._acts[-1]
+        self._where = np.empty(self.outputs.shape, dtype=bool)
         self._resid = np.empty_like(self.outputs)
-        self._out_tmp = self._tmp[-1][:, :, 0]
-        self._out_delta = self._delta_cols[-1][:, :, 0]
         self._learning_rate = learning_rate
 
-    def forward(self, x):
-        """Stacked forward pass of (S, in) inputs; returns the (S, out)
-        outputs, a buffer the next call overwrites."""
-        np.copyto(self.inputs, x)
-        cols = self._cols
+    def forward(self, x, active=None):
+        """Stacked forward pass of the (N, B, in) inputs `x`; returns the
+        (N, B, out) outputs, a buffer the next call overwrites. Rows whose
+        `active` entry (bool, broadcast against (N, B, 1); None for all
+        rows) is False are not read."""
+        acts = self._acts
+        if active is None:
+            np.copyto(acts[0], x)
+        else:
+            np.copyto(acts[0], x, where=active)
         for layer, kind in enumerate(self._kinds):
-            out = cols[layer + 1]
-            np.matmul(self._weights[layer], cols[layer], out=out)
-            out += self._bias_cols[layer]
+            out = acts[layer + 1]
+            np.matmul(acts[layer], self._weights_t[layer], out=out)
+            out += self._biases[layer]
             activate(out, kind, out=out)
         return self.outputs
 
-    def __call__(self, x, target, mask=None):
-        """One SGD step on (S, in) inputs and (S, out) targets; `mask`
-        (broadcast against the targets, None for all units) selects the
-        output units that carry error. Returns the masked residual, a
-        buffer the next call overwrites."""
-        out = self.forward(x)
+    def gradients(self, x, target, mask=None, active=None):
+        """Fill `grad_w`/`grad_b` with the masked loss's gradients summed
+        over the active rows, without updating. `mask` (bool, broadcast
+        against the (N, B, out) target; None for all units) selects the
+        units that carry error; `active` as in forward(). Returns the
+        masked residual (zero in inactive rows), overwritten next call."""
+        out = self.forward(x, active)
+        if active is not None:
+            mask = np.logical_and(active, True if mask is None else mask, out=self._where)
         resid = self._resid
         if mask is None:
             np.subtract(out, target, out=resid)
         else:
             resid.fill(0.0)
             np.subtract(out, target, out=resid, where=mask)
-        _times_deriv(resid, out, self._kinds[-1], self._out_tmp, self._out_delta)
-        _backprop(
-            self._weights_t, self._rows, self._cols, self._kinds,
-            self._delta_cols, self._grad_w, self._tmp,
-        )
-        np.multiply(self.grad, self._learning_rate, out=self.grad)
-        self.flat -= self.grad
-        return resid
-
-
-class SharedStep:
-    """One SGD step of a single network on S input rows at once, with one
-    update from the rows' summed gradients (mini-batch SGD; gradients are
-    summed, not averaged, so the learning rate keeps its per-presentation
-    scale).
-
-    Per layer the forward pass is one (S, in) @ W.T; backprop forms the
-    weight gradient as delta.T @ acts and the bias gradient as the column
-    sum of delta. Parameters and gradients live in flat buffers as in
-    FusedStep: the net's `weights`/`biases` are rebound to views of
-    `flat`, `grad_w`/`grad_b` are views of `grad`, and the update is one
-    `flat -= lr * grad`. Every buffer is allocated here.
-
-    A row whose `active` entry is False contributes nothing: its input and
-    target are never read (the input buffer keeps that row's last active
-    input, zeros at first) and its output delta is zero, so garbage in an
-    inactive row cannot change the parameters.
-    """
-
-    def __init__(self, net, n_rows, learning_rate):
-        spec = net.spec
-        shapes = []
-        for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
-            shapes += [(fan_out, fan_in), (fan_out,)]
-        current = [p for pair in zip(net.weights, net.biases) for p in pair]
-        if [p.shape for p in current] != shapes:
-            raise StructuralError(f"parameter shapes do not match {spec}")
-        self.flat = np.concatenate([p.reshape(-1) for p in current])
-        self.grad = np.empty_like(self.flat)
-        params = flat_views(self.flat, shapes)
-        grads = flat_views(self.grad, shapes)
-        self._weights, self._biases = params[0::2], params[1::2]
-        self.grad_w, self.grad_b = grads[0::2], grads[1::2]
-        net.weights[:], net.biases[:] = self._weights, self._biases
-        self._kinds = spec.activations
-        self._acts = [np.zeros((n_rows, width)) for width in spec.sizes]
-        self._deltas = [np.empty((n_rows, width)) for width in spec.sizes[1:]]
-        self._tmp = [np.empty_like(d) for d in self._deltas]
-        self.outputs = self._acts[-1]
-        self._mask = np.empty(self.outputs.shape, dtype=bool)
-        self._resid = np.empty_like(self.outputs)
-        self._learning_rate = learning_rate
-
-    def gradients(self, x, target, mask, active):
-        """Fill `grad_w`/`grad_b` with the gradients of the masked loss
-        summed over the active rows, without updating. `x` is (S, in),
-        `target` and `mask` (S, out) and `active` (S,) bool. Returns the
-        masked residual (zero in inactive rows), a buffer the next call
-        overwrites."""
-        rows = active[:, None]
-        acts = self._acts
-        np.copyto(acts[0], x, where=rows)
-        for layer, kind in enumerate(self._kinds):
-            out = acts[layer + 1]
-            np.matmul(acts[layer], self._weights[layer].T, out=out)
-            out += self._biases[layer]
-            activate(out, kind, out=out)
-        np.logical_and(mask, rows, out=self._mask)
-        resid = self._resid
-        resid.fill(0.0)
-        np.subtract(self.outputs, target, out=resid, where=self._mask)
-        deltas, kinds = self._deltas, self._kinds
-        _times_deriv(resid, self.outputs, kinds[-1], self._tmp[-1], deltas[-1])
+        acts, deltas, kinds, tmp = self._acts, self._deltas, self._kinds, self._tmp
+        _times_deriv(resid, out, kinds[-1], tmp[-1], deltas[-1])
         for layer in range(len(deltas) - 1, -1, -1):
             delta = deltas[layer]
-            np.matmul(delta.T, acts[layer], out=self.grad_w[layer])
-            np.add.reduce(delta, axis=0, out=self.grad_b[layer])
+            np.matmul(self._deltas_t[layer], acts[layer], out=self.grad_w[layer])
+            if self._summed:
+                np.add.reduce(delta, axis=1, keepdims=True, out=self.grad_b[layer])
             if layer:
                 back = deltas[layer - 1]
                 np.matmul(delta, self._weights[layer], out=back)
-                _times_deriv(back, acts[layer], kinds[layer - 1], self._tmp[layer - 1], back)
+                _times_deriv(back, acts[layer], kinds[layer - 1], tmp[layer - 1], back)
         return resid
 
-    def __call__(self, x, target, mask, active):
-        """gradients(), then one update of the shared parameters."""
+    def __call__(self, x, target, mask=None, active=None):
+        """gradients(), then one update of every network."""
         resid = self.gradients(x, target, mask, active)
         np.multiply(self.grad, self._learning_rate, out=self.grad)
         self.flat -= self.grad
@@ -460,7 +395,9 @@ def gradient_check_battery(n_networks=100, seed=0, eps=1e-6):
         x = rng.normal(0, 1, sizes[0])
         target = rng.normal(0, 1, sizes[-1])
         mask = rng.random(sizes[-1]) < 0.7
-        analytic = backward(params, x, target, mask)
+        step = Step([params], 1, 1.0)
+        step.gradients(x[None, None], target[None, None], mask)
+        analytic = ([g[0] for g in step.grad_w], [g[0, 0] for g in step.grad_b])
         numeric = numerical_gradient(params, x, target, mask, eps)
         worst = max(worst, relative_gradient_error(analytic, numeric))
     return worst

@@ -95,7 +95,10 @@ def load_encoders(config):
         if name is None:
             raise DataError(f"{p}: encoder file name is not ppc_<phone>_<state>.txt")
         sound = SoundId(name[1], int(name[2]))
-        encoders[sound] = ppc_mod.PPCEncoder(sound, load_model(p))
+        encoder = ppc_mod.PPCEncoder(sound, load_model(p))
+        if encoder.code_dim != config.ppc_dim:
+            raise DataError(f"{p}: code width {encoder.code_dim} != ppc_dim {config.ppc_dim}")
+        encoders[sound] = encoder
     return encoders
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import SoundId
 from .errors import DataError, StructuralError
-from .nets import FusedStep, LayerSpec, activate, forward, init_network
+from .nets import LayerSpec, Step, activate, forward, init_network
 
 log = logging.getLogger(__name__)
 
@@ -59,8 +59,8 @@ def _train_lockstep(sounds, frames, code_dim, config, seeds):
     spec = encoder_spec(feature_dim, code_dim)
     nets = [init_network(spec, seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    step = FusedStep(nets, config.learning_rate)
-    rows = frames.reshape(-1, feature_dim)
+    step = Step(nets, 1, config.learning_rate)
+    rows = frames.reshape(-1, 1, feature_dim)
     offsets = np.arange(n_sounds)[:, None] * n_frames
     curves = np.empty((config.epochs, n_sounds))
     for epoch in range(config.epochs):
@@ -71,9 +71,9 @@ def _train_lockstep(sounds, frames, code_dim, config, seeds):
         # reconstruction_mse, one frame at a time across all encoders
         total = np.zeros(n_sounds)
         for j in range(n_frames):
-            x = frames[:, j]
+            x = frames[:, j, None]
             d = step.forward(x) - x
-            total += (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+            total += (d @ d.swapaxes(1, 2))[:, 0, 0]
         curves[epoch] = total / (n_frames * feature_dim)
         for sound, mse in zip(sounds, curves[epoch]):
             if not np.isfinite(mse):

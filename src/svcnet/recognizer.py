@@ -146,7 +146,7 @@ def frame_loss(net, x, svc, target):
 
 class BatchStep:
     """One SGD step of the recognizer on a batch of frames, with one update
-    from the frames' summed gradients (mini-batch SGD, as nets.SharedStep;
+    from the frames' summed gradients (mini-batch SGD, as nets.Step;
     summed, not averaged, so the learning rate keeps its per-presentation
     scale).
 

@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import SoundId
 from .errors import DataError, StructuralError
 from .fileio import read_arrays, str_list, write_arrays
-from .nets import MODEL_FIELDS, LayerSpec, RowForward, SharedStep, forward_rows, init_network
+from .nets import MODEL_FIELDS, LayerSpec, RowForward, Step, forward_rows, init_network
 from .nets import model_arrays, model_from_arrays
 from .ppc import codable_frames, encode_frames
 
@@ -238,9 +238,9 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
                   for stream, ends in coded]
     lengths = np.array([len(stream) for stream, _ in coded])
     n_steps, n_frames, n_rows = int(lengths.max()), int(lengths.sum()), len(coded)
-    active = np.arange(n_steps)[:, None] < lengths  # (T, S)
+    active = (np.arange(n_steps)[:, None] < lengths)[..., None]  # (T, S, 1)
     rng = np.random.default_rng(config.seed)
-    step = SharedStep(svcnet.net, n_rows, config.learning_rate)
+    step = Step([svcnet.net], n_rows, config.learning_rate)
     x = np.empty((n_rows, layout.width))  # heard means over the last outputs, or over zeros
     epoch_loss = []
     for epoch in range(config.epochs):
@@ -253,7 +253,7 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
         sweep_loss = 0.0
         for t in range(n_steps):
             np.copyto(x, means[t], where=heard[t])  # heard slots only grow
-            resid = step(x, targets, masks, active[t]).reshape(-1)
+            resid = step(x[None], targets, masks, active[t]).reshape(-1)
             if mode == FEEDBACK:
                 x[...] = step.outputs
             sweep_loss += 0.5 * float(resid @ resid)

@@ -367,6 +367,15 @@ class TestMalformedArtifacts:
         shutil.copy(out / "models" / "ppc_p00_0.txt", out / "models" / "ppc_foo.txt")
         assert "ppc_foo.txt" in self.eval_error(full_run, out, capsys)
 
+    @pytest.mark.parametrize("verb", [("train", "--stage", "svc"), ("eval",)], ids=["svc", "eval"])
+    def test_encoder_code_width_differs_from_ppc_dim(self, out, tmp_path, capsys, verb):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(TINY, ppc_dim=3)))
+        assert main([*verb, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "ppc_p00_0.txt" in err and "code width 2 != ppc_dim 3" in err
+
     def test_truncated_recognizer(self, full_run, out, capsys):
         path = out / "models" / "recognizer.txt"
         lines = path.read_text().splitlines(keepends=True)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from svcnet.errors import StructuralError
 from svcnet.nets import (
     ACTIVATIONS,
-    FusedStep,
     LayerSpec,
     NetworkParams,
     RowForward,
@@ -20,7 +19,7 @@ from svcnet.nets import (
     masked_loss,
     numerical_gradient,
     relative_gradient_error,
-    SharedStep,
+    Step,
     grads_from_activations,
     save_model,
     sgd_step,
@@ -236,6 +235,8 @@ class TestSgdStep:
             prev = cur
 
     def test_fused_step_matches_backward_then_sgd_step(self):
+        """N networks on one row each (the encoders' lockstep) equal
+        backward + sgd_step on each network, bit for bit."""
         rng = np.random.default_rng(8)
         for trial in range(40):
             n_layers = int(rng.integers(2, 5))
@@ -247,66 +248,78 @@ class TestSgdStep:
                 for _ in range(n_nets)
             ]
             looped = [p.copy() for p in fused]
-            step = FusedStep(fused, 0.1)
+            step = Step(fused, 1, 0.1)
             for _ in range(4):
-                x = rng.normal(size=(n_nets, sizes[0]))
-                t = rng.normal(size=(n_nets, sizes[-1]))
-                mask = rng.random((n_nets, sizes[-1])) < 0.7
+                x = rng.normal(size=(n_nets, 1, sizes[0]))
+                t = rng.normal(size=(n_nets, 1, sizes[-1]))
+                mask = rng.random((n_nets, 1, sizes[-1])) < 0.7
                 resid = step(x, t, None if trial % 4 == 0 else mask).copy()
                 if trial % 4 == 0:
                     mask[:] = True
                 for k, net in enumerate(looped):
-                    out = forward(net, x[k])[-1]
-                    assert np.array_equal(resid[k], np.where(mask[k], out - t[k], 0.0))
-                    sgd_step(net, backward(net, x[k], t[k], mask[k]), 0.1)
+                    out = forward(net, x[k, 0])[-1]
+                    assert np.array_equal(resid[k, 0], np.where(mask[k, 0], out - t[k, 0], 0.0))
+                    sgd_step(net, backward(net, x[k, 0], t[k, 0], mask[k, 0]), 0.1)
             for a, b in zip(fused, looped):
                 for p, q in zip(a.weights + a.biases, b.weights + b.biases):
                     assert np.array_equal(p, q)
 
     def test_shared_step_sums_row_gradients(self):
-        """The batched step's gradients equal the sum of per-row backprop
-        and central differences of the summed masked loss, over random
-        specs, 1-4 rows and masks with all-masked and inactive rows; the
+        """Each network's gradients equal the sum of per-row backprop and
+        central differences of its rows' summed masked loss, over random
+        specs, 1-3 networks of 1-4 rows, with all-masked and inactive rows
+        (and mask or active left out, for all units or all rows); the
         update is one -lr * gradient."""
         rng = np.random.default_rng(9)
         for trial in range(40):
             n_layers = int(rng.integers(2, 5))
             sizes = tuple(int(rng.integers(1, 9)) for _ in range(n_layers))
             acts = tuple(str(rng.choice(ACTIVATIONS)) for _ in range(n_layers - 1))
-            n_rows = int(rng.integers(1, 5))
-            net = init_network(LayerSpec(sizes, acts), int(rng.integers(0, 2**31)))
-            ref = net.copy()
-            step = SharedStep(net, n_rows, 0.1)
-            x = rng.normal(size=(n_rows, sizes[0]))
-            t = rng.normal(size=(n_rows, sizes[-1]))
-            mask = rng.random((n_rows, sizes[-1])) < 0.7
-            mask[rng.integers(n_rows)] = trial % 3 != 0  # some all-masked rows
-            active = rng.random(n_rows) < 0.7
-            resid = step.gradients(x, t, mask, active).copy()
-            grads = (step.grad_w, step.grad_b)
-            for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
-                assert np.array_equal(a, b)  # gradients() does not update
-            summed = ([np.zeros_like(w) for w in ref.weights],
-                      [np.zeros_like(b) for b in ref.biases])
-            numeric = ([np.zeros_like(w) for w in ref.weights],
-                       [np.zeros_like(b) for b in ref.biases])
-            for r in np.flatnonzero(active):
-                out = forward(ref, x[r])
-                expect = np.where(mask[r], out[-1] - t[r], 0.0)
-                np.testing.assert_allclose(resid[r], expect, rtol=1e-12, atol=1e-15)
-                row = grads_from_activations(ref, out, t[r], mask[r])
-                num = numerical_gradient(ref, x[r], t[r], mask[r], 1e-6)
-                for total, part in zip(summed[0] + summed[1] + numeric[0] + numeric[1],
-                                       row[0] + row[1] + num[0] + num[1]):
-                    total += part
-            assert np.all(resid[~active] == 0.0)
-            assert relative_gradient_error(grads, summed) < 1e-12
-            assert relative_gradient_error(grads, numeric) < 1e-6
-            expected = [p - 0.1 * g for p, g in zip(ref.weights + ref.biases,
-                                                   grads[0] + grads[1])]
-            step(x, t, mask, active)
-            for a, b in zip(net.weights + net.biases, expected):
-                assert np.array_equal(a, b)
+            n_nets, n_rows = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            nets = [init_network(LayerSpec(sizes, acts), int(rng.integers(0, 2**31)))
+                    for _ in range(n_nets)]
+            refs = [net.copy() for net in nets]
+            step = Step(nets, n_rows, 0.1)
+            x = rng.normal(size=(n_nets, n_rows, sizes[0]))
+            t = rng.normal(size=(n_nets, n_rows, sizes[-1]))
+            mask = rng.random((n_nets, n_rows, sizes[-1])) < 0.7
+            mask[:, rng.integers(n_rows)] = trial % 3 != 0  # some all-masked rows
+            active = rng.random((n_nets, n_rows)) < 0.7
+            given_mask = None if trial % 5 == 1 else mask
+            given_active = None if trial % 5 == 2 else active[..., None]
+            if given_mask is None:
+                mask[:] = True
+            if given_active is None:
+                active[:] = True
+            resid = step.gradients(x, t, given_mask, given_active).copy()
+            for net, ref in zip(nets, refs):
+                for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+                    assert np.array_equal(a, b)  # gradients() does not update
+            for k, ref in enumerate(refs):
+                grads = ([g[k] for g in step.grad_w], [g[k, 0] for g in step.grad_b])
+                summed = ([np.zeros_like(w) for w in ref.weights],
+                          [np.zeros_like(b) for b in ref.biases])
+                numeric = ([np.zeros_like(w) for w in ref.weights],
+                           [np.zeros_like(b) for b in ref.biases])
+                for r in np.flatnonzero(active[k]):
+                    out = forward(ref, x[k, r])
+                    expect = np.where(mask[k, r], out[-1] - t[k, r], 0.0)
+                    np.testing.assert_allclose(resid[k, r], expect, rtol=1e-12, atol=1e-15)
+                    row = grads_from_activations(ref, out, t[k, r], mask[k, r])
+                    num = numerical_gradient(ref, x[k, r], t[k, r], mask[k, r], 1e-6)
+                    for total, part in zip(summed[0] + summed[1] + numeric[0] + numeric[1],
+                                           row[0] + row[1] + num[0] + num[1]):
+                        total += part
+                assert np.all(resid[k, ~active[k]] == 0.0)
+                assert relative_gradient_error(grads, summed) < 1e-12
+                assert relative_gradient_error(grads, numeric) < 1e-6
+            expected = [[p - 0.1 * g[k] for p, g in zip(ref.weights, step.grad_w)]
+                        + [p - 0.1 * g[k, 0] for p, g in zip(ref.biases, step.grad_b)]
+                        for k, ref in enumerate(refs)]
+            step(x, t, given_mask, given_active)
+            for net, params in zip(nets, expected):
+                for a, b in zip(net.weights + net.biases, params):
+                    assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("garbage", [np.nan, np.inf, -1e300, 7.0])
     def test_shared_step_ignores_inactive_rows(self, garbage):
@@ -317,23 +330,23 @@ class TestSgdStep:
         sizes = (5, 4, 2, 4, 5)
         nets = [init_network(spec(sizes, ["sigmoid", "tanh", "sigmoid", "linear"]), 3)
                 for _ in range(2)]
-        clean, dirty = (SharedStep(net, 4, 0.1) for net in nets)
+        clean, dirty = (Step([net], 4, 0.1) for net in nets)
         for _ in range(6):
             x = rng.random((4, 5))
             t = rng.random((4, 5))
             mask = rng.random((4, 5)) < 0.6
             active = rng.random(4) < 0.6
-            clean(x, t, mask, active)
+            clean(x, t, mask, active[:, None])
             x[~active] = garbage
             t[~active] = garbage
             t[~mask] = garbage
-            dirty(x, t, mask, active)
+            dirty(x, t, mask, active[:, None])
         assert clean.flat.tobytes() == dirty.flat.tobytes()
 
     def test_fused_step_rejects_mixed_specs(self):
         nets = [init_network(spec([2, 3, 2]), 0), init_network(spec([2, 4, 2]), 0)]
         with pytest.raises(StructuralError):
-            FusedStep(nets, 0.1)
+            Step(nets, 1, 0.1)
 
     def test_reversible(self):
         p = init_network(spec([3, 4, 2]), seed=9)
