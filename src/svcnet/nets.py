@@ -41,10 +41,6 @@ class LayerSpec:
             if a not in ACTIVATIONS:
                 raise StructuralError(f"unknown activation {a!r}")
 
-    @property
-    def n_layers(self):
-        return len(self.sizes)
-
 
 @dataclass
 class NetworkParams:
@@ -109,32 +105,34 @@ def forward(params, x):
 
 
 class RowForward:
-    """Stacked forward passes of one network on N input rows at a time,
-    into output buffers allocated once.
+    """Stacked forward passes of N networks of one spec, each on B input
+    rows, into output buffers allocated once. Weights are (N, out, in)
+    stacks (Step's layout), biases (N, out) or (N, 1, out); one network's
+    (out, in) weights and (out,) biases are the N = 1 case.
 
-    Row n of every layer equals forward(params, x[n]) bit for bit: the
-    stacked product W @ x[:, :, None] runs one matrix-vector product per
-    row, the kernel of W @ x[n] (the matrix product x @ W.T can differ in
-    the last bits), and the bias is added elementwise, to the flat
-    (N * width,) buffer against the bias tiled N times, which spares the
-    broadcast's overhead in a loop of small steps. The tiled biases are
-    copies taken here: build a new RowForward after changing the biases.
+    Row (n, b) of every layer equals forward(net_n, x[n, b]) bit for bit:
+    the product W[..., None, :, :] @ x[..., None] runs one matrix-vector
+    product per row, the kernel of W @ x[n, b] (x @ W.T can differ in the
+    last bits), and the bias is added elementwise, to the flat buffer
+    against the bias tiled B times, which spares the broadcast's overhead
+    in a loop of small steps. The weights are read at each call, the
+    biases tiled here: build a new RowForward after changing the biases.
     """
 
-    def __init__(self, params, n_rows):
-        spec = params.spec
-        self.outputs = [np.empty((n_rows, width)) for width in spec.sizes[1:]]
-        self._cols = [out[:, :, None] for out in self.outputs]
+    def __init__(self, weights, biases, kinds, n_rows):
+        n = biases[0].size // biases[0].shape[-1]  # N bias vectors per layer
+        self.outputs = [np.empty((n, n_rows, b.shape[-1])) for b in biases]
+        self._cols = [out[..., None] for out in self.outputs]
         self._flat = [out.reshape(-1) for out in self.outputs]
-        tiled = [np.repeat(b[None], n_rows, axis=0).reshape(-1) for b in params.biases]
-        self._layers = list(zip(params.weights, tiled, spec.activations))
+        tiled = [np.repeat(b.reshape(n, 1, -1), n_rows, axis=1).reshape(-1) for b in biases]
+        self._layers = list(zip([w[..., None, :, :] for w in weights], tiled, kinds))
 
     def __call__(self, x):
-        """Forward pass of the (N, in) rows x, which may be the last
+        """Forward pass of the (N, B, in) rows x, which may be the last
         output buffer (the input is read by the first layer only); returns
         the activations of every layer, input included. The outputs are
         the buffers the next call overwrites."""
-        col = x[:, :, None]
+        col = x[..., None]
         for layer, (w, b, kind) in enumerate(self._layers):
             np.matmul(w, col, out=self._cols[layer])
             col, flat = self._cols[layer], self._flat[layer]
@@ -144,15 +142,14 @@ class RowForward:
 
 
 def forward_rows(params, x):
-    """Activations of every layer for each row of the (N, in) input x,
-    input included: one (N, width) array per layer, row n equal to
-    forward(params, x[n]) bit for bit (see RowForward)."""
+    """Activations of every layer for each row of the (B, in) input x,
+    input included: one (B, width) array per layer, row b equal to
+    forward(params, x[b]) bit for bit (see RowForward)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.spec.sizes[0]:
-        raise StructuralError(
-            f"input has shape {x.shape}, expected (N, {params.spec.sizes[0]})"
-        )
-    return RowForward(params, len(x))(x)
+        raise StructuralError(f"input has shape {x.shape}, expected (B, {params.spec.sizes[0]})")
+    step = RowForward(params.weights, params.biases, params.spec.activations, len(x))
+    return [acts[0] for acts in step(x[None])]
 
 
 def _check_target_mask(params, target, mask):
@@ -250,11 +247,12 @@ class Step:
     forward + backward + sgd_step on it bit for bit.
 
     Parameters are copied into one flat buffer, weights (N, out, in) and
-    biases (N, 1, out), and each network's `weights`/`biases` are rebound
-    to views of it; `grad_w`/`grad_b` are views of a second buffer of the
-    same layout, so the update is one `flat -= lr * grad`. Activations are
-    (N, B, width); per layer the forward pass is `acts @ W.T`, the weight
-    gradient `delta.T @ acts`, the bias gradient delta summed over rows.
+    biases (N, 1, out), the stacks `weights`/`biases`, and each network's
+    `weights`/`biases` are rebound to views of them; `grad_w`/`grad_b`
+    are views of a second buffer of the same layout, so the update is one
+    `flat -= lr * grad`. Activations are (N, B, width); per layer the
+    forward pass is `acts @ W.T`, the weight gradient `delta.T @ acts`,
+    the bias gradient delta summed over rows.
     Shapes are checked and every buffer is allocated here, once.
 
     An inactive row contributes nothing: its input and target are never
@@ -278,11 +276,11 @@ class Step:
         self.grad = np.empty_like(self.flat)
         params = flat_views(self.flat, shapes)
         grads = flat_views(self.grad, shapes)
-        self._weights, self._biases = params[0::2], params[1::2]
-        self._weights_t = [w.swapaxes(1, 2) for w in self._weights]
+        self.weights, self.biases = params[0::2], params[1::2]
+        self._weights_t = [w.swapaxes(1, 2) for w in self.weights]
         self.grad_w, self.grad_b = grads[0::2], grads[1::2]
         for k, net in enumerate(nets):
-            for layer, (w, b) in enumerate(zip(self._weights, self._biases)):
+            for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
                 w[k], b[k, 0] = net.weights[layer], net.biases[layer]
                 net.weights[layer], net.biases[layer] = w[k], b[k, 0]
         self._kinds = spec.activations
@@ -311,7 +309,7 @@ class Step:
         for layer, kind in enumerate(self._kinds):
             out = acts[layer + 1]
             np.matmul(acts[layer], self._weights_t[layer], out=out)
-            out += self._biases[layer]
+            out += self.biases[layer]
             activate(out, kind, out=out)
         return self.outputs
 
@@ -339,7 +337,7 @@ class Step:
                 np.add.reduce(delta, axis=1, keepdims=True, out=self.grad_b[layer])
             if layer:
                 back = deltas[layer - 1]
-                np.matmul(delta, self._weights[layer], out=back)
+                np.matmul(delta, self.weights[layer], out=back)
                 _times_deriv(back, acts[layer], kinds[layer - 1], tmp[layer - 1], back)
         return resid
 

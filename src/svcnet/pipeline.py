@@ -129,7 +129,10 @@ def load_svcnet_artifact(config):
     path = svcnet_path(config)
     if not os.path.exists(path):
         raise DataError(f"missing pattern-completion model ({path})")
-    return svc_mod.load_svcnet(path)
+    svcnet = svc_mod.load_svcnet(path)
+    if svcnet.code_dim != config.svc_dim:
+        raise DataError(f"{path}: code width {svcnet.code_dim} != svc_dim {config.svc_dim}")
+    return svcnet
 
 
 def speaker_svcs(config, svcnet, encoders, frame_sets):

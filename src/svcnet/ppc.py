@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import SoundId
 from .errors import DataError, StructuralError
-from .nets import LayerSpec, Step, activate, forward, init_network
+from .nets import LayerSpec, RowForward, Step, forward, init_network
 
 log = logging.getLogger(__name__)
 
@@ -68,12 +68,10 @@ def _train_lockstep(sounds, frames, code_dim, config, seeds):
         for idx in order.T:
             x = rows[idx]
             step(x, x)
-        # reconstruction_mse, one frame at a time across all encoders
-        total = np.zeros(n_sounds)
-        for j in range(n_frames):
-            x = frames[:, j, None]
-            d = step.forward(x) - x
-            total += (d @ d.swapaxes(1, 2))[:, 0, 0]
+        # reconstruction_mse of every encoder in one pass, summed in frame order
+        d = RowForward(step.weights, step.biases, spec.activations, n_frames)(frames)[-1]
+        d -= frames
+        total = np.cumsum((d[..., None, :] @ d[..., None])[..., 0, 0], axis=1)[:, -1]
         curves[epoch] = total / (n_frames * feature_dim)
         for sound, mse in zip(sounds, curves[epoch]):
             if not np.isfinite(mse):
@@ -103,9 +101,8 @@ def encode_frames(encoders, sounds, ids, frames):
     """Codes (N, code_dim) of frames of mixed sounds, frames[n] a frame of
     sound sounds[ids[n]] (a sound table and integer ids into it): row n
     equals encode_frame(encoders[sounds[ids[n]]], frames[n]) bit for bit.
-    One stacked pass codes every row: each row meets its own sound's
-    encoder weights, gathered by sound id into an (N, code_dim, dim)
-    stack, one matrix-vector product per row, the kernel of W @ x."""
+    One RowForward pass codes every row: each row meets its own sound's
+    first layer, gathered by sound id into an (N, code_dim, dim) stack."""
     present = np.flatnonzero(np.bincount(ids, minlength=len(sounds)))
     found = [encoders.get(sounds[k]) for k in present.tolist()]
     missing = [sounds[k] for k, encoder in zip(present, found) if encoder is None]
@@ -117,10 +114,10 @@ def encode_frames(encoders, sounds, ids, frames):
     bank = np.zeros(len(sounds), dtype=np.intp)
     bank[present] = np.arange(len(present))
     which = bank[ids]
-    x = np.asarray(frames, dtype=float)
-    z = np.matmul(np.array([net.weights[0] for net in nets])[which], x[:, :, None])[:, :, 0]
-    z += np.array([net.biases[0] for net in nets])[which]
-    return activate(z, nets[0].spec.activations[0], out=z)
+    weights = np.array([net.weights[0] for net in nets])[which]
+    biases = np.array([net.biases[0] for net in nets])[which]
+    layer = RowForward([weights], [biases], nets[0].spec.activations[:1], 1)
+    return layer(np.asarray(frames, dtype=float)[:, None])[1][:, 0]
 
 
 def codable_frames(frame_sets, encoders):

@@ -285,13 +285,13 @@ def extract_svcs(svcnet, streams, mode=FEEDBACK):
     lengths = [len(stream) for stream in streams]
     if mode == ZERO_FILL:
         return [forward_rows(net, means[:n, row])[bottleneck] for row, n in enumerate(lengths)]
-    step = RowForward(net, len(streams))
-    x = step.outputs[-1]  # the last output fills the unheard slots
+    step = RowForward(net.weights, net.biases, net.spec.activations, len(streams))
+    x = step.outputs[-1]  # (1, S, W): the last output fills the unheard slots
     x.fill(0.0)
     codes = np.empty((len(means), len(streams), svcnet.code_dim))
     for t in range(len(means)):
         np.copyto(x, means[t], where=heard[t])
-        codes[t] = step(x)[bottleneck]
+        codes[t] = step(x)[bottleneck][0]
     return [codes[:n, row].copy() for row, n in enumerate(lengths)]
 
 

@@ -376,6 +376,14 @@ class TestMalformedArtifacts:
         assert len(err.splitlines()) == 1
         assert "ppc_p00_0.txt" in err and "code width 2 != ppc_dim 3" in err
 
+    def test_svcnet_code_width_differs_from_svc_dim(self, out, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(TINY, svc_dim=3)))
+        assert main(["eval", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "svcnet.txt" in err and "code width 2 != svc_dim 3" in err
+
     def test_truncated_recognizer(self, full_run, out, capsys):
         path = out / "models" / "recognizer.txt"
         lines = path.read_text().splitlines(keepends=True)

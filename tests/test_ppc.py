@@ -139,17 +139,18 @@ def tiny_encoders(corpus):
 
 
 class TestTrainAllEncoders:
-    def test_lockstep_matches_per_sound_loop(self):
+    @pytest.mark.parametrize("code_dim", [2, 3])
+    def test_lockstep_matches_per_sound_loop(self, code_dim):
         corpus = tiny_corpus()
         sounds = sound_inventory(corpus)
         counts = corpus.sound_counts()
         assert len({counts[s] for s in sounds}) > 1  # several lockstep groups
         cfg = TrainConfig(0.05, 3, seed=9)
-        encoders, curves = train_all_encoders(corpus, 2, cfg)
+        encoders, curves = train_all_encoders(corpus, code_dim, cfg)
         assert list(encoders) == sounds and list(curves) == sounds
         for i, sound in enumerate(sounds):
             frames = list(corpus.frames[corpus.sound == corpus.sounds.index(sound)])
-            net = init_network(encoder_spec(corpus.feature_dim, 2), cfg.seed + i)
+            net = init_network(encoder_spec(corpus.feature_dim, code_dim), cfg.seed + i)
             rng = np.random.default_rng(cfg.seed + i)
             mask = np.ones(corpus.feature_dim, dtype=bool)
             curve = []
