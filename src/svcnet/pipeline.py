@@ -132,6 +132,9 @@ def load_svcnet_artifact(config):
     svcnet = svc_mod.load_svcnet(path)
     if svcnet.code_dim != config.svc_dim:
         raise DataError(f"{path}: code width {svcnet.code_dim} != svc_dim {config.svc_dim}")
+    flank = svcnet.net.spec.sizes[1] if svcnet.bottleneck_index == 2 else 0
+    if flank != config.svc_flank:
+        raise DataError(f"{path}: flank width {flank} != svc_flank {config.svc_flank}")
     return svcnet
 
 
@@ -175,7 +178,17 @@ def load_recognizer_artifact(config):
     path = recognizer_path(config)
     if not os.path.exists(path):
         raise DataError(f"missing recognizer model ({path})")
-    return rec_mod.load_recognizer(path)
+    net = rec_mod.load_recognizer(path)
+    for field, value, key in (
+        ("window", net.window, "rec_window"),
+        ("acoustic_units", net.w_acoustic.shape[0], "rec_acoustic_units"),
+        ("state_units", net.w_state.shape[0], "rec_state_units"),
+        ("svc_dim", net.svc_dim, "svc_dim"),
+        ("feature_dim", net.feature_dim, "feature_dim"),
+    ):
+        if value != getattr(config, key):
+            raise DataError(f"{path}: {field} {value} != {key} {getattr(config, key)}")
+    return net
 
 
 # ------------------------------------------------------------ evaluation

@@ -272,27 +272,34 @@ def extract_svcs(svcnet, streams, mode=FEEDBACK):
     stream, each equal bit for bit to running the stream alone through an
     Accumulator and forward().
 
-    zero_fill mode runs one stacked forward over all steps of a stream.
-    Feedback mode steps all streams in lockstep, one stacked forward per
-    step into buffers allocated once, whose last output becomes the next
-    input outside the heard slots; a stream that has ended keeps a row
-    whose values are never read."""
+    One rule for both modes: a row reads feedback only while its stream
+    still has an unheard slot; once every slot is heard its input is the
+    running means alone, whatever the last output was. So all streams step
+    in lockstep, one stacked forward per step into buffers allocated once,
+    whose last output becomes the next input outside the heard slots, only
+    up to the last step at which an active row of some stream has an
+    unheard slot (none in zero_fill mode); a stream that has ended keeps a
+    row whose values are never read. Each stream's later rows then run in
+    one stacked forward (forward_rows) per stream."""
     _check_mode(mode)
     if not streams:
         return []
     net, bottleneck = svcnet.net, svcnet.bottleneck_index
     means, heard = _running_means(svcnet.layout, streams)
     lengths = [len(stream) for stream in streams]
-    if mode == ZERO_FILL:
-        return [forward_rows(net, means[:n, row])[bottleneck] for row, n in enumerate(lengths)]
-    step = RowForward(net.weights, net.biases, net.spec.activations, len(streams))
-    x = step.outputs[-1]  # (1, S, W): the last output fills the unheard slots
-    x.fill(0.0)
-    codes = np.empty((len(means), len(streams), svcnet.code_dim))
-    for t in range(len(means)):
-        np.copyto(x, means[t], where=heard[t])
-        codes[t] = step(x)[bottleneck][0]
-    return [codes[:n, row].copy() for row, n in enumerate(lengths)]
+    # heard slots only grow, so a stream's rows with an unheard slot come first
+    n_loop = (int(np.minimum((~heard.all(axis=-1)).sum(axis=0), lengths).max())
+              if mode == FEEDBACK else 0)
+    codes = np.empty((n_loop, len(streams), svcnet.code_dim))
+    if n_loop:  # the buffers cost a zero_fill enrollment a few percent
+        step = RowForward(net.weights, net.biases, net.spec.activations, len(streams))
+        x = step.outputs[-1]  # (1, S, W): the last output fills the unheard slots
+        x.fill(0.0)
+        for t in range(n_loop):
+            np.copyto(x, means[t], where=heard[t])
+            codes[t] = step(x)[bottleneck][0]
+    return [np.concatenate([codes[:n, row], forward_rows(net, means[n_loop:n, row])[bottleneck]])
+            for row, n in enumerate(lengths)]
 
 
 def extract_svc(svcnet, stream, mode=FEEDBACK):

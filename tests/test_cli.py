@@ -384,6 +384,23 @@ class TestMalformedArtifacts:
         assert len(err.splitlines()) == 1
         assert "svcnet.txt" in err and "code width 2 != svc_dim 3" in err
 
+    @pytest.mark.parametrize(
+        "override, name, message",
+        [
+            ({"svc_flank": 0}, "svcnet.txt", "flank width 4 != svc_flank 0"),
+            ({"rec_window": 2}, "recognizer.txt", "window 0 != rec_window 2"),
+            ({"rec_state_units": 5}, "recognizer.txt", "state_units 6 != rec_state_units 5"),
+        ],
+        ids=["svc_flank", "rec_window", "rec_state_units"],
+    )
+    def test_model_differs_from_config(self, out, tmp_path, capsys, override, name, message):
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps({**TINY, **override}))
+        assert main(["eval", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert name in err and message in err
+
     def test_truncated_recognizer(self, full_run, out, capsys):
         path = out / "models" / "recognizer.txt"
         lines = path.read_text().splitlines(keepends=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svcnet import svc as svc_mod
 from svcnet.corpus import CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.nets import TrainConfig, forward, grads_from_activations, sgd_step
@@ -419,6 +420,46 @@ class TestBatchedExtract:
                 assert traj.shape == (len(stream), 2)
                 assert np.array_equal(traj, reference_trajectory(svcnet, stream, mode))
                 assert np.array_equal(extract_svc(svcnet, stream, mode), traj)
+
+    def _mixed_streams(self):
+        """Streams that hear every slot early (a whole speaker), never (one
+        word), and at their final step (every frame of a speaker but one
+        sound's, then one frame of that sound)."""
+        svcnet, full = self._streams()
+        held_back = full[2].sound == full[2].sound[0]
+        late = np.concatenate([np.flatnonzero(~held_back), np.flatnonzero(held_back)[:1]])
+        return svcnet, [full[0], part(full[1], slice(8)), part(full[2], late)]
+
+    @staticmethod
+    def last_open_step(svcnet, stream):
+        """The last step after which the stream still has an unheard slot,
+        or -1 when it hears every slot at its first step."""
+        sounds = [sound for sound, _ in pairs(stream)]
+        unheard = [set(svcnet.layout.sounds) - set(sounds[: t + 1]) for t in range(len(stream))]
+        return max((t for t, u in enumerate(unheard) if u), default=-1)
+
+    def test_feedback_cut_equals_reference_loop(self):
+        svcnet, streams = self._mixed_streams()
+        early, word, late = (self.last_open_step(svcnet, s) for s in streams)
+        assert early < len(streams[0]) - 1 and word == len(streams[1]) - 1
+        assert late == len(streams[2]) - 2 and late > max(early, word)
+        for stream, traj in zip(streams, extract_svcs(svcnet, streams, FEEDBACK)):
+            assert np.array_equal(traj, reference_trajectory(svcnet, stream, FEEDBACK))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_lockstep_steps_stop_at_last_open_step(self, monkeypatch, mode):
+        steps = []
+
+        class Counting(svc_mod.RowForward):
+            def __call__(self, x):
+                steps.append(1)
+                return super().__call__(x)
+
+        monkeypatch.setattr(svc_mod, "RowForward", Counting)
+        svcnet, streams = self._mixed_streams()
+        extract_svcs(svcnet, streams, mode)
+        last = max(self.last_open_step(svcnet, s) for s in streams)
+        assert len(steps) == (last + 1 if mode == FEEDBACK else 0)
 
     def test_empty_stream_among_others(self):
         svcnet, full = self._streams()
