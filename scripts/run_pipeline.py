@@ -7,12 +7,20 @@ evaluation reports, and all plot-data exports.
 Runs the `svcnet` CLI verbs in order, each with the flags given here, and
 prints each stage's wall time as it ends. Stops at the first verb that
 fails and exits with its status (1 usage error, 2 data/model error).
+Ends with the digests of the models and of the reports, as
+`scripts/quality.py` prints them (the reports without their `#`
+provenance lines, which name the output directory), so that runs from
+different checkouts can be compared.
 """
 
+import os
 import sys
 import time
 
 from svcnet import cli
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from quality import digest  # noqa: E402
 
 VERBS = (
     ("gen",),
@@ -39,6 +47,9 @@ def main(argv=None):
         name = " ".join(v for v in verb if not v.startswith("--"))
         print(f"{name}: done in {elapsed:.1f}s")
     print(f"\npipeline complete in {total:.1f}s")
+    config = cli.load_config(cli.build_parser().parse_args([*VERBS[0], *flags]))
+    print(f"models {digest(config.resolved_model_dir)} "
+          f"reports {digest(config.resolved_report_dir, skip_comments=True)}")
     return 0
 
 

@@ -9,6 +9,7 @@ sgd_step are the per-presentation references Step is checked against.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.special import expit
@@ -106,7 +107,8 @@ def forward(params, x):
 
 class RowForward:
     """Stacked forward passes of N networks of one spec, each on B input
-    rows, into output buffers allocated once. Weights are (N, out, in)
+    rows, into output buffers allocated once: the pass of a loop of many
+    small steps, such as a recurrent loop. Weights are (N, out, in)
     stacks (Step's layout), biases (N, out) or (N, 1, out); one network's
     (out, in) weights and (out,) biases are the N = 1 case.
 
@@ -141,15 +143,23 @@ class RowForward:
         return [x] + self.outputs
 
 
-def forward_rows(params, x):
-    """Activations of every layer for each row of the (B, in) input x,
-    input included: one (B, width) array per layer, row b equal to
-    forward(params, x[b]) bit for bit (see RowForward)."""
+def forward_rows(params, x, depth=None):
+    """Activations of layers 0 (the input) to `depth` (default: the
+    output) for each row of the (B, in) input x: one (B, width) array per
+    layer, row b equal to forward(params, x[b]) bit for bit. One pass for
+    all rows: each layer is the broadcast W @ x[:, :, None], one
+    matrix-vector product per row as in RowForward, with the bias added
+    by broadcasting. The layers past `depth` are not read."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.spec.sizes[0]:
         raise StructuralError(f"input has shape {x.shape}, expected (B, {params.spec.sizes[0]})")
-    step = RowForward(params.weights, params.biases, params.spec.activations, len(x))
-    return [acts[0] for acts in step(x[None])]
+    acts = [x]
+    layers = zip(params.weights, params.biases, params.spec.activations)
+    for w, b, kind in islice(layers, depth):
+        z = np.matmul(w, acts[-1][:, :, None])[:, :, 0]
+        z += b
+        acts.append(activate(z, kind, out=z))
+    return acts
 
 
 def _check_target_mask(params, target, mask):

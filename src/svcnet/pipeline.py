@@ -54,7 +54,14 @@ def run_gen(config):
 
 
 def load_split(config):
-    corpus = corpus_mod.load_corpus(config.resolved_corpus_path)
+    """The corpus and its (train, test) split; DataError, naming the file,
+    for a corpus of another feature width than the config's."""
+    path = config.resolved_corpus_path
+    corpus = corpus_mod.load_corpus(path)
+    if corpus.feature_dim != config.feature_dim:
+        raise DataError(
+            f"{path}: feature_dim {corpus.feature_dim} != feature_dim {config.feature_dim}"
+        )
     train, test = corpus_mod.split_corpus(
         corpus, config.train_fraction, config.split_seed
     )
@@ -203,38 +210,46 @@ def split_speaker_words(frames):
     return words[: len(words) - n_last], words[len(words) - n_last :]
 
 
-def frames_for_words(frames, words):
-    """The rows of word ids `words`."""
-    return frames.rows(np.isin(frames.word, words))
+def last_half_table(corpus, halves):
+    """(speaker, word) table of `corpus`'s speaker and word ids: True where
+    the word is in the speaker's last half (halves as held_out_frames
+    gives them), so that a row is in its speaker's last half at
+    table[corpus.speaker, corpus.word]."""
+    table = np.zeros((len(corpus.speakers), len(corpus.words)), dtype=bool)
+    for speaker, (_, last_words) in halves.items():
+        table[corpus.speakers.index(speaker), last_words] = True
+    return table
 
 
 def half_svcs(config, svcnet, encoders, halves, frame_sets):
     """Speaker -> (code from the first-half words, code from the last-half
     words), from that speaker's codable frame set and its word halves
     (held_out_frames); all halves run together."""
-    subsets = [
-        frames_for_words(frames, words)
-        for frames, pair in zip(frame_sets, halves.values()) for words in pair
-    ]
+    last = last_half_table(frame_sets[0], halves)  # the sets share one corpus's tables
+    subsets = []
+    for frames in frame_sets:
+        in_last = last[frames.speaker, frames.word]
+        subsets += [frames.rows(~in_last), frames.rows(in_last)]
     codes = speaker_svcs(config, svcnet, encoders, subsets)
     return {s: (codes[2 * k], codes[2 * k + 1]) for k, s in enumerate(halves)}
 
 
 def held_out_frames(test, encoders):
-    """Each test speaker's frames, the codable subset of each
+    """The codable subset of each test speaker's frames
     (ppc.codable_frames: one warning for all skipped frames), and each
     speaker's (first-half words, last-half words) for the
     same-vs-different-words protocol; DataError for a speaker with fewer
     than 2 words, whose first half would be empty."""
-    frames = {s: test.frames_of_speaker(s) for s in test.speakers}
-    halves = {s: split_speaker_words(speaker_frames) for s, speaker_frames in frames.items()}
+    frames = [test.frames_of_speaker(s) for s in test.speakers]
+    halves = {s: split_speaker_words(speaker_frames)
+              for s, speaker_frames in zip(test.speakers, frames)}
     for speaker, (first_words, last_words) in halves.items():
         if not first_words:
             raise DataError(
                 f"test speaker {speaker} has {len(last_words)} word(s); "
                 "the word-subset protocol needs >= 2"
             )
-    return frames, ppc_mod.codable_frames(list(frames.values()), encoders), halves
+    return ppc_mod.codable_frames(frames, encoders), halves
 
 
 def run_eval(config):
@@ -247,7 +262,7 @@ def run_eval(config):
     avg = rec_mod.compute_average_svc(list(train_svcs.values()))
     # each test speaker's frames are fetched once and their whole-speech
     # trajectory run once: it gives both the speaker code and the stability rows
-    test_frames, coded, halves = held_out_frames(test, encoders)
+    coded, halves = held_out_frames(test, encoders)
     half_codes = half_svcs(config, svcnet, encoders, halves, coded)
     test_streams = dict(zip(test.speakers, svc_mod.speaker_streams(coded, encoders)))
     test_trajs = dict(zip(test.speakers, svc_mod.extract_svcs(
@@ -276,25 +291,29 @@ def run_eval(config):
     )
 
     # same-vs-different-words protocol: recognize each speaker's last
-    # ceil(half) words with a code from {none, the other words, the same words}
+    # ceil(half) words with a code from {none, the other words, the same
+    # words}, every speaker's utterances in one block per code source
+    in_last = last_half_table(test, halves)[test.speaker, test.word]
+    frames = test.rows(in_last)
+    bounds = frames.utterance_bounds()
+    feats = [frames.frames[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    words = [frames.words[w] for w in frames.word[bounds[:-1]]]
+    speakers = [frames.speakers[k] for k in frames.speaker[bounds[:-1]]]
+    # "none" runs every level from the average code, as the ablation's
+    # first, all-off setting does: its log starts with every test
+    # utterance under that setting, in row order
+    last_utterances = in_last[test.utterance_bounds()[:-1]]
+    off_log = ablation_log[: len(last_utterances)]
+    per_source_errors = {"none": [
+        label != truth for (_, truth, label, _), last in zip(off_log, last_utterances) if last
+    ]}
     on = rec_mod.AvailabilityFlags.all_on()
-    off = rec_mod.AvailabilityFlags.all_off()
-    per_source_errors = {"none": [], "disjoint": [], "same": []}
-    for speaker, (_, last_words) in halves.items():
-        frames = frames_for_words(test_frames[speaker], last_words)
-        bounds = frames.utterance_bounds()
-        feats = [frames.frames[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        words = [frames.words[w] for w in frames.word[bounds[:-1]]]
-        svc_disjoint, svc_same = half_codes[speaker]
-        for source, code, flags in (
-            ("none", avg, off),
-            ("disjoint", svc_disjoint, on),
-            ("same", svc_same, on),
-        ):
-            scores = rec_mod.recognize_utterances(net, feats, code, [flags], avg)[0]
-            per_source_errors[source].extend(
-                net.words[label] != word for label, word in zip(scores.argmax(axis=-1), words)
-            )
+    for source, half in (("disjoint", 0), ("same", 1)):
+        codes = np.array([half_codes[speaker][half] for speaker in speakers])
+        scores = rec_mod.recognize_utterances(net, feats, codes, [on], avg)[0]
+        per_source_errors[source] = [
+            net.words[label] != word for label, word in zip(scores.argmax(axis=-1), words)
+        ]
     table2_rows = [
         (source, fmt_float(rec_mod.error_rate(per_source_errors[source])))
         for source in ("none", "disjoint", "same")
@@ -381,7 +400,7 @@ def run_plot(config, kind, sound=None):
             )
         return paths
     if kind == "svc_halves":
-        _, coded, halves = held_out_frames(test, encoders)
+        coded, halves = held_out_frames(test, encoders)
         halves = half_svcs(config, svcnet, encoders, halves, coded)
         rows = [
             (speaker,) + tuple(fmt_float(v) for v in np.concatenate(pair))

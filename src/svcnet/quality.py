@@ -47,7 +47,7 @@ def utterance_independence(config, svcnet, encoders, test):
     full code, for >= 70% of test speakers."""
     # each speaker's canonical code comes from their full test stream
     full = pipeline.all_speaker_svcs(config, svcnet, encoders, test)
-    _, coded, halves = pipeline.held_out_frames(test, encoders)
+    coded, halves = pipeline.held_out_frames(test, encoders)
     halves = pipeline.half_svcs(config, svcnet, encoders, halves, coded)
     good = 0
     for speaker, (a, b) in halves.items():

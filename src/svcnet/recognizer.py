@@ -340,19 +340,38 @@ def _utterance_means(rows, lengths):
 def recognize_utterances(net, utterances, svc, flag_list, avg):
     """Mean word scores (n_flags, n_utterances, n_words) of each utterance
     (a sequence of feature vectors) under each flag setting; per level the
-    side path runs from the true code (flag on) or the cross-speaker
-    average (flag off).
+    side path runs from the utterance's code (flag on) or the
+    cross-speaker average (flag off). `svc` is one code for every
+    utterance, or one code per utterance, (n_utterances, svc_dim).
 
     All frames go through the net as one block of stacked rows (W @
     rows[:, :, None], one matrix-vector product per row), so the scores
     equal per-frame forward_frame sums bit for bit. Each layer's main-path
     product is formed once per distinct input: the acoustic one once, the
     state one per acoustic flag and the word one per (acoustic, state)
-    flags. The block's arrays grow with its frames; callers pass one
-    speaker's utterances at a time."""
-    if len(utterances) == 0 or any(len(u) == 0 for u in utterances):
+    flags. Each distinct code's side-path terms U @ h are formed once per
+    level and gathered to its utterances' frames. The block's arrays grow
+    with its frames."""
+    lengths = [len(u) for u in utterances]
+    if not lengths or min(lengths) == 0:
         raise DataError("empty utterance")
-    hidden = {True: svc_hidden(net, svc), False: svc_hidden(net, np.asarray(avg, dtype=float))}
+    codes, which = np.asarray(svc, dtype=float), None
+    if codes.ndim == 2:
+        if len(codes) != len(utterances):
+            raise StructuralError(f"{len(codes)} codes for {len(utterances)} utterances")
+        codes, which = np.unique(codes, axis=0, return_inverse=True)
+    else:
+        codes = codes[None]
+    # each frame's distinct code; a single code broadcasts
+    frame_code = np.repeat(which.reshape(-1), lengths) if len(codes) > 1 else slice(None)
+    hidden = {True: [svc_hidden(net, code) for code in codes],
+              False: [svc_hidden(net, np.asarray(avg, dtype=float))]}
+    # flag -> per level, each frame's side-path terms U @ h
+    side = {}
+    for on, hs in hidden.items():
+        pick = frame_code if on else slice(None)
+        side[on] = [np.array([u @ h for h in hs])[pick]
+                    for u in (net.u_acoustic, net.u_state, net.u_word)]
     x = np.concatenate([window_frames(u, net.window) for u in utterances])
     if x.shape[1] != net.input_dim:
         raise StructuralError(f"frame input width {x.shape[1]} != {net.input_dim}")
@@ -368,13 +387,13 @@ def recognize_utterances(net, utterances, svc, flag_list, avg):
     for k, flags in enumerate(flag_list):
         a_key, s_key = flags.acoustic, (flags.acoustic, flags.state)
         if a_key not in into_state:
-            a = expit(into_acoustic + net.u_acoustic @ hidden[flags.acoustic])
+            a = expit(into_acoustic + side[flags.acoustic][0])
             into_state[a_key] = main_path(net.w_state, net.b_state, a)
         if s_key not in into_word:
-            s = expit(into_state[a_key] + net.u_state @ hidden[flags.state])
+            s = expit(into_state[a_key] + side[flags.state][1])
             into_word[s_key] = main_path(net.w_word, net.b_word, s)
-        expit(into_word[s_key] + net.u_word @ hidden[flags.word], out=y[k])
-    return _utterance_means(y, [len(u) for u in utterances])
+        expit(into_word[s_key] + side[flags.word][2], out=y[k])
+    return _utterance_means(y, lengths)
 
 
 def recognize(net, utterance_features, svc, flags, avg):

@@ -180,12 +180,14 @@ def speaker_streams(frame_sets, encoders):
 
 def _running_means(layout, streams):
     """The accumulator's inputs for many Streams side by side, both
-    (T, S, W) with T the longest stream: means[t, s] holds stream s's
-    running per-sound means after its presentation t, zero in unheard
-    slots, and heard[t, s] marks its heard slots; a stream that has ended
-    keeps its last row. One scatter of the codes and counts, then one
-    running sum over time whose adds equal the accumulator's += bit for
-    bit; an unheard slot's sum, 0.0, divided by 1 stays 0.0."""
+    (T, S, W) with T the longest stream and C-contiguous: means[t, s]
+    holds stream s's running per-sound means after its presentation t,
+    zero in unheard slots, and heard[t, s] marks its heard slots; a stream
+    that has ended keeps its last row. One scatter of the codes and
+    counts, then one running sum over time whose adds equal the
+    accumulator's += bit for bit; an unheard slot's sum, 0.0, divided by 1
+    stays 0.0. The counts are a separate array, freed on return, so that
+    passes over the means do not hold them."""
     lengths = [len(stream) for stream in streams]
     if min(lengths) == 0:
         raise DataError("empty stream")
@@ -194,15 +196,16 @@ def _running_means(layout, streams):
     starts = np.concatenate([layout.slot_numbers(s) * layout.code_dim + row * width
                              for row, s in enumerate(streams)])
     cols = starts[:, None] + np.arange(layout.code_dim)
-    acc = np.zeros((n_steps, 2, len(streams) * width))  # sums and counts
-    acc[steps, 0, cols] = np.concatenate([stream.codes for stream in streams])
-    acc[steps, 1, cols] = 1.0
-    if len(streams) == 1:  # cumsum adds one value at a time: quickest on narrow rows
-        np.cumsum(acc, axis=0, out=acc)
-    else:  # whole rows at a time
-        for prev, row in zip(acc[:-1], acc[1:]):
-            row += prev
-    sums, counts = acc[:, 0], acc[:, 1]
+    sums = np.zeros((n_steps, len(streams) * width))
+    counts = np.zeros_like(sums)
+    sums[steps, cols] = np.concatenate([stream.codes for stream in streams])
+    counts[steps, cols] = 1.0
+    for acc in (sums, counts):
+        if len(streams) == 1:  # cumsum adds one value at a time: quickest on narrow rows
+            np.cumsum(acc, axis=0, out=acc)
+        else:  # whole rows at a time
+            for prev, row in zip(acc[:-1], acc[1:]):
+                row += prev
     heard = counts > 0
     sums /= np.maximum(counts, 1, out=counts)
     shape = (n_steps, len(streams), width)
@@ -279,27 +282,30 @@ def extract_svcs(svcnet, streams, mode=FEEDBACK):
     whose last output becomes the next input outside the heard slots, only
     up to the last step at which an active row of some stream has an
     unheard slot (none in zero_fill mode); a stream that has ended keeps a
-    row whose values are never read. Each stream's later rows then run in
-    one stacked forward (forward_rows) per stream."""
+    row whose values are never read. The rows of every stream after that
+    step read no feedback: they run in one forward_rows pass over the
+    running means, up to the bottleneck only."""
     _check_mode(mode)
     if not streams:
         return []
     net, bottleneck = svcnet.net, svcnet.bottleneck_index
     means, heard = _running_means(svcnet.layout, streams)
     lengths = [len(stream) for stream in streams]
+    n_steps, n_streams, width = means.shape
     # heard slots only grow, so a stream's rows with an unheard slot come first
     n_loop = (int(np.minimum((~heard.all(axis=-1)).sum(axis=0), lengths).max())
               if mode == FEEDBACK else 0)
-    codes = np.empty((n_loop, len(streams), svcnet.code_dim))
+    codes = np.empty((n_streams, n_steps, svcnet.code_dim))  # one trajectory per stream
     if n_loop:  # the buffers cost a zero_fill enrollment a few percent
-        step = RowForward(net.weights, net.biases, net.spec.activations, len(streams))
+        step = RowForward(net.weights, net.biases, net.spec.activations, n_streams)
         x = step.outputs[-1]  # (1, S, W): the last output fills the unheard slots
         x.fill(0.0)
         for t in range(n_loop):
             np.copyto(x, means[t], where=heard[t])
-            codes[t] = step(x)[bottleneck][0]
-    return [np.concatenate([codes[:n, row], forward_rows(net, means[n_loop:n, row])[bottleneck]])
-            for row, n in enumerate(lengths)]
+            codes[:, t] = step(x)[bottleneck][0]
+    rest = forward_rows(net, means[n_loop:].reshape(-1, width), bottleneck)[-1]
+    codes[:, n_loop:] = rest.reshape(n_steps - n_loop, n_streams, svcnet.code_dim).swapaxes(0, 1)
+    return [codes[row, :n] for row, n in enumerate(lengths)]
 
 
 def extract_svc(svcnet, stream, mode=FEEDBACK):

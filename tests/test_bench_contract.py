@@ -75,3 +75,34 @@ def test_corpus_calls_of_the_benchmark():
         assert code.shape == (1,) and np.all(np.isfinite(code))
     assert extra["frames_returned"] == len(test.frames)
     assert extra["frames_scanned"] == len(test.speakers) * len(test.frames)
+
+
+def test_eval_summary_of_the_benchmark(tmp_path):
+    """What perfbench/run.py reads from run_eval's summary, on a tiny run:
+    the error rate with every level on, ablation[-1][1], and
+    n_table2_utterances, which counts the test speakers' utterances of
+    their last ceil(half) words in name order."""
+    from svcnet import pipeline
+    from svcnet.config import RunConfig
+    from svcnet.recognizer import AvailabilityFlags
+
+    config = RunConfig(out_dir=str(tmp_path), n_speakers=5, n_words=5, states_per_phone=2,
+                       frames_per_state=1, feature_dim=5, train_fraction=0.6, svc_flank=4,
+                       ppc_epochs=2, svc_epochs=2, rec_acoustic_units=6, rec_state_units=4,
+                       rec_epochs=2)
+    pipeline.run_gen(config)
+    pipeline.run_train_ppc(config)
+    pipeline.run_train_svc(config)
+    pipeline.run_train_rec(config)
+    summary = pipeline.run_eval(config)
+
+    flags, rate = summary["ablation"][-1]
+    assert flags == AvailabilityFlags.all_on() and 0.0 <= rate <= 1.0
+    _, _, test = pipeline.load_split(config)
+    n_last = 0
+    for speaker in test.speakers:
+        utterances = test.frames_of_speaker(speaker).by_utterance().values()
+        words = [rows.words[rows.word[0]] for rows in utterances]
+        last = sorted(set(words))[len(set(words)) // 2:]
+        n_last += sum(word in last for word in words)
+    assert n_last > 0 and summary["n_table2_utterances"] == n_last

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from svcnet import pipeline
+from svcnet import recognizer as rec_mod
 from svcnet.cli import main
 from svcnet.config import RunConfig
 from svcnet.corpus import SoundId
 from svcnet.errors import DataError
+from svcnet.fileio import fmt_float
 from svcnet.pipeline import load_split, principal_rotation
 
 TINY = dict(
@@ -298,6 +300,87 @@ class TestReports:
         ]
 
 
+@pytest.fixture(scope="module", params=["feedback", "zero_fill"])
+def mode_run(request, tmp_path_factory):
+    """A tiny pipeline in each accumulation mode: config, encoders, svcnet,
+    recognizer and the eval summary."""
+    out = tmp_path_factory.mktemp(request.param) / "run"
+    config = RunConfig(**TINY, accumulation_mode=request.param, out_dir=str(out))
+    pipeline.run_gen(config)
+    encoders = pipeline.run_train_ppc(config)
+    svcnet, _ = pipeline.run_train_svc(config)
+    net, _ = pipeline.run_train_rec(config)
+    return config, encoders, svcnet, net, pipeline.run_eval(config)
+
+
+class TestTable2:
+    def test_equals_per_speaker_loop(self, mode_run, monkeypatch):
+        """Table 2 equals the per-speaker protocol: each speaker's
+        last-half utterances recognized in one call per code source, with
+        the half codes coded one speaker half at a time; its "none" column
+        equals the ablation's all-off predictions on those utterances.
+        Tiny recognizers predict alike under every code, so the scores of
+        run_eval's blocks are compared too, bit for bit."""
+        config, encoders, svcnet, net, summary = mode_run
+        recognize = rec_mod.recognize_utterances
+        blocks = []  # (flags, scores) of each call run_eval makes
+
+        def spy(*args):
+            blocks.append((args[3], recognize(*args)))
+            return blocks[-1][1]
+
+        monkeypatch.setattr(rec_mod, "recognize_utterances", spy)
+        assert pipeline.run_eval(config) == summary
+
+        _, train, test = load_split(config)
+        avg = rec_mod.compute_average_svc(
+            list(pipeline.all_speaker_svcs(config, svcnet, encoders, train).values()))
+        coded, halves = pipeline.held_out_frames(test, encoders)
+        on, off = rec_mod.AvailabilityFlags.all_on(), rec_mod.AvailabilityFlags.all_off()
+        scores = {"none": [], "disjoint": [], "same": []}
+        errors = {"none": [], "disjoint": [], "same": []}
+        in_last, none_labels = [], {}
+        for speaker, codable in zip(test.speakers, coded):
+            first, last = halves[speaker]
+            disjoint, same = (
+                pipeline.speaker_svc(config, svcnet, encoders,
+                                     codable.rows(np.isin(codable.word, words)))
+                for words in (first, last))
+            frames = test.frames_of_speaker(speaker)
+            in_last += [w in last for w in frames.word[frames.utterance_bounds()[:-1]]]
+            frames = frames.rows(np.isin(frames.word, last))
+            bounds = frames.utterance_bounds()
+            feats = [frames.frames[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+            words = [frames.words[w] for w in frames.word[bounds[:-1]]]
+            for source, code, flags in (("none", avg, off), ("disjoint", disjoint, on),
+                                        ("same", same, on)):
+                scores[source].append(recognize(net, feats, code, [flags], avg)[0])
+                labels = [net.words[k] for k in scores[source][-1].argmax(axis=-1)]
+                errors[source] += [label != word for label, word in zip(labels, words)]
+                if source == "none":
+                    utterances = frames.utterance[bounds[:-1]]
+                    none_labels.update(zip((frames.utterances[u] for u in utterances), labels))
+        rates = {source: rec_mod.error_rate(wrong) for source, wrong in errors.items()}
+        assert summary["table2"] == rates
+        assert summary["n_table2_utterances"] == len(errors["none"])
+        _, _, rows = read_report(config, "table2.csv")
+        assert rows == [[source, fmt_float(rate)] for source, rate in rates.items()]
+
+        table2 = [block[0] for flags, block in blocks if flags == [on]]
+        assert len(table2) == 2
+        for source, block in zip(("disjoint", "same"), table2):
+            assert np.array_equal(block, np.concatenate(scores[source]))
+        all_off = np.concatenate([block[0] for flags, block in blocks if len(flags) == 8])
+        assert np.array_equal(all_off[in_last], np.concatenate(scores["none"]))
+        path = os.path.join(config.resolved_report_dir, "predictions.txt")
+        predicted = {}
+        for line in open(path).read().splitlines():
+            if line.endswith(" flags=000"):
+                utterance, _, label, _ = line.split()
+                predicted[utterance] = label.removeprefix("predicted=")
+        assert {u: predicted[u] for u in none_labels} == none_labels
+
+
 class TestMalformedArtifacts:
     """Corrupted copies of the full run's outputs end in exit 2 with a
     one-line message."""
@@ -401,6 +484,21 @@ class TestMalformedArtifacts:
         assert len(err.splitlines()) == 1
         assert name in err and message in err
 
+    @pytest.mark.parametrize(
+        "verb", [("train", "--stage", "ppc"), ("train", "--stage", "svc"),
+                 ("train", "--stage", "rec"), ("eval",)],
+        ids=["ppc", "svc", "rec", "eval"],
+    )
+    def test_corpus_feature_width_differs_from_config(self, out, tmp_path, capsys, verb):
+        """A corpus of another feature width is refused before any stage
+        reads it, naming the corpus and both widths."""
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(TINY, feature_dim=7)))
+        assert main([*verb, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{out / 'corpus.csv'}: feature_dim 6 != feature_dim 7" in err
+
     def test_truncated_recognizer(self, full_run, out, capsys):
         path = out / "models" / "recognizer.txt"
         lines = path.read_text().splitlines(keepends=True)
@@ -484,6 +582,12 @@ class TestRunPipeline:
         for name in ("gen", "train ppc", "train svc", "train rec", "eval",
                      "plot ppc_scatter", "plot svc_trajectory", "plot svc_halves"):
             assert f"\n{name}: done in " in "\n" + out
+        config = RunConfig.from_file(tiny_config_path)
+        models, reports = (os.path.join(config.out_dir, d) for d in ("models", "reports"))
+        quality = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                                              "quality.py"))
+        assert out.splitlines()[-1] == (f"models {quality['digest'](models)} "
+                                        f"reports {quality['digest'](reports, True)}")
 
     def test_stops_at_first_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -167,6 +167,22 @@ class TestForwardRows:
                 for batched, single in zip(acts[1:], forward(p, inputs[n])[1:]):
                     assert np.array_equal(batched[0, n], single)
 
+    def test_stops_at_depth(self):
+        """Up to layer `depth` the pass returns the full pass's layers 0 to
+        depth and reads no parameter past them (here None)."""
+        rng = np.random.default_rng(4)
+        p = init_network(spec([9, 4, 2, 4, 9]), seed=2)
+        for b in p.biases:
+            b[:] = rng.normal(0, 1, b.shape)
+        x = rng.random((7, 9))
+        full = forward_rows(p, x)
+        for depth in range(1, 5):
+            cut = p.copy()
+            cut.weights[depth:] = cut.biases[depth:] = [None] * (4 - depth)
+            rows = forward_rows(cut, x, depth)
+            assert len(rows) == depth + 1
+            assert all(np.array_equal(a, b) for a, b in zip(rows, full))
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
     def test_bad_input_shape(self, shape):
         p = init_network(spec([2, 2]), seed=0)

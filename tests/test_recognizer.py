@@ -415,6 +415,32 @@ class TestBatchedRecognizer:
                 assert np.array_equal(scores[k, u], expected)
                 assert np.array_equal(recognize(net, feats, svc, flags, avg)[1], expected)
 
+    @pytest.mark.parametrize("window", [0, 2])
+    def test_one_code_per_utterance(self, window):
+        """Per-utterance codes, some repeated and not consecutive: each
+        utterance scores as it does alone with its own code, exactly."""
+        rng = np.random.default_rng(10 + window)
+        net = init_recognizer(WORDS, 6, 2, small_config(window=window))
+        for p in net.param_arrays():
+            p[...] = rng.normal(0, 1, p.shape)
+        utterances = [list(rng.normal(0, 1, (n, 6))) for n in (4, 1, 7, 3, 2)]
+        a, b, c = rng.random((3, 2))
+        codes, avg = np.array([a, b, a, c, b]), rng.random(2)
+        grid = flag_grid()
+        scores = recognize_utterances(net, utterances, codes, grid, avg)
+        assert scores.shape == (8, len(utterances), len(WORDS))
+        for k, flags in enumerate(grid):
+            for u, (feats, code) in enumerate(zip(utterances, codes)):
+                assert np.array_equal(scores[k, u], reference_scores(net, feats, code, flags, avg))
+        same = recognize_utterances(net, utterances, np.array([a] * 5), grid, avg)
+        assert np.array_equal(same, recognize_utterances(net, utterances, a, grid, avg))
+
+    def test_code_count_differs_from_utterances(self):
+        net = init_recognizer(WORDS, 6, 2, small_config())
+        with pytest.raises(StructuralError):
+            recognize_utterances(net, [[np.zeros(6)]] * 3, np.zeros((2, 2)), flag_grid(),
+                                 np.zeros(2))
+
     def test_flag_subset_and_order(self):
         net = init_recognizer(WORDS, 6, 2, small_config())
         rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -460,6 +461,29 @@ class TestBatchedExtract:
         extract_svcs(svcnet, streams, mode)
         last = max(self.last_open_step(svcnet, s) for s in streams)
         assert len(steps) == (last + 1 if mode == FEEDBACK else 0)
+
+    @pytest.mark.parametrize("flank_width", [0, 4])
+    def test_rows_after_the_loop_stop_at_the_bottleneck(self, flank_width):
+        """NaN weights and biases in every layer past the bottleneck leave
+        the zero_fill trajectories, and the feedback rows after the
+        lockstep loop, byte-identical: no decoder output feeds those rows.
+        The loop's rows read its output, so the NaNs reach them."""
+        svcnet, full = self._streams(flank_width)
+        streams = [full[0], part(full[1], slice(5)), part(full[2], slice(None, None, -1))]
+        cut = replace(svcnet, net=svcnet.net.copy())
+        for layer in range(svcnet.bottleneck_index, len(cut.net.weights)):
+            cut.net.weights[layer][...] = np.nan
+            cut.net.biases[layer][...] = np.nan
+        for intact, decoder_free in zip(extract_svcs(svcnet, streams, ZERO_FILL),
+                                        extract_svcs(cut, streams, ZERO_FILL)):
+            assert np.array_equal(decoder_free, intact)
+        n_loop = max(self.last_open_step(svcnet, s) for s in streams) + 1
+        assert 1 < n_loop < max(len(s) for s in streams)
+        trajs = list(zip(extract_svcs(svcnet, streams, FEEDBACK),
+                         extract_svcs(cut, streams, FEEDBACK)))
+        for intact, decoder_free in trajs:
+            assert np.array_equal(decoder_free[n_loop:], intact[n_loop:])
+        assert any(np.isnan(decoder_free[:n_loop]).any() for _, decoder_free in trajs)
 
     def test_empty_stream_among_others(self):
         svcnet, full = self._streams()
