@@ -10,10 +10,12 @@ suite computes them (`svcnet.quality`), with `*` marking a value that
 misses its threshold, and the code-swap error (each test speaker
 recognized with another test speaker's code, every level on; when it
 equals the own-code error, criterion 7's value, the recognizer does not
-use the code), and the first 12 hex digits of a SHA-256 over the model
-files and one over the report files, which identify the trained models
-and the reports (the reports' `#` provenance lines name the temporary
-directory, so they are left out). A last row counts the seeds that
+use the code), and the first 12 hex digits of three SHA-256 digests:
+one over the encoders and `svcnet.txt`, one over `recognizer.txt`, and
+one over the report files (the reports' `#` provenance lines name the
+temporary directory, so they are left out). The model digest is split
+so that a change to the recognizer alone shows as a change in its
+column only. A last row counts the seeds that
 passed each criterion. A full run takes several minutes.
 """
 
@@ -27,19 +29,21 @@ from svcnet.config import RunConfig
 from svcnet.corpus import load_latents
 
 COLUMNS = ("seed", "c4 stable", "c5 indep", "c6 R^2", "c7 own/avg", "c8 none/disj/same",
-           "swap", "models", "reports")
-WIDTHS = (4, 10, 9, 7, 12, 18, 6, 12, 12)
+           "swap", "enc+svc", "rec", "reports")
+WIDTHS = (4, 10, 9, 7, 12, 18, 6, 12, 12, 12)
+RECOGNIZER = "recognizer.txt"
 
 
 def row(cells):
     return "  ".join(str(c).rjust(w) for c, w in zip(cells, WIDTHS))
 
 
-def digest(directory, skip_comments=False):
-    """SHA-256 over the file names and bytes of a directory, optionally
-    without the lines that start with `#`; the first 12 hex digits."""
+def digest(directory, skip_comments=False, keep=lambda name: True):
+    """SHA-256 over the names and bytes of the files of a directory that
+    `keep(name)` admits, optionally without the lines that start with `#`;
+    the first 12 hex digits."""
     h = hashlib.sha256()
-    for name in sorted(os.listdir(directory)):
+    for name in filter(keep, sorted(os.listdir(directory))):
         h.update(f"{name}\n".encode())
         with open(os.path.join(directory, name), "rb") as f:
             data = f.read()
@@ -52,7 +56,8 @@ def digest(directory, skip_comments=False):
 
 def measure(seed, out_dir):
     """Run the default pipeline for one seed; criterion 4-8 results, the
-    code-swap error and the digests of the models and the reports."""
+    code-swap error and the digests of the encoders with the SVC net, of
+    the recognizer and of the reports."""
     config = RunConfig(out_dir=out_dir)
     config.rebase_seeds(seed)
     pipeline.run_gen(config)
@@ -70,7 +75,9 @@ def measure(seed, out_dir):
         quality.word_subset_protocol(summary),
     )
     swap = quality.code_swap_error(config, svcnet, encoders, net, train, test)
-    digests = (digest(config.resolved_model_dir),
+    models = config.resolved_model_dir
+    digests = (digest(models, keep=lambda name: name != RECOGNIZER),
+               digest(models, keep=lambda name: name == RECOGNIZER),
                digest(config.resolved_report_dir, skip_comments=True))
     return results, summary, swap, digests
 

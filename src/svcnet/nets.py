@@ -1,14 +1,17 @@
 """Dense feedforward networks with masked squared-error backprop.
 
-All parameters are float64. Training is plain gradient descent by Step:
-N networks of one spec, each updated once per step by the summed
-gradients of its B input rows. The loss is
+All parameters are float64. A network may have a side layer: a sigmoid
+layer h = f(W_side c + b_side) of a second input, the code c, whose
+activations join the input of every layer l through that layer's
+injection weights U_l. Training is plain gradient descent by Step, the
+one backprop of the package: N networks of one spec, each updated once
+per step by the summed gradients of its B input rows. The loss is
 L = 1/2 * sum_i mask_i * (out_i - target_i)^2, so masked output units
 contribute exactly zero error and zero gradient. forward, backward and
 sgd_step are the per-presentation references Step is checked against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -22,14 +25,19 @@ ACTIVATIONS = ("sigmoid", "tanh", "linear")
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Widths (input first) and one activation name per non-input layer."""
+    """Widths (input first), one activation name per non-input layer and,
+    for a network with a side layer, its (code width, side width)."""
 
     sizes: tuple
     activations: tuple
+    side: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "activations", tuple(self.activations))
+        object.__setattr__(self, "side", tuple(int(s) for s in self.side))
+        if len(self.side) not in (0, 2) or any(s < 1 for s in self.side):
+            raise StructuralError(f"side must be (code width, side width) >= 1, got {self.side}")
         if len(self.sizes) < 2:
             raise StructuralError(f"need at least 2 layers, got sizes {self.sizes}")
         if any(s < 1 for s in self.sizes):
@@ -42,21 +50,44 @@ class LayerSpec:
             if a not in ACTIVATIONS:
                 raise StructuralError(f"unknown activation {a!r}")
 
+    def param_shapes(self):
+        """Shapes of a network's parameter arrays, in NetworkParams.arrays() order."""
+        shapes = [(self.side[1], self.side[0]), (self.side[1],)] if self.side else []
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            shapes += [(fan_out, fan_in), (fan_out,)]
+            if self.side:
+                shapes.append((fan_out, self.side[1]))
+        return shapes
+
 
 @dataclass
 class NetworkParams:
-    """Weight matrices (fan_out x fan_in) and bias vectors, one per non-input layer."""
+    """Weight matrices (fan_out x fan_in) and bias vectors, one per
+    non-input layer; with a side layer, also its weights and bias, `side`,
+    and one injection matrix (fan_out x side width) per layer."""
 
     spec: LayerSpec
     weights: list
     biases: list
+    side: list = field(default_factory=list)
+    injections: list = field(default_factory=list)
+
+    @classmethod
+    def from_arrays(cls, spec, arrays):
+        """The network whose arrays() are `arrays`."""
+        if not spec.side:
+            return cls(spec, arrays[0::2], arrays[1::2])
+        layers = arrays[2:]
+        return cls(spec, layers[0::3], layers[1::3], arrays[:2], layers[2::3])
+
+    def arrays(self):
+        """Every parameter array: the side layer's weights and bias, then
+        per layer its weights, bias and injection (those the net has)."""
+        per_layer = [self.weights, self.biases] + ([self.injections] if self.side else [])
+        return self.side + [a for layer in zip(*per_layer) for a in layer]
 
     def copy(self):
-        return NetworkParams(
-            self.spec,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return NetworkParams.from_arrays(self.spec, [a.copy() for a in self.arrays()])
 
 
 @dataclass
@@ -73,14 +104,14 @@ class TrainConfig:
 
 
 def init_network(spec, seed):
-    """Uniform +-1/sqrt(fan_in) weights, zero biases, deterministic in seed."""
+    """Uniform +-1/sqrt(fan_in) weights and injections, drawn in arrays()
+    order, and zero biases; deterministic in seed."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return NetworkParams(spec, weights, biases)
+    arrays = []
+    for shape in spec.param_shapes():
+        bound = 1.0 / np.sqrt(shape[-1])
+        arrays.append(np.zeros(shape) if len(shape) == 1 else rng.uniform(-bound, bound, shape))
+    return NetworkParams.from_arrays(spec, arrays)
 
 
 def activate(z, kind, out=None):
@@ -92,16 +123,22 @@ def activate(z, kind, out=None):
     return z
 
 
-def forward(params, x):
-    """Return the activation vector of every layer, input included."""
+def forward(params, x, code=None):
+    """Return the activation vector of every layer, input included; a net
+    with a side layer also takes its `code`."""
     x = np.asarray(x, dtype=float)
     if x.shape != (params.spec.sizes[0],):
         raise StructuralError(
             f"input has shape {x.shape}, expected ({params.spec.sizes[0]},)"
         )
     acts = [x]
-    for w, b, kind in zip(params.weights, params.biases, params.spec.activations):
-        acts.append(activate(w @ acts[-1] + b, kind))
+    h = activate(params.side[0] @ code + params.side[1], "sigmoid") if params.side else None
+    for layer, (w, b, kind) in enumerate(zip(params.weights, params.biases,
+                                             params.spec.activations)):
+        z = w @ acts[-1] + b
+        if params.side:
+            z += params.injections[layer] @ h
+        acts.append(activate(z, kind))
     return acts
 
 
@@ -173,9 +210,9 @@ def _check_target_mask(params, target, mask):
     return target, mask
 
 
-def masked_loss(params, x, target, mask):
+def masked_loss(params, x, target, mask, code=None):
     target, mask = _check_target_mask(params, target, mask)
-    out = forward(params, x)[-1]
+    out = forward(params, x, code)[-1]
     resid = np.where(mask, out - target, 0.0)
     return 0.5 * float(resid @ resid)
 
@@ -224,18 +261,14 @@ def backward(params, x, target, mask):
 
 
 def sgd_step(params, grads, learning_rate):
-    """In-place p <- p - lr * g for every parameter; returns params."""
+    """In-place p <- p - lr * g for backward()'s (grad_w, grad_b); returns params."""
     grad_w, grad_b = grads
     if len(grad_w) != len(params.weights) or len(grad_b) != len(params.biases):
         raise StructuralError("gradient layer count does not match params")
-    for w, gw in zip(params.weights, grad_w):
-        if w.shape != gw.shape:
-            raise StructuralError(f"gradient shape {gw.shape} != weight {w.shape}")
-        w -= learning_rate * gw
-    for b, gb in zip(params.biases, grad_b):
-        if b.shape != gb.shape:
-            raise StructuralError(f"gradient shape {gb.shape} != bias {b.shape}")
-        b -= learning_rate * gb
+    for p, g in zip(params.weights + params.biases, list(grad_w) + list(grad_b)):
+        if p.shape != g.shape:
+            raise StructuralError(f"gradient shape {g.shape} != parameter {p.shape}")
+        p -= learning_rate * g
     return params
 
 
@@ -256,58 +289,76 @@ class Step:
     per-presentation scale). At B = 1 each network's step equals
     forward + backward + sgd_step on it bit for bit.
 
-    Parameters are copied into one flat buffer, weights (N, out, in) and
-    biases (N, 1, out), the stacks `weights`/`biases`, and each network's
-    `weights`/`biases` are rebound to views of them; `grad_w`/`grad_b`
-    are views of a second buffer of the same layout, so the update is one
-    `flat -= lr * grad`. Activations are (N, B, width); per layer the
-    forward pass is `acts @ W.T`, the weight gradient `delta.T @ acts`,
-    the bias gradient delta summed over rows.
+    Parameters are copied into one flat buffer in arrays() order, each
+    array stacked over the networks: `weights` (N, out, in), `biases`
+    (N, 1, out), `side` and `injections`; each network's arrays are
+    rebound to views of them. `grad` has the same layout, so the update is
+    one `flat -= lr * grad`. Activations are (N, B, width); per layer the
+    forward pass is `acts @ W.T + b` (+ `h @ U.T`), each weight gradient
+    `delta.T @ input`, each bias gradient delta summed over rows. The side
+    layer's delta is (delta_0 @ U_0 + delta_1 @ U_1 + ...) * f'(h).
     Shapes are checked and every buffer is allocated here, once.
 
-    An inactive row contributes nothing: its input and target are never
-    read (its input keeps that row's last active one, zeros at first) and
-    its delta is zero, so garbage there cannot change the parameters.
+    An inactive row contributes nothing: its input, code and target are
+    never read (its input keeps that row's last active one, zeros at
+    first) and its delta is zero, so garbage there cannot change the
+    parameters.
     """
 
     def __init__(self, nets, n_rows, learning_rate):
         spec = nets[0].spec
-        shapes = []
-        for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
-            shapes += [(fan_out, fan_in), (fan_out,)]
+        shapes = spec.param_shapes()
         for net in nets:
             if net.spec != spec:
                 raise StructuralError(f"cannot step {net.spec} with {spec}")
-            if [p.shape for pair in zip(net.weights, net.biases) for p in pair] != shapes:
+            if [a.shape for a in net.arrays()] != shapes:
                 raise StructuralError(f"parameter shapes do not match {spec}")
         n = len(nets)
-        shapes = [(n, 1) + s if len(s) == 1 else (n,) + s for s in shapes]
-        self.flat = np.empty(sum(int(np.prod(s)) for s in shapes))
+        stacked = [(n, 1) + s if len(s) == 1 else (n,) + s for s in shapes]
+        self.flat = np.empty(sum(int(np.prod(s)) for s in stacked))
         self.grad = np.empty_like(self.flat)
-        params = flat_views(self.flat, shapes)
-        grads = flat_views(self.grad, shapes)
-        self.weights, self.biases = params[0::2], params[1::2]
-        self._weights_t = [w.swapaxes(1, 2) for w in self.weights]
-        self.grad_w, self.grad_b = grads[0::2], grads[1::2]
+        params = NetworkParams.from_arrays(spec, flat_views(self.flat, stacked))
+        grads = NetworkParams.from_arrays(spec, flat_views(self.grad, stacked))
+        self.weights, self.biases = params.weights, params.biases
+        self.side, self.injections = params.side, params.injections
+        self.grad_w, self.grad_b = grads.weights, grads.biases
         for k, net in enumerate(nets):
-            for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-                w[k], b[k, 0] = net.weights[layer], net.biases[layer]
-                net.weights[layer], net.biases[layer] = w[k], b[k, 0]
+            views = [stack[k].reshape(shape) for stack, shape in zip(params.arrays(), shapes)]
+            for view, a in zip(views, net.arrays()):
+                view[...] = a
+            bound = NetworkParams.from_arrays(spec, views)
+            net.weights, net.biases = bound.weights, bound.biases
+            net.side, net.injections = bound.side, bound.injections
         self._kinds = spec.activations
+        self._weights_t = [w.swapaxes(1, 2) for w in self.weights]
         self._acts = [np.zeros((n, n_rows, width)) for width in spec.sizes]
         # on one row a layer's delta is its bias gradient
-        self._summed = n_rows > 1
+        summed = n_rows > 1
         self._deltas = ([np.empty((n, n_rows, width)) for width in spec.sizes[1:]]
-                        if self._summed else self.grad_b)
-        self._deltas_t = [d.swapaxes(1, 2) for d in self._deltas]
+                        if summed else self.grad_b)
         self._tmp = [np.empty_like(d) for d in self._deltas]
+        # weight gradients as (delta.T, input, out) and bias ones as (delta, out)
+        deltas_t = [d.swapaxes(1, 2) for d in self._deltas]
+        self._products = list(zip(deltas_t, self._acts, self.grad_w))
+        self._sums = list(zip(self._deltas, self.grad_b)) if summed else []
+        if spec.side:
+            self._code = np.zeros((n, n_rows, spec.side[0]))
+            self._hidden = np.empty((n, n_rows, spec.side[1]))
+            self._side_t = self.side[0].swapaxes(1, 2)
+            self._injections_t = [u.swapaxes(1, 2) for u in self.injections]
+            self._side_delta = np.empty_like(self._hidden) if summed else grads.side[1]
+            self._side_tmp = np.empty_like(self._hidden)
+            self._products += [(d, self._hidden, g) for d, g in zip(deltas_t, grads.injections)]
+            self._products.append((self._side_delta.swapaxes(1, 2), self._code, grads.side[0]))
+            self._sums += [(self._side_delta, grads.side[1])] if summed else []
         self.outputs = self._acts[-1]
         self._where = np.empty(self.outputs.shape, dtype=bool)
         self._resid = np.empty_like(self.outputs)
         self._learning_rate = learning_rate
 
-    def forward(self, x, active=None):
-        """Stacked forward pass of the (N, B, in) inputs `x`; returns the
+    def forward(self, x, active=None, code=None):
+        """Stacked forward pass of the (N, B, in) inputs `x`, and with a
+        side layer of the (N, B, code width) `code`; returns the
         (N, B, out) outputs, a buffer the next call overwrites. Rows whose
         `active` entry (bool, broadcast against (N, B, 1); None for all
         rows) is False are not read."""
@@ -316,20 +367,27 @@ class Step:
             np.copyto(acts[0], x)
         else:
             np.copyto(acts[0], x, where=active)
+        if self.side:
+            np.copyto(self._code, code, where=True if active is None else active)
+            h = np.matmul(self._code, self._side_t, out=self._hidden)
+            h += self.side[1]
+            activate(h, "sigmoid", out=h)
         for layer, kind in enumerate(self._kinds):
             out = acts[layer + 1]
             np.matmul(acts[layer], self._weights_t[layer], out=out)
             out += self.biases[layer]
+            if self.side:
+                out += np.matmul(h, self._injections_t[layer], out=self._tmp[layer])
             activate(out, kind, out=out)
         return self.outputs
 
-    def gradients(self, x, target, mask=None, active=None):
-        """Fill `grad_w`/`grad_b` with the masked loss's gradients summed
-        over the active rows, without updating. `mask` (bool, broadcast
-        against the (N, B, out) target; None for all units) selects the
-        units that carry error; `active` as in forward(). Returns the
+    def gradients(self, x, target, mask=None, active=None, code=None):
+        """Fill `grad` with the masked loss's gradients summed over the
+        active rows, without updating. `mask` (bool, broadcast against the
+        (N, B, out) target; None for all units) selects the units that
+        carry error; `active` and `code` as in forward(). Returns the
         masked residual (zero in inactive rows), overwritten next call."""
-        out = self.forward(x, active)
+        out = self.forward(x, active, code)
         if active is not None:
             mask = np.logical_and(active, True if mask is None else mask, out=self._where)
         resid = self._resid
@@ -340,97 +398,98 @@ class Step:
             np.subtract(out, target, out=resid, where=mask)
         acts, deltas, kinds, tmp = self._acts, self._deltas, self._kinds, self._tmp
         _times_deriv(resid, out, kinds[-1], tmp[-1], deltas[-1])
-        for layer in range(len(deltas) - 1, -1, -1):
-            delta = deltas[layer]
-            np.matmul(self._deltas_t[layer], acts[layer], out=self.grad_w[layer])
-            if self._summed:
-                np.add.reduce(delta, axis=1, keepdims=True, out=self.grad_b[layer])
-            if layer:
-                back = deltas[layer - 1]
-                np.matmul(delta, self.weights[layer], out=back)
-                _times_deriv(back, acts[layer], kinds[layer - 1], tmp[layer - 1], back)
+        for layer in range(len(deltas) - 1, 0, -1):
+            back = deltas[layer - 1]
+            np.matmul(deltas[layer], self.weights[layer], out=back)
+            _times_deriv(back, acts[layer], kinds[layer - 1], tmp[layer - 1], back)
+        if self.side:
+            delta = np.matmul(deltas[0], self.injections[0], out=self._side_delta)
+            for layer_delta, u in zip(deltas[1:], self.injections[1:]):
+                delta += np.matmul(layer_delta, u, out=self._side_tmp)
+            _times_deriv(delta, self._hidden, "sigmoid", self._side_tmp, delta)
+        for delta_t, below, grad in self._products:
+            np.matmul(delta_t, below, out=grad)
+        for delta, grad in self._sums:
+            np.add.reduce(delta, axis=1, keepdims=True, out=grad)
         return resid
 
-    def __call__(self, x, target, mask=None, active=None):
+    def __call__(self, x, target, mask=None, active=None, code=None):
         """gradients(), then one update of every network."""
-        resid = self.gradients(x, target, mask, active)
+        resid = self.gradients(x, target, mask, active, code)
         np.multiply(self.grad, self._learning_rate, out=self.grad)
         self.flat -= self.grad
         return resid
 
 
-def numerical_gradient(params, x, target, mask, eps=1e-6):
-    """Central-difference gradients of the same masked loss; test oracle."""
+def numerical_gradient(params, x, target, mask, eps=1e-6, code=None):
+    """Central-difference gradients of the same masked loss, one array per
+    parameter array in arrays() order; test oracle."""
     if eps <= 0:
         raise StructuralError("eps must be > 0")
-    grad_w = [np.zeros_like(w) for w in params.weights]
-    grad_b = [np.zeros_like(b) for b in params.biases]
-    for arrs, grads in ((params.weights, grad_w), (params.biases, grad_b)):
-        for arr, g in zip(arrs, grads):
-            flat = arr.reshape(-1)
-            gflat = g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = masked_loss(params, x, target, mask)
-                flat[i] = orig - eps
-                lo = masked_loss(params, x, target, mask)
-                flat[i] = orig
-                gflat[i] = (hi - lo) / (2.0 * eps)
-    return grad_w, grad_b
+    grads = [np.zeros_like(a) for a in params.arrays()]
+    for arr, g in zip(params.arrays(), grads):
+        flat, gflat = arr.reshape(-1), g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = masked_loss(params, x, target, mask, code)
+            flat[i] = orig - eps
+            lo = masked_loss(params, x, target, mask, code)
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2.0 * eps)
+    return grads
 
 
 def relative_gradient_error(analytic, numeric, floor=1e-8):
-    """Relative disagreement between two gradient sets: norm of the
-    difference over the larger norm, floored at `floor` so the all-masked
-    (all-zero) case compares clean."""
-    ga = np.concatenate([a.reshape(-1) for a in analytic[0] + analytic[1]])
-    gn = np.concatenate([a.reshape(-1) for a in numeric[0] + numeric[1]])
+    """Relative disagreement between two gradient sets, each a sequence of
+    arrays in one order: norm of the difference over the larger norm,
+    floored at `floor` so the all-masked (all-zero) case compares clean."""
+    ga, gn = (np.concatenate([np.ravel(a) for a in grads]) for grads in (analytic, numeric))
     denom = max(np.linalg.norm(ga), np.linalg.norm(gn), floor)
     return float(np.linalg.norm(ga - gn) / denom)
 
 
 def gradient_check_battery(n_networks=100, seed=0, eps=1e-6):
-    """Compare backprop against central differences over random small
-    networks with random masks; returns the worst relative error."""
+    """Compare Step's gradients against central differences over random
+    small networks, about half of them with a side layer, with random
+    masks; returns the worst relative error."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_networks):
         n_layers = int(rng.integers(2, 5))
         sizes = tuple(int(rng.integers(1, 9)) for _ in range(n_layers))
         acts = tuple(str(rng.choice(ACTIVATIONS)) for _ in range(n_layers - 1))
-        params = init_network(LayerSpec(sizes, acts), int(rng.integers(0, 2**31)))
+        side = tuple(int(w) for w in rng.integers(1, 5, 2)) if rng.random() < 0.5 else ()
+        params = init_network(LayerSpec(sizes, acts, side), int(rng.integers(0, 2**31)))
         x = rng.normal(0, 1, sizes[0])
         target = rng.normal(0, 1, sizes[-1])
         mask = rng.random(sizes[-1]) < 0.7
+        code = rng.normal(0, 1, side[0]) if side else None
         step = Step([params], 1, 1.0)
-        step.gradients(x[None, None], target[None, None], mask)
-        analytic = ([g[0] for g in step.grad_w], [g[0, 0] for g in step.grad_b])
-        numeric = numerical_gradient(params, x, target, mask, eps)
-        worst = max(worst, relative_gradient_error(analytic, numeric))
+        step.gradients(x[None, None], target[None, None], mask, code=code)
+        numeric = numerical_gradient(params, x, target, mask, eps, code)
+        worst = max(worst, relative_gradient_error([step.grad], numeric))
     return worst
 
 
 MODEL_FIELDS = {"sizes": str_list, "activations": str_list}  # LayerSpec makes sizes ints
 
 
+def _model_names(spec):
+    return [f"{kind}{i}" for i in range(len(spec.activations)) for kind in "wb"]
+
+
 def model_arrays(params):
     """Spec fields and named arrays (w0 b0 w1 b1 ...) of a network, for a model file."""
-    arrays = {}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{i}"], arrays[f"b{i}"] = w, b
-    return {"sizes": params.spec.sizes, "activations": params.spec.activations}, arrays
+    fields = {"sizes": params.spec.sizes, "activations": params.spec.activations}
+    return fields, dict(zip(_model_names(params.spec), params.arrays()))
 
 
 def model_from_arrays(fields, arrays):
     """Inverse of model_arrays; StructuralError for a bad spec, array name or shape."""
     spec = LayerSpec(fields["sizes"], fields["activations"])
-    shapes = {}
-    for i, (fan_in, fan_out) in enumerate(zip(spec.sizes[:-1], spec.sizes[1:])):
-        shapes[f"w{i}"], shapes[f"b{i}"] = (fan_out, fan_in), (fan_out,)
-    check_shapes(arrays, shapes)
-    values = list(arrays.values())  # w0 b0 w1 b1 ..., as checked
-    return NetworkParams(spec, values[::2], values[1::2])
+    check_shapes(arrays, dict(zip(_model_names(spec), spec.param_shapes())))
+    return NetworkParams.from_arrays(spec, list(arrays.values()))  # in arrays() order, as checked
 
 
 def save_model(params, path):

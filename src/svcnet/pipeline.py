@@ -186,15 +186,12 @@ def load_recognizer_artifact(config):
     if not os.path.exists(path):
         raise DataError(f"missing recognizer model ({path})")
     net = rec_mod.load_recognizer(path)
-    for field, value, key in (
-        ("window", net.window, "rec_window"),
-        ("acoustic_units", net.w_acoustic.shape[0], "rec_acoustic_units"),
-        ("state_units", net.w_state.shape[0], "rec_state_units"),
-        ("svc_dim", net.svc_dim, "svc_dim"),
-        ("feature_dim", net.feature_dim, "feature_dim"),
-    ):
-        if value != getattr(config, key):
-            raise DataError(f"{path}: {field} {value} != {key} {getattr(config, key)}")
+    fields = net.fields()
+    for field, key in (("window", "rec_window"), ("acoustic_units", "rec_acoustic_units"),
+                       ("state_units", "rec_state_units"), ("svc_dim", "svc_dim"),
+                       ("feature_dim", "feature_dim")):
+        if fields[field] != getattr(config, key):
+            raise DataError(f"{path}: {field} {fields[field]} != {key} {getattr(config, key)}")
     return net
 
 
@@ -359,7 +356,7 @@ def run_plot(config, kind, sound=None):
     encoders = load_encoders(config)
     if kind == "ppc_scatter":
         sounds = sorted(encoders)
-        target = SoundId.parse(sound) if sound else sounds[0]
+        target = sounds[0] if sound is None else SoundId.parse(sound)
         if target not in encoders:
             raise DataError(f"no encoder for sound {target}")
         if target not in corpus.sounds:

@@ -6,20 +6,22 @@ activations are injected into every unit of the acoustic, state, and word
 layers. At test time each level independently takes the injection either
 from the speaker's own code or from the cross-speaker average, controlled
 by per-level availability flags; training always uses the speaker's own
-code at every level.
+code at every level. For training the net is a nets.NetworkParams with a
+side layer (RecognizerNet.network), stepped by nets.Step.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, StructuralError
 from .fileio import check_shapes, read_arrays, str_list, write_arrays
-from .nets import flat_views
+from .nets import LayerSpec, NetworkParams, Step, flat_views, init_network
 
 SVC_HIDDEN_WIDTH = 2  # fixed side-path width
 BATCH_FRAMES = 16  # frames per training step
+SPEAKERS_PER_BLOCK = 4  # test speakers recognized in one block by ablation_eval
 PARAM_NAMES = (
     "w_svc", "b_svc",
     "w_acoustic", "b_acoustic", "u_acoustic",
@@ -90,33 +92,30 @@ class RecognizerNet:
     def input_dim(self):
         return self.feature_dim * (2 * self.window + 1)
 
+    def fields(self):
+        """The model file's header fields, in REC_FIELDS order."""
+        return dict(words=self.words, feature_dim=self.feature_dim, svc_dim=self.svc_dim,
+                    window=self.window, acoustic_units=self.w_acoustic.shape[0],
+                    state_units=self.w_state.shape[0])
+
+    def network(self):
+        """The net as a nets.NetworkParams with a side layer, sharing its arrays."""
+        return NetworkParams.from_arrays(recognizer_spec(**self.fields()), self.param_arrays())
+
+
+def recognizer_spec(words, feature_dim, svc_dim, window, acoustic_units, state_units):
+    """The recognizer's nets.LayerSpec, from its header fields: the
+    sigmoid main path and the side layer from the code, whose arrays()
+    order is PARAM_NAMES."""
+    sizes = (feature_dim * (2 * window + 1), acoustic_units, state_units, len(words))
+    return LayerSpec(sizes, ("sigmoid",) * 3, (svc_dim, SVC_HIDDEN_WIDTH))
+
 
 def init_recognizer(words, feature_dim, svc_dim, config):
-    rng = np.random.default_rng(config.seed)
-    in_dim = feature_dim * (2 * config.window + 1)
-    a, s, o = config.acoustic_units, config.state_units, len(words)
-
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    return RecognizerNet(
-        words=tuple(words),
-        feature_dim=feature_dim,
-        svc_dim=svc_dim,
-        window=config.window,
-        w_svc=uniform(svc_dim, (SVC_HIDDEN_WIDTH, svc_dim)),
-        b_svc=np.zeros(SVC_HIDDEN_WIDTH),
-        w_acoustic=uniform(in_dim, (a, in_dim)),
-        b_acoustic=np.zeros(a),
-        u_acoustic=uniform(SVC_HIDDEN_WIDTH, (a, SVC_HIDDEN_WIDTH)),
-        w_state=uniform(a, (s, a)),
-        b_state=np.zeros(s),
-        u_state=uniform(SVC_HIDDEN_WIDTH, (s, SVC_HIDDEN_WIDTH)),
-        w_word=uniform(s, (o, s)),
-        b_word=np.zeros(o),
-        u_word=uniform(SVC_HIDDEN_WIDTH, (o, SVC_HIDDEN_WIDTH)),
-    )
+    spec = recognizer_spec(words, feature_dim, svc_dim, config.window, config.acoustic_units,
+                           config.state_units)
+    arrays = init_network(spec, config.seed).arrays()
+    return RecognizerNet(tuple(words), feature_dim, svc_dim, config.window, *arrays)
 
 
 def svc_hidden(net, svc):
@@ -137,116 +136,14 @@ def forward_frame(net, x, h_acoustic, h_state, h_word):
     return a, s, y
 
 
-def frame_loss(net, x, svc, target):
-    h = svc_hidden(net, svc)
-    _, _, y = forward_frame(net, x, h, h, h)
-    d = y - target
-    return 0.5 * float(d @ d)
-
-
-class BatchStep:
-    """One SGD step of the recognizer on a batch of frames, with one update
-    from the frames' summed gradients (mini-batch SGD, as nets.Step;
-    summed, not averaged, so the learning rate keeps its per-presentation
-    scale).
-
-    The net's parameters are rebound to views of `flat` and `grads` are
-    views of `grad`, both in PARAM_NAMES order, so the update is one
-    `flat -= lr * grad`. A batch is up to `n_rows` rows of the training
-    arrays, gathered by index into buffers allocated here, as is every
-    activation and delta. Per level the forward pass is
-    `rows @ W.T + b + H @ U.T` with `H = expit(codes @ w_svc.T + b_svc)`;
-    backprop forms each weight gradient as `delta.T @ inputs` and each bias
-    gradient as the column sum of delta.
-    """
-
-    def __init__(self, net, n_rows, learning_rate):
-        shapes = [p.shape for p in net.param_arrays()]
-        self.flat = np.concatenate([p.ravel() for p in net.param_arrays()])
-        for name, view in zip(PARAM_NAMES, flat_views(self.flat, shapes)):
-            setattr(net, name, view)
-        self.grad = np.empty_like(self.flat)
-        self.grads = flat_views(self.grad, shapes)
-        self.net = net
-        self._learning_rate = learning_rate
-        o = len(net.words)
-        levels = (SVC_HIDDEN_WIDTH, net.w_acoustic.shape[0], net.w_state.shape[0], o)
-        # gathered rows; activations, deltas and temporaries per level; residual
-        widths = (net.input_dim, net.svc_dim, o) + levels * 3 + (o,)
-        self._buffers = [np.empty((n_rows, w)) for w in widths]
-
-    def gradients(self, inputs, codes, targets, rows):
-        """Fill `grads` with the frame-loss gradients of rows `rows` of the
-        training arrays, summed over the rows, without updating. Returns the
-        rows' summed frame loss at the current parameters."""
-        net = self.net
-        bufs = self._buffers
-        if len(rows) != len(bufs[0]):
-            bufs = [b[: len(rows)] for b in bufs]
-        x, code, target, h, a, s, y, dh, da, ds, dy, th, ta, ts, ty, resid = bufs
-        np.take(inputs, rows, axis=0, out=x)
-        np.take(codes, rows, axis=0, out=code)
-        np.take(targets, rows, axis=0, out=target)
-        np.matmul(code, net.w_svc.T, out=h)
-        h += net.b_svc
-        expit(h, out=h)
-        for out, below, w, b, u, tmp in (
-            (a, x, net.w_acoustic, net.b_acoustic, net.u_acoustic, ta),
-            (s, a, net.w_state, net.b_state, net.u_state, ts),
-            (y, s, net.w_word, net.b_word, net.u_word, ty),
-        ):
-            np.matmul(below, w.T, out=out)
-            out += b
-            np.matmul(h, u.T, out=tmp)
-            out += tmp
-            expit(out, out=out)
-
-        # each delta is (upstream term * act) * (1 - act), the textbook's order
-        np.subtract(y, target, out=resid)
-        np.multiply(resid, y, out=dy)
-        dy *= np.subtract(1.0, y, out=ty)
-        np.matmul(dy, net.w_word, out=ds)
-        ds *= s
-        ds *= np.subtract(1.0, s, out=ts)
-        np.matmul(ds, net.w_state, out=da)
-        da *= a
-        da *= np.subtract(1.0, a, out=ta)
-        np.matmul(da, net.u_acoustic, out=dh)
-        dh += np.matmul(ds, net.u_state, out=th)
-        dh += np.matmul(dy, net.u_word, out=th)
-        dh *= h
-        dh *= np.subtract(1.0, h, out=th)
-        g_svc, gb_svc, g_a, gb_a, gu_a, g_s, gb_s, gu_s, g_w, gb_w, gu_w = self.grads
-        for g, delta, below in (
-            (g_svc, dh, code),
-            (g_a, da, x), (gu_a, da, h),
-            (g_s, ds, a), (gu_s, ds, h),
-            (g_w, dy, s), (gu_w, dy, h),
-        ):
-            np.matmul(delta.T, below, out=g)
-        for g, delta in ((gb_svc, dh), (gb_a, da), (gb_s, ds), (gb_w, dy)):
-            np.add.reduce(delta, axis=0, out=g)
-        return 0.5 * float(np.vdot(resid, resid))
-
-    def __call__(self, inputs, codes, targets, rows):
-        """gradients(), then one update of the parameters."""
-        loss = self.gradients(inputs, codes, targets, rows)
-        np.multiply(self.grad, self._learning_rate, out=self.grad)
-        self.flat -= self.grad
-        return loss
-
-
 def frame_gradients(net, x, svc, target):
-    """Gradients of the squared-error frame loss, side path included: the
-    training step's gradients on a one-frame batch, taken on a copy of the
-    net's parameters.
-
-    Returns (gradient list in param_arrays order, loss at the current params).
-    """
-    step = BatchStep(replace(net), 1, 0.0)
-    rows = [np.asarray(v, dtype=float)[None] for v in (x, svc, target)]
-    loss = step.gradients(*rows, np.zeros(1, dtype=int))
-    return step.grads, loss
+    """Gradients of the squared-error frame loss, side path included, by a
+    one-frame nets.Step on a copy of the net's parameters. Returns
+    (gradient list in param_arrays order, loss at the current params)."""
+    step = Step([net.network()], 1, 0.0)
+    resid = step.gradients(x, target, code=svc)
+    grads = flat_views(step.grad, [p.shape for p in net.param_arrays()])
+    return grads, 0.5 * float(np.vdot(resid, resid))
 
 
 def window_frames(features, window, bounds=None):
@@ -288,9 +185,11 @@ def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
     """Mini-batch supervised training on one-of-N word targets, the
     speaker's own code always on the side-path inputs. Each epoch steps
     through a fresh permutation of the corpus frames in consecutive slices
-    of BATCH_FRAMES (the last one shorter), one BatchStep per slice; an
-    epoch's loss is the mean over frames of each frame's loss at the
-    parameters before its batch's update. Returns (net, metrics)."""
+    of BATCH_FRAMES, one nets.Step per slice; in a shorter last slice the
+    missing rows are inactive. The net's arrays are views of the step's
+    parameter buffer. An epoch's loss is the mean over frames of each
+    frame's loss at the parameters before its batch's update.
+    Returns (net, metrics)."""
     if svc_dim is None:
         svc_dim = np.size(svc_per_speaker.get(corpus.speakers[0], ()))
     codes = _speaker_codes(corpus, svc_per_speaker, svc_dim)[corpus.speaker]
@@ -298,15 +197,23 @@ def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
     inputs = window_frames(corpus.frames, config.window, corpus.utterance_bounds())
     targets = np.eye(len(net.words))[corpus.word]
     n = len(inputs)
+    n_batches = -(-n // BATCH_FRAMES)
 
-    step = BatchStep(net, BATCH_FRAMES, config.learning_rate)
+    params = net.network()
+    step = Step([params], BATCH_FRAMES, config.learning_rate)
+    vars(net).update(zip(PARAM_NAMES, params.arrays()))  # the net's arrays: views of step.flat
+    active = [None] * n_batches  # each slice's active rows: all, but in a shorter last one
+    if n % BATCH_FRAMES:
+        active[-1] = np.arange(BATCH_FRAMES)[:, None] < n % BATCH_FRAMES
     rng = np.random.default_rng(config.seed)
     epoch_loss = []
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
+        # the permutation in slices, the last one padded from its start
+        order = np.resize(rng.permutation(n), (n_batches, 1, BATCH_FRAMES))
         total = 0.0
-        for start in range(0, n, BATCH_FRAMES):
-            total += step(inputs, codes, targets, order[start : start + BATCH_FRAMES])
+        for x, code, target, rows in zip(inputs[order], codes[order], targets[order], active):
+            resid = step(x, target, active=rows, code=code)
+            total += 0.5 * float(np.vdot(resid, resid))
         epoch_loss.append(total / n)
         if not np.isfinite(epoch_loss[-1]):
             raise DataError(
@@ -316,7 +223,7 @@ def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
     metrics = {
         "epoch_loss": epoch_loss,
         "presentations": config.epochs * n,
-        "batches": config.epochs * -(-n // BATCH_FRAMES),
+        "batches": config.epochs * n_batches,
     }
     return net, metrics
 
@@ -416,28 +323,28 @@ def error_rate(wrong):
 
 def ablation_eval(net, test_corpus, svc_per_speaker, avg):
     """Error rate for each of the 8 availability combinations, plus the
-    per-utterance prediction log in row order. Each speaker's utterances
-    are recognized under all 8 settings as one block."""
+    per-utterance prediction log in row order. The utterances of each
+    SPEAKERS_PER_BLOCK consecutive speakers are recognized under all 8
+    settings as one block, each with its speaker's code."""
     bounds = test_corpus.utterance_bounds()
     starts = bounds[:-1]
     grid = flag_grid()
     predicted = np.empty((len(grid), len(starts)), dtype=int)
     speaker = test_corpus.speaker[starts]
-    # a speaker's utterances are consecutive
-    for block in np.split(np.arange(len(starts)), np.flatnonzero(np.diff(speaker)) + 1):
+    # a speaker's utterances are consecutive: cut before every
+    # SPEAKERS_PER_BLOCK-th speaker's first one
+    cuts = (np.flatnonzero(np.diff(speaker)) + 1)[SPEAKERS_PER_BLOCK - 1 :: SPEAKERS_PER_BLOCK]
+    for block in np.split(np.arange(len(starts)), cuts):
         feats = [test_corpus.frames[bounds[u] : bounds[u + 1]] for u in block]
-        svc = svc_per_speaker[test_corpus.speakers[speaker[block[0]]]]
+        svc = [svc_per_speaker[test_corpus.speakers[k]] for k in speaker[block]]
         predicted[:, block] = recognize_utterances(net, feats, svc, grid, avg).argmax(axis=-1)
     utterances = [test_corpus.utterances[u] for u in test_corpus.utterance[starts]]
     truths = [test_corpus.words[w] for w in test_corpus.word[starts]]
-    rows = []
-    log = []
+    rows, log = [], []
     for flags, labels in zip(grid, predicted):
-        wrong = []
-        for utt_id, truth, label in zip(utterances, truths, labels):
-            wrong.append(net.words[label] != truth)
-            log.append((utt_id, truth, net.words[label], flags))
-        rows.append((flags, error_rate(wrong)))
+        words = [net.words[label] for label in labels]
+        log += [(utt, truth, word, flags) for utt, truth, word in zip(utterances, truths, words)]
+        rows.append((flags, error_rate([word != truth for word, truth in zip(words, truths)])))
     return rows, log
 
 
@@ -447,21 +354,14 @@ REC_FIELDS = dict(
 
 
 def save_recognizer(net, path):
-    fields = dict(
-        words=net.words, feature_dim=net.feature_dim, svc_dim=net.svc_dim, window=net.window,
-        acoustic_units=net.w_acoustic.shape[0], state_units=net.w_state.shape[0],
-    )
-    write_arrays(path, "recognizer", fields, dict(zip(PARAM_NAMES, net.param_arrays())))
+    write_arrays(path, "recognizer", net.fields(), dict(zip(PARAM_NAMES, net.param_arrays())))
 
 
 def _recognizer_from_arrays(fields, arrays):
-    words, feature_dim, svc_dim, window, a, s = fields.values()  # REC_FIELDS order
+    words, feature_dim, svc_dim, window, _, _ = fields.values()  # REC_FIELDS order
     if window < 0:
         raise StructuralError(f"window {window} is negative")
-    h, o, i = SVC_HIDDEN_WIDTH, len(words), feature_dim * (2 * window + 1)
-    shapes = [(h, svc_dim), (h,), (a, i), (a,), (a, h), (s, a), (s,), (s, h)]
-    shapes += [(o, s), (o,), (o, h)]
-    check_shapes(arrays, dict(zip(PARAM_NAMES, shapes)))
+    check_shapes(arrays, dict(zip(PARAM_NAMES, recognizer_spec(**fields).param_shapes())))
     return RecognizerNet(words, feature_dim, svc_dim, window, **arrays)
 
 

@@ -55,11 +55,14 @@ class SoundLayout:
         except KeyError:
             raise StructuralError(f"sound {sound} not in layout") from None
 
-    def slot_numbers(self, stream):
+    def slot_numbers(self, stream, tables):
         """Each presentation's slot number (its sound's index in `sounds`)
-        in a Stream; the sounds of its table are looked up once."""
-        numbers = np.array([self._numbers.get(s, -1) for s in stream.sounds], dtype=np.intp)
-        slots = numbers[stream.sound]
+        in a Stream. `tables` caches each sound table's slot numbers by the
+        table's id, for streams that share it; it must not outlive them."""
+        key = id(stream.sounds)
+        if key not in tables:
+            tables[key] = np.array([self._numbers.get(s, -1) for s in stream.sounds], dtype=np.intp)
+        slots = tables[key][stream.sound]
         if (slots < 0).any():
             sound = stream.sounds[stream.sound[np.argmax(slots < 0)]]
             raise StructuralError(f"sound {sound} not in layout")
@@ -193,7 +196,8 @@ def _running_means(layout, streams):
         raise DataError("empty stream")
     n_steps, width = max(lengths), layout.width
     steps = np.concatenate([np.arange(n) for n in lengths])[:, None]
-    starts = np.concatenate([layout.slot_numbers(s) * layout.code_dim + row * width
+    tables = {}
+    starts = np.concatenate([layout.slot_numbers(s, tables) * layout.code_dim + row * width
                              for row, s in enumerate(streams)])
     cols = starts[:, None] + np.arange(layout.code_dim)
     sums = np.zeros((n_steps, len(streams) * width))

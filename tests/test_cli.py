@@ -636,7 +636,7 @@ class TestPlot:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("sound", ["p00", "p00:x"])
+    @pytest.mark.parametrize("sound", ["p00", "p00:x", ""])
     def test_scatter_malformed_sound(self, full_run, capsys, sound):
         _, cpath = full_run
         capsys.readouterr()

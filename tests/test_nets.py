@@ -20,6 +20,7 @@ from svcnet.nets import (
     numerical_gradient,
     relative_gradient_error,
     Step,
+    flat_views,
     grads_from_activations,
     save_model,
     sgd_step,
@@ -28,6 +29,11 @@ from svcnet.nets import (
 
 def spec(sizes, acts=None):
     return LayerSpec(tuple(sizes), tuple(acts or ["sigmoid"] * (len(sizes) - 1)))
+
+
+def in_order(grads):
+    """(grad_w, grad_b) as one list in NetworkParams.arrays() order."""
+    return [g for layer in zip(*grads) for g in layer]
 
 
 class TestLayerSpec:
@@ -209,7 +215,7 @@ class TestBackward:
         x, t = rng.normal(size=3), rng.normal(size=3)
         mask = np.array([True, False, True])
         err = relative_gradient_error(
-            backward(p, x, t, mask), numerical_gradient(p, x, t, mask, 1e-6)
+            in_order(backward(p, x, t, mask)), numerical_gradient(p, x, t, mask, 1e-6)
         )
         assert err < 1e-4
 
@@ -338,19 +344,16 @@ class TestSgdStep:
                 for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
                     assert np.array_equal(a, b)  # gradients() does not update
             for k, ref in enumerate(refs):
-                grads = ([g[k] for g in step.grad_w], [g[k, 0] for g in step.grad_b])
-                summed = ([np.zeros_like(w) for w in ref.weights],
-                          [np.zeros_like(b) for b in ref.biases])
-                numeric = ([np.zeros_like(w) for w in ref.weights],
-                           [np.zeros_like(b) for b in ref.biases])
+                grads = in_order(([g[k] for g in step.grad_w], [g[k, 0] for g in step.grad_b]))
+                summed = [np.zeros_like(a) for a in ref.arrays()]
+                numeric = [np.zeros_like(a) for a in ref.arrays()]
                 for r in np.flatnonzero(active[k]):
                     out = forward(ref, x[k, r])
                     expect = np.where(mask[k, r], out[-1] - t[k, r], 0.0)
                     np.testing.assert_allclose(resid[k, r], expect, rtol=1e-12, atol=1e-15)
                     row = grads_from_activations(ref, out, t[k, r], mask[k, r])
                     num = numerical_gradient(ref, x[k, r], t[k, r], mask[k, r], 1e-6)
-                    for total, part in zip(summed[0] + summed[1] + numeric[0] + numeric[1],
-                                           row[0] + row[1] + num[0] + num[1]):
+                    for total, part in zip(summed + numeric, in_order(row) + num):
                         total += part
                 assert np.all(resid[k, ~active[k]] == 0.0)
                 assert relative_gradient_error(grads, summed) < 1e-12
@@ -365,25 +368,87 @@ class TestSgdStep:
 
     @pytest.mark.parametrize("garbage", [np.nan, np.inf, -1e300, 7.0])
     def test_shared_step_ignores_inactive_rows(self, garbage):
-        """Inputs and targets of inactive rows, and targets of masked
-        units, are never read: garbage there leaves the parameters
-        byte-identical."""
+        """Inputs, codes and targets of inactive rows, and targets of
+        masked units, are never read: garbage there leaves the parameters
+        byte-identical, with and without a side layer."""
         rng = np.random.default_rng(10)
         sizes = (5, 4, 2, 4, 5)
-        nets = [init_network(spec(sizes, ["sigmoid", "tanh", "sigmoid", "linear"]), 3)
-                for _ in range(2)]
-        clean, dirty = (Step([net], 4, 0.1) for net in nets)
-        for _ in range(6):
-            x = rng.random((4, 5))
-            t = rng.random((4, 5))
-            mask = rng.random((4, 5)) < 0.6
-            active = rng.random(4) < 0.6
-            clean(x, t, mask, active[:, None])
-            x[~active] = garbage
-            t[~active] = garbage
-            t[~mask] = garbage
-            dirty(x, t, mask, active[:, None])
-        assert clean.flat.tobytes() == dirty.flat.tobytes()
+        for side in ((), (3, 2)):
+            layers = LayerSpec(sizes, ("sigmoid", "tanh", "sigmoid", "linear"), side)
+            nets = [init_network(layers, 3) for _ in range(2)]
+            clean, dirty = (Step([net], 4, 0.1) for net in nets)
+            for _ in range(6):
+                x = rng.random((4, 5))
+                t = rng.random((4, 5))
+                code = rng.random((4, 3))
+                mask = rng.random((4, 5)) < 0.6
+                active = rng.random(4) < 0.6
+                clean(x, t, mask, active[:, None], code)
+                x[~active] = garbage
+                t[~active] = garbage
+                code[~active] = garbage
+                t[~mask] = garbage
+                dirty(x, t, mask, active[:, None], code)
+            assert clean.flat.tobytes() == dirty.flat.tobytes()
+
+    def test_side_step_sums_row_gradients(self):
+        """Networks with a side layer: each network's gradients equal
+        central differences of its active rows' summed masked loss, over
+        random specs, 1-3 networks of 1-4 rows."""
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n_layers = int(rng.integers(2, 5))
+            sizes = tuple(int(rng.integers(1, 7)) for _ in range(n_layers))
+            acts = tuple(str(rng.choice(ACTIVATIONS)) for _ in range(n_layers - 1))
+            side = tuple(int(w) for w in rng.integers(1, 4, 2))
+            n_nets, n_rows = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            nets = [init_network(LayerSpec(sizes, acts, side), int(rng.integers(0, 2**31)))
+                    for _ in range(n_nets)]
+            refs = [net.copy() for net in nets]
+            step = Step(nets, n_rows, 0.1)
+            x = rng.normal(size=(n_nets, n_rows, sizes[0]))
+            code = rng.normal(size=(n_nets, n_rows, side[0]))
+            t = rng.normal(size=(n_nets, n_rows, sizes[-1]))
+            mask = rng.random((n_nets, n_rows, sizes[-1])) < 0.7
+            active = rng.random((n_nets, n_rows, 1)) < 0.7
+            step.gradients(x, t, mask, active, code)
+            shapes = nets[0].spec.param_shapes()
+            for k, ref in enumerate(refs):
+                numeric = [np.zeros(shape) for shape in shapes]
+                for r in np.flatnonzero(active[k]):
+                    num = numerical_gradient(ref, x[k, r], t[k, r], mask[k, r], 1e-6, code[k, r])
+                    for total, part in zip(numeric, num):
+                        total += part
+                grads = [g[k] for g in flat_views(step.grad, [(n_nets, *s) for s in shapes])]
+                assert relative_gradient_error(grads, numeric) < 1e-6
+
+    def test_zero_injections_leave_the_main_path(self):
+        """A side layer whose injections are all zero leaves the outputs
+        and the main path's gradients and update of a step bit-equal to
+        the same network stepped without a side layer."""
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            n_layers = int(rng.integers(2, 5))
+            sizes = tuple(int(rng.integers(1, 9)) for _ in range(n_layers))
+            acts = tuple(str(rng.choice(ACTIVATIONS)) for _ in range(n_layers - 1))
+            n_rows = int(rng.integers(1, 5))
+            plain = init_network(LayerSpec(sizes, acts), int(rng.integers(0, 2**31)))
+            sided = init_network(LayerSpec(sizes, acts, (3, 2)), 0)
+            sided.weights, sided.biases = plain.weights, plain.biases
+            sided.injections = [np.zeros_like(u) for u in sided.injections]
+            side_step, plain_step = Step([sided], n_rows, 0.1), Step([plain], n_rows, 0.1)
+            x = rng.normal(size=(1, n_rows, sizes[0]))
+            t = rng.normal(size=(1, n_rows, sizes[-1]))
+            mask = rng.random((1, n_rows, sizes[-1])) < 0.7
+            code = rng.normal(size=(1, n_rows, 3))
+            resid = plain_step(x, t, mask).copy()
+            assert np.array_equal(side_step(x, t, mask, code=code), resid)
+            assert np.array_equal(side_step.outputs, plain_step.outputs)
+            for a, b in zip(plain_step.grad_w + plain_step.grad_b,
+                            side_step.grad_w + side_step.grad_b):
+                assert np.array_equal(a, b)
+            for a, b in zip(plain.weights + plain.biases, sided.weights + sided.biases):
+                assert np.array_equal(a, b)
 
     def test_fused_step_rejects_mixed_specs(self):
         nets = [init_network(spec([2, 3, 2]), 0), init_network(spec([2, 4, 2]), 0)]
@@ -404,17 +469,17 @@ class TestSgdStep:
 class TestNumericalGradient:
     def test_all_masked_zero(self):
         p = init_network(spec([2, 2]), seed=0)
-        gw, gb = numerical_gradient(p, np.ones(2), np.ones(2), np.zeros(2, dtype=bool))
-        assert all(np.all(g == 0) for g in gw + gb)
+        grads = numerical_gradient(p, np.ones(2), np.ones(2), np.zeros(2, dtype=bool))
+        assert all(np.all(g == 0) for g in grads)
 
     def test_analytic_linear_case(self):
         # loss 1/2 (w x - t)^2 with x=2, w=1, t=4 -> dL/dw = (wx-t)x = -4
         p = init_network(LayerSpec((1, 1), ("linear",)), seed=0)
         p.weights[0][0, 0] = 1.0
-        gw, _ = numerical_gradient(
+        w0, _ = numerical_gradient(
             p, np.array([2.0]), np.array([4.0]), np.array([True]), eps=1e-6
         )
-        assert gw[0][0, 0] == pytest.approx(-4.0, abs=1e-8)
+        assert w0[0, 0] == pytest.approx(-4.0, abs=1e-8)
 
     def test_quadratic_convergence_in_eps(self):
         p = init_network(spec([2, 3, 2], ["tanh", "sigmoid"]), seed=11)
@@ -427,7 +492,7 @@ class TestNumericalGradient:
             num = numerical_gradient(p, x, t, mask, eps)
             return max(
                 np.abs(a - b).max()
-                for a, b in zip(exact[0] + exact[1], num[0] + num[1])
+                for a, b in zip(in_order(exact), num)
             )
 
         e1, e2 = err(1e-3), err(5e-4)
@@ -451,7 +516,7 @@ def test_gradcheck_property(seed):
     t = rng.normal(size=sizes[-1])
     mask = rng.random(sizes[-1]) < 0.7
     err = relative_gradient_error(
-        backward(p, x, t, mask), numerical_gradient(p, x, t, mask, 1e-6)
+        in_order(backward(p, x, t, mask)), numerical_gradient(p, x, t, mask, 1e-6)
     )
     assert err < 1e-4
 

@@ -6,18 +6,18 @@ from scipy.special import expit
 
 from svcnet.corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from svcnet.errors import DataError, StructuralError
+from svcnet.nets import Step, flat_views
 from svcnet.recognizer import (
     BATCH_FRAMES,
     SVC_HIDDEN_WIDTH,
+    SPEAKERS_PER_BLOCK,
     AvailabilityFlags,
-    BatchStep,
     RecognizerConfig,
     ablation_eval,
     compute_average_svc,
     flag_grid,
     forward_frame,
     frame_gradients,
-    frame_loss,
     init_recognizer,
     load_recognizer,
     recognize,
@@ -67,28 +67,9 @@ class TestStructure:
 
 
 class TestGradients:
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        net = init_recognizer(WORDS, 4, 2, small_config(seed=1))
-        x = rng.normal(size=4)
-        svc = rng.random(2)
-        target = np.array([1.0, 0.0, 0.0])
-        grads, _ = frame_gradients(net, x, svc, target)
-        eps = 1e-6
-        for arr, g in zip(net.param_arrays(), grads):
-            flat, gflat = arr.reshape(-1), g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = frame_loss(net, x, svc, target)
-                flat[i] = orig - eps
-                lo = frame_loss(net, x, svc, target)
-                flat[i] = orig
-                num = (hi - lo) / (2 * eps)
-                assert gflat[i] == pytest.approx(num, rel=1e-4, abs=1e-9)
-
     def test_matches_textbook_formulas(self):
-        # the allocating np.outer formulation, in its exact association order
+        # the allocating np.outer formulation, in nets.Step's association
+        # order: each derivative f'(a) = (1 - a) * a is formed first
         rng = np.random.default_rng(4)
         net = init_recognizer(WORDS, 4, 2, small_config(seed=2))
         for _ in range(10):
@@ -96,12 +77,12 @@ class TestGradients:
             target = np.eye(3)[rng.integers(3)]
             h = svc_hidden(net, svc)
             a, s, y = forward_frame(net, x, h, h, h)
-            dy = (y - target) * y * (1.0 - y)
-            ds = (net.w_word.T @ dy) * s * (1.0 - s)
-            da = (net.w_state.T @ ds) * a * (1.0 - a)
+            dy = (y - target) * ((1.0 - y) * y)
+            ds = (net.w_word.T @ dy) * ((1.0 - s) * s)
+            da = (net.w_state.T @ ds) * ((1.0 - a) * a)
             dh = (
                 net.u_acoustic.T @ da + net.u_state.T @ ds + net.u_word.T @ dy
-            ) * h * (1.0 - h)
+            ) * ((1.0 - h) * h)
             expected = [
                 np.outer(dh, svc), dh,
                 np.outer(da, x), da, np.outer(da, h),
@@ -112,58 +93,29 @@ class TestGradients:
             for g, e in zip(grads, expected):
                 assert np.array_equal(g, e)
 
-    def batch(self, seed, n_rows=5):
-        """A net bound to a BatchStep and n_rows random frames, codes and
-        one-of-N targets."""
-        rng = np.random.default_rng(seed)
-        net = init_recognizer(WORDS, 4, 2, small_config(seed=seed))
+    def test_batch_matches_summed_textbook_gradients(self):
+        """nets.Step's gradients of the recognizer on 5 rows against the
+        sum of the per-frame np.outer gradients. The step forms each weight
+        gradient as one matrix product over the batch, which adds the
+        frames' terms in the BLAS kernel's order, so the two agree to
+        rounding, not bit for bit."""
+        rng = np.random.default_rng(7)
+        net = init_recognizer(WORDS, 4, 2, small_config(seed=7))
         for p in net.param_arrays():
             p[...] = rng.normal(0, 1, p.shape)
-        rows = (rng.normal(size=(n_rows, 4)), rng.random((n_rows, 2)),
-                np.eye(3)[rng.integers(3, size=n_rows)])
-        step = BatchStep(net, n_rows, 0.1)
-        return net, step, rows
-
-    def test_batch_matches_finite_differences(self):
-        """The step's summed gradients on 5 rows against central
-        differences of the summed frame loss."""
-        net, step, rows = self.batch(6)
-        loss = step.gradients(*rows, np.arange(5))
-
-        def summed_loss():
-            return sum(frame_loss(net, *frame) for frame in zip(*rows))
-
-        assert loss == pytest.approx(summed_loss(), rel=1e-12)
-        eps = 1e-6
-        for arr, g in zip(net.param_arrays(), step.grads):
-            flat, gflat = arr.reshape(-1), g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = summed_loss()
-                flat[i] = orig - eps
-                lo = summed_loss()
-                flat[i] = orig
-                num = (hi - lo) / (2 * eps)
-                assert gflat[i] == pytest.approx(num, rel=1e-4, abs=1e-9)
-
-    def test_batch_matches_summed_textbook_gradients(self):
-        """The step's gradients on 5 rows against the sum of the per-frame
-        np.outer gradients. The step forms each weight gradient as one
-        matrix product over the batch, which adds the frames' terms in the
-        BLAS kernel's order, so the two agree to rounding, not bit for bit."""
-        net, step, rows = self.batch(7)
-        step.gradients(*rows, np.arange(5))
+        rows = (rng.normal(size=(5, 4)), rng.random((5, 2)), np.eye(3)[rng.integers(3, size=5)])
+        step = Step([net.network()], 5, 0.1)
+        step.gradients(rows[0][None], rows[2][None], code=rows[1][None])
         expected = [np.zeros_like(p) for p in net.param_arrays()]
         for x, svc, target in zip(*rows):
             h = svc_hidden(net, svc)
             a, s, y = forward_frame(net, x, h, h, h)
-            dy = (y - target) * y * (1.0 - y)
-            ds = (net.w_word.T @ dy) * s * (1.0 - s)
-            da = (net.w_state.T @ ds) * a * (1.0 - a)
+            dy = (y - target) * ((1.0 - y) * y)
+            ds = (net.w_word.T @ dy) * ((1.0 - s) * s)
+            da = (net.w_state.T @ ds) * ((1.0 - a) * a)
             dh = (
                 net.u_acoustic.T @ da + net.u_state.T @ ds + net.u_word.T @ dy
-            ) * h * (1.0 - h)
+            ) * ((1.0 - h) * h)
             frame = [
                 np.outer(dh, svc), dh,
                 np.outer(da, x), da, np.outer(da, h),
@@ -172,7 +124,8 @@ class TestGradients:
             ]
             for e, f in zip(expected, frame):
                 e += f
-        for g, e in zip(step.grads, expected):
+        grads = flat_views(step.grad, [p.shape for p in net.param_arrays()])
+        for g, e in zip(grads, expected):
             np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-15)
 
     def test_frame_gradients_leave_the_net_alone(self):
@@ -183,9 +136,11 @@ class TestGradients:
 
     def test_loss_is_pre_update(self):
         net = init_recognizer(WORDS, 4, 2, small_config())
-        x = np.zeros(4)
-        _, loss = frame_gradients(net, x, np.zeros(2), np.array([1.0, 0, 0]))
-        assert loss == pytest.approx(frame_loss(net, x, np.zeros(2), np.array([1.0, 0, 0])))
+        x, svc, target = np.zeros(4), np.zeros(2), np.array([1.0, 0, 0])
+        _, loss = frame_gradients(net, x, svc, target)
+        h = svc_hidden(net, svc)
+        d = forward_frame(net, x, h, h, h)[2] - target
+        assert loss == pytest.approx(0.5 * float(d @ d))
 
 
 def tiny_corpus():
@@ -235,11 +190,12 @@ class TestTraining:
     @pytest.mark.parametrize("window", [0, 1])
     def test_matches_mini_batch_reference_loop(self, window):
         """Textbook batched formulas, allocating, on the same permutation,
-        BATCH_FRAMES slices and summed updates. 72 frames, so every epoch
-        ends on a batch of 8. The reference forms the same products in the
-        same order, so the parameters are equal bit for bit; the epoch loss
-        is summed frame by frame here and batch by batch in the step, so
-        the two agree to rounding."""
+        BATCH_FRAMES slices and summed updates, with nets.Step's derivative
+        order (1 - a) * a. 72 frames, so every epoch ends on a batch of 8,
+        which the step runs as 16 rows with 8 inactive. The reference forms
+        the same products in the same order, so the parameters are equal
+        bit for bit; the epoch loss is summed frame by frame here and batch
+        by batch in the step, so the two agree to rounding."""
         spec = CorpusSpec(
             n_speakers=3, n_words=3, phones_per_word=2, states_per_phone=2,
             frames_per_state=2, noise_std=0.02, seed=13, feature_dim=6, latent_dim=2,
@@ -266,10 +222,10 @@ class TestTraining:
                 a = expit(x @ ref.w_acoustic.T + ref.b_acoustic + h @ ref.u_acoustic.T)
                 s = expit(a @ ref.w_state.T + ref.b_state + h @ ref.u_state.T)
                 y = expit(s @ ref.w_word.T + ref.b_word + h @ ref.u_word.T)
-                dy = (y - t) * y * (1.0 - y)
-                ds = (dy @ ref.w_word) * s * (1.0 - s)
-                da = (ds @ ref.w_state) * a * (1.0 - a)
-                dh = (da @ ref.u_acoustic + ds @ ref.u_state + dy @ ref.u_word) * h * (1.0 - h)
+                dy = (y - t) * ((1.0 - y) * y)
+                ds = (dy @ ref.w_word) * ((1.0 - s) * s)
+                da = (ds @ ref.w_state) * ((1.0 - a) * a)
+                dh = (da @ ref.u_acoustic + ds @ ref.u_state + dy @ ref.u_word) * ((1.0 - h) * h)
                 grads = [
                     dh.T @ c, dh.sum(axis=0),
                     da.T @ x, da.sum(axis=0), da.T @ h,
@@ -500,6 +456,38 @@ class TestAblation:
             assert rate == pytest.approx(wrong / len(utterances))
         assert len(log) == 8 * len(utterances)
 
+    def test_speaker_blocks_equal_one_speaker_at_a_time(self):
+        """Nine speakers, so blocks of 4, 4 and 1: the rows and the log
+        equal those of recognizing each speaker's utterances alone with
+        its code. The random net and codes are ones under which the codes
+        change some predictions."""
+        spec = CorpusSpec(
+            n_speakers=9, n_words=3, phones_per_word=2, states_per_phone=2,
+            frames_per_state=2, noise_std=0.3, seed=5, feature_dim=6, latent_dim=2,
+        )
+        corpus = generate_corpus(spec)[0]
+        assert len(corpus.speakers) % SPEAKERS_PER_BLOCK == 1
+        rng = np.random.default_rng(21)
+        svcs = {s: rng.normal(0, 3, 2) for s in corpus.speakers}
+        net = init_recognizer(corpus.words, corpus.feature_dim, 2, small_config())
+        rng = np.random.default_rng(3)
+        for p in net.param_arrays():
+            p[...] = rng.normal(0, 0.5, p.shape)
+        avg = np.array([0.2, 0.7])
+        grid = flag_grid()
+        labels = []
+        for speaker in corpus.speakers:
+            frames = corpus.frames_of_speaker(speaker)
+            utterances = [u.frames for u in frames.by_utterance().values()]
+            labels.append(recognize_utterances(net, utterances, svcs[speaker], grid, avg)
+                          .argmax(axis=-1))
+        labels = np.concatenate(labels, axis=1)
+        assert not (labels == labels[0]).all()
+        rows, log = ablation_eval(net, corpus, svcs, avg)
+        assert [net.words[k] for k in labels.reshape(-1)] == [entry[2] for entry in log]
+        truths = [entry[1] for entry in log[: labels.shape[1]]]
+        for (flags, rate), predicted in zip(rows, labels):
+            assert rate == np.mean([net.words[k] != t for k, t in zip(predicted, truths)])
 
     def test_interleaved_speakers_keep_utterance_order(self, tmp_path):
         """A corpus file whose rows are shuffled, speakers interleaved,

@@ -201,12 +201,15 @@ class TestAccumulator:
         at every step of every stream, brute-force means and the inputs of
         one-speaker accumulators: a zero_fill one, and a feedback one whose
         last output lies under the heard slots; a stream that has ended
-        keeps its last row."""
+        keeps its last row. Odd streams index a second, reversed sound
+        table, so the streams of one call share two tables."""
         presented = [
             [(SOUNDS[k], np.array([c / 100.0, 1.0 - c / 100.0])) for k, c in stream]
             for stream in events
         ]
-        means, heard = _running_means(LAYOUT, [stream_of(p) for p in presented])
+        tables = (SOUNDS, SOUNDS[::-1])
+        streams = [stream_of(p, tables[row % 2]) for row, p in enumerate(presented)]
+        means, heard = _running_means(LAYOUT, streams)
         assert means.shape == heard.shape == (max(map(len, events)), len(events), LAYOUT.width)
         for row, stream in enumerate(presented):
             zero_fill, feedback = Accumulator(LAYOUT, ZERO_FILL), Accumulator(LAYOUT, FEEDBACK)
