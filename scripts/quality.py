@@ -16,10 +16,13 @@ one over the report files (the reports' `#` provenance lines name the
 temporary directory, so they are left out). The model digest is split
 so that a change to the recognizer alone shows as a change in its
 column only. A last row counts the seeds that
-passed each criterion. A full run takes several minutes.
+passed each criterion. The output ends with one JSON line that holds the
+same cells, keyed by seed and column, and the pass counts, for pasting
+into a benchmark record. A full run takes several minutes.
 """
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -30,6 +33,8 @@ from svcnet.corpus import load_latents
 
 COLUMNS = ("seed", "c4 stable", "c5 indep", "c6 R^2", "c7 own/avg", "c8 none/disj/same",
            "swap", "enc+svc", "rec", "reports")
+# the cells after "seed", as the JSON line names them
+KEYS = ("c4", "c5", "c6", "c7", "c8", "swap", "enc_svc", "rec", "reports")
 WIDTHS = (4, 10, 9, 7, 12, 18, 6, 12, 12, 12)
 RECOGNIZER = "recognizer.txt"
 
@@ -91,6 +96,7 @@ def main(argv=None):
         return 1
     print(row(COLUMNS), flush=True)
     passed = [0] * 5
+    rows = {}
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix="svcnet-quality-") as out_dir:
             results, summary, swap, digests = measure(seed, out_dir)
@@ -104,9 +110,13 @@ def main(argv=None):
             f"{t2['none']:.3f}/{t2['disjoint']:.3f}/{t2['same']:.3f}",
         ]
         cells = [c + ("" if r.ok else "*") for c, r in zip(cells, results)]
-        print(row([seed, *cells, f"{swap:.3f}", *digests]), flush=True)
+        cells += [f"{swap:.3f}", *digests]
+        print(row([seed, *cells]), flush=True)
+        rows[seed] = dict(zip(KEYS, cells))
         passed = [p + r.ok for p, r in zip(passed, results)]
-    print(row(["pass", *(f"{p}/{len(seeds)}" for p in passed)]))
+    counts = [f"{p}/{len(seeds)}" for p in passed]
+    print(row(["pass", *counts]))
+    print(json.dumps({"rows": rows, "pass": dict(zip(KEYS, counts))}))
     return 0
 
 

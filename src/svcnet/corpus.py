@@ -51,6 +51,26 @@ class SoundId(NamedTuple):
         return cls(phone, int(state))
 
 
+class SoundIndex(dict):
+    """sound -> position (of a sound in `sounds`), also looked up a whole
+    sound table at a time. The answer for the last table is kept, keyed by
+    the table itself (held, so that its id stays its own): the calls on
+    one corpus's table look it up once."""
+
+    _last = (None, None)
+
+    def __init__(self, sounds):
+        super().__init__((sound, k) for k, sound in enumerate(sounds))
+
+    def of_table(self, table):
+        """The position of each sound of `table`, -1 for one not indexed;
+        the array is shared, not to be written to."""
+        last = self._last
+        if last[0] is not table:
+            last = self._last = (table, np.array([self.get(s, -1) for s in table], dtype=np.intp))
+        return last[1]
+
+
 @dataclass
 class CorpusSpec:
     n_speakers: int = 20

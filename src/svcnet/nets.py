@@ -293,7 +293,9 @@ class Step:
     array stacked over the networks: `weights` (N, out, in), `biases`
     (N, 1, out), `side` and `injections`; each network's arrays are
     rebound to views of them. `grad` has the same layout, so the update is
-    one `flat -= lr * grad`. Activations are (N, B, width); per layer the
+    one `flat -= lr * grad`. Activations are (N, B, width). With one
+    network every array, inputs and outputs included, is a view without
+    the N axis, so every product is the cheaper 2-D one. Per layer the
     forward pass is `acts @ W.T + b` (+ `h @ U.T`), each weight gradient
     `delta.T @ input`, each bias gradient delta summed over rows. The side
     layer's delta is (delta_0 @ U_0 + delta_1 @ U_1 + ...) * f'(h).
@@ -317,39 +319,42 @@ class Step:
         stacked = [(n, 1) + s if len(s) == 1 else (n,) + s for s in shapes]
         self.flat = np.empty(sum(int(np.prod(s)) for s in stacked))
         self.grad = np.empty_like(self.flat)
-        params = NetworkParams.from_arrays(spec, flat_views(self.flat, stacked))
-        grads = NetworkParams.from_arrays(spec, flat_views(self.grad, stacked))
-        self.weights, self.biases = params.weights, params.biases
-        self.side, self.injections = params.side, params.injections
-        self.grad_w, self.grad_b = grads.weights, grads.biases
+        stacks = flat_views(self.flat, stacked)
         for k, net in enumerate(nets):
-            views = [stack[k].reshape(shape) for stack, shape in zip(params.arrays(), shapes)]
+            views = [stack[k].reshape(shape) for stack, shape in zip(stacks, shapes)]
             for view, a in zip(views, net.arrays()):
                 view[...] = a
             bound = NetworkParams.from_arrays(spec, views)
             net.weights, net.biases = bound.weights, bound.biases
             net.side, net.injections = bound.side, bound.injections
+        lead = 0 if n == 1 else ...  # one network: views without the network axis
+        params, grads = (NetworkParams.from_arrays(spec, [a[lead] for a in flat_views(f, stacked)])
+                         for f in (self.flat, self.grad))
+        self.weights, self.biases = params.weights, params.biases
+        self.side, self.injections = params.side, params.injections
+        self.grad_w, self.grad_b = grads.weights, grads.biases
         self._kinds = spec.activations
-        self._weights_t = [w.swapaxes(1, 2) for w in self.weights]
-        self._acts = [np.zeros((n, n_rows, width)) for width in spec.sizes]
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
+        rows = (n_rows,) if n == 1 else (n, n_rows)
+        self._acts = [np.zeros(rows + (width,)) for width in spec.sizes]
         # on one row a layer's delta is its bias gradient
         summed = n_rows > 1
-        self._deltas = ([np.empty((n, n_rows, width)) for width in spec.sizes[1:]]
+        self._deltas = ([np.empty(rows + (width,)) for width in spec.sizes[1:]]
                         if summed else self.grad_b)
         self._tmp = [np.empty_like(d) for d in self._deltas]
         # weight gradients as (delta.T, input, out) and bias ones as (delta, out)
-        deltas_t = [d.swapaxes(1, 2) for d in self._deltas]
+        deltas_t = [d.swapaxes(-1, -2) for d in self._deltas]
         self._products = list(zip(deltas_t, self._acts, self.grad_w))
         self._sums = list(zip(self._deltas, self.grad_b)) if summed else []
         if spec.side:
-            self._code = np.zeros((n, n_rows, spec.side[0]))
-            self._hidden = np.empty((n, n_rows, spec.side[1]))
-            self._side_t = self.side[0].swapaxes(1, 2)
-            self._injections_t = [u.swapaxes(1, 2) for u in self.injections]
+            self._code = np.zeros(rows + (spec.side[0],))
+            self._hidden = np.empty(rows + (spec.side[1],))
+            self._side_t = self.side[0].swapaxes(-1, -2)
+            self._injections_t = [u.swapaxes(-1, -2) for u in self.injections]
             self._side_delta = np.empty_like(self._hidden) if summed else grads.side[1]
             self._side_tmp = np.empty_like(self._hidden)
             self._products += [(d, self._hidden, g) for d, g in zip(deltas_t, grads.injections)]
-            self._products.append((self._side_delta.swapaxes(1, 2), self._code, grads.side[0]))
+            self._products.append((self._side_delta.swapaxes(-1, -2), self._code, grads.side[0]))
             self._sums += [(self._side_delta, grads.side[1])] if summed else []
         self.outputs = self._acts[-1]
         self._where = np.empty(self.outputs.shape, dtype=bool)
@@ -361,14 +366,12 @@ class Step:
         side layer of the (N, B, code width) `code`; returns the
         (N, B, out) outputs, a buffer the next call overwrites. Rows whose
         `active` entry (bool, broadcast against (N, B, 1); None for all
-        rows) is False are not read."""
+        rows) is False are not read. One network's shapes drop the N."""
         acts = self._acts
-        if active is None:
-            np.copyto(acts[0], x)
-        else:
-            np.copyto(acts[0], x, where=active)
+        where = {} if active is None else {"where": active}
+        np.copyto(acts[0], x, **where)
         if self.side:
-            np.copyto(self._code, code, where=True if active is None else active)
+            np.copyto(self._code, code, **where)
             h = np.matmul(self._code, self._side_t, out=self._hidden)
             h += self.side[1]
             activate(h, "sigmoid", out=h)
@@ -410,7 +413,7 @@ class Step:
         for delta_t, below, grad in self._products:
             np.matmul(delta_t, below, out=grad)
         for delta, grad in self._sums:
-            np.add.reduce(delta, axis=1, keepdims=True, out=grad)
+            np.add.reduce(delta, axis=-2, keepdims=True, out=grad)
         return resid
 
     def __call__(self, x, target, mask=None, active=None, code=None):
@@ -466,7 +469,7 @@ def gradient_check_battery(n_networks=100, seed=0, eps=1e-6):
         mask = rng.random(sizes[-1]) < 0.7
         code = rng.normal(0, 1, side[0]) if side else None
         step = Step([params], 1, 1.0)
-        step.gradients(x[None, None], target[None, None], mask, code=code)
+        step.gradients(x[None], target[None], mask, code=code)
         numeric = numerical_gradient(params, x, target, mask, eps, code)
         worst = max(worst, relative_gradient_error([step.grad], numeric))
     return worst

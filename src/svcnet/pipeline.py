@@ -105,8 +105,11 @@ def load_encoders(config):
         encoder = ppc_mod.PPCEncoder(sound, load_model(p))
         if encoder.code_dim != config.ppc_dim:
             raise DataError(f"{p}: code width {encoder.code_dim} != ppc_dim {config.ppc_dim}")
+        if encoder.feature_dim != config.feature_dim:
+            raise DataError(f"{p}: feature width {encoder.feature_dim} != feature_dim "
+                            f"{config.feature_dim}")
         encoders[sound] = encoder
-    return encoders
+    return ppc_mod.EncoderBank(encoders)
 
 
 def svcnet_path(config):

@@ -6,13 +6,14 @@ are the pronunciation code for that sound.
 """
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SoundId
+from .corpus import SoundId, SoundIndex
 from .errors import DataError, StructuralError
-from .nets import LayerSpec, RowForward, Step, forward, init_network
+from .nets import LayerSpec, RowForward, Step, activate, forward, init_network
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +30,32 @@ class PPCEncoder:
     @property
     def feature_dim(self):
         return self.net.spec.sizes[0]
+
+
+class EncoderBank(Mapping):
+    """A read-only mapping sound -> PPCEncoder of encoders of one spec
+    (checked here) that stacks their first layers once: `weights`
+    (K, code_dim, feature_dim) and `biases` (K, code_dim), row `index[s]`
+    sound s's. Read-only, so the stacks cannot go stale."""
+
+    def __init__(self, encoders):
+        self._encoders = dict(encoders)
+        nets = [encoder.net for encoder in self._encoders.values()]
+        if len({(net.spec.sizes, net.spec.activations) for net in nets}) > 1:
+            raise StructuralError("encoders of different specs cannot code together")
+        self.index = SoundIndex(self._encoders)
+        self.weights = np.array([net.weights[0] for net in nets])
+        self.biases = np.array([net.biases[0] for net in nets])
+        self.kind = nets[0].spec.activations[0] if nets else None
+
+    def __getitem__(self, sound):
+        return self._encoders[sound]
+
+    def __iter__(self):
+        return iter(self._encoders)
+
+    def __len__(self):
+        return len(self._encoders)
 
 
 def encoder_spec(feature_dim, code_dim):
@@ -60,13 +87,14 @@ def _train_lockstep(sounds, frames, code_dim, config, seeds):
     nets = [init_network(spec, seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     step = Step(nets, 1, config.learning_rate)
-    rows = frames.reshape(-1, 1, feature_dim)
+    rows = frames.reshape(-1, feature_dim)
     offsets = np.arange(n_sounds)[:, None] * n_frames
+    lead = step.outputs.shape[:-1]  # (N, 1), or (1,) for one encoder
     curves = np.empty((config.epochs, n_sounds))
     for epoch in range(config.epochs):
         order = np.array([rng.permutation(n_frames) for rng in rngs]) + offsets
         for idx in order.T:
-            x = rows[idx]
+            x = rows[idx.reshape(lead)]
             step(x, x)
         # reconstruction_mse of every encoder in one pass, summed in frame order
         d = RowForward(step.weights, step.biases, spec.activations, n_frames)(frames)[-1]
@@ -97,47 +125,39 @@ def encode_frame(encoder, frame):
     return forward(encoder.net, frame)[1]
 
 
-def encode_frames(encoders, sounds, ids, frames):
+def encode_frames(bank, sounds, ids, frames):
     """Codes (N, code_dim) of frames of mixed sounds, frames[n] a frame of
     sound sounds[ids[n]] (a sound table and integer ids into it): row n
-    equals encode_frame(encoders[sounds[ids[n]]], frames[n]) bit for bit.
-    One RowForward pass codes every row: each row meets its own sound's
-    first layer, gathered by sound id into an (N, code_dim, dim) stack."""
-    present = np.flatnonzero(np.bincount(ids, minlength=len(sounds)))
-    found = [encoders.get(sounds[k]) for k in present.tolist()]
-    missing = [sounds[k] for k, encoder in zip(present, found) if encoder is None]
-    if missing:
-        raise StructuralError(f"no encoder for sound {missing[0]}")
-    nets = [encoder.net for encoder in found]
-    if len({(net.spec.sizes, net.spec.activations) for net in nets}) > 1:
-        raise StructuralError("encoders of different specs cannot code together")
-    bank = np.zeros(len(sounds), dtype=np.intp)
-    bank[present] = np.arange(len(present))
-    which = bank[ids]
-    weights = np.array([net.weights[0] for net in nets])[which]
-    biases = np.array([net.biases[0] for net in nets])[which]
-    layer = RowForward([weights], [biases], nets[0].spec.activations[:1], 1)
-    return layer(np.asarray(frames, dtype=float)[:, None])[1][:, 0]
+    equals encode_frame(bank[sounds[ids[n]]], frames[n]) bit for bit. Each
+    row meets its sound's first layer, gathered from the EncoderBank's
+    stacks, in one broadcast W @ x[:, :, None] pass: one matrix-vector
+    product per row, the kernel of forward()'s W @ x."""
+    which = bank.index.of_table(sounds)[ids]
+    if (which < 0).any():
+        raise StructuralError(f"no encoder for sound {sounds[ids[np.argmax(which < 0)]]}")
+    z = np.matmul(bank.weights[which], np.asarray(frames, dtype=float)[:, :, None])[:, :, 0]
+    z += bank.biases[which]
+    return activate(z, bank.kind, out=z)
 
 
-def codable_frames(frame_sets, encoders):
+def codable_frames(frame_sets, bank):
     """Each frame set (a corpus, such as one speaker's rows) with only the
-    rows whose sound has an encoder. A sound missing from the training
-    split, or dropped there as scarce, has no encoder and no slot in the
-    code layout, so its frames are skipped, with one warning that counts
-    them. The sets share one sound table, whose sounds are looked up once.
-    DataError for a set with no frame left."""
+    rows whose sound has an encoder in the EncoderBank. A sound missing
+    from the training split, or dropped there as scarce, has no encoder and
+    no slot in the code layout, so its frames are skipped, with one warning
+    that counts them. The sets share one sound table, whose sounds are
+    looked up once. DataError for a set with no frame left."""
     if not frame_sets:
         return []
     sounds = frame_sets[0].sounds
     if any(frames.sounds != sounds for frames in frame_sets):
         raise StructuralError("frame sets to code together must share one sound table")
-    coded = np.array([sound in encoders for sound in sounds], dtype=bool)
+    coded = bank.index.of_table(sounds) >= 0
     kept, skipped = [], []
     for frames in frame_sets:
         ok = coded[frames.sound]
         kept.append(frames if ok.all() else frames.rows(ok))
-        if not ok.all():
+        if kept[-1] is not frames:
             skipped.append(frames.rows(~ok))
     if skipped:
         log.warning(
@@ -176,7 +196,7 @@ def train_all_encoders(corpus, code_dim, config, min_frames=2):
     (config.seed + index in the sorted inventory). Sounds with equal frame
     counts train in lockstep; the result equals training them one by one.
 
-    Returns (encoders, per-sound epoch MSE curves).
+    Returns (EncoderBank, per-sound epoch MSE curves).
     """
     kept = _inventory(corpus, min_frames)
     sounds = [corpus.sounds[k] for k in kept]
@@ -197,4 +217,4 @@ def train_all_encoders(corpus, code_dim, config, min_frames=2):
         encoders.update(zip(group, trained))
         curves.update(zip(group, group_curves))
     # inventory order: the pipeline averages curves in this order
-    return {s: encoders[s] for s in sounds}, {s: curves[s] for s in sounds}
+    return EncoderBank({s: encoders[s] for s in sounds}), {s: curves[s] for s in sounds}

@@ -209,7 +209,7 @@ def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
     epoch_loss = []
     for epoch in range(config.epochs):
         # the permutation in slices, the last one padded from its start
-        order = np.resize(rng.permutation(n), (n_batches, 1, BATCH_FRAMES))
+        order = np.resize(rng.permutation(n), (n_batches, BATCH_FRAMES))
         total = 0.0
         for x, code, target, rows in zip(inputs[order], codes[order], targets[order], active):
             resid = step(x, target, active=rows, code=code)

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import SoundId
+from .corpus import SoundId, SoundIndex
 from .errors import DataError, StructuralError
 from .fileio import read_arrays, str_list, write_arrays
 from .nets import MODEL_FIELDS, LayerSpec, RowForward, Step, forward_rows, init_network
@@ -46,23 +46,19 @@ class SoundLayout:
         return len(self.sounds) * self.code_dim
 
     @cached_property
-    def _numbers(self):
-        return {s: i for i, s in enumerate(self.sounds)}
+    def _index(self):
+        return SoundIndex(self.sounds)
 
     def slot(self, sound):
         try:
-            return self._numbers[sound] * self.code_dim
+            return self._index[sound] * self.code_dim
         except KeyError:
             raise StructuralError(f"sound {sound} not in layout") from None
 
-    def slot_numbers(self, stream, tables):
+    def slot_numbers(self, stream):
         """Each presentation's slot number (its sound's index in `sounds`)
-        in a Stream. `tables` caches each sound table's slot numbers by the
-        table's id, for streams that share it; it must not outlive them."""
-        key = id(stream.sounds)
-        if key not in tables:
-            tables[key] = np.array([self._numbers.get(s, -1) for s in stream.sounds], dtype=np.intp)
-        slots = tables[key][stream.sound]
+        in a Stream."""
+        slots = self._index.of_table(stream.sounds)[stream.sound]
         if (slots < 0).any():
             sound = stream.sounds[stream.sound[np.argmax(slots < 0)]]
             raise StructuralError(f"sound {sound} not in layout")
@@ -162,9 +158,9 @@ class Stream:
 def speaker_streams(frame_sets, encoders):
     """One (Stream, boundaries) pair per frame set (one speaker's rows of
     a corpus, in temporal order): the coded stream and the end-of-word
-    positions. Frames of a sound without an encoder are skipped
-    (ppc.codable_frames). The frames of all sets are coded by one stacked
-    pass (ppc.encode_frames)."""
+    positions. Frames of a sound without an encoder in the EncoderBank
+    `encoders` are skipped (ppc.codable_frames). The frames of all sets
+    are coded by one stacked pass (ppc.encode_frames)."""
     kept = codable_frames(frame_sets, encoders)
     if not kept:
         return []
@@ -186,33 +182,34 @@ def _running_means(layout, streams):
     (T, S, W) with T the longest stream and C-contiguous: means[t, s]
     holds stream s's running per-sound means after its presentation t,
     zero in unheard slots, and heard[t, s] marks its heard slots; a stream
-    that has ended keeps its last row. One scatter of the codes and
-    counts, then one running sum over time whose adds equal the
+    that has ended keeps its last row. One flat scatter of the codes and
+    counts, then a running sum over time (one accumulate for one stream,
+    whole rows at a time for many) whose adds equal the
     accumulator's += bit for bit; an unheard slot's sum, 0.0, divided by 1
     stays 0.0. The counts are a separate array, freed on return, so that
     passes over the means do not hold them."""
     lengths = [len(stream) for stream in streams]
     if min(lengths) == 0:
         raise DataError("empty stream")
-    n_steps, width = max(lengths), layout.width
-    steps = np.concatenate([np.arange(n) for n in lengths])[:, None]
-    tables = {}
-    starts = np.concatenate([layout.slot_numbers(s, tables) * layout.code_dim + row * width
-                             for row, s in enumerate(streams)])
-    cols = starts[:, None] + np.arange(layout.code_dim)
-    sums = np.zeros((n_steps, len(streams) * width))
-    counts = np.zeros_like(sums)
-    sums[steps, cols] = np.concatenate([stream.codes for stream in streams])
-    counts[steps, cols] = 1.0
+    n_steps, n_streams, width = max(lengths), len(streams), layout.width
+    # each presentation's first position in the flat (T, S * W) sums: by step, stream and slot
+    blocks = np.arange(0, n_steps * n_streams * width, width).reshape(n_steps, n_streams)
+    starts = np.concatenate([layout.slot_numbers(s) * layout.code_dim + blocks[:n, row]
+                             for row, (s, n) in enumerate(zip(streams, lengths))])
+    at = (starts[:, None] + np.arange(layout.code_dim)).reshape(-1)
+    sums = np.zeros((n_steps, n_streams * width))
+    counts = np.zeros((n_steps, n_streams * width))
+    sums.reshape(-1)[at] = np.concatenate([stream.codes for stream in streams]).reshape(-1)
+    counts.reshape(-1)[at] = 1.0
     for acc in (sums, counts):
-        if len(streams) == 1:  # cumsum adds one value at a time: quickest on narrow rows
-            np.cumsum(acc, axis=0, out=acc)
+        if n_streams == 1:  # one value at a time: quickest on narrow rows
+            np.add.accumulate(acc, axis=0, out=acc)
         else:  # whole rows at a time
             for prev, row in zip(acc[:-1], acc[1:]):
                 row += prev
     heard = counts > 0
     sums /= np.maximum(counts, 1, out=counts)
-    shape = (n_steps, len(streams), width)
+    shape = (n_steps, n_streams, width)
     return sums.reshape(shape), heard.reshape(shape)
 
 
@@ -245,7 +242,8 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
                   for stream, ends in coded]
     lengths = np.array([len(stream) for stream, _ in coded])
     n_steps, n_frames, n_rows = int(lengths.max()), int(lengths.sum()), len(coded)
-    active = (np.arange(n_steps)[:, None] < lengths)[..., None]  # (T, S, 1)
+    live = np.arange(n_steps)[:, None] < lengths  # (T, S); a step's (S, 1) rows, or None: all
+    active = [None if rows.all() else rows[:, None] for rows in live]
     rng = np.random.default_rng(config.seed)
     step = Step([svcnet.net], n_rows, config.learning_rate)
     x = np.empty((n_rows, layout.width))  # heard means over the last outputs, or over zeros
@@ -260,7 +258,7 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
         sweep_loss = 0.0
         for t in range(n_steps):
             np.copyto(x, means[t], where=heard[t])  # heard slots only grow
-            resid = step(x[None], targets, masks, active[t]).reshape(-1)
+            resid = step(x, targets, masks, active[t]).reshape(-1)
             if mode == FEEDBACK:
                 x[...] = step.outputs
             sweep_loss += 0.5 * float(resid @ resid)

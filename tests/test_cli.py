@@ -459,6 +459,22 @@ class TestMalformedArtifacts:
         assert len(err.splitlines()) == 1
         assert "ppc_p00_0.txt" in err and "code width 2 != ppc_dim 3" in err
 
+    @pytest.mark.parametrize(
+        "verb", [("train", "--stage", "svc"), ("eval",), ("plot", "--kind", "ppc_scatter")],
+        ids=["svc", "eval", "plot"],
+    )
+    def test_encoder_feature_width_differs_from_feature_dim(self, out, tmp_path, capsys, verb):
+        """Encoders trained on frames of another width than the config's
+        corpus are refused when loaded, naming the encoder and both widths."""
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(dict(TINY, feature_dim=5)))
+        assert main(["gen", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([*verb, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "ppc_p00_0.txt" in err and "feature width 6 != feature_dim 5" in err
+
     def test_svcnet_code_width_differs_from_svc_dim(self, out, tmp_path, capsys):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(dict(TINY, svc_dim=3)))

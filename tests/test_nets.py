@@ -36,6 +36,19 @@ def in_order(grads):
     return [g for layer in zip(*grads) for g in layer]
 
 
+def step_rows(n_nets, *arrays):
+    """(N, B, width) arrays as a Step of N networks takes them: one
+    network's step drops the network axis."""
+    return [a[0] if n_nets == 1 else a for a in arrays]
+
+
+def network_grads(step, net_spec, n_nets):
+    """Each network's gradient arrays in arrays() order, read from the
+    step's flat gradient buffer."""
+    stacks = flat_views(step.grad, [(n_nets, *s) for s in net_spec.param_shapes()])
+    return [[g[k] for g in stacks] for k in range(n_nets)]
+
+
 class TestLayerSpec:
     def test_too_few_layers(self):
         with pytest.raises(StructuralError):
@@ -301,7 +314,8 @@ class TestSgdStep:
                 x = rng.normal(size=(n_nets, 1, sizes[0]))
                 t = rng.normal(size=(n_nets, 1, sizes[-1]))
                 mask = rng.random((n_nets, 1, sizes[-1])) < 0.7
-                resid = step(x, t, None if trial % 4 == 0 else mask).copy()
+                resid = step(*step_rows(n_nets, x, t), None if trial % 4 == 0 else
+                             step_rows(n_nets, mask)[0]).copy().reshape(x.shape[:2] + (-1,))
                 if trial % 4 == 0:
                     mask[:] = True
                 for k, net in enumerate(looped):
@@ -339,12 +353,15 @@ class TestSgdStep:
                 mask[:] = True
             if given_active is None:
                 active[:] = True
-            resid = step.gradients(x, t, given_mask, given_active).copy()
+            given = step_rows(n_nets, x, t) + [
+                None if a is None else step_rows(n_nets, a)[0] for a in (given_mask, given_active)]
+            resid = step.gradients(*given).copy().reshape(x.shape[:2] + (-1,))
             for net, ref in zip(nets, refs):
                 for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
                     assert np.array_equal(a, b)  # gradients() does not update
+            per_net = network_grads(step, nets[0].spec, n_nets)
             for k, ref in enumerate(refs):
-                grads = in_order(([g[k] for g in step.grad_w], [g[k, 0] for g in step.grad_b]))
+                grads = per_net[k]
                 summed = [np.zeros_like(a) for a in ref.arrays()]
                 numeric = [np.zeros_like(a) for a in ref.arrays()]
                 for r in np.flatnonzero(active[k]):
@@ -358,12 +375,11 @@ class TestSgdStep:
                 assert np.all(resid[k, ~active[k]] == 0.0)
                 assert relative_gradient_error(grads, summed) < 1e-12
                 assert relative_gradient_error(grads, numeric) < 1e-6
-            expected = [[p - 0.1 * g[k] for p, g in zip(ref.weights, step.grad_w)]
-                        + [p - 0.1 * g[k, 0] for p, g in zip(ref.biases, step.grad_b)]
-                        for k, ref in enumerate(refs)]
-            step(x, t, given_mask, given_active)
+            expected = [[p - 0.1 * g.reshape(p.shape) for p, g in zip(ref.arrays(), grads)]
+                        for ref, grads in zip(refs, per_net)]
+            step(*given)
             for net, params in zip(nets, expected):
-                for a, b in zip(net.weights + net.biases, params):
+                for a, b in zip(net.arrays(), params):
                     assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("garbage", [np.nan, np.inf, -1e300, 7.0])
@@ -411,15 +427,14 @@ class TestSgdStep:
             t = rng.normal(size=(n_nets, n_rows, sizes[-1]))
             mask = rng.random((n_nets, n_rows, sizes[-1])) < 0.7
             active = rng.random((n_nets, n_rows, 1)) < 0.7
-            step.gradients(x, t, mask, active, code)
+            step.gradients(*step_rows(n_nets, x, t, mask, active, code))
             shapes = nets[0].spec.param_shapes()
-            for k, ref in enumerate(refs):
+            for k, (ref, grads) in enumerate(zip(refs, network_grads(step, nets[0].spec, n_nets))):
                 numeric = [np.zeros(shape) for shape in shapes]
                 for r in np.flatnonzero(active[k]):
                     num = numerical_gradient(ref, x[k, r], t[k, r], mask[k, r], 1e-6, code[k, r])
                     for total, part in zip(numeric, num):
                         total += part
-                grads = [g[k] for g in flat_views(step.grad, [(n_nets, *s) for s in shapes])]
                 assert relative_gradient_error(grads, numeric) < 1e-6
 
     def test_zero_injections_leave_the_main_path(self):
@@ -437,10 +452,10 @@ class TestSgdStep:
             sided.weights, sided.biases = plain.weights, plain.biases
             sided.injections = [np.zeros_like(u) for u in sided.injections]
             side_step, plain_step = Step([sided], n_rows, 0.1), Step([plain], n_rows, 0.1)
-            x = rng.normal(size=(1, n_rows, sizes[0]))
-            t = rng.normal(size=(1, n_rows, sizes[-1]))
-            mask = rng.random((1, n_rows, sizes[-1])) < 0.7
-            code = rng.normal(size=(1, n_rows, 3))
+            x = rng.normal(size=(n_rows, sizes[0]))
+            t = rng.normal(size=(n_rows, sizes[-1]))
+            mask = rng.random((n_rows, sizes[-1])) < 0.7
+            code = rng.normal(size=(n_rows, 3))
             resid = plain_step(x, t, mask).copy()
             assert np.array_equal(side_step(x, t, mask, code=code), resid)
             assert np.array_equal(side_step.outputs, plain_step.outputs)

@@ -3,10 +3,16 @@ import copy
 import numpy as np
 import pytest
 
+from svcnet import pipeline
+from svcnet.config import RunConfig
 from svcnet.corpus import LABELS, CorpusSpec, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
-from svcnet.nets import TrainConfig, forward, grads_from_activations, init_network, sgd_step
+from svcnet.nets import (
+    TrainConfig, forward, grads_from_activations, init_network, load_model, sgd_step
+)
 from svcnet.ppc import (
+    EncoderBank,
+    PPCEncoder,
     codable_frames,
     encode_frame,
     encode_frames,
@@ -138,6 +144,11 @@ def tiny_encoders(corpus):
     return encoders
 
 
+def without(bank, sound):
+    """A bank of the encoders of `bank` but the one of `sound`."""
+    return EncoderBank({s: encoder for s, encoder in bank.items() if s != sound})
+
+
 class TestTrainAllEncoders:
     @pytest.mark.parametrize("code_dim", [2, 3])
     def test_lockstep_matches_per_sound_loop(self, code_dim):
@@ -194,16 +205,50 @@ class TestEncodeFrames:
         encoders = tiny_encoders(corpus)
         f = corpus.rows(slice(0, 1))
         sound = f.sounds[f.sound[0]]
-        del encoders[sound]
         with pytest.raises(StructuralError, match=str(sound)):
-            encode_frames(encoders, f.sounds, f.sound, f.frames)
+            encode_frames(without(encoders, sound), f.sounds, f.sound, f.frames)
+
+
+class TestEncoderBank:
+    def test_read_only(self):
+        """A bank cannot lose or gain an encoder, so its stacks cannot go
+        stale; a bank without one is built anew."""
+        bank = tiny_encoders(tiny_corpus())
+        with pytest.raises(TypeError):
+            del bank[SOUND]
+        with pytest.raises(TypeError):
+            bank[SOUND] = bank[SOUND]
+        smaller = without(bank, SOUND)
+        assert SOUND in bank and SOUND not in smaller and len(smaller) == len(bank) - 1
+        for sound, encoder in smaller.items():
+            row = smaller.index[sound]
+            assert np.array_equal(smaller.weights[row], encoder.net.weights[0])
+            assert np.array_equal(smaller.biases[row], encoder.net.biases[0])
+
+    def test_refuses_mixed_specs(self):
+        bank = tiny_encoders(tiny_corpus())
+        wide = PPCEncoder(SoundId("zz", 0), init_network(encoder_spec(6, 3), 0))
+        with pytest.raises(StructuralError, match="different specs"):
+            EncoderBank({**bank, wide.sound: wide})
+
+    def test_load_encoders_stacks_equal_model_files(self, tmp_path):
+        config = RunConfig(out_dir=str(tmp_path), n_speakers=4, n_words=3, states_per_phone=2,
+                           frames_per_state=2, feature_dim=5, ppc_epochs=2)
+        pipeline.run_gen(config)
+        pipeline.run_train_ppc(config)
+        bank = pipeline.load_encoders(config)
+        assert len(bank) == len(bank.weights) == len(bank.biases) > 0
+        for sound in bank:
+            net = load_model(pipeline.ppc_model_path(config, sound))
+            row = bank.index[sound]
+            assert np.array_equal(bank.weights[row], net.weights[0])
+            assert np.array_equal(bank.biases[row], net.biases[0])
 
 
 class TestCodableFrames:
     def test_skips_frames_without_encoder_with_one_warning(self, caplog):
         corpus = tiny_corpus()
-        encoders = tiny_encoders(corpus)
-        del encoders[SOUND]
+        encoders = without(tiny_encoders(corpus), SOUND)
         sets = [corpus.frames_of_speaker(s) for s in corpus.speakers]
         with caplog.at_level("WARNING", logger="svcnet.ppc"):
             kept = codable_frames(sets, encoders)
@@ -234,7 +279,7 @@ class TestCodableFrames:
         corpus = tiny_corpus()
         frames = corpus.frames_of_speaker(corpus.speakers[1])
         with pytest.raises(DataError, match=f"speaker {corpus.speakers[1]} has no frame"):
-            codable_frames([frames], {})
+            codable_frames([frames], EncoderBank({}))
         with pytest.raises(DataError):
             codable_frames([corpus.rows(slice(0, 0))], tiny_encoders(corpus))
 

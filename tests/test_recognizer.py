@@ -105,7 +105,7 @@ class TestGradients:
             p[...] = rng.normal(0, 1, p.shape)
         rows = (rng.normal(size=(5, 4)), rng.random((5, 2)), np.eye(3)[rng.integers(3, size=5)])
         step = Step([net.network()], 5, 0.1)
-        step.gradients(rows[0][None], rows[2][None], code=rows[1][None])
+        step.gradients(rows[0], rows[2], code=rows[1])
         expected = [np.zeros_like(p) for p in net.param_arrays()]
         for x, svc, target in zip(*rows):
             h = svc_hidden(net, svc)

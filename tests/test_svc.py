@@ -518,6 +518,39 @@ class TestBatchedExtract:
             assert bounds == ends + [len(ordered) - 1]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_enrollment_equals_reference_loop(tmp_path, mode):
+    """pipeline.speaker_svc with the models as loaded from their files
+    equals, bit for bit, the per-presentation reference for every held-out
+    speaker: each codable frame coded by its encoder alone, folded into an
+    Accumulator and run through forward(), the bottleneck snapshots
+    averaged."""
+    from svcnet import pipeline
+    from svcnet.config import RunConfig
+
+    config = RunConfig(out_dir=str(tmp_path), n_speakers=6, n_words=4, states_per_phone=2,
+                       frames_per_state=2, feature_dim=5, train_fraction=0.5, ppc_epochs=2,
+                       svc_epochs=2, accumulation_mode=mode)
+    pipeline.run_gen(config)
+    pipeline.run_train_ppc(config)
+    pipeline.run_train_svc(config)
+    _, _, test = pipeline.load_split(config)
+    encoders = pipeline.load_encoders(config)
+    svcnet = pipeline.load_svcnet_artifact(config)
+    for speaker in test.speakers:
+        frames = test.frames_of_speaker(speaker)
+        acc, snapshots = Accumulator(svcnet.layout, mode), []
+        for sound, features in zip(frames.sound, frames.frames):
+            sound = frames.sounds[sound]
+            if sound in encoders:
+                code = encode_frame(encoders[sound], features)
+                acts = forward(svcnet.net, acc.observe(sound, code))
+                snapshots.append(acts[svcnet.bottleneck_index])
+                acc.commit_output(acts[-1])
+        expected = np.mean(snapshots, axis=0)
+        assert np.array_equal(pipeline.speaker_svc(config, svcnet, encoders, frames), expected)
+
+
 class TestStability:
     def test_constant_trajectory(self):
         traj = np.tile([0.5, 0.5], (10, 1))
