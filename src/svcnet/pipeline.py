@@ -80,8 +80,8 @@ def run_train_ppc(config):
         train, config.ppc_dim, config.ppc_train_config(), config.min_sound_frames
     )
     os.makedirs(config.resolved_model_dir, exist_ok=True)
-    for sound, enc in encoders.items():
-        save_model(enc.net, ppc_model_path(config, sound))
+    for sound, net in encoders.items():
+        save_model(net, ppc_model_path(config, sound))
     n_epochs = config.ppc_epochs
     rows = []
     for e in range(n_epochs):
@@ -92,6 +92,9 @@ def run_train_ppc(config):
 
 
 def load_encoders(config):
+    """The EncoderBank of the model directory's ppc_*.txt files;
+    DataError, naming the file, for an encoder the config would not have
+    trained."""
     pattern = os.path.join(config.resolved_model_dir, "ppc_*.txt")
     paths = sorted(glob.glob(pattern))
     if not paths:
@@ -101,14 +104,18 @@ def load_encoders(config):
         name = re.fullmatch(r"ppc_(.+)_([0-9]+)\.txt", os.path.basename(p))
         if name is None:
             raise DataError(f"{p}: encoder file name is not ppc_<phone>_<state>.txt")
-        sound = SoundId(name[1], int(name[2]))
-        encoder = ppc_mod.PPCEncoder(sound, load_model(p))
-        if encoder.code_dim != config.ppc_dim:
-            raise DataError(f"{p}: code width {encoder.code_dim} != ppc_dim {config.ppc_dim}")
-        if encoder.feature_dim != config.feature_dim:
-            raise DataError(f"{p}: feature width {encoder.feature_dim} != feature_dim "
+        net = load_model(p)
+        feature_dim, code_dim = net.spec.sizes[:2]
+        if code_dim != config.ppc_dim:
+            raise DataError(f"{p}: code width {code_dim} != ppc_dim {config.ppc_dim}")
+        if feature_dim != config.feature_dim:
+            raise DataError(f"{p}: feature width {feature_dim} != feature_dim "
                             f"{config.feature_dim}")
-        encoders[sound] = encoder
+        spec = ppc_mod.encoder_spec(feature_dim, code_dim)  # the config's widths, as checked
+        if net.spec != spec:
+            raise DataError(f"{p}: layers {net.spec.sizes} {','.join(net.spec.activations)} != "
+                            f"encoder layers {spec.sizes} {','.join(spec.activations)}")
+        encoders[SoundId(name[1], int(name[2]))] = net
     return ppc_mod.EncoderBank(encoders)
 
 
@@ -384,14 +391,10 @@ def run_plot(config, kind, sound=None):
         )
         paths = []
         for speaker, (_, boundaries), traj in zip(test.speakers, streams, trajs):
-            bset = sorted(boundaries)
-            rows = []
-            word = 0
-            for step, point in enumerate(traj):
-                rows.append((step, word) + tuple(fmt_float(v) for v in point))
-                if bset and step == bset[0]:
-                    word += 1
-                    bset.pop(0)
+            # the word index at a step: the number of word ends before it
+            words = np.searchsorted(boundaries, np.arange(len(traj))).tolist()
+            rows = [(step, word) + tuple(fmt_float(v) for v in point)
+                    for step, (word, point) in enumerate(zip(words, traj))]
             cols = ("step", "word_index") + tuple(
                 f"svc_{i}" for i in range(config.svc_dim)
             )

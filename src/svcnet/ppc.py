@@ -7,41 +7,26 @@ are the pronunciation code for that sound.
 
 import logging
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SoundId, SoundIndex
+from .corpus import SoundIndex
 from .errors import DataError, StructuralError
 from .nets import LayerSpec, RowForward, Step, activate, forward, init_network
 
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class PPCEncoder:
-    sound: SoundId
-    net: "NetworkParams"
-
-    @property
-    def code_dim(self):
-        return self.net.spec.sizes[1]
-
-    @property
-    def feature_dim(self):
-        return self.net.spec.sizes[0]
-
-
 class EncoderBank(Mapping):
-    """A read-only mapping sound -> PPCEncoder of encoders of one spec
-    (checked here) that stacks their first layers once: `weights`
+    """A read-only mapping sound -> encoder net, the nets of one spec
+    (checked here), that stacks their first layers once: `weights`
     (K, code_dim, feature_dim) and `biases` (K, code_dim), row `index[s]`
     sound s's. Read-only, so the stacks cannot go stale."""
 
     def __init__(self, encoders):
         self._encoders = dict(encoders)
-        nets = [encoder.net for encoder in self._encoders.values()]
-        if len({(net.spec.sizes, net.spec.activations) for net in nets}) > 1:
+        nets = list(self._encoders.values())
+        if len({net.spec for net in nets}) > 1:
             raise StructuralError("encoders of different specs cannot code together")
         self.index = SoundIndex(self._encoders)
         self.weights = np.array([net.weights[0] for net in nets])
@@ -81,7 +66,7 @@ def _train_lockstep(sounds, frames, code_dim, config, seeds):
     every sound has N frames, its own seed for init and shuffling, and its
     own permutation each epoch. Step t of an epoch presents frame
     perm_s[t] to encoder s, so each encoder follows exactly the sequence
-    it would follow alone. Returns (encoders, per-sound epoch MSE lists)."""
+    it would follow alone. Returns (nets, per-sound epoch MSE lists)."""
     n_sounds, n_frames, feature_dim = frames.shape
     spec = encoder_spec(feature_dim, code_dim)
     nets = [init_network(spec, seed) for seed in seeds]
@@ -107,22 +92,22 @@ def _train_lockstep(sounds, frames, code_dim, config, seeds):
                     f"ppc training diverged at epoch {epoch}: encoder {sound} "
                     f"reconstruction MSE {mse}"
                 )
-    encoders = [PPCEncoder(sound, net) for sound, net in zip(sounds, nets)]
-    return encoders, [curve.tolist() for curve in curves.T]
+    return nets, [curve.tolist() for curve in curves.T]
 
 
 def train_ppc_encoder(sound, frames_for_sound, code_dim, config):
-    """Per-presentation reconstruction training, shuffled per epoch."""
+    """Per-presentation reconstruction training, shuffled per epoch.
+    Returns (net, epoch MSE list)."""
     if len(frames_for_sound) == 0:
         raise DataError(f"no frames to train encoder for {sound}")
     frames = np.asarray(frames_for_sound, dtype=float)[None]
-    encoders, curves = _train_lockstep([sound], frames, code_dim, config, [config.seed])
-    return encoders[0], curves[0]
+    nets, curves = _train_lockstep([sound], frames, code_dim, config, [config.seed])
+    return nets[0], curves[0]
 
 
-def encode_frame(encoder, frame):
-    """Bottleneck activations for one frame."""
-    return forward(encoder.net, frame)[1]
+def encode_frame(net, frame):
+    """Bottleneck activations of an encoder net for one frame."""
+    return forward(net, frame)[1]
 
 
 def encode_frames(bank, sounds, ids, frames):

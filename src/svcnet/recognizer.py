@@ -6,8 +6,8 @@ activations are injected into every unit of the acoustic, state, and word
 layers. At test time each level independently takes the injection either
 from the speaker's own code or from the cross-speaker average, controlled
 by per-level availability flags; training always uses the speaker's own
-code at every level. For training the net is a nets.NetworkParams with a
-side layer (RecognizerNet.network), stepped by nets.Step.
+code at every level. The net is a nets.NetworkParams with a side layer
+(RecognizerNet.net), stepped by nets.Step.
 """
 
 from dataclasses import dataclass
@@ -64,43 +64,30 @@ class RecognizerConfig:
 
 @dataclass
 class RecognizerNet:
+    """Word labels, context window and the net: a nets.NetworkParams with
+    a side layer, spec from recognizer_spec, arrays() in PARAM_NAMES order."""
+
     words: tuple
-    feature_dim: int
-    svc_dim: int
     window: int
-    # side path
-    w_svc: np.ndarray  # (2, svc_dim)
-    b_svc: np.ndarray
-    # main path with per-level injection matrices (units x 2)
-    w_acoustic: np.ndarray
-    b_acoustic: np.ndarray
-    u_acoustic: np.ndarray
-    w_state: np.ndarray
-    b_state: np.ndarray
-    u_state: np.ndarray
-    w_word: np.ndarray
-    b_word: np.ndarray
-    u_word: np.ndarray
+    net: NetworkParams
 
     def param_arrays(self):
-        return [getattr(self, name) for name in PARAM_NAMES]
-
-    def n_params(self):
-        return sum(a.size for a in self.param_arrays())
+        return self.net.arrays()
 
     @property
     def input_dim(self):
-        return self.feature_dim * (2 * self.window + 1)
+        return self.net.spec.sizes[0]
+
+    @property
+    def svc_dim(self):
+        return self.net.spec.side[0]
 
     def fields(self):
         """The model file's header fields, in REC_FIELDS order."""
-        return dict(words=self.words, feature_dim=self.feature_dim, svc_dim=self.svc_dim,
-                    window=self.window, acoustic_units=self.w_acoustic.shape[0],
-                    state_units=self.w_state.shape[0])
-
-    def network(self):
-        """The net as a nets.NetworkParams with a side layer, sharing its arrays."""
-        return NetworkParams.from_arrays(recognizer_spec(**self.fields()), self.param_arrays())
+        sizes = self.net.spec.sizes
+        return dict(words=self.words, feature_dim=sizes[0] // (2 * self.window + 1),
+                    svc_dim=self.svc_dim, window=self.window, acoustic_units=sizes[1],
+                    state_units=sizes[2])
 
 
 def recognizer_spec(words, feature_dim, svc_dim, window, acoustic_units, state_units):
@@ -114,15 +101,15 @@ def recognizer_spec(words, feature_dim, svc_dim, window, acoustic_units, state_u
 def init_recognizer(words, feature_dim, svc_dim, config):
     spec = recognizer_spec(words, feature_dim, svc_dim, config.window, config.acoustic_units,
                            config.state_units)
-    arrays = init_network(spec, config.seed).arrays()
-    return RecognizerNet(tuple(words), feature_dim, svc_dim, config.window, *arrays)
+    return RecognizerNet(tuple(words), config.window, init_network(spec, config.seed))
 
 
 def svc_hidden(net, svc):
     svc = np.asarray(svc, dtype=float)
     if svc.shape != (net.svc_dim,):
         raise StructuralError(f"svc shape {svc.shape} != ({net.svc_dim},)")
-    return expit(net.w_svc @ svc + net.b_svc)
+    w, b = net.net.side
+    return expit(w @ svc + b)
 
 
 def forward_frame(net, x, h_acoustic, h_state, h_word):
@@ -130,19 +117,21 @@ def forward_frame(net, x, h_acoustic, h_state, h_word):
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise StructuralError(f"frame input shape {x.shape} != ({net.input_dim},)")
-    a = expit(net.w_acoustic @ x + net.b_acoustic + net.u_acoustic @ h_acoustic)
-    s = expit(net.w_state @ a + net.b_state + net.u_state @ h_state)
-    y = expit(net.w_word @ s + net.b_word + net.u_word @ h_word)
-    return a, s, y
+    acts = []
+    for w, b, u, h in zip(net.net.weights, net.net.biases, net.net.injections,
+                          (h_acoustic, h_state, h_word)):
+        x = expit(w @ x + b + u @ h)
+        acts.append(x)
+    return tuple(acts)
 
 
 def frame_gradients(net, x, svc, target):
     """Gradients of the squared-error frame loss, side path included, by a
     one-frame nets.Step on a copy of the net's parameters. Returns
     (gradient list in param_arrays order, loss at the current params)."""
-    step = Step([net.network()], 1, 0.0)
+    step = Step([net.net.copy()], 1, 0.0)
     resid = step.gradients(x, target, code=svc)
-    grads = flat_views(step.grad, [p.shape for p in net.param_arrays()])
+    grads = flat_views(step.grad, net.net.spec.param_shapes())
     return grads, 0.5 * float(np.vdot(resid, resid))
 
 
@@ -199,9 +188,7 @@ def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
     n = len(inputs)
     n_batches = -(-n // BATCH_FRAMES)
 
-    params = net.network()
-    step = Step([params], BATCH_FRAMES, config.learning_rate)
-    vars(net).update(zip(PARAM_NAMES, params.arrays()))  # the net's arrays: views of step.flat
+    step = Step([net.net], BATCH_FRAMES, config.learning_rate)
     active = [None] * n_batches  # each slice's active rows: all, but in a shorter last one
     if n % BATCH_FRAMES:
         active[-1] = np.arange(BATCH_FRAMES)[:, None] < n % BATCH_FRAMES
@@ -277,8 +264,7 @@ def recognize_utterances(net, utterances, svc, flag_list, avg):
     side = {}
     for on, hs in hidden.items():
         pick = frame_code if on else slice(None)
-        side[on] = [np.array([u @ h for h in hs])[pick]
-                    for u in (net.u_acoustic, net.u_state, net.u_word)]
+        side[on] = [np.array([u @ h for h in hs])[pick] for u in net.net.injections]
     x = np.concatenate([window_frames(u, net.window) for u in utterances])
     if x.shape[1] != net.input_dim:
         raise StructuralError(f"frame input width {x.shape[1]} != {net.input_dim}")
@@ -288,17 +274,18 @@ def recognize_utterances(net, utterances, svc, flag_list, avg):
         z += b
         return z
 
-    into_acoustic = main_path(net.w_acoustic, net.b_acoustic, x)
+    (w_acoustic, w_state, w_word), (b_acoustic, b_state, b_word) = net.net.weights, net.net.biases
+    into_acoustic = main_path(w_acoustic, b_acoustic, x)
     into_state, into_word = {}, {}
     y = np.empty((len(flag_list), len(x), len(net.words)))
     for k, flags in enumerate(flag_list):
         a_key, s_key = flags.acoustic, (flags.acoustic, flags.state)
         if a_key not in into_state:
             a = expit(into_acoustic + side[flags.acoustic][0])
-            into_state[a_key] = main_path(net.w_state, net.b_state, a)
+            into_state[a_key] = main_path(w_state, b_state, a)
         if s_key not in into_word:
             s = expit(into_state[a_key] + side[flags.state][1])
-            into_word[s_key] = main_path(net.w_word, net.b_word, s)
+            into_word[s_key] = main_path(w_word, b_word, s)
         expit(into_word[s_key] + side[flags.word][2], out=y[k])
     return _utterance_means(y, lengths)
 
@@ -358,11 +345,12 @@ def save_recognizer(net, path):
 
 
 def _recognizer_from_arrays(fields, arrays):
-    words, feature_dim, svc_dim, window, _, _ = fields.values()  # REC_FIELDS order
-    if window < 0:
-        raise StructuralError(f"window {window} is negative")
-    check_shapes(arrays, dict(zip(PARAM_NAMES, recognizer_spec(**fields).param_shapes())))
-    return RecognizerNet(words, feature_dim, svc_dim, window, **arrays)
+    if fields["window"] < 0:
+        raise StructuralError(f"window {fields['window']} is negative")
+    spec = recognizer_spec(**fields)
+    check_shapes(arrays, dict(zip(PARAM_NAMES, spec.param_shapes())))
+    net = NetworkParams.from_arrays(spec, list(arrays.values()))  # in PARAM_NAMES order, as checked
+    return RecognizerNet(fields["words"], fields["window"], net)
 
 
 def load_recognizer(path):

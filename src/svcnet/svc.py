@@ -346,6 +346,9 @@ def save_svcnet(svcnet, path):
 
 def _svcnet_from_arrays(fields, arrays):
     net = model_from_arrays(fields, arrays)
+    if set(net.spec.activations) != {"sigmoid"}:
+        raise StructuralError(f"activations {','.join(net.spec.activations)}: "
+                              "the completion net's layers are all sigmoid")
     layout = SoundLayout(tuple(map(SoundId.parse, fields["sounds"])), fields["code_dim"])
     if net.spec.sizes[0] != layout.width or net.spec.sizes[-1] != layout.width:
         raise StructuralError(f"model width does not match layout width {layout.width}")

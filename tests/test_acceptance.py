@@ -132,7 +132,7 @@ def test_criterion_03_ppc_quality(run):
             encoder_spec(config.feature_dim, config.ppc_dim), config.ppc_seed + i
         )
         mse_init = reconstruction_mse(init, frames_by_sound[sound])
-        mse_final = reconstruction_mse(encoders[sound].net, frames_by_sound[sound])
+        mse_final = reconstruction_mse(encoders[sound], frames_by_sound[sound])
         worst_ratio = max(worst_ratio, mse_final / mse_init)
     in_budget = run["timings"]["ppc"] < 120.0
     report(

@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps program functions by name
 (perfbench/tracing.py, TARGETS); a rename or deletion of one of them
 breaks `perfbench/run.py --trace 1`. This test reads that list without
-changing it and checks that every name still resolves in svcnet."""
+changing it and checks that every name still resolves in svcnet. It also
+runs the benchmark's output checks (perfbench/checks.py) on a tiny run,
+so that a program call they make cannot vanish unnoticed."""
 
 import importlib
 import importlib.util
@@ -11,17 +13,19 @@ import os
 import numpy as np
 import pytest
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, loaded from its file."""
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TARGETS = load_tracing().TARGETS
+TARGETS = load_perfbench("tracing").TARGETS
 
 
 def test_targets_listed():
@@ -65,7 +69,7 @@ def test_corpus_calls_of_the_benchmark():
     assert sum(counts[s] for s in encoders) == len(train.frames)
 
     svcnet = build_svcnet(SoundLayout.from_sounds(encoders, 2), 1, 0, seed=2)
-    hook = load_tracing()._HOOKS["corpus.Corpus.frames_of_speaker"]
+    hook = load_perfbench("tracing")._HOOKS["corpus.Corpus.frames_of_speaker"]
     extra = {"frames_returned": 0, "frames_scanned": 0}
     for speaker in test.speakers:
         frames = test.frames_of_speaker(speaker)
@@ -81,7 +85,8 @@ def test_eval_summary_of_the_benchmark(tmp_path):
     """What perfbench/run.py reads from run_eval's summary, on a tiny run:
     the error rate with every level on, ablation[-1][1], and
     n_table2_utterances, which counts the test speakers' utterances of
-    their last ceil(half) words in name order."""
+    their last ceil(half) words in name order. The run's models and
+    reports pass perfbench/checks.py's checks."""
     from svcnet import pipeline
     from svcnet.config import RunConfig
     from svcnet.recognizer import AvailabilityFlags
@@ -106,3 +111,7 @@ def test_eval_summary_of_the_benchmark(tmp_path):
         last = sorted(set(words))[len(set(words)) // 2:]
         n_last += sum(word in last for word in words)
     assert n_last > 0 and summary["n_table2_utterances"] == n_last
+
+    checks = load_perfbench("checks")
+    checks.check_models(config, len(pipeline.load_encoders(config)))
+    checks.check_reports(config, {})

@@ -463,6 +463,43 @@ class TestMalformedArtifacts:
         "verb", [("train", "--stage", "svc"), ("eval",), ("plot", "--kind", "ppc_scatter")],
         ids=["svc", "eval", "plot"],
     )
+    @pytest.mark.parametrize("which", ["one", "all"])
+    def test_encoder_activations_differ_from_encoder_spec(self, full_run, out, capsys, verb,
+                                                          which):
+        """Encoders of layers the ppc stage never builds, one of them or
+        all, are refused when loaded, naming the first such file."""
+        paths = sorted((out / "models").glob("ppc_*.txt"))
+        changed = paths[-1:] if which == "one" else paths
+        for path in changed:
+            text = path.read_text()
+            path.write_text(text.replace("activations=sigmoid,linear", "activations=tanh,linear"))
+            assert path.read_text() != text
+        _, cpath = full_run
+        assert main([*verb, "--config", cpath, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert changed[0].name in err and "tanh,linear" in err
+
+    @pytest.mark.parametrize(
+        "verb", [("train", "--stage", "rec"), ("eval",), ("plot", "--kind", "svc_halves")],
+        ids=["rec", "eval", "plot"],
+    )
+    def test_svcnet_activations_not_sigmoid(self, full_run, out, capsys, verb):
+        path = out / "models" / "svcnet.txt"
+        text = path.read_text()
+        path.write_text(text.replace("activations=sigmoid,sigmoid,sigmoid,sigmoid",
+                                     "activations=tanh,tanh,linear,tanh"))
+        assert path.read_text() != text
+        _, cpath = full_run
+        assert main([*verb, "--config", cpath, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "svcnet.txt" in err and "tanh,tanh,linear,tanh" in err
+
+    @pytest.mark.parametrize(
+        "verb", [("train", "--stage", "svc"), ("eval",), ("plot", "--kind", "ppc_scatter")],
+        ids=["svc", "eval", "plot"],
+    )
     def test_encoder_feature_width_differs_from_feature_dim(self, out, tmp_path, capsys, verb):
         """Encoders trained on frames of another width than the config's
         corpus are refused when loaded, naming the encoder and both widths."""

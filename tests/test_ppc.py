@@ -12,7 +12,6 @@ from svcnet.nets import (
 )
 from svcnet.ppc import (
     EncoderBank,
-    PPCEncoder,
     codable_frames,
     encode_frame,
     encode_frames,
@@ -40,7 +39,7 @@ class TestTrainEncoder:
         cfg = TrainConfig(0.1, 0, seed=17)
         enc, curve = train_ppc_encoder(SOUND, frames, 2, cfg)
         ref = init_network(encoder_spec(5, 2), seed=17)
-        for a, b in zip(enc.net.weights + enc.net.biases, ref.weights + ref.biases):
+        for a, b in zip(enc.weights + enc.biases, ref.weights + ref.biases):
             assert np.array_equal(a, b)
         assert curve == []
 
@@ -52,7 +51,7 @@ class TestTrainEncoder:
         frame = np.array([0.3, -0.6, 1.1, 0.0])
         frames = [frame] * 50
         enc, _ = train_ppc_encoder(SOUND, frames, 2, TrainConfig(0.05, 500, 1))
-        assert reconstruction_mse(enc.net, frames) < 1e-3
+        assert reconstruction_mse(enc, frames) < 1e-3
 
     def test_separated_clusters_get_distinct_codes(self):
         rng = np.random.default_rng(2)
@@ -68,7 +67,7 @@ class TestTrainEncoder:
         frames = [rng.normal(size=4) for _ in range(20)]
         enc, _ = train_ppc_encoder(SOUND, frames, 2, TrainConfig(0.02, 100, 3))
         init = init_network(encoder_spec(4, 2), seed=3)
-        assert reconstruction_mse(enc.net, frames) <= reconstruction_mse(init, frames)
+        assert reconstruction_mse(enc, frames) <= reconstruction_mse(init, frames)
 
 
 class TestEncodeFrame:
@@ -87,7 +86,7 @@ class TestEncodeFrame:
 
     def test_matches_independent_forward(self):
         enc, frames = self._encoder()
-        acts = forward(enc.net, frames[1])
+        acts = forward(enc, frames[1])
         assert np.array_equal(encode_frame(enc, frames[1]), acts[1])
 
     def test_sigmoid_range(self):
@@ -172,7 +171,7 @@ class TestTrainAllEncoders:
                     sgd_step(net, grads, cfg.learning_rate)
                 curve.append(reconstruction_mse(net, frames))
             assert curves[sound] == curve
-            trained = encoders[sound].net
+            trained = encoders[sound]
             for a, b in zip(trained.weights + trained.biases, net.weights + net.biases):
                 assert np.array_equal(a, b)
 
@@ -222,14 +221,14 @@ class TestEncoderBank:
         assert SOUND in bank and SOUND not in smaller and len(smaller) == len(bank) - 1
         for sound, encoder in smaller.items():
             row = smaller.index[sound]
-            assert np.array_equal(smaller.weights[row], encoder.net.weights[0])
-            assert np.array_equal(smaller.biases[row], encoder.net.biases[0])
+            assert np.array_equal(smaller.weights[row], encoder.weights[0])
+            assert np.array_equal(smaller.biases[row], encoder.biases[0])
 
     def test_refuses_mixed_specs(self):
         bank = tiny_encoders(tiny_corpus())
-        wide = PPCEncoder(SoundId("zz", 0), init_network(encoder_spec(6, 3), 0))
+        wide = init_network(encoder_spec(6, 3), 0)
         with pytest.raises(StructuralError, match="different specs"):
-            EncoderBank({**bank, wide.sound: wide})
+            EncoderBank({**bank, SoundId("zz", 0): wide})
 
     def test_load_encoders_stacks_equal_model_files(self, tmp_path):
         config = RunConfig(out_dir=str(tmp_path), n_speakers=4, n_words=3, states_per_phone=2,

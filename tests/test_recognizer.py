@@ -6,7 +6,7 @@ from scipy.special import expit
 
 from svcnet.corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from svcnet.errors import DataError, StructuralError
-from svcnet.nets import Step, flat_views
+from svcnet.nets import Step, flat_views, forward
 from svcnet.recognizer import (
     BATCH_FRAMES,
     SVC_HIDDEN_WIDTH,
@@ -21,6 +21,7 @@ from svcnet.recognizer import (
     init_recognizer,
     load_recognizer,
     recognize,
+    recognizer_spec,
     recognize_utterances,
     save_recognizer,
     svc_hidden,
@@ -49,13 +50,29 @@ class TestStructure:
             + s * a + s + s * h  # state level + injection
             + o * s + o + o * h  # word level + injection
         )
-        assert net.n_params() == expected
+        assert sum(p.size for p in net.param_arrays()) == expected
 
     def test_injection_matrices_are_dense_two_wide(self):
         net = init_recognizer(WORDS, 4, 2, small_config())
-        assert net.u_acoustic.shape == (6, 2)
-        assert net.u_state.shape == (5, 2)
-        assert net.u_word.shape == (3, 2)
+        u_acoustic, u_state, u_word = net.net.injections
+        assert u_acoustic.shape == (6, 2)
+        assert u_state.shape == (5, 2)
+        assert u_word.shape == (3, 2)
+
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_forward_frame_is_nets_forward(self, window):
+        """The recognizer's per-frame reference, with one code at every
+        level, is nets.forward of its net, bit for bit."""
+        rng = np.random.default_rng(6 + window)
+        net = init_recognizer(WORDS, 4, 2, small_config(window=window))
+        for p in net.param_arrays():
+            p[...] = rng.normal(0, 1, p.shape)
+        for _ in range(5):
+            x, code = rng.normal(size=net.input_dim), rng.random(2)
+            h = svc_hidden(net, code)
+            acts = forward_frame(net, x, h, h, h)
+            for a, b in zip(acts, forward(net.net, x, code)[1:], strict=True):
+                assert np.array_equal(a, b)
 
     def test_flag_grid_order(self):
         grid = flag_grid()
@@ -72,16 +89,18 @@ class TestGradients:
         # order: each derivative f'(a) = (1 - a) * a is formed first
         rng = np.random.default_rng(4)
         net = init_recognizer(WORDS, 4, 2, small_config(seed=2))
+        (w_svc, b_svc, w_acoustic, b_acoustic, u_acoustic, w_state, b_state, u_state,
+         w_word, b_word, u_word) = net.param_arrays()
         for _ in range(10):
             x, svc = rng.normal(size=4), rng.random(2)
             target = np.eye(3)[rng.integers(3)]
             h = svc_hidden(net, svc)
             a, s, y = forward_frame(net, x, h, h, h)
             dy = (y - target) * ((1.0 - y) * y)
-            ds = (net.w_word.T @ dy) * ((1.0 - s) * s)
-            da = (net.w_state.T @ ds) * ((1.0 - a) * a)
+            ds = (w_word.T @ dy) * ((1.0 - s) * s)
+            da = (w_state.T @ ds) * ((1.0 - a) * a)
             dh = (
-                net.u_acoustic.T @ da + net.u_state.T @ ds + net.u_word.T @ dy
+                u_acoustic.T @ da + u_state.T @ ds + u_word.T @ dy
             ) * ((1.0 - h) * h)
             expected = [
                 np.outer(dh, svc), dh,
@@ -104,17 +123,19 @@ class TestGradients:
         for p in net.param_arrays():
             p[...] = rng.normal(0, 1, p.shape)
         rows = (rng.normal(size=(5, 4)), rng.random((5, 2)), np.eye(3)[rng.integers(3, size=5)])
-        step = Step([net.network()], 5, 0.1)
+        (w_svc, b_svc, w_acoustic, b_acoustic, u_acoustic, w_state, b_state, u_state,
+         w_word, b_word, u_word) = net.param_arrays()
+        step = Step([net.net.copy()], 5, 0.1)
         step.gradients(rows[0], rows[2], code=rows[1])
         expected = [np.zeros_like(p) for p in net.param_arrays()]
         for x, svc, target in zip(*rows):
             h = svc_hidden(net, svc)
             a, s, y = forward_frame(net, x, h, h, h)
             dy = (y - target) * ((1.0 - y) * y)
-            ds = (net.w_word.T @ dy) * ((1.0 - s) * s)
-            da = (net.w_state.T @ ds) * ((1.0 - a) * a)
+            ds = (w_word.T @ dy) * ((1.0 - s) * s)
+            da = (w_state.T @ ds) * ((1.0 - a) * a)
             dh = (
-                net.u_acoustic.T @ da + net.u_state.T @ ds + net.u_word.T @ dy
+                u_acoustic.T @ da + u_state.T @ ds + u_word.T @ dy
             ) * ((1.0 - h) * h)
             frame = [
                 np.outer(dh, svc), dh,
@@ -207,6 +228,8 @@ class TestTraining:
         net, metrics = train_recognizer(corpus, svcs, cfg)
 
         ref = init_recognizer(corpus.words, corpus.feature_dim, 2, cfg)
+        (w_svc, b_svc, w_acoustic, b_acoustic, u_acoustic, w_state, b_state, u_state,
+         w_word, b_word, u_word) = ref.param_arrays()
         inputs = window_frames(corpus.frames, window, corpus.utterance_bounds())
         codes = np.array([svcs[corpus.speakers[k]] for k in corpus.speaker])
         targets = np.eye(len(corpus.words))[corpus.word]
@@ -218,14 +241,14 @@ class TestTraining:
             for start in range(0, len(order), BATCH_FRAMES):
                 rows = order[start : start + BATCH_FRAMES]
                 x, c, t = inputs[rows], codes[rows], targets[rows]
-                h = expit(c @ ref.w_svc.T + ref.b_svc)
-                a = expit(x @ ref.w_acoustic.T + ref.b_acoustic + h @ ref.u_acoustic.T)
-                s = expit(a @ ref.w_state.T + ref.b_state + h @ ref.u_state.T)
-                y = expit(s @ ref.w_word.T + ref.b_word + h @ ref.u_word.T)
+                h = expit(c @ w_svc.T + b_svc)
+                a = expit(x @ w_acoustic.T + b_acoustic + h @ u_acoustic.T)
+                s = expit(a @ w_state.T + b_state + h @ u_state.T)
+                y = expit(s @ w_word.T + b_word + h @ u_word.T)
                 dy = (y - t) * ((1.0 - y) * y)
-                ds = (dy @ ref.w_word) * ((1.0 - s) * s)
-                da = (ds @ ref.w_state) * ((1.0 - a) * a)
-                dh = (da @ ref.u_acoustic + ds @ ref.u_state + dy @ ref.u_word) * ((1.0 - h) * h)
+                ds = (dy @ w_word) * ((1.0 - s) * s)
+                da = (ds @ w_state) * ((1.0 - a) * a)
+                dh = (da @ u_acoustic + ds @ u_state + dy @ u_word) * ((1.0 - h) * h)
                 grads = [
                     dh.T @ c, dh.sum(axis=0),
                     da.T @ x, da.sum(axis=0), da.T @ h,
@@ -564,6 +587,15 @@ class TestPersistence:
         assert loaded.window == net.window
         for a, b in zip(net.param_arrays(), loaded.param_arrays()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("window", [0, 2])
+    def test_loaded_spec_is_recognizer_spec(self, tmp_path, window):
+        net = init_recognizer(WORDS, 4, 2, small_config(window=window))
+        path = tmp_path / "rec.txt"
+        save_recognizer(net, path)
+        loaded = load_recognizer(path)
+        assert loaded.fields() == net.fields()
+        assert loaded.net.spec == net.net.spec == recognizer_spec(**loaded.fields())
 
     def test_truncation_is_a_structural_error(self, tmp_path):
         corpus = tiny_corpus()
