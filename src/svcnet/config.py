@@ -7,11 +7,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .corpus import CorpusSpec
 from .errors import DataError
 from .fileio import read_text
-from .nets import TrainConfig
-from .recognizer import RecognizerConfig
 from .svc import FEEDBACK, MODES
 
 
@@ -89,6 +86,8 @@ class RunConfig:
                         f"config key {key!r} must be {'>=' if inclusive else '>'} {low}, "
                         f"got {value!r}"
                     )
+        if not self.train_fraction < 1:  # a share of the speakers
+            raise DataError(f"config key 'train_fraction' must be < 1, got {self.train_fraction!r}")
 
     # resolved paths -----------------------------------------------------
     @property
@@ -106,37 +105,6 @@ class RunConfig:
     @property
     def resolved_report_dir(self):
         return self.report_dir or os.path.join(self.out_dir, "reports")
-
-    # derived stage configs ----------------------------------------------
-    def corpus_spec(self):
-        return CorpusSpec(
-            n_speakers=self.n_speakers,
-            n_words=self.n_words,
-            phones_per_word=self.phones_per_word,
-            states_per_phone=self.states_per_phone,
-            frames_per_state=self.frames_per_state,
-            noise_std=self.noise_std,
-            seed=self.corpus_seed,
-            feature_dim=self.feature_dim,
-            latent_dim=self.latent_dim,
-            speaker_effect_scale=self.speaker_effect_scale,
-        )
-
-    def ppc_train_config(self):
-        return TrainConfig(self.ppc_learning_rate, self.ppc_epochs, self.ppc_seed)
-
-    def svc_train_config(self):
-        return TrainConfig(self.svc_learning_rate, self.svc_epochs, self.svc_seed)
-
-    def recognizer_config(self):
-        return RecognizerConfig(
-            acoustic_units=self.rec_acoustic_units,
-            state_units=self.rec_state_units,
-            window=self.rec_window,
-            learning_rate=self.rec_learning_rate,
-            epochs=self.rec_epochs,
-            seed=self.rec_seed,
-        )
 
     def seeds(self):
         return {
@@ -183,10 +151,3 @@ class RunConfig:
             return cls(**data)
         except DataError as e:
             raise DataError(f"{path}: {e}") from None
-
-    def save(self, path):
-        from .fileio import atomic_write_text
-
-        atomic_write_text(
-            path, json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
-        )

@@ -20,7 +20,6 @@ file whose rows are shuffled loads to the same corpus as a sorted one.
 import json
 import re
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,35 +68,6 @@ class SoundIndex(dict):
         if last[0] is not table:
             last = self._last = (table, np.array([self.get(s, -1) for s in table], dtype=np.intp))
         return last[1]
-
-
-@dataclass
-class CorpusSpec:
-    n_speakers: int = 20
-    n_words: int = 10
-    phones_per_word: int = 2
-    states_per_phone: int = 3
-    frames_per_state: int = 4
-    noise_std: float = 0.05
-    seed: int = 0
-    feature_dim: int = 8
-    latent_dim: int = 2
-    speaker_effect_scale: float = 1.0
-
-    def __post_init__(self):
-        counts = (
-            self.n_speakers,
-            self.n_words,
-            self.phones_per_word,
-            self.states_per_phone,
-            self.frames_per_state,
-            self.feature_dim,
-            self.latent_dim,
-        )
-        if any(c < 1 for c in counts):
-            raise StructuralError(f"all corpus counts must be >= 1: {self}")
-        if self.noise_std < 0:
-            raise StructuralError("noise_std must be >= 0")
 
 
 def _read_only(array):
@@ -206,16 +176,16 @@ class Corpus:
         return view
 
 
-def word_phones(spec, word_index):
+def word_phones(config, word_index):
     """Phone sequence of one word: consecutive blocks of the inventory, with
     the block grid shifted by one each time it wraps. Early words between
     them cover the whole inventory quickly, and the shift keeps later
     words' phone sets distinct (guaranteed when n_words % phones_per_word
     == 0)."""
-    p = spec.n_words  # phone inventory size
-    k = word_index * spec.phones_per_word
+    p = config.n_words  # phone inventory size
+    k = word_index * config.phones_per_word
     start, shift = k % p, k // p
-    return [f"p{(start + i + shift) % p:02d}" for i in range(spec.phones_per_word)]
+    return [f"p{(start + i + shift) % p:02d}" for i in range(config.phones_per_word)]
 
 
 def _sound_column(phones, states_per_phone, phone, state):
@@ -228,22 +198,24 @@ def _sound_column(phones, states_per_phone, phone, state):
     return table, sound
 
 
-def generate_corpus(spec):
-    """Deterministic corpus plus ground-truth latents per speaker."""
-    rng = np.random.default_rng(spec.seed)
-    speakers = tuple(f"s{i:02d}" for i in range(spec.n_speakers))
-    words = tuple(f"w{i:02d}" for i in range(spec.n_words))
-    phones = tuple(f"p{i:02d}" for i in range(spec.n_words))
-    n_states, dim = spec.states_per_phone, spec.feature_dim
+def generate_corpus(config):
+    """Deterministic corpus plus ground-truth latents per speaker, from
+    the config's corpus keys and corpus_seed; DataError for features that
+    overflow."""
+    rng = np.random.default_rng(config.corpus_seed)
+    speakers = tuple(f"s{i:02d}" for i in range(config.n_speakers))
+    words = tuple(f"w{i:02d}" for i in range(config.n_words))
+    phones = tuple(f"p{i:02d}" for i in range(config.n_words))
+    n_states, dim = config.states_per_phone, config.feature_dim
 
     # sound p * n_states + s is (phones[p], s); drawn in that order
     prototypes = np.empty((len(phones) * n_states, dim))
-    effects = np.empty((len(phones) * n_states, dim, spec.latent_dim))
+    effects = np.empty((len(phones) * n_states, dim, config.latent_dim))
     for k in range(len(prototypes)):
         prototypes[k] = rng.normal(0.0, 1.0, dim)
-        effects[k] = rng.normal(0.0, spec.speaker_effect_scale, (dim, spec.latent_dim))
+        effects[k] = rng.normal(0.0, config.speaker_effect_scale, (dim, config.latent_dim))
 
-    latents = {s: rng.uniform(0.0, 1.0, spec.latent_dim) for s in speakers}
+    latents = {s: rng.uniform(0.0, 1.0, config.latent_dim) for s in speakers}
 
     # one utterance per (speaker, word), its frames phone by phone, state
     # by state; the rows run speaker by speaker, word by word, and the
@@ -251,16 +223,20 @@ def generate_corpus(spec):
     # draw per frame)
     phone_index = {p: i for i, p in enumerate(phones)}
     utt_sounds = [
-        np.repeat([phone_index[p] * n_states + s for p in word_phones(spec, wi)
-                   for s in range(n_states)], spec.frames_per_state)
+        np.repeat([phone_index[p] * n_states + s for p in word_phones(config, wi)
+                   for s in range(n_states)], config.frames_per_state)
         for wi in range(len(words))
     ]
     per_speaker = np.concatenate(utt_sounds)
     n_utt = len(utt_sounds[0])
-    base = np.stack([prototypes + effects @ latents[s] for s in speakers])
     speaker = np.repeat(np.arange(len(speakers)), len(per_speaker))
     sound = np.tile(per_speaker, len(speakers))
-    frames = base[speaker, sound] + rng.normal(0.0, spec.noise_std, (len(sound), dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, in one line
+        base = np.stack([prototypes + effects @ latents[s] for s in speakers])
+        frames = base[speaker, sound] + rng.normal(0.0, config.noise_std, (len(sound), dim))
+    if not np.isfinite(frames).all():
+        raise DataError(f"generated features are not finite: noise_std {config.noise_std!r} or "
+                        f"speaker_effect_scale {config.speaker_effect_scale!r} is too large")
     word = np.tile(np.repeat(np.arange(len(words)), n_utt), len(speakers))
     table, sound = _sound_column(phones, n_states, sound // n_states, sound % n_states)
     corpus = Corpus(

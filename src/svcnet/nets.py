@@ -90,19 +90,6 @@ class NetworkParams:
         return NetworkParams.from_arrays(self.spec, [a.copy() for a in self.arrays()])
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.2
-    epochs: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise StructuralError("learning_rate must be > 0")
-        if self.epochs < 0:
-            raise StructuralError("epochs must be >= 0")
-
-
 def init_network(spec, seed):
     """Uniform +-1/sqrt(fan_in) weights and injections, drawn in arrays()
     order, and zero biases; deterministic in seed."""

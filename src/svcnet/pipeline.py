@@ -45,8 +45,7 @@ def write_report(config, name, header_cols, rows):
 
 
 def run_gen(config):
-    spec = config.corpus_spec()
-    corpus, latents = corpus_mod.generate_corpus(spec)
+    corpus, latents = corpus_mod.generate_corpus(config)
     os.makedirs(os.path.dirname(config.resolved_corpus_path) or ".", exist_ok=True)
     corpus_mod.save_corpus(corpus, config.resolved_corpus_path)
     corpus_mod.save_latents(latents, config.resolved_latents_path)
@@ -76,9 +75,7 @@ def ppc_model_path(config, sound):
 
 def run_train_ppc(config):
     _, train, _ = load_split(config)
-    encoders, curves = ppc_mod.train_all_encoders(
-        train, config.ppc_dim, config.ppc_train_config(), config.min_sound_frames
-    )
+    encoders, curves = ppc_mod.train_all_encoders(train, config)
     os.makedirs(config.resolved_model_dir, exist_ok=True)
     for sound, net in encoders.items():
         save_model(net, ppc_model_path(config, sound))
@@ -127,15 +124,7 @@ def run_train_svc(config):
     _, train, _ = load_split(config)
     encoders = load_encoders(config)
     layout = svc_mod.SoundLayout.from_sounds(encoders.keys(), config.ppc_dim)
-    svcnet, metrics = svc_mod.train_svcnet(
-        train,
-        encoders,
-        layout,
-        config.svc_dim,
-        config.svc_train_config(),
-        mode=config.accumulation_mode,
-        flank_width=config.svc_flank,
-    )
+    svcnet, metrics = svc_mod.train_svcnet(train, encoders, layout, config)
     svc_mod.save_svcnet(svcnet, svcnet_path(config))
     rows = [(e, fmt_float(l)) for e, l in enumerate(metrics["epoch_loss"])]
     write_report(config, "metrics_svc.csv", ("epoch", "mean_masked_loss"), rows)
@@ -158,7 +147,7 @@ def load_svcnet_artifact(config):
 def speaker_svcs(config, svcnet, encoders, frame_sets):
     """Final speaker code of each frame set: run its stream, average the
     whole trajectory. All streams run together (svc.extract_svcs)."""
-    streams = [stream for stream, _ in svc_mod.speaker_streams(frame_sets, encoders)]
+    streams = svc_mod.speaker_streams(frame_sets, encoders)
     trajs = svc_mod.extract_svcs(svcnet, streams, mode=config.accumulation_mode)
     return [svc_mod.final_svc(traj) for traj in trajs]
 
@@ -182,9 +171,7 @@ def run_train_rec(config):
     encoders = load_encoders(config)
     svcnet = load_svcnet_artifact(config)
     svcs = all_speaker_svcs(config, svcnet, encoders, train)
-    net, metrics = rec_mod.train_recognizer(
-        train, svcs, config.recognizer_config(), svc_dim=config.svc_dim
-    )
+    net, metrics = rec_mod.train_recognizer(train, svcs, config)
     rec_mod.save_recognizer(net, recognizer_path(config))
     rows = [(e, fmt_float(l)) for e, l in enumerate(metrics["epoch_loss"])]
     write_report(config, "metrics_rec.csv", ("epoch", "mean_frame_loss"), rows)
@@ -273,7 +260,7 @@ def run_eval(config):
     half_codes = half_svcs(config, svcnet, encoders, halves, coded)
     test_streams = dict(zip(test.speakers, svc_mod.speaker_streams(coded, encoders)))
     test_trajs = dict(zip(test.speakers, svc_mod.extract_svcs(
-        svcnet, [stream for stream, _ in test_streams.values()], mode=config.accumulation_mode
+        svcnet, list(test_streams.values()), mode=config.accumulation_mode
     )))
     test_svcs = {s: svc_mod.final_svc(traj) for s, traj in test_trajs.items()}
 
@@ -330,7 +317,7 @@ def run_eval(config):
     # per-word code displacement on the test speakers
     stab_rows = []
     for speaker in test.speakers:
-        disps = svc_mod.svc_stability(test_trajs[speaker], test_streams[speaker][1])
+        disps = svc_mod.svc_stability(test_trajs[speaker], test_streams[speaker].word_ends())
         for k, d in enumerate(disps):
             stab_rows.append((speaker, k + 1, fmt_float(d)))
     write_report(
@@ -386,13 +373,11 @@ def run_plot(config, kind, sound=None):
         streams = svc_mod.speaker_streams(
             [test.frames_of_speaker(s) for s in test.speakers], encoders
         )
-        trajs = svc_mod.extract_svcs(
-            svcnet, [stream for stream, _ in streams], mode=config.accumulation_mode
-        )
+        trajs = svc_mod.extract_svcs(svcnet, streams, mode=config.accumulation_mode)
         paths = []
-        for speaker, (_, boundaries), traj in zip(test.speakers, streams, trajs):
+        for speaker, stream, traj in zip(test.speakers, streams, trajs):
             # the word index at a step: the number of word ends before it
-            words = np.searchsorted(boundaries, np.arange(len(traj))).tolist()
+            words = np.searchsorted(stream.word_ends(), np.arange(len(traj))).tolist()
             rows = [(step, word) + tuple(fmt_float(v) for v in point)
                     for step, (word, point) in enumerate(zip(words, traj))]
             cols = ("step", "word_index") + tuple(

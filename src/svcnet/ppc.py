@@ -61,22 +61,23 @@ def reconstruction_mse(net, frames):
     return total / (len(frames) * len(frames[0]))
 
 
-def _train_lockstep(sounds, frames, code_dim, config, seeds):
-    """Train one encoder per sound side by side on `frames` (S, N, dim):
+def _train_lockstep(sounds, frames, config, seeds):
+    """Train one encoder per sound side by side on `frames` (S, N, dim),
+    at the config's ppc_dim, ppc_learning_rate and ppc_epochs:
     every sound has N frames, its own seed for init and shuffling, and its
     own permutation each epoch. Step t of an epoch presents frame
     perm_s[t] to encoder s, so each encoder follows exactly the sequence
     it would follow alone. Returns (nets, per-sound epoch MSE lists)."""
     n_sounds, n_frames, feature_dim = frames.shape
-    spec = encoder_spec(feature_dim, code_dim)
+    spec = encoder_spec(feature_dim, config.ppc_dim)
     nets = [init_network(spec, seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    step = Step(nets, 1, config.learning_rate)
+    step = Step(nets, 1, config.ppc_learning_rate)
     rows = frames.reshape(-1, feature_dim)
     offsets = np.arange(n_sounds)[:, None] * n_frames
     lead = step.outputs.shape[:-1]  # (N, 1), or (1,) for one encoder
-    curves = np.empty((config.epochs, n_sounds))
-    for epoch in range(config.epochs):
+    curves = np.empty((config.ppc_epochs, n_sounds))
+    for epoch in range(config.ppc_epochs):
         order = np.array([rng.permutation(n_frames) for rng in rngs]) + offsets
         for idx in order.T:
             x = rows[idx.reshape(lead)]
@@ -95,13 +96,13 @@ def _train_lockstep(sounds, frames, code_dim, config, seeds):
     return nets, [curve.tolist() for curve in curves.T]
 
 
-def train_ppc_encoder(sound, frames_for_sound, code_dim, config):
-    """Per-presentation reconstruction training, shuffled per epoch.
-    Returns (net, epoch MSE list)."""
+def train_ppc_encoder(sound, frames_for_sound, config):
+    """Per-presentation reconstruction training, shuffled per epoch, from
+    the config's ppc_seed. Returns (net, epoch MSE list)."""
     if len(frames_for_sound) == 0:
         raise DataError(f"no frames to train encoder for {sound}")
     frames = np.asarray(frames_for_sound, dtype=float)[None]
-    nets, curves = _train_lockstep([sound], frames, code_dim, config, [config.seed])
+    nets, curves = _train_lockstep([sound], frames, config, [config.ppc_seed])
     return nets[0], curves[0]
 
 
@@ -176,14 +177,15 @@ def sound_inventory(corpus, min_frames=2):
     return [corpus.sounds[k] for k in _inventory(corpus, min_frames)]
 
 
-def train_all_encoders(corpus, code_dim, config, min_frames=2):
-    """One encoder per surviving sound; deterministic per-sound seeds
-    (config.seed + index in the sorted inventory). Sounds with equal frame
-    counts train in lockstep; the result equals training them one by one.
+def train_all_encoders(corpus, config):
+    """One encoder per sound with at least config.min_sound_frames
+    training frames; deterministic per-sound seeds (config.ppc_seed +
+    index in the sorted inventory). Sounds with equal frame counts train
+    in lockstep; the result equals training them one by one.
 
     Returns (EncoderBank, per-sound epoch MSE curves).
     """
-    kept = _inventory(corpus, min_frames)
+    kept = _inventory(corpus, config.min_sound_frames)
     sounds = [corpus.sounds[k] for k in kept]
     by_sound = [corpus.frames[corpus.sound == k] for k in kept]  # in row order
     groups = {}
@@ -195,9 +197,8 @@ def train_all_encoders(corpus, code_dim, config, min_frames=2):
         trained, group_curves = _train_lockstep(
             group,
             np.array([by_sound[i] for i in members]),
-            code_dim,
             config,
-            [config.seed + i for i in members],
+            [config.ppc_seed + i for i in members],
         )
         encoders.update(zip(group, trained))
         curves.update(zip(group, group_curves))

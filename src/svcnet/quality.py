@@ -29,10 +29,10 @@ def code_stability(svcnet, encoders, test, mode):
     fourth word transition on is <= 25% of the first transition, for
     >= 70% of the speakers."""
     streams = svc_mod.speaker_streams([test.frames_of_speaker(s) for s in test.speakers], encoders)
-    trajs = svc_mod.extract_svcs(svcnet, [stream for stream, _ in streams], mode=mode)
+    trajs = svc_mod.extract_svcs(svcnet, streams, mode=mode)
     good, details = 0, []
-    for speaker, (_, boundaries), traj in zip(test.speakers, streams, trajs):
-        disps = svc_mod.svc_stability(traj, boundaries)
+    for speaker, stream, traj in zip(test.speakers, streams, trajs):
+        disps = svc_mod.svc_stability(traj, stream.word_ends())
         early = disps[0]
         late = float(np.mean(disps[3:]))
         good += late <= 0.25 * early

@@ -53,16 +53,6 @@ def flag_grid():
 
 
 @dataclass
-class RecognizerConfig:
-    acoustic_units: int = 24
-    state_units: int = 16
-    window: int = 0  # frames of context on each side
-    learning_rate: float = 0.3
-    epochs: int = 15
-    seed: int = 0
-
-
-@dataclass
 class RecognizerNet:
     """Word labels, context window and the net: a nets.NetworkParams with
     a side layer, spec from recognizer_spec, arrays() in PARAM_NAMES order."""
@@ -98,10 +88,11 @@ def recognizer_spec(words, feature_dim, svc_dim, window, acoustic_units, state_u
     return LayerSpec(sizes, ("sigmoid",) * 3, (svc_dim, SVC_HIDDEN_WIDTH))
 
 
-def init_recognizer(words, feature_dim, svc_dim, config):
-    spec = recognizer_spec(words, feature_dim, svc_dim, config.window, config.acoustic_units,
-                           config.state_units)
-    return RecognizerNet(tuple(words), config.window, init_network(spec, config.seed))
+def init_recognizer(words, feature_dim, config):
+    """A new net of the config's svc_dim and rec_* widths, from rec_seed."""
+    spec = recognizer_spec(words, feature_dim, config.svc_dim, config.rec_window,
+                           config.rec_acoustic_units, config.rec_state_units)
+    return RecognizerNet(tuple(words), config.rec_window, init_network(spec, config.rec_seed))
 
 
 def svc_hidden(net, svc):
@@ -170,31 +161,30 @@ def _speaker_codes(corpus, svc_per_speaker, svc_dim):
     return codes
 
 
-def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
-    """Mini-batch supervised training on one-of-N word targets, the
-    speaker's own code always on the side-path inputs. Each epoch steps
+def train_recognizer(corpus, svc_per_speaker, config):
+    """Mini-batch supervised training on one-of-N word targets, for the
+    config's rec_epochs at rec_learning_rate, the speaker's own code (of
+    svc_dim values) always on the side-path inputs. Each epoch steps
     through a fresh permutation of the corpus frames in consecutive slices
     of BATCH_FRAMES, one nets.Step per slice; in a shorter last slice the
     missing rows are inactive. The net's arrays are views of the step's
     parameter buffer. An epoch's loss is the mean over frames of each
     frame's loss at the parameters before its batch's update.
     Returns (net, metrics)."""
-    if svc_dim is None:
-        svc_dim = np.size(svc_per_speaker.get(corpus.speakers[0], ()))
-    codes = _speaker_codes(corpus, svc_per_speaker, svc_dim)[corpus.speaker]
-    net = init_recognizer(corpus.words, corpus.feature_dim, svc_dim, config)
-    inputs = window_frames(corpus.frames, config.window, corpus.utterance_bounds())
+    codes = _speaker_codes(corpus, svc_per_speaker, config.svc_dim)[corpus.speaker]
+    net = init_recognizer(corpus.words, corpus.feature_dim, config)
+    inputs = window_frames(corpus.frames, config.rec_window, corpus.utterance_bounds())
     targets = np.eye(len(net.words))[corpus.word]
     n = len(inputs)
     n_batches = -(-n // BATCH_FRAMES)
 
-    step = Step([net.net], BATCH_FRAMES, config.learning_rate)
+    step = Step([net.net], BATCH_FRAMES, config.rec_learning_rate)
     active = [None] * n_batches  # each slice's active rows: all, but in a shorter last one
     if n % BATCH_FRAMES:
         active[-1] = np.arange(BATCH_FRAMES)[:, None] < n % BATCH_FRAMES
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.rec_seed)
     epoch_loss = []
-    for epoch in range(config.epochs):
+    for epoch in range(config.rec_epochs):
         # the permutation in slices, the last one padded from its start
         order = np.resize(rng.permutation(n), (n_batches, BATCH_FRAMES))
         total = 0.0
@@ -209,8 +199,8 @@ def train_recognizer(corpus, svc_per_speaker, config, svc_dim=None):
             )
     metrics = {
         "epoch_loss": epoch_loss,
-        "presentations": config.epochs * n,
-        "batches": config.epochs * n_batches,
+        "presentations": config.rec_epochs * n,
+        "batches": config.rec_epochs * n_batches,
     }
     return net, metrics
 

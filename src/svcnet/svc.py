@@ -145,22 +145,27 @@ def build_svcnet(layout, svc_dim, flank_width, seed):
 class Stream:
     """A speaker's coded speech in temporal order: presentation t is a
     frame of sound sounds[sound[t]] (a sound table and integer ids into it)
-    with code codes[t]."""
+    of utterance utterance[t], with code codes[t]."""
 
     sounds: tuple
-    sound: np.ndarray  # (T,)
-    codes: np.ndarray  # (T, code_dim)
+    sound: np.ndarray      # (T,)
+    codes: np.ndarray      # (T, code_dim)
+    utterance: np.ndarray  # (T,)
 
     def __len__(self):
         return len(self.sound)
 
+    def word_ends(self):
+        """The positions of each utterance's (word's) last presentation."""
+        u = self.utterance
+        return np.flatnonzero(u[1:] != u[:-1]).tolist() + [len(u) - 1]
+
 
 def speaker_streams(frame_sets, encoders):
-    """One (Stream, boundaries) pair per frame set (one speaker's rows of
-    a corpus, in temporal order): the coded stream and the end-of-word
-    positions. Frames of a sound without an encoder in the EncoderBank
-    `encoders` are skipped (ppc.codable_frames). The frames of all sets
-    are coded by one stacked pass (ppc.encode_frames)."""
+    """One Stream per frame set (one speaker's rows of a corpus, in
+    temporal order). Frames of a sound without an encoder in the
+    EncoderBank `encoders` are skipped (ppc.codable_frames). The frames of
+    all sets are coded by one stacked pass (ppc.encode_frames)."""
     kept = codable_frames(frame_sets, encoders)
     if not kept:
         return []
@@ -170,9 +175,7 @@ def speaker_streams(frame_sets, encoders):
     result, start = [], 0
     for frames in kept:
         end = start + len(frames)
-        utterance = frames.utterance
-        boundaries = np.flatnonzero(utterance[1:] != utterance[:-1]).tolist() + [len(frames) - 1]
-        result.append((Stream(sounds, ids[start:end], codes[start:end]), boundaries))
+        result.append(Stream(sounds, ids[start:end], codes[start:end], frames.utterance))
         start = end
     return result
 
@@ -222,44 +225,45 @@ def make_target(stream, layout):
     return means[-1, 0], heard[-1, 0]
 
 
-def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank_width=4):
-    """Two-pass scheme: fix each speaker's full-profile target, then step
-    through all speakers' speech side by side, one row each. Time step t
-    presents every speaker's t-th frame and updates the shared weights
-    once, by the speakers' summed gradients; a speaker whose stream has
-    ended is masked out (no loss or gradient). Every sweep each speaker
-    draws its own utterance (word) order from the one rng, in speaker
-    order, so the completion behaviour does not bind to one arrival order;
-    frames inside an utterance stay in temporal order. Returns (svcnet,
-    metrics)."""
-    _check_mode(mode)
+def train_svcnet(corpus, encoders, layout, config):
+    """The completion net of the config's svc_* keys, trained in its
+    accumulation_mode. Two-pass scheme: fix each speaker's full-profile
+    target, then step through all speakers' speech side by side, one row
+    each. Time step t presents every speaker's t-th frame and updates the
+    shared weights once, by the speakers' summed gradients; a speaker
+    whose stream has ended is masked out (no loss or gradient). Every
+    sweep each speaker draws its own utterance (word) order from the one
+    rng, in speaker order, so the completion behaviour does not bind to
+    one arrival order; frames inside an utterance stay in temporal order.
+    Returns (svcnet, metrics)."""
     if len(corpus) == 0 or not corpus.speakers:
         raise DataError("empty corpus")
-    svcnet = build_svcnet(layout, svc_dim, flank_width, config.seed)
+    svcnet = build_svcnet(layout, config.svc_dim, config.svc_flank, config.svc_seed)
     coded = speaker_streams([corpus.frames_of_speaker(s) for s in corpus.speakers], encoders)
-    targets, masks = map(np.array, zip(*(make_target(stream, layout) for stream, _ in coded)))
-    utterances = [np.split(np.arange(len(stream)), [b + 1 for b in ends[:-1]])
-                  for stream, ends in coded]
-    lengths = np.array([len(stream) for stream, _ in coded])
+    targets, masks = map(np.array, zip(*(make_target(stream, layout) for stream in coded)))
+    utterances = [np.split(np.arange(len(stream)), [b + 1 for b in stream.word_ends()[:-1]])
+                  for stream in coded]
+    lengths = np.array([len(stream) for stream in coded])
     n_steps, n_frames, n_rows = int(lengths.max()), int(lengths.sum()), len(coded)
     live = np.arange(n_steps)[:, None] < lengths  # (T, S); a step's (S, 1) rows, or None: all
     active = [None if rows.all() else rows[:, None] for rows in live]
-    rng = np.random.default_rng(config.seed)
-    step = Step([svcnet.net], n_rows, config.learning_rate)
+    rng = np.random.default_rng(config.svc_seed)
+    step = Step([svcnet.net], n_rows, config.svc_learning_rate)
     x = np.empty((n_rows, layout.width))  # heard means over the last outputs, or over zeros
     epoch_loss = []
-    for epoch in range(config.epochs):
+    for epoch in range(config.svc_epochs):
         streams = []
-        for (stream, _), utts in zip(coded, utterances):
+        for stream, utts in zip(coded, utterances):
             order = np.concatenate([utts[i] for i in rng.permutation(len(utts))])
-            streams.append(Stream(stream.sounds, stream.sound[order], stream.codes[order]))
+            streams.append(Stream(stream.sounds, stream.sound[order], stream.codes[order],
+                                  stream.utterance[order]))
         means, heard = _running_means(layout, streams)
         x.fill(0.0)
         sweep_loss = 0.0
         for t in range(n_steps):
             np.copyto(x, means[t], where=heard[t])  # heard slots only grow
             resid = step(x, targets, masks, active[t]).reshape(-1)
-            if mode == FEEDBACK:
+            if config.accumulation_mode == FEEDBACK:
                 x[...] = step.outputs
             sweep_loss += 0.5 * float(resid @ resid)
         epoch_loss.append(sweep_loss / n_frames)
@@ -267,7 +271,7 @@ def train_svcnet(corpus, encoders, layout, svc_dim, config, mode=FEEDBACK, flank
             raise DataError(
                 f"svc training diverged at epoch {epoch}: mean masked loss {epoch_loss[-1]}"
             )
-    metrics = {"epoch_loss": epoch_loss, "presentations": config.epochs * n_frames}
+    metrics = {"epoch_loss": epoch_loss, "presentations": config.svc_epochs * n_frames}
     return svcnet, metrics
 
 

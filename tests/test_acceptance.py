@@ -7,6 +7,7 @@ criterion, printing one pass/fail line each (visible with pytest -s/-v).
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import svcnet.svc as svc_mod
 from svcnet import pipeline, quality
 from svcnet.config import RunConfig
 from svcnet.corpus import load_latents
-from svcnet.nets import TrainConfig, gradient_check_battery, init_network
+from svcnet.nets import gradient_check_battery, init_network
 from svcnet.ppc import encoder_spec, reconstruction_mse, sound_inventory
 from svcnet.svc import Accumulator, SoundLayout, train_svcnet
 
@@ -88,12 +89,9 @@ def test_criterion_02_masked_target_independence(run, monkeypatch):
     layout = SoundLayout.from_sounds(encoders.keys(), config.ppc_dim)
     dropped = layout.sounds[0]
     gapped = train.rows(train.sound != train.sounds.index(dropped))
-    cfg = TrainConfig(config.svc_learning_rate, 3, config.svc_seed)
+    cfg = replace(config, svc_epochs=3)
 
-    net_a, _ = train_svcnet(
-        gapped, encoders, layout, config.svc_dim, cfg,
-        mode=config.accumulation_mode, flank_width=config.svc_flank,
-    )
+    net_a, _ = train_svcnet(gapped, encoders, layout, cfg)
     original = svc_mod.make_target
 
     def corrupted(stream, lay):
@@ -103,10 +101,7 @@ def test_criterion_02_masked_target_independence(run, monkeypatch):
         return target, mask
 
     monkeypatch.setattr(svc_mod, "make_target", corrupted)
-    net_b, _ = train_svcnet(
-        gapped, encoders, layout, config.svc_dim, cfg,
-        mode=config.accumulation_mode, flank_width=config.svc_flank,
-    )
+    net_b, _ = train_svcnet(gapped, encoders, layout, cfg)
     identical = all(
         np.array_equal(a, b)
         for a, b in zip(

@@ -49,23 +49,23 @@ def test_corpus_calls_of_the_benchmark():
     sound counts keyed by SoundId, and the frames_of_speaker hook."""
     from svcnet import pipeline
     from svcnet.config import RunConfig
-    from svcnet.corpus import CorpusSpec, SoundId, generate_corpus, split_corpus
-    from svcnet.nets import TrainConfig
+    from svcnet.corpus import SoundId, generate_corpus, split_corpus
     from svcnet.ppc import train_all_encoders
     from svcnet.svc import SoundLayout, build_svcnet
 
-    spec = CorpusSpec(n_speakers=5, n_words=3, phones_per_word=2, states_per_phone=2,
-                      frames_per_state=2, seed=3, feature_dim=5)
-    corpus, _ = generate_corpus(spec)
+    config = RunConfig(n_speakers=5, n_words=3, phones_per_word=2, states_per_phone=2,
+                       frames_per_state=2, corpus_seed=3, feature_dim=5, ppc_dim=2,
+                       ppc_learning_rate=0.05, ppc_epochs=1, ppc_seed=0)
+    corpus, _ = generate_corpus(config)
     train, test = split_corpus(corpus, 0.6, seed=1)
-    per_speaker = spec.n_words * spec.phones_per_word * spec.states_per_phone * 2
+    per_speaker = config.n_words * config.phones_per_word * config.states_per_phone * 2
     assert len(test.frames) == len(test.speakers) * per_speaker
-    assert len(test.by_utterance()) == len(test.speakers) * spec.n_words
+    assert len(test.by_utterance()) == len(test.speakers) * config.n_words
 
     counts = train.sound_counts()
     assert all(isinstance(sound, SoundId) for sound in counts)
     assert sum(counts.values()) == len(train.frames)
-    encoders, _ = train_all_encoders(train, 2, TrainConfig(0.05, 1, 0))
+    encoders, _ = train_all_encoders(train, config)
     assert sum(counts[s] for s in encoders) == len(train.frames)
 
     svcnet = build_svcnet(SoundLayout.from_sounds(encoders, 2), 1, 0, seed=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -100,6 +101,21 @@ class TestGen:
         assert code == 2
         assert blocker.read_text() == "not a directory"
         assert not (tmp_path / "blocked" / "run").exists()
+
+    @pytest.mark.parametrize("key", ["noise_std", "speaker_effect_scale"])
+    def test_overflowing_features_leave_no_corpus(self, tmp_path, capsys, recwarn, key):
+        """A finite scale whose features overflow to infinity is refused
+        before anything is written, with exit 2, one line naming both
+        scales and no numpy warning."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), key: 1e308}))
+        assert run_cli("gen", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.search("features are not finite: noise_std .* speaker_effect_scale .* too large",
+                         err)
+        assert not recwarn.list
+        assert not (tmp_path / "run").exists()
 
     def test_bad_config_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -759,6 +775,8 @@ class TestConfigRanges:
         "key, value, verb",
         [("train_fraction", float("nan"), "train --stage ppc"),
          ("train_fraction", 0.0, "train --stage ppc"),
+         ("train_fraction", 1.0, "train --stage ppc"),
+         ("train_fraction", 1e308, "gen"),
          ("speaker_effect_scale", -1.0, "gen"),
          ("speaker_effect_scale", float("inf"), "gen"),
          ("noise_std", float("inf"), "gen"),
@@ -767,8 +785,8 @@ class TestConfigRanges:
     )
     def test_float_out_of_range_or_non_finite(self, tmp_path, capsys, key, value, verb):
         """JSON's NaN and Infinity literals and integers beyond any float
-        parse; every float key refuses them, and the fraction and the
-        effect scale are range-checked."""
+        parse; every float key refuses them, the fraction must lie in
+        (0, 1) and the effect scale is range-checked."""
         path = tmp_path / "float.json"
         path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), key: value}))
         assert run_cli(*verb.split(), "--config", str(path)) == 2
@@ -799,6 +817,13 @@ class TestConfigRanges:
                            corpus_seed=0, n_speakers=1, ppc_dim=1)
         config.rebase_seeds(0)
         assert config.seeds()["corpus"] == 0
+
+
+def test_default_config_file_is_run_config_defaults():
+    """scripts/default_config.json documents RunConfig's defaults."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "default_config.json")
+    with open(path) as f:
+        assert json.load(f) == dataclasses.asdict(RunConfig())
 
 
 def drop_training_frames_of(config, phone, state, keep):

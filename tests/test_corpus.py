@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svcnet.config import RunConfig
 from svcnet.corpus import (
     Corpus,
-    CorpusSpec,
     SoundId,
     generate_corpus,
     load_corpus,
@@ -41,7 +41,7 @@ def labels(corpus):
     ]
 
 
-def small_spec(**kw):
+def small_config(**kw):
     defaults = dict(
         n_speakers=4,
         n_words=4,
@@ -49,43 +49,33 @@ def small_spec(**kw):
         states_per_phone=2,
         frames_per_state=2,
         noise_std=0.05,
-        seed=1,
+        corpus_seed=1,
         feature_dim=5,
         latent_dim=2,
     )
     defaults.update(kw)
-    return CorpusSpec(**defaults)
-
-
-class TestSpec:
-    def test_rejects_zero_counts(self):
-        with pytest.raises(StructuralError):
-            small_spec(n_speakers=0)
-
-    def test_rejects_negative_noise(self):
-        with pytest.raises(StructuralError):
-            small_spec(noise_std=-0.1)
+    return RunConfig(**defaults)
 
 
 class TestWordPhones:
     def test_default_scale_sets_distinct(self):
-        spec = CorpusSpec()
-        sets = [frozenset(word_phones(spec, k)) for k in range(spec.n_words)]
-        assert len(set(sets)) == spec.n_words
+        config = RunConfig(corpus_seed=0)
+        sets = [frozenset(word_phones(config, k)) for k in range(config.n_words)]
+        assert len(set(sets)) == config.n_words
 
     def test_early_words_cover_inventory(self):
-        spec = CorpusSpec()
+        config = RunConfig(corpus_seed=0)
         covered = set()
-        blocks = spec.n_words // spec.phones_per_word
+        blocks = config.n_words // config.phones_per_word
         for k in range(blocks):
-            covered.update(word_phones(spec, k))
-        assert len(covered) == spec.n_words
+            covered.update(word_phones(config, k))
+        assert len(covered) == config.n_words
 
 
 class TestGenerate:
     def test_deterministic(self):
-        c1, l1 = generate_corpus(small_spec())
-        c2, l2 = generate_corpus(small_spec())
+        c1, l1 = generate_corpus(small_config())
+        c2, l2 = generate_corpus(small_config())
         assert len(c1.frames) == len(c2.frames)
         assert np.array_equal(c1.frames, c2.frames)
         assert labels(c1) == labels(c2)
@@ -93,19 +83,19 @@ class TestGenerate:
             assert np.array_equal(l1[s], l2[s])
 
     def test_frame_count(self):
-        spec = small_spec()
-        corpus, _ = generate_corpus(spec)
+        config = small_config()
+        corpus, _ = generate_corpus(config)
         expected = (
-            spec.n_speakers
-            * spec.n_words
-            * spec.phones_per_word
-            * spec.states_per_phone
-            * spec.frames_per_state
+            config.n_speakers
+            * config.n_words
+            * config.phones_per_word
+            * config.states_per_phone
+            * config.frames_per_state
         )
         assert len(corpus.frames) == expected
 
     def test_zero_noise_repeats_frames(self):
-        corpus, _ = generate_corpus(small_spec(noise_std=0.0))
+        corpus, _ = generate_corpus(small_config(noise_std=0.0))
         by_key = {}
         for speaker, sound, features in zip(corpus.speaker, corpus.sound, corpus.frames):
             by_key.setdefault((speaker, sound), []).append(features)
@@ -114,11 +104,11 @@ class TestGenerate:
                 assert np.array_equal(v, feats[0])
 
     def test_finite_features(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         assert np.all(np.isfinite(corpus.frames))
 
     def test_distinct_latents_distinct_frames_noiseless(self):
-        corpus, latents = generate_corpus(small_spec(noise_std=0.0))
+        corpus, latents = generate_corpus(small_config(noise_std=0.0))
         s0, s1 = corpus.frames_of_speaker(corpus.speakers[0]), corpus.frames_of_speaker(
             corpus.speakers[1]
         )
@@ -128,7 +118,7 @@ class TestGenerate:
 
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
-        corpus, latents = generate_corpus(small_spec())
+        corpus, latents = generate_corpus(small_config())
         path = tmp_path / "corpus.csv"
         save_corpus(corpus, path)
         loaded = load_corpus(path)
@@ -140,7 +130,7 @@ class TestRoundTrip:
         assert labels(loaded) == labels(corpus)
 
     def test_latents_round_trip(self, tmp_path):
-        _, latents = generate_corpus(small_spec())
+        _, latents = generate_corpus(small_config())
         path = tmp_path / "latents.csv"
         save_latents(latents, path)
         loaded = load_latents(path)
@@ -149,7 +139,7 @@ class TestRoundTrip:
             assert np.array_equal(loaded[s], latents[s])
 
     def test_malformed_line_names_line_number(self, tmp_path):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         path = tmp_path / "corpus.csv"
         save_corpus(corpus, path)
         lines = path.read_text().splitlines()
@@ -164,7 +154,7 @@ class TestRoundTrip:
         assert str(exc.value).startswith(f"{path}: line 4: ")
 
     def test_non_finite_feature_names_first_bad_line(self, tmp_path):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         path = tmp_path / "corpus.csv"
         save_corpus(corpus, path)
         lines = path.read_text().splitlines()
@@ -179,7 +169,7 @@ class TestRoundTrip:
         assert str(exc.value) == f"{path}: line 6: non-finite feature value"
 
     def test_bad_header_names_file(self, tmp_path):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         path = tmp_path / "corpus.csv"
         save_corpus(corpus, path)
         path.write_text(path.read_text().replace('"feature_dim"', '"feature_dims"', 1))
@@ -189,7 +179,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("bad", ["w 1", "w,1", "w\t1", "w\n1"])
     @pytest.mark.parametrize("kind", ["speakers", "words", "phones"])
     def test_name_with_comma_or_whitespace_is_refused(self, tmp_path, kind, bad):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         names = getattr(corpus, kind)
         path = tmp_path / "corpus.csv"
         setattr(corpus, kind, (bad,) + names[1:])
@@ -226,7 +216,7 @@ def rewrite_rows(path, edit):
 
 
 def saved(tmp_path, **kw):
-    corpus, _ = generate_corpus(small_spec(**kw))
+    corpus, _ = generate_corpus(small_config(**kw))
     path = tmp_path / "corpus.csv"
     save_corpus(corpus, path)
     return corpus, path
@@ -234,7 +224,7 @@ def saved(tmp_path, **kw):
 
 class TestColumns:
     def test_rows_in_canonical_order(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         keys = [(s, corpus.utterances[u], i)
                 for s, u, i in zip(corpus.speaker, corpus.utterance, corpus.index)]
         assert keys == sorted(keys)
@@ -243,13 +233,13 @@ class TestColumns:
         assert corpus.frames.shape == (len(corpus), corpus.feature_dim)
 
     def test_frames_are_read_only(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         for array in (corpus.frames, corpus.speaker, corpus.frames_of_speaker("s01").frames):
             with pytest.raises(ValueError):
                 array[0] = 0
 
     def test_speaker_and_utterance_are_slices(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         for k, speaker in enumerate(corpus.speakers):
             rows = corpus.frames_of_speaker(speaker)
             assert np.shares_memory(rows.frames, corpus.frames)
@@ -264,7 +254,7 @@ class TestColumns:
             assert rows.index.tolist() == sorted(rows.index.tolist())
 
     def test_sound_counts(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         brute = {}
         for k in corpus.sound:
             brute[corpus.sounds[k]] = brute.get(corpus.sounds[k], 0) + 1
@@ -272,7 +262,7 @@ class TestColumns:
         assert set(corpus.frames_of_speaker("s00").sound_counts()) <= set(brute)
 
     def test_restricted_renumbers_speakers(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         sub = corpus.restricted_to_speakers(["s03", "s01"])
         assert sub.speakers == ("s01", "s03")
         assert labels(sub) == [row for row in labels(corpus) if row[0] in sub.speakers]
@@ -280,7 +270,7 @@ class TestColumns:
                               corpus.frames_of_speaker("s03").frames)
 
     def test_rows_keeps_order(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         mask = corpus.word == 1
         assert labels(corpus.rows(mask)) == [r for r, m in zip(labels(corpus), mask) if m]
         assert labels(corpus.rows(slice(3, 9))) == labels(corpus)[3:9]
@@ -289,7 +279,7 @@ class TestColumns:
                 corpus.rows(which)
 
     def test_constructor_sorts_rows(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         order = np.random.default_rng(3).permutation(len(corpus))
         names = dict(speakers=corpus.speakers, utterances=corpus.utterances[::-1],
                      words=corpus.words, phones=corpus.phones, sounds=corpus.sounds,
@@ -327,7 +317,7 @@ class TestParse:
     def test_features_round_trip_bit_for_bit(self, tmp_path_factory, data):
         """The one-pass parse reads every value save_corpus writes as
         float() does, subnormals, extremes and signed zero included."""
-        corpus, _ = generate_corpus(small_spec(n_speakers=2, n_words=2))
+        corpus, _ = generate_corpus(small_config(n_speakers=2, n_words=2))
         special = st.sampled_from([
             0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
             1.7976931348623157e308, -1.7976931348623157e308, 1e-310, 1.0, -1.0,
@@ -470,24 +460,24 @@ class TestLatents:
 
 class TestSplit:
     def test_half_split_counts(self):
-        corpus, _ = generate_corpus(small_spec(n_speakers=20))
+        corpus, _ = generate_corpus(small_config(n_speakers=20))
         train, test = split_corpus(corpus, 0.5, seed=3)
         assert len(train.speakers) == 10 and len(test.speakers) == 10
 
     def test_disjoint_and_union(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         train, test = split_corpus(corpus, 0.5, seed=3)
         assert not set(train.speakers) & set(test.speakers)
         ids = lambda c: {(c.utterances[u], i) for u, i in zip(c.utterance, c.index)}
         assert ids(train) | ids(test) == ids(corpus)
 
     def test_needs_two_speakers(self):
-        corpus, _ = generate_corpus(small_spec(n_speakers=1, n_words=2))
+        corpus, _ = generate_corpus(small_config(n_speakers=1, n_words=2))
         with pytest.raises(DataError):
             split_corpus(corpus, 0.5, seed=0)
 
     def test_deterministic(self):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_config())
         a1, b1 = split_corpus(corpus, 0.5, seed=9)
         a2, b2 = split_corpus(corpus, 0.5, seed=9)
         assert a1.speakers == a2.speakers and b1.speakers == b2.speakers

@@ -3,16 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svcnet.corpus import CorpusSpec, SoundId, generate_corpus, load_corpus, save_corpus
+from svcnet.config import RunConfig
+from svcnet.corpus import SoundId, generate_corpus, load_corpus, save_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.fileio import read_arrays, str_list, write_arrays
 from svcnet.nets import LayerSpec, init_network, load_model, save_model
-from svcnet.recognizer import (
-    RecognizerConfig,
-    init_recognizer,
-    load_recognizer,
-    save_recognizer,
-)
+from svcnet.recognizer import init_recognizer, load_recognizer, save_recognizer
 from svcnet.svc import SoundLayout, build_svcnet, load_svcnet, save_svcnet
 
 
@@ -68,8 +64,7 @@ class TestArrays:
         assert not path.exists()
 
     def test_recognizer_word_with_space_is_refused_at_save(self, tmp_path):
-        config = RecognizerConfig(acoustic_units=2, state_units=2, window=1, seed=3)
-        net = init_recognizer(("a b", "c,d"), 2, 1, config)
+        net = init_recognizer(("a b", "c,d"), 2, TINY_RECOGNIZER)
         with pytest.raises(DataError, match="'a b'"):
             save_recognizer(net, tmp_path / "recognizer.txt")
         assert not (tmp_path / "recognizer.txt").exists()
@@ -90,17 +85,20 @@ def tiny_completion_net():
     return build_svcnet(SoundLayout(sounds, 2), 1, 2, seed=2)
 
 
+TINY_RECOGNIZER = RunConfig(svc_dim=1, rec_acoustic_units=2, rec_state_units=2, rec_window=1,
+                            rec_seed=3)
+
+
 def tiny_recognizer():
-    config = RecognizerConfig(acoustic_units=2, state_units=2, window=1, seed=3)
-    return init_recognizer(("w0", "w1"), 2, 1, config)
+    return init_recognizer(("w0", "w1"), 2, TINY_RECOGNIZER)
 
 
 def tiny_corpus():
-    spec = CorpusSpec(
+    config = RunConfig(
         n_speakers=2, n_words=2, phones_per_word=1, states_per_phone=1,
-        frames_per_state=1, feature_dim=2, seed=4,
+        frames_per_state=1, feature_dim=2, corpus_seed=4,
     )
-    return generate_corpus(spec)[0]
+    return generate_corpus(config)[0]
 
 
 KINDS = {  # kind: (make, save, load)

@@ -9,7 +9,6 @@ from svcnet.nets import (
     LayerSpec,
     NetworkParams,
     RowForward,
-    TrainConfig,
     backward,
     forward,
     forward_rows,
@@ -567,13 +566,3 @@ class TestSerialization:
         path.write_text("not a model\n")
         with pytest.raises(StructuralError):
             load_model(path)
-
-
-class TestTrainConfig:
-    def test_rejects_bad_lr(self):
-        with pytest.raises(StructuralError):
-            TrainConfig(learning_rate=0.0)
-
-    def test_rejects_negative_epochs(self):
-        with pytest.raises(StructuralError):
-            TrainConfig(epochs=-1)

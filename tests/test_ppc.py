@@ -5,11 +5,9 @@ import pytest
 
 from svcnet import pipeline
 from svcnet.config import RunConfig
-from svcnet.corpus import LABELS, CorpusSpec, SoundId, generate_corpus
+from svcnet.corpus import LABELS, SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
-from svcnet.nets import (
-    TrainConfig, forward, grads_from_activations, init_network, load_model, sgd_step
-)
+from svcnet.nets import forward, grads_from_activations, init_network, load_model, sgd_step
 from svcnet.ppc import (
     EncoderBank,
     codable_frames,
@@ -26,6 +24,11 @@ from svcnet.svc import SoundLayout, Stream, make_target, speaker_streams
 SOUND = SoundId("p00", 0)
 
 
+def ppc_config(learning_rate, epochs, seed, code_dim=2):
+    return RunConfig(ppc_dim=code_dim, ppc_learning_rate=learning_rate, ppc_epochs=epochs,
+                     ppc_seed=seed)
+
+
 class TestEncoderSpec:
     def test_bottleneck_must_be_narrower(self):
         with pytest.raises(StructuralError):
@@ -36,8 +39,8 @@ class TestTrainEncoder:
     def test_zero_epochs_is_init(self):
         rng = np.random.default_rng(0)
         frames = [rng.normal(size=5) for _ in range(3)]
-        cfg = TrainConfig(0.1, 0, seed=17)
-        enc, curve = train_ppc_encoder(SOUND, frames, 2, cfg)
+        cfg = ppc_config(0.1, 0, seed=17)
+        enc, curve = train_ppc_encoder(SOUND, frames, cfg)
         ref = init_network(encoder_spec(5, 2), seed=17)
         for a, b in zip(enc.weights + enc.biases, ref.weights + ref.biases):
             assert np.array_equal(a, b)
@@ -45,19 +48,19 @@ class TestTrainEncoder:
 
     def test_empty_frames(self):
         with pytest.raises(DataError):
-            train_ppc_encoder(SOUND, [], 2, TrainConfig(0.1, 1, 0))
+            train_ppc_encoder(SOUND, [], ppc_config(0.1, 1, 0))
 
     def test_single_repeated_frame_converges(self):
         frame = np.array([0.3, -0.6, 1.1, 0.0])
         frames = [frame] * 50
-        enc, _ = train_ppc_encoder(SOUND, frames, 2, TrainConfig(0.05, 500, 1))
+        enc, _ = train_ppc_encoder(SOUND, frames, ppc_config(0.05, 500, 1))
         assert reconstruction_mse(enc, frames) < 1e-3
 
     def test_separated_clusters_get_distinct_codes(self):
         rng = np.random.default_rng(2)
         a = [np.array([2.0, 2.0, 2.0, 2.0]) + 0.05 * rng.normal(size=4) for _ in range(30)]
         b = [np.array([-2.0, -2.0, -2.0, -2.0]) + 0.05 * rng.normal(size=4) for _ in range(30)]
-        enc, _ = train_ppc_encoder(SOUND, a + b, 2, TrainConfig(0.05, 300, 2))
+        enc, _ = train_ppc_encoder(SOUND, a + b, ppc_config(0.05, 300, 2))
         code_a = np.mean([encode_frame(enc, f) for f in a], axis=0)
         code_b = np.mean([encode_frame(enc, f) for f in b], axis=0)
         assert np.abs(code_a - code_b).max() > 0.2
@@ -65,7 +68,7 @@ class TestTrainEncoder:
     def test_mse_never_worse_than_init(self):
         rng = np.random.default_rng(3)
         frames = [rng.normal(size=4) for _ in range(20)]
-        enc, _ = train_ppc_encoder(SOUND, frames, 2, TrainConfig(0.02, 100, 3))
+        enc, _ = train_ppc_encoder(SOUND, frames, ppc_config(0.02, 100, 3))
         init = init_network(encoder_spec(4, 2), seed=3)
         assert reconstruction_mse(enc, frames) <= reconstruction_mse(init, frames)
 
@@ -74,7 +77,7 @@ class TestEncodeFrame:
     def _encoder(self):
         rng = np.random.default_rng(4)
         frames = [rng.normal(size=4) for _ in range(10)]
-        enc, _ = train_ppc_encoder(SOUND, frames, 2, TrainConfig(0.05, 20, 4))
+        enc, _ = train_ppc_encoder(SOUND, frames, ppc_config(0.05, 20, 4))
         return enc, frames
 
     def test_deterministic_and_dimension(self):
@@ -100,7 +103,8 @@ def average_ppcs(codes):
     """The mean of one sound's codes, as its profile slot holds it
     (svc.make_target of a stream that presents only that sound)."""
     layout = SoundLayout((SOUND,), len(codes[0]))
-    stream = Stream((SOUND,), np.zeros(len(codes), dtype=int), np.array(codes))
+    one = np.zeros(len(codes), dtype=int)
+    stream = Stream((SOUND,), one, np.array(codes), one)
     target, mask = make_target(stream, layout)
     assert mask.all()
     return target
@@ -123,11 +127,11 @@ class TestAveragePpcs:
 
 
 def tiny_corpus():
-    spec = CorpusSpec(
+    config = RunConfig(
         n_speakers=3, n_words=3, phones_per_word=2, states_per_phone=2,
-        frames_per_state=2, noise_std=0.05, seed=7, feature_dim=5, latent_dim=2,
+        frames_per_state=2, noise_std=0.05, corpus_seed=7, feature_dim=5, latent_dim=2,
     )
-    return generate_corpus(spec)[0]
+    return generate_corpus(config)[0]
 
 
 def rows_of(corpus, sound):
@@ -139,7 +143,7 @@ def coded_ids(corpus, encoders):
 
 
 def tiny_encoders(corpus):
-    encoders, _ = train_all_encoders(corpus, 2, TrainConfig(0.05, 5, 0))
+    encoders, _ = train_all_encoders(corpus, ppc_config(0.05, 5, 0))
     return encoders
 
 
@@ -155,20 +159,20 @@ class TestTrainAllEncoders:
         sounds = sound_inventory(corpus)
         counts = corpus.sound_counts()
         assert len({counts[s] for s in sounds}) > 1  # several lockstep groups
-        cfg = TrainConfig(0.05, 3, seed=9)
-        encoders, curves = train_all_encoders(corpus, code_dim, cfg)
+        cfg = ppc_config(0.05, 3, seed=9, code_dim=code_dim)
+        encoders, curves = train_all_encoders(corpus, cfg)
         assert list(encoders) == sounds and list(curves) == sounds
         for i, sound in enumerate(sounds):
             frames = list(corpus.frames[corpus.sound == corpus.sounds.index(sound)])
-            net = init_network(encoder_spec(corpus.feature_dim, code_dim), cfg.seed + i)
-            rng = np.random.default_rng(cfg.seed + i)
+            net = init_network(encoder_spec(corpus.feature_dim, code_dim), cfg.ppc_seed + i)
+            rng = np.random.default_rng(cfg.ppc_seed + i)
             mask = np.ones(corpus.feature_dim, dtype=bool)
             curve = []
-            for _ in range(cfg.epochs):
+            for _ in range(cfg.ppc_epochs):
                 for j in rng.permutation(len(frames)):
                     acts = forward(net, frames[j])
                     grads = grads_from_activations(net, acts, frames[j], mask)
-                    sgd_step(net, grads, cfg.learning_rate)
+                    sgd_step(net, grads, cfg.ppc_learning_rate)
                 curve.append(reconstruction_mse(net, frames))
             assert curves[sound] == curve
             trained = encoders[sound]
@@ -178,7 +182,7 @@ class TestTrainAllEncoders:
     def test_diverging_encoder_raises(self):
         with np.errstate(all="ignore"):
             with pytest.raises(DataError, match="ppc training diverged at epoch"):
-                train_all_encoders(tiny_corpus(), 2, TrainConfig(1e3, 5, 0))
+                train_all_encoders(tiny_corpus(), ppc_config(1e3, 5, 0))
 
 
 class TestEncodeFrames:
@@ -287,7 +291,7 @@ def profile(frames, encoders):
     """A speaker's profile: the per-sound mean of the codes of its
     frames (svc.make_target of its coded stream), keyed by sound."""
     layout = SoundLayout.from_sounds(encoders, 2)
-    stream, _ = speaker_streams([frames], encoders)[0]
+    stream = speaker_streams([frames], encoders)[0]
     target, mask = make_target(stream, layout)
     return {s: target[layout.slot_slice(s)] for s in layout.sounds if mask[layout.slot(s)]}
 
@@ -340,7 +344,7 @@ class TestSpeakerProfile:
         corpus = tiny_corpus()
         encoders = tiny_encoders(corpus)
         frames = corpus.rows(slice(0, 2))
-        stream, _ = speaker_streams([frames], encoders)[0]
+        stream = speaker_streams([frames], encoders)[0]
         layout = SoundLayout.from_sounds(set(encoders) - {frames.sounds[frames.sound[0]]}, 2)
         with pytest.raises(StructuralError):
             make_target(stream, layout)

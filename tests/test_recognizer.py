@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from svcnet.corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
+from svcnet.config import RunConfig
+from svcnet.corpus import generate_corpus, load_corpus, save_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.nets import Step, flat_views, forward
 from svcnet.recognizer import (
@@ -12,7 +13,6 @@ from svcnet.recognizer import (
     SVC_HIDDEN_WIDTH,
     SPEAKERS_PER_BLOCK,
     AvailabilityFlags,
-    RecognizerConfig,
     ablation_eval,
     compute_average_svc,
     flag_grid,
@@ -33,16 +33,16 @@ WORDS = ("w00", "w01", "w02")
 
 
 def small_config(**kw):
-    defaults = dict(acoustic_units=6, state_units=5, window=0,
-                    learning_rate=0.2, epochs=10, seed=3)
+    defaults = dict(svc_dim=2, rec_acoustic_units=6, rec_state_units=5, rec_window=0,
+                    rec_learning_rate=0.2, rec_epochs=10, rec_seed=3)
     defaults.update(kw)
-    return RecognizerConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 class TestStructure:
     def test_parameter_count_formula(self):
         cfg = small_config()
-        net = init_recognizer(WORDS, feature_dim=4, svc_dim=2, config=cfg)
+        net = init_recognizer(WORDS, feature_dim=4, config=cfg)
         a, s, o, f, d, h = 6, 5, 3, 4, 2, SVC_HIDDEN_WIDTH
         expected = (
             h * d + h            # side path
@@ -53,7 +53,7 @@ class TestStructure:
         assert sum(p.size for p in net.param_arrays()) == expected
 
     def test_injection_matrices_are_dense_two_wide(self):
-        net = init_recognizer(WORDS, 4, 2, small_config())
+        net = init_recognizer(WORDS, 4, small_config())
         u_acoustic, u_state, u_word = net.net.injections
         assert u_acoustic.shape == (6, 2)
         assert u_state.shape == (5, 2)
@@ -64,7 +64,7 @@ class TestStructure:
         """The recognizer's per-frame reference, with one code at every
         level, is nets.forward of its net, bit for bit."""
         rng = np.random.default_rng(6 + window)
-        net = init_recognizer(WORDS, 4, 2, small_config(window=window))
+        net = init_recognizer(WORDS, 4, small_config(rec_window=window))
         for p in net.param_arrays():
             p[...] = rng.normal(0, 1, p.shape)
         for _ in range(5):
@@ -88,7 +88,7 @@ class TestGradients:
         # the allocating np.outer formulation, in nets.Step's association
         # order: each derivative f'(a) = (1 - a) * a is formed first
         rng = np.random.default_rng(4)
-        net = init_recognizer(WORDS, 4, 2, small_config(seed=2))
+        net = init_recognizer(WORDS, 4, small_config(rec_seed=2))
         (w_svc, b_svc, w_acoustic, b_acoustic, u_acoustic, w_state, b_state, u_state,
          w_word, b_word, u_word) = net.param_arrays()
         for _ in range(10):
@@ -119,7 +119,7 @@ class TestGradients:
         frames' terms in the BLAS kernel's order, so the two agree to
         rounding, not bit for bit."""
         rng = np.random.default_rng(7)
-        net = init_recognizer(WORDS, 4, 2, small_config(seed=7))
+        net = init_recognizer(WORDS, 4, small_config(rec_seed=7))
         for p in net.param_arrays():
             p[...] = rng.normal(0, 1, p.shape)
         rows = (rng.normal(size=(5, 4)), rng.random((5, 2)), np.eye(3)[rng.integers(3, size=5)])
@@ -150,13 +150,13 @@ class TestGradients:
             np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-15)
 
     def test_frame_gradients_leave_the_net_alone(self):
-        net = init_recognizer(WORDS, 4, 2, small_config())
+        net = init_recognizer(WORDS, 4, small_config())
         params = net.param_arrays()
         frame_gradients(net, np.ones(4), np.ones(2), np.array([1.0, 0, 0]))
         assert all(p is q for p, q in zip(net.param_arrays(), params))
 
     def test_loss_is_pre_update(self):
-        net = init_recognizer(WORDS, 4, 2, small_config())
+        net = init_recognizer(WORDS, 4, small_config())
         x, svc, target = np.zeros(4), np.zeros(2), np.array([1.0, 0, 0])
         _, loss = frame_gradients(net, x, svc, target)
         h = svc_hidden(net, svc)
@@ -165,11 +165,11 @@ class TestGradients:
 
 
 def tiny_corpus():
-    spec = CorpusSpec(
+    config = RunConfig(
         n_speakers=4, n_words=4, phones_per_word=2, states_per_phone=2,
-        frames_per_state=2, noise_std=0.02, seed=13, feature_dim=6, latent_dim=2,
+        frames_per_state=2, noise_std=0.02, corpus_seed=13, feature_dim=6, latent_dim=2,
     )
-    return generate_corpus(spec)[0]
+    return generate_corpus(config)[0]
 
 
 def speaker_of(frames):
@@ -189,15 +189,16 @@ class TestTraining:
     def test_deterministic(self):
         corpus = tiny_corpus()
         svcs = tiny_svcs(corpus)
-        n1, _ = train_recognizer(corpus, svcs, small_config(epochs=2))
-        n2, _ = train_recognizer(corpus, svcs, small_config(epochs=2))
+        n1, _ = train_recognizer(corpus, svcs, small_config(rec_epochs=2))
+        n2, _ = train_recognizer(corpus, svcs, small_config(rec_epochs=2))
         for a, b in zip(n1.param_arrays(), n2.param_arrays()):
             assert np.array_equal(a, b)
 
     def test_training_error_reaches_zero_on_separable_words(self):
         corpus = tiny_corpus()
         svcs = tiny_svcs(corpus)
-        cfg = small_config(acoustic_units=12, state_units=8, epochs=60, learning_rate=0.3)
+        cfg = small_config(rec_acoustic_units=12, rec_state_units=8, rec_epochs=60,
+                           rec_learning_rate=0.3)
         net, metrics = train_recognizer(corpus, svcs, cfg)
         avg = compute_average_svc(list(svcs.values()))
         flags = AvailabilityFlags.all_on()
@@ -217,25 +218,25 @@ class TestTraining:
         the same products in the same order, so the parameters are equal
         bit for bit; the epoch loss is summed frame by frame here and batch
         by batch in the step, so the two agree to rounding."""
-        spec = CorpusSpec(
+        config = RunConfig(
             n_speakers=3, n_words=3, phones_per_word=2, states_per_phone=2,
-            frames_per_state=2, noise_std=0.02, seed=13, feature_dim=6, latent_dim=2,
+            frames_per_state=2, noise_std=0.02, corpus_seed=13, feature_dim=6, latent_dim=2,
         )
-        corpus = generate_corpus(spec)[0]
+        corpus = generate_corpus(config)[0]
         assert len(corpus.frames) % BATCH_FRAMES == 8
         svcs = tiny_svcs(corpus)
-        cfg = small_config(epochs=3, window=window)
+        cfg = small_config(rec_epochs=3, rec_window=window)
         net, metrics = train_recognizer(corpus, svcs, cfg)
 
-        ref = init_recognizer(corpus.words, corpus.feature_dim, 2, cfg)
+        ref = init_recognizer(corpus.words, corpus.feature_dim, cfg)
         (w_svc, b_svc, w_acoustic, b_acoustic, u_acoustic, w_state, b_state, u_state,
          w_word, b_word, u_word) = ref.param_arrays()
         inputs = window_frames(corpus.frames, window, corpus.utterance_bounds())
         codes = np.array([svcs[corpus.speakers[k]] for k in corpus.speaker])
         targets = np.eye(len(corpus.words))[corpus.word]
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.rec_seed)
         losses = []
-        for _ in range(cfg.epochs):
+        for _ in range(cfg.rec_epochs):
             order = rng.permutation(len(inputs))
             total = 0.0
             for start in range(0, len(order), BATCH_FRAMES):
@@ -258,7 +259,7 @@ class TestTraining:
                 for d in y - t:
                     total += 0.5 * float(d @ d)
                 for p, g in zip(ref.param_arrays(), grads):
-                    p -= cfg.learning_rate * g
+                    p -= cfg.rec_learning_rate * g
             losses.append(total / len(order))
         assert metrics["epoch_loss"] == pytest.approx(losses, rel=1e-12)
         assert metrics["presentations"] == 3 * 72
@@ -272,7 +273,7 @@ class TestTraining:
         nan_first[0] = np.nan
         corpus.frames = nan_first
         with pytest.raises(DataError, match="recognizer training diverged at epoch 0"):
-            train_recognizer(corpus, tiny_svcs(corpus), small_config(epochs=2))
+            train_recognizer(corpus, tiny_svcs(corpus), small_config(rec_epochs=2))
 
     def test_missing_svc(self):
         corpus = tiny_corpus()
@@ -284,13 +285,13 @@ class TestTraining:
         svcs = tiny_svcs(corpus)
         svcs[corpus.speakers[1]] = np.ones(3)
         with pytest.raises(DataError, match=f"speaker {corpus.speakers[1]}: .* length 2"):
-            train_recognizer(corpus, svcs, small_config(), svc_dim=2)
+            train_recognizer(corpus, svcs, small_config())
 
     def test_codes_of_the_wrong_length(self):
         corpus = tiny_corpus()
         svcs = {s: np.ones(3) for s in corpus.speakers}
         with pytest.raises(DataError, match=f"speaker {corpus.speakers[0]}: .* length 2"):
-            train_recognizer(corpus, svcs, small_config(), svc_dim=2)
+            train_recognizer(corpus, svcs, small_config())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_code(self, bad):
@@ -305,7 +306,7 @@ class TestRecognize:
     def _net(self):
         corpus = tiny_corpus()
         svcs = tiny_svcs(corpus)
-        net, _ = train_recognizer(corpus, svcs, small_config(epochs=3))
+        net, _ = train_recognizer(corpus, svcs, small_config(rec_epochs=3))
         return net, corpus, svcs
 
     def test_substitution_identity(self):
@@ -380,7 +381,7 @@ class TestBatchedRecognizer:
         """All 8 flag settings, utterances of unequal length (one of a
         single frame), random biases: the scores match exactly."""
         rng = np.random.default_rng(window)
-        net = init_recognizer(WORDS, 6, 2, small_config(window=window))
+        net = init_recognizer(WORDS, 6, small_config(rec_window=window))
         for p in net.param_arrays():
             p[...] = rng.normal(0, 1, p.shape)
         utterances = [list(rng.normal(0, 1, (n, 6))) for n in (5, 1, 9, 2)]
@@ -399,7 +400,7 @@ class TestBatchedRecognizer:
         """Per-utterance codes, some repeated and not consecutive: each
         utterance scores as it does alone with its own code, exactly."""
         rng = np.random.default_rng(10 + window)
-        net = init_recognizer(WORDS, 6, 2, small_config(window=window))
+        net = init_recognizer(WORDS, 6, small_config(rec_window=window))
         for p in net.param_arrays():
             p[...] = rng.normal(0, 1, p.shape)
         utterances = [list(rng.normal(0, 1, (n, 6))) for n in (4, 1, 7, 3, 2)]
@@ -415,13 +416,13 @@ class TestBatchedRecognizer:
         assert np.array_equal(same, recognize_utterances(net, utterances, a, grid, avg))
 
     def test_code_count_differs_from_utterances(self):
-        net = init_recognizer(WORDS, 6, 2, small_config())
+        net = init_recognizer(WORDS, 6, small_config())
         with pytest.raises(StructuralError):
             recognize_utterances(net, [[np.zeros(6)]] * 3, np.zeros((2, 2)), flag_grid(),
                                  np.zeros(2))
 
     def test_flag_subset_and_order(self):
-        net = init_recognizer(WORDS, 6, 2, small_config())
+        net = init_recognizer(WORDS, 6, small_config())
         rng = np.random.default_rng(5)
         utterances = [list(rng.normal(0, 1, (3, 6)))]
         svc, avg = rng.random(2), rng.random(2)
@@ -431,14 +432,14 @@ class TestBatchedRecognizer:
             assert np.array_equal(scores[k, 0], reference_scores(net, utterances[0], svc, f, avg))
 
     def test_empty_utterance_in_block(self):
-        net = init_recognizer(WORDS, 6, 2, small_config())
+        net = init_recognizer(WORDS, 6, small_config())
         with pytest.raises(DataError):
             recognize_utterances(
                 net, [[np.zeros(6)], []], np.zeros(2), flag_grid(), np.zeros(2)
             )
 
     def test_wrong_feature_width(self):
-        net = init_recognizer(WORDS, 6, 2, small_config())
+        net = init_recognizer(WORDS, 6, small_config())
         with pytest.raises(StructuralError):
             recognize_utterances(net, [[np.zeros(5)]], np.zeros(2), flag_grid(), np.zeros(2))
 
@@ -447,14 +448,15 @@ class TestAblation:
     def test_eight_rows_canonical_order(self):
         corpus = tiny_corpus()
         svcs = tiny_svcs(corpus)
-        net, _ = train_recognizer(corpus, svcs, small_config(epochs=2))
+        net, _ = train_recognizer(corpus, svcs, small_config(rec_epochs=2))
         rows, _ = ablation_eval(net, corpus, svcs, np.zeros(2))
         assert [f for f, _ in rows] == flag_grid()
 
     def test_zero_error_for_perfect_net(self):
         corpus = tiny_corpus()
         svcs = tiny_svcs(corpus)
-        cfg = small_config(acoustic_units=12, state_units=8, epochs=60, learning_rate=0.3)
+        cfg = small_config(rec_acoustic_units=12, rec_state_units=8, rec_epochs=60,
+                           rec_learning_rate=0.3)
         net, _ = train_recognizer(corpus, svcs, cfg)
         avg = compute_average_svc(list(svcs.values()))
         rows, _ = ablation_eval(net, corpus, svcs, avg)
@@ -465,7 +467,7 @@ class TestAblation:
     def test_rows_match_brute_force_counting(self):
         corpus = tiny_corpus()
         svcs = tiny_svcs(corpus)
-        net, _ = train_recognizer(corpus, svcs, small_config(epochs=2))
+        net, _ = train_recognizer(corpus, svcs, small_config(rec_epochs=2))
         avg = np.array([0.1, 0.9])
         rows, log = ablation_eval(net, corpus, svcs, avg)
         utterances = corpus.by_utterance()
@@ -484,15 +486,15 @@ class TestAblation:
         equal those of recognizing each speaker's utterances alone with
         its code. The random net and codes are ones under which the codes
         change some predictions."""
-        spec = CorpusSpec(
+        config = RunConfig(
             n_speakers=9, n_words=3, phones_per_word=2, states_per_phone=2,
-            frames_per_state=2, noise_std=0.3, seed=5, feature_dim=6, latent_dim=2,
+            frames_per_state=2, noise_std=0.3, corpus_seed=5, feature_dim=6, latent_dim=2,
         )
-        corpus = generate_corpus(spec)[0]
+        corpus = generate_corpus(config)[0]
         assert len(corpus.speakers) % SPEAKERS_PER_BLOCK == 1
         rng = np.random.default_rng(21)
         svcs = {s: rng.normal(0, 3, 2) for s in corpus.speakers}
-        net = init_recognizer(corpus.words, corpus.feature_dim, 2, small_config())
+        net = init_recognizer(corpus.words, corpus.feature_dim, small_config())
         rng = np.random.default_rng(3)
         for p in net.param_arrays():
             p[...] = rng.normal(0, 0.5, p.shape)
@@ -519,7 +521,7 @@ class TestAblation:
         the utterances' row order."""
         corpus = tiny_corpus()
         svcs = tiny_svcs(corpus)
-        net, _ = train_recognizer(corpus, svcs, small_config(epochs=2))
+        net, _ = train_recognizer(corpus, svcs, small_config(rec_epochs=2))
         path = tmp_path / "corpus.csv"
         save_corpus(corpus, path)
         lines = path.read_text().splitlines()
@@ -579,7 +581,7 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         corpus = tiny_corpus()
         svcs = tiny_svcs(corpus)
-        net, _ = train_recognizer(corpus, svcs, small_config(epochs=1))
+        net, _ = train_recognizer(corpus, svcs, small_config(rec_epochs=1))
         path = tmp_path / "rec.txt"
         save_recognizer(net, path)
         loaded = load_recognizer(path)
@@ -590,7 +592,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("window", [0, 2])
     def test_loaded_spec_is_recognizer_spec(self, tmp_path, window):
-        net = init_recognizer(WORDS, 4, 2, small_config(window=window))
+        net = init_recognizer(WORDS, 4, small_config(rec_window=window))
         path = tmp_path / "rec.txt"
         save_recognizer(net, path)
         loaded = load_recognizer(path)
@@ -599,7 +601,7 @@ class TestPersistence:
 
     def test_truncation_is_a_structural_error(self, tmp_path):
         corpus = tiny_corpus()
-        net, _ = train_recognizer(corpus, tiny_svcs(corpus), small_config(epochs=1))
+        net, _ = train_recognizer(corpus, tiny_svcs(corpus), small_config(rec_epochs=1))
         path = tmp_path / "rec.txt"
         save_recognizer(net, path)
         lines = path.read_text().splitlines(keepends=True)

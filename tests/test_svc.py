@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcnet import svc as svc_mod
-from svcnet.corpus import CorpusSpec, SoundId, generate_corpus
+from svcnet.config import RunConfig
+from svcnet.corpus import SoundId, generate_corpus
 from svcnet.errors import DataError, StructuralError
-from svcnet.nets import TrainConfig, forward, grads_from_activations, sgd_step
+from svcnet.nets import forward, grads_from_activations, sgd_step
 from svcnet.ppc import encode_frame, train_all_encoders
 from svcnet.svc import (
     FEEDBACK,
@@ -44,7 +45,8 @@ def pairs(stream):
 
 def part(stream, which):
     """The presentations `which` (a slice or index array) of a Stream."""
-    return Stream(stream.sounds, stream.sound[which], stream.codes[which])
+    return Stream(stream.sounds, stream.sound[which], stream.codes[which],
+                  stream.utterance[which])
 
 
 def with_nan_first_row(frames):
@@ -76,10 +78,11 @@ class TestLayout:
 
 
 def stream_of(presented, sounds=SOUNDS):
-    """A Stream of (SoundId, code) presentations over a sound table."""
+    """A Stream of (SoundId, code) presentations over a sound table, all
+    of one utterance."""
     ids = np.array([sounds.index(sound) for sound, _ in presented], dtype=np.intp)
     codes = np.array([code for _, code in presented], dtype=float).reshape(-1, 2)
-    return Stream(tuple(sounds), ids, codes)
+    return Stream(tuple(sounds), ids, codes, np.zeros_like(ids))
 
 
 def brute_means(presented):
@@ -228,21 +231,23 @@ class TestAccumulator:
 
 
 def tiny_setup(epochs=3, n_speakers=3):
-    spec = CorpusSpec(
+    cfg = RunConfig(
         n_speakers=n_speakers, n_words=3, phones_per_word=2, states_per_phone=2,
-        frames_per_state=2, noise_std=0.05, seed=5, feature_dim=5, latent_dim=2,
+        frames_per_state=2, noise_std=0.05, corpus_seed=5, feature_dim=5, latent_dim=2,
+        ppc_dim=2, ppc_learning_rate=0.05, ppc_epochs=3, ppc_seed=0,
+        svc_dim=2, svc_flank=4, svc_learning_rate=0.05, svc_epochs=epochs, svc_seed=11,
+        accumulation_mode=FEEDBACK,
     )
-    corpus, _ = generate_corpus(spec)
-    encoders, _ = train_all_encoders(corpus, 2, TrainConfig(0.05, 3, 0))
+    corpus, _ = generate_corpus(cfg)
+    encoders, _ = train_all_encoders(corpus, cfg)
     layout = SoundLayout.from_sounds(encoders.keys(), 2)
-    cfg = TrainConfig(0.05, epochs, seed=11)
     return corpus, encoders, layout, cfg
 
 
 class TestTrainSvcnet:
     def test_update_count(self):
         corpus, encoders, layout, cfg = tiny_setup(epochs=2)
-        _, metrics = train_svcnet(corpus, encoders, layout, 2, cfg)
+        _, metrics = train_svcnet(corpus, encoders, layout, cfg)
         assert metrics["presentations"] == 2 * len(corpus.frames)
 
     def test_matches_reference_loop(self):
@@ -257,18 +262,20 @@ class TestTrainSvcnet:
         corpus = corpus.rows((corpus.speaker != 0) | (corpus.word != 0))
         targets, utterances = [], []
         for s in corpus.speakers:
-            stream, ends = speaker_streams([corpus.frames_of_speaker(s)], encoders)[0]
+            stream = speaker_streams([corpus.frames_of_speaker(s)], encoders)[0]
+            ends = stream.word_ends()
             presented = pairs(stream)
             whole = Accumulator(layout, ZERO_FILL)
             target = [whole.observe(*pair) for pair in presented][-1]
             targets.append((target, whole.counts > 0))
             utterances.append([presented[a + 1 : b + 1] for a, b in zip([-1] + ends, ends)])
         for mode in MODES:
-            trained, metrics = train_svcnet(corpus, encoders, layout, 2, cfg, mode=mode)
-            ref = build_svcnet(layout, 2, 4, cfg.seed).net
-            rng = np.random.default_rng(cfg.seed)
+            trained, metrics = train_svcnet(corpus, encoders, layout,
+                                            replace(cfg, accumulation_mode=mode))
+            ref = build_svcnet(layout, 2, 4, cfg.svc_seed).net
+            rng = np.random.default_rng(cfg.svc_seed)
             losses = []
-            for _ in range(cfg.epochs):
+            for _ in range(cfg.svc_epochs):
                 seqs = [sum((utts[i] for i in rng.permutation(len(utts))), [])
                         for utts in utterances]
                 accs = [Accumulator(layout, mode) for _ in seqs]
@@ -284,19 +291,19 @@ class TestTrainSvcnet:
                             gw, gb = grads_from_activations(ref, acts, target, mask)
                             for g, part in zip(total[0] + total[1], gw + gb):
                                 g += part
-                    sgd_step(ref, total, cfg.learning_rate)
+                    sgd_step(ref, total, cfg.svc_learning_rate)
                 losses.append(loss / sum(map(len, seqs)))
 
-            assert metrics["presentations"] == cfg.epochs * len(corpus.frames)
+            assert metrics["presentations"] == cfg.svc_epochs * len(corpus.frames)
             np.testing.assert_allclose(metrics["epoch_loss"], losses, rtol=1e-10)
             for a, b in zip(trained.net.weights + trained.net.biases, ref.weights + ref.biases):
                 np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
 
     def test_convergence_single_speaker(self):
-        corpus, encoders, layout, _ = tiny_setup(n_speakers=2)
+        corpus, encoders, layout, cfg = tiny_setup(n_speakers=2)
         solo = corpus.restricted_to_speakers([corpus.speakers[0]])
-        cfg = TrainConfig(0.05, 150, seed=3)
-        svcnet, metrics = train_svcnet(solo, encoders, layout, 2, cfg, flank_width=6)
+        cfg = replace(cfg, svc_learning_rate=0.05, svc_epochs=150, svc_seed=3, svc_flank=6)
+        svcnet, metrics = train_svcnet(solo, encoders, layout, cfg)
         assert metrics["epoch_loss"][-1] / layout.width * 2 < 0.01
 
     def test_masked_target_independence(self, monkeypatch):
@@ -306,7 +313,7 @@ class TestTrainSvcnet:
         # drop one sound from every speaker so some slots stay masked
         victim = layout.sounds[0]
         reduced = corpus.rows(corpus.sound != corpus.sounds.index(victim))
-        net1, _ = train_svcnet(reduced, encoders, layout, 2, cfg)
+        net1, _ = train_svcnet(reduced, encoders, layout, cfg)
 
         original = svc_mod.make_target
 
@@ -316,7 +323,7 @@ class TestTrainSvcnet:
             return target, mask
 
         monkeypatch.setattr(svc_mod, "make_target", corrupted)
-        net2, _ = train_svcnet(reduced, encoders, layout, 2, cfg)
+        net2, _ = train_svcnet(reduced, encoders, layout, cfg)
         for a, b in zip(
             net1.net.weights + net1.net.biases, net2.net.weights + net2.net.biases
         ):
@@ -324,8 +331,8 @@ class TestTrainSvcnet:
 
     def test_deterministic_in_seed(self):
         corpus, encoders, layout, cfg = tiny_setup()
-        n1, _ = train_svcnet(corpus, encoders, layout, 2, cfg)
-        n2, _ = train_svcnet(corpus, encoders, layout, 2, cfg)
+        n1, _ = train_svcnet(corpus, encoders, layout, cfg)
+        n2, _ = train_svcnet(corpus, encoders, layout, cfg)
         for a, b in zip(n1.net.weights, n2.net.weights):
             assert np.array_equal(a, b)
 
@@ -333,26 +340,24 @@ class TestTrainSvcnet:
         corpus, encoders, layout, cfg = tiny_setup()
         empty = corpus.restricted_to_speakers([])
         with pytest.raises(DataError):
-            train_svcnet(empty, encoders, layout, 2, cfg)
+            train_svcnet(empty, encoders, layout, cfg)
         corpus.speakers = ()  # frames but no speaker rows to train
         with pytest.raises(DataError):
-            train_svcnet(corpus, encoders, layout, 2, cfg)
+            train_svcnet(corpus, encoders, layout, cfg)
 
     def test_non_finite_loss_stops_training(self):
         corpus, encoders, layout, cfg = tiny_setup()
         corpus.frames = with_nan_first_row(corpus.frames)
         with pytest.raises(DataError, match="svc training diverged at epoch 0"):
-            train_svcnet(corpus, encoders, layout, 2, cfg)
+            train_svcnet(corpus, encoders, layout, cfg)
 
 
 class TestExtract:
     def _trained(self):
         corpus, encoders, layout, cfg = tiny_setup()
-        svcnet, _ = train_svcnet(corpus, encoders, layout, 2, cfg)
-        stream, bounds = speaker_streams(
-            [corpus.frames_of_speaker(corpus.speakers[0])], encoders
-        )[0]
-        return svcnet, stream, bounds
+        svcnet, _ = train_svcnet(corpus, encoders, layout, cfg)
+        stream = speaker_streams([corpus.frames_of_speaker(corpus.speakers[0])], encoders)[0]
+        return svcnet, stream, stream.word_ends()
 
     def test_trajectory_shape(self):
         svcnet, stream, _ = self._trained()
@@ -401,9 +406,8 @@ class TestBatchedExtract:
 
     def _streams(self, flank_width=4):
         corpus, encoders, layout, cfg = tiny_setup()
-        svcnet, _ = train_svcnet(corpus, encoders, layout, 2, cfg, flank_width=flank_width)
-        full = [stream for stream, _ in speaker_streams(
-            [corpus.frames_of_speaker(s) for s in corpus.speakers], encoders)]
+        svcnet, _ = train_svcnet(corpus, encoders, layout, replace(cfg, svc_flank=flank_width))
+        full = speaker_streams([corpus.frames_of_speaker(s) for s in corpus.speakers], encoders)
         return svcnet, full
 
     @pytest.mark.parametrize("mode", MODES)
@@ -505,7 +509,7 @@ class TestBatchedExtract:
         some = np.zeros(len(sets[1]), dtype=bool)
         some[rng.permutation(len(sets[1]))[:7]] = True
         sets.append(sets[1].rows(some))
-        for frames, (stream, bounds) in zip(sets, speaker_streams(sets, encoders)):
+        for frames, stream in zip(sets, speaker_streams(sets, encoders)):
             utterances = [frames.utterances[u] for u in frames.utterance]
             ordered = sorted(range(len(frames)), key=lambda i: (utterances[i], frames.index[i]))
             assert [sound for sound, _ in pairs(stream)] == [
@@ -515,7 +519,7 @@ class TestBatchedExtract:
                 assert np.array_equal(code, encode_frame(encoders[sound], frames.frames[i]))
             ends = [k for k in range(len(ordered) - 1)
                     if utterances[ordered[k + 1]] != utterances[ordered[k]]]
-            assert bounds == ends + [len(ordered) - 1]
+            assert stream.word_ends() == ends + [len(ordered) - 1]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -598,7 +602,7 @@ class TestFinalSvc:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         corpus, encoders, layout, cfg = tiny_setup()
-        svcnet, _ = train_svcnet(corpus, encoders, layout, 2, cfg)
+        svcnet, _ = train_svcnet(corpus, encoders, layout, cfg)
         path = tmp_path / "svcnet.txt"
         save_svcnet(svcnet, path)
         assert os.listdir(tmp_path) == ["svcnet.txt"]
