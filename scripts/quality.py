@@ -71,15 +71,15 @@ def measure(seed, out_dir):
     net, _ = pipeline.run_train_rec(config)
     summary = pipeline.run_eval(config)
     _, train, test = pipeline.load_split(config)
-    latents = load_latents(config.resolved_latents_path)
+    held = pipeline.code_held_out(config, svcnet, encoders, train, test)
     results = (
-        quality.code_stability(svcnet, encoders, test, config.accumulation_mode),
-        quality.utterance_independence(config, svcnet, encoders, test),
-        quality.latent_recovery(config, svcnet, encoders, train, test, latents),
+        quality.code_stability(held),
+        quality.utterance_independence(held),
+        quality.latent_recovery(held, load_latents(config.resolved_latents_path)),
         quality.injection_helps(summary),
         quality.word_subset_protocol(summary),
     )
-    swap = quality.code_swap_error(config, svcnet, encoders, net, train, test)
+    swap = quality.code_swap_error(held, net, test)
     models = config.resolved_model_dir
     digests = (digest(models, keep=lambda name: name != RECOGNIZER),
                digest(models, keep=lambda name: name == RECOGNIZER),

@@ -9,6 +9,7 @@ import glob
 import math
 import os
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,15 +53,20 @@ def run_gen(config):
     return corpus, latents
 
 
+def check_config(path, config, checks):
+    """DataError naming `path` for the first (name, value, config key) of
+    `checks` whose value is not the config's."""
+    for name, value, key in checks:
+        if value != getattr(config, key):
+            raise DataError(f"{path}: {name} {value} != {key} {getattr(config, key)}")
+
+
 def load_split(config):
     """The corpus and its (train, test) split; DataError, naming the file,
     for a corpus of another feature width than the config's."""
     path = config.resolved_corpus_path
     corpus = corpus_mod.load_corpus(path)
-    if corpus.feature_dim != config.feature_dim:
-        raise DataError(
-            f"{path}: feature_dim {corpus.feature_dim} != feature_dim {config.feature_dim}"
-        )
+    check_config(path, config, [("feature_dim", corpus.feature_dim, "feature_dim")])
     train, test = corpus_mod.split_corpus(
         corpus, config.train_fraction, config.split_seed
     )
@@ -103,11 +109,8 @@ def load_encoders(config):
             raise DataError(f"{p}: encoder file name is not ppc_<phone>_<state>.txt")
         net = load_model(p)
         feature_dim, code_dim = net.spec.sizes[:2]
-        if code_dim != config.ppc_dim:
-            raise DataError(f"{p}: code width {code_dim} != ppc_dim {config.ppc_dim}")
-        if feature_dim != config.feature_dim:
-            raise DataError(f"{p}: feature width {feature_dim} != feature_dim "
-                            f"{config.feature_dim}")
+        check_config(p, config, [("code width", code_dim, "ppc_dim"),
+                                 ("feature width", feature_dim, "feature_dim")])
         spec = ppc_mod.encoder_spec(feature_dim, code_dim)  # the config's widths, as checked
         if net.spec != spec:
             raise DataError(f"{p}: layers {net.spec.sizes} {','.join(net.spec.activations)} != "
@@ -136,11 +139,9 @@ def load_svcnet_artifact(config):
     if not os.path.exists(path):
         raise DataError(f"missing pattern-completion model ({path})")
     svcnet = svc_mod.load_svcnet(path)
-    if svcnet.code_dim != config.svc_dim:
-        raise DataError(f"{path}: code width {svcnet.code_dim} != svc_dim {config.svc_dim}")
     flank = svcnet.net.spec.sizes[1] if svcnet.bottleneck_index == 2 else 0
-    if flank != config.svc_flank:
-        raise DataError(f"{path}: flank width {flank} != svc_flank {config.svc_flank}")
+    check_config(path, config, [("code width", svcnet.code_dim, "svc_dim"),
+                                ("flank width", flank, "svc_flank")])
     return svcnet
 
 
@@ -184,11 +185,10 @@ def load_recognizer_artifact(config):
         raise DataError(f"missing recognizer model ({path})")
     net = rec_mod.load_recognizer(path)
     fields = net.fields()
-    for field, key in (("window", "rec_window"), ("acoustic_units", "rec_acoustic_units"),
-                       ("state_units", "rec_state_units"), ("svc_dim", "svc_dim"),
-                       ("feature_dim", "feature_dim")):
-        if fields[field] != getattr(config, key):
-            raise DataError(f"{path}: {field} {fields[field]} != {key} {getattr(config, key)}")
+    check_config(path, config, [(field, fields[field], key) for field, key in (
+        ("window", "rec_window"), ("acoustic_units", "rec_acoustic_units"),
+        ("state_units", "rec_state_units"), ("svc_dim", "svc_dim"),
+        ("feature_dim", "feature_dim"))])
     return net
 
 
@@ -204,46 +204,57 @@ def split_speaker_words(frames):
     return words[: len(words) - n_last], words[len(words) - n_last :]
 
 
-def last_half_table(corpus, halves):
-    """(speaker, word) table of `corpus`'s speaker and word ids: True where
-    the word is in the speaker's last half (halves as held_out_frames
-    gives them), so that a row is in its speaker's last half at
-    table[corpus.speaker, corpus.word]."""
-    table = np.zeros((len(corpus.speakers), len(corpus.words)), dtype=bool)
-    for speaker, (_, last_words) in halves.items():
-        table[corpus.speakers.index(speaker), last_words] = True
-    return table
+@dataclass(frozen=True, eq=False)
+class HeldOut:
+    """The codes every evaluation reads, from one coding pass: the train
+    speakers' final codes and their average, and for each test speaker
+    (all dicts in speaker order) the Stream of its codable frames, its
+    trajectory, its final code and its (first-half words, last-half
+    words) codes; `in_last` marks the test rows of their speaker's
+    last-half words."""
+
+    train_svcs: dict
+    average: np.ndarray
+    streams: dict
+    trajectories: dict
+    svcs: dict
+    halves: dict
+    in_last: np.ndarray
 
 
-def half_svcs(config, svcnet, encoders, halves, frame_sets):
-    """Speaker -> (code from the first-half words, code from the last-half
-    words), from that speaker's codable frame set and its word halves
-    (held_out_frames); all halves run together."""
-    last = last_half_table(frame_sets[0], halves)  # the sets share one corpus's tables
-    subsets = []
-    for frames in frame_sets:
-        in_last = last[frames.speaker, frames.word]
-        subsets += [frames.rows(~in_last), frames.rows(in_last)]
-    codes = speaker_svcs(config, svcnet, encoders, subsets)
-    return {s: (codes[2 * k], codes[2 * k + 1]) for k, s in enumerate(halves)}
-
-
-def held_out_frames(test, encoders):
-    """The codable subset of each test speaker's frames
-    (ppc.codable_frames: one warning for all skipped frames), and each
-    speaker's (first-half words, last-half words) for the
-    same-vs-different-words protocol; DataError for a speaker with fewer
-    than 2 words, whose first half would be empty."""
+def code_held_out(config, svcnet, encoders, train, test):
+    """The HeldOut of a (train, test) split. The test frames are coded once
+    (svc.speaker_streams; one warning for all skipped frames); each word
+    half is cut from its speaker's Stream by utterance. The whole streams
+    run in one extract_svcs call and the halves in another, so that no
+    half is padded to a whole stream's length. DataError for a test
+    speaker with fewer than 2 words, whose first half would be empty."""
+    train_svcs = all_speaker_svcs(config, svcnet, encoders, train)
     frames = [test.frames_of_speaker(s) for s in test.speakers]
-    halves = {s: split_speaker_words(speaker_frames)
-              for s, speaker_frames in zip(test.speakers, frames)}
-    for speaker, (first_words, last_words) in halves.items():
+    last = np.zeros((len(test.speakers), len(test.words)), dtype=bool)  # (speaker, word)
+    for k, speaker_frames in enumerate(frames):
+        first_words, last_words = split_speaker_words(speaker_frames)
         if not first_words:
-            raise DataError(
-                f"test speaker {speaker} has {len(last_words)} word(s); "
-                "the word-subset protocol needs >= 2"
-            )
-    return ppc_mod.codable_frames(frames, encoders), halves
+            raise DataError(f"test speaker {test.speakers[k]} has {len(last_words)} word(s); "
+                            "the word-subset protocol needs >= 2")
+        last[k, last_words] = True
+    in_last = last[test.speaker, test.word]
+    last_utterance = np.zeros(len(test.utterances), dtype=bool)
+    last_utterance[test.utterance] = in_last
+    streams = svc_mod.speaker_streams(frames, encoders)
+    trajs = svc_mod.extract_svcs(svcnet, streams, mode=config.accumulation_mode)
+    halves = []
+    for stream in streams:
+        in_last_half = last_utterance[stream.utterance]
+        halves += [stream.rows(~in_last_half), stream.rows(in_last_half)]
+    codes = [svc_mod.final_svc(t) for t in
+             svc_mod.extract_svcs(svcnet, halves, mode=config.accumulation_mode)]
+    return HeldOut(
+        train_svcs, rec_mod.compute_average_svc(list(train_svcs.values())),
+        dict(zip(test.speakers, streams)), dict(zip(test.speakers, trajs)),
+        {s: svc_mod.final_svc(traj) for s, traj in zip(test.speakers, trajs)},
+        {s: (codes[2 * k], codes[2 * k + 1]) for k, s in enumerate(test.speakers)}, in_last,
+    )
 
 
 def run_eval(config):
@@ -251,21 +262,10 @@ def run_eval(config):
     encoders = load_encoders(config)
     svcnet = load_svcnet_artifact(config)
     net = load_recognizer_artifact(config)
-
-    train_svcs = all_speaker_svcs(config, svcnet, encoders, train)
-    avg = rec_mod.compute_average_svc(list(train_svcs.values()))
-    # each test speaker's frames are fetched once and their whole-speech
-    # trajectory run once: it gives both the speaker code and the stability rows
-    coded, halves = held_out_frames(test, encoders)
-    half_codes = half_svcs(config, svcnet, encoders, halves, coded)
-    test_streams = dict(zip(test.speakers, svc_mod.speaker_streams(coded, encoders)))
-    test_trajs = dict(zip(test.speakers, svc_mod.extract_svcs(
-        svcnet, list(test_streams.values()), mode=config.accumulation_mode
-    )))
-    test_svcs = {s: svc_mod.final_svc(traj) for s, traj in test_trajs.items()}
+    held = code_held_out(config, svcnet, encoders, train, test)
 
     # availability-flag ablation over the full test set
-    ablation_rows, ablation_log = rec_mod.ablation_eval(net, test, test_svcs, avg)
+    ablation_rows, ablation_log = rec_mod.ablation_eval(net, test, held.svcs, held.average)
     rows = [
         (int(f.acoustic), int(f.state), int(f.word), fmt_float(rate))
         for f, rate in ablation_rows
@@ -287,8 +287,7 @@ def run_eval(config):
     # same-vs-different-words protocol: recognize each speaker's last
     # ceil(half) words with a code from {none, the other words, the same
     # words}, every speaker's utterances in one block per code source
-    in_last = last_half_table(test, halves)[test.speaker, test.word]
-    frames = test.rows(in_last)
+    frames = test.rows(held.in_last)
     bounds = frames.utterance_bounds()
     feats = [frames.frames[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     words = [frames.words[w] for w in frames.word[bounds[:-1]]]
@@ -296,15 +295,15 @@ def run_eval(config):
     # "none" runs every level from the average code, as the ablation's
     # first, all-off setting does: its log starts with every test
     # utterance under that setting, in row order
-    last_utterances = in_last[test.utterance_bounds()[:-1]]
+    last_utterances = held.in_last[test.utterance_bounds()[:-1]]
     off_log = ablation_log[: len(last_utterances)]
     per_source_errors = {"none": [
         label != truth for (_, truth, label, _), last in zip(off_log, last_utterances) if last
     ]}
     on = rec_mod.AvailabilityFlags.all_on()
     for source, half in (("disjoint", 0), ("same", 1)):
-        codes = np.array([half_codes[speaker][half] for speaker in speakers])
-        scores = rec_mod.recognize_utterances(net, feats, codes, [on], avg)[0]
+        codes = np.array([held.halves[speaker][half] for speaker in speakers])
+        scores = rec_mod.recognize_utterances(net, feats, codes, [on], held.average)[0]
         per_source_errors[source] = [
             net.words[label] != word for label, word in zip(scores.argmax(axis=-1), words)
         ]
@@ -316,8 +315,8 @@ def run_eval(config):
 
     # per-word code displacement on the test speakers
     stab_rows = []
-    for speaker in test.speakers:
-        disps = svc_mod.svc_stability(test_trajs[speaker], test_streams[speaker].word_ends())
+    for speaker, stream in held.streams.items():
+        disps = svc_mod.svc_stability(held.trajectories[speaker], stream.word_ends())
         for k, d in enumerate(disps):
             stab_rows.append((speaker, k + 1, fmt_float(d)))
     write_report(
@@ -368,38 +367,29 @@ def run_plot(config, kind, sound=None):
         ]
         cols = ("speaker", "frame") + tuple(f"code_{i}" for i in range(config.ppc_dim))
         return [write_report(config, f"ppc_scatter_{target.phone}_{target.state}.csv", cols, rows)]
-    svcnet = load_svcnet_artifact(config)
-    if kind == "svc_trajectory":
-        streams = svc_mod.speaker_streams(
-            [test.frames_of_speaker(s) for s in test.speakers], encoders
+    if kind not in ("svc_trajectory", "svc_halves"):
+        raise DataError(
+            f"unknown plot kind {kind!r}; valid kinds: ppc_scatter, svc_trajectory, svc_halves"
         )
-        trajs = svc_mod.extract_svcs(svcnet, streams, mode=config.accumulation_mode)
+    held = code_held_out(config, load_svcnet_artifact(config), encoders, train, test)
+    if kind == "svc_trajectory":
+        cols = ("step", "word_index") + tuple(f"svc_{i}" for i in range(config.svc_dim))
         paths = []
-        for speaker, stream, traj in zip(test.speakers, streams, trajs):
+        for speaker, stream in held.streams.items():
+            traj = held.trajectories[speaker]
             # the word index at a step: the number of word ends before it
             words = np.searchsorted(stream.word_ends(), np.arange(len(traj))).tolist()
             rows = [(step, word) + tuple(fmt_float(v) for v in point)
                     for step, (word, point) in enumerate(zip(words, traj))]
-            cols = ("step", "word_index") + tuple(
-                f"svc_{i}" for i in range(config.svc_dim)
-            )
-            paths.append(
-                write_report(config, f"svc_trajectory_{speaker}.csv", cols, rows)
-            )
+            paths.append(write_report(config, f"svc_trajectory_{speaker}.csv", cols, rows))
         return paths
-    if kind == "svc_halves":
-        coded, halves = held_out_frames(test, encoders)
-        halves = half_svcs(config, svcnet, encoders, halves, coded)
-        rows = [
-            (speaker,) + tuple(fmt_float(v) for v in np.concatenate(pair))
-            for speaker, pair in halves.items()
-        ]
-        cols = (
-            ("speaker",)
-            + tuple(f"first_{i}" for i in range(config.svc_dim))
-            + tuple(f"second_{i}" for i in range(config.svc_dim))
-        )
-        return [write_report(config, "svc_halves.csv", cols, rows)]
-    raise DataError(
-        f"unknown plot kind {kind!r}; valid kinds: ppc_scatter, svc_trajectory, svc_halves"
+    rows = [
+        (speaker,) + tuple(fmt_float(v) for v in np.concatenate(pair))
+        for speaker, pair in held.halves.items()
+    ]
+    cols = (
+        ("speaker",)
+        + tuple(f"first_{i}" for i in range(config.svc_dim))
+        + tuple(f"second_{i}" for i in range(config.svc_dim))
     )
+    return [write_report(config, "svc_halves.csv", cols, rows)]

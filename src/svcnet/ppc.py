@@ -61,6 +61,7 @@ def reconstruction_mse(net, frames):
     return total / (len(frames) * len(frames[0]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged epoch is refused below, in one line
 def _train_lockstep(sounds, frames, config, seeds):
     """Train one encoder per sound side by side on `frames` (S, N, dim),
     at the config's ppc_dim, ppc_learning_rate and ppc_epochs:

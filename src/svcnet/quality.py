@@ -2,17 +2,17 @@
 run: code stability, utterance independence, latent recovery, the
 injection ablation and the word-subset protocol, plus a code-swap error.
 
-The acceptance tests assert `ok` on the default seeds; `scripts/quality.py`
-counts passes over many seeds. Each function returns a Result: `ok` at
-the criterion's threshold, the `value` the threshold applies to, and a
-one-line `detail`.
+Criteria 4-6 and the code-swap error read the codes of one
+pipeline.HeldOut. The acceptance tests assert `ok` on the default seeds;
+`scripts/quality.py` counts passes over many seeds. Each function
+returns a Result: `ok` at the criterion's threshold, the `value` the
+threshold applies to, and a one-line `detail`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pipeline
 from . import recognizer as rec_mod
 from . import svc as svc_mod
 
@@ -24,54 +24,46 @@ class Result:
     detail: str
 
 
-def code_stability(svcnet, encoders, test, mode):
+def code_stability(held):
     """Criterion 4: per test speaker, the mean code displacement from the
     fourth word transition on is <= 25% of the first transition, for
     >= 70% of the speakers."""
-    streams = svc_mod.speaker_streams([test.frames_of_speaker(s) for s in test.speakers], encoders)
-    trajs = svc_mod.extract_svcs(svcnet, streams, mode=mode)
     good, details = 0, []
-    for speaker, stream, traj in zip(test.speakers, streams, trajs):
-        disps = svc_mod.svc_stability(traj, stream.word_ends())
+    for speaker, stream in held.streams.items():
+        disps = svc_mod.svc_stability(held.trajectories[speaker], stream.word_ends())
         early = disps[0]
         late = float(np.mean(disps[3:]))
         good += late <= 0.25 * early
         details.append(f"{speaker}:{late / max(early, 1e-12):.2f}")
-    frac = good / len(test.speakers)
-    return Result(frac >= 0.7, frac, f"{good}/{len(test.speakers)} " + " ".join(details))
+    frac = good / len(held.streams)
+    return Result(frac >= 0.7, frac, f"{good}/{len(held.streams)} " + " ".join(details))
 
 
-def utterance_independence(config, svcnet, encoders, test):
+def utterance_independence(held):
     """Criterion 5: a speaker's first-half and second-half word codes lie
     closer together than the first-half code lies to any other speaker's
     full code, for >= 70% of test speakers."""
-    # each speaker's canonical code comes from their full test stream
-    full = pipeline.all_speaker_svcs(config, svcnet, encoders, test)
-    coded, halves = pipeline.held_out_frames(test, encoders)
-    halves = pipeline.half_svcs(config, svcnet, encoders, halves, coded)
+    full = held.svcs  # each speaker's canonical code comes from their full test stream
     good = 0
-    for speaker, (a, b) in halves.items():
+    for speaker, (a, b) in held.halves.items():
         d_same = np.linalg.norm(a - b)
         d_other = min(np.linalg.norm(a - full[o]) for o in full if o != speaker)
         good += d_same < d_other
-    frac = good / len(test.speakers)
-    return Result(frac >= 0.7, frac, f"{good}/{len(test.speakers)}")
+    frac = good / len(full)
+    return Result(frac >= 0.7, frac, f"{good}/{len(full)}")
 
 
-def latent_recovery(config, svcnet, encoders, train, test, latents):
+def latent_recovery(held, latents):
     """Criterion 6: an affine map fitted from train speakers' codes to
     their ground-truth latents reaches R^2 >= 0.6 on the test speakers."""
-    train_svcs = pipeline.all_speaker_svcs(config, svcnet, encoders, train)
-    test_svcs = pipeline.all_speaker_svcs(config, svcnet, encoders, test)
 
-    def design(svcs, speakers):
-        x = np.array([svcs[s] for s in speakers])
-        return np.hstack([x, np.ones((len(speakers), 1))])
+    def design(svcs):
+        return np.hstack([np.array(list(svcs.values())), np.ones((len(svcs), 1))])
 
-    y_train = np.array([latents[s] for s in train.speakers])
-    coef, *_ = np.linalg.lstsq(design(train_svcs, train.speakers), y_train, rcond=None)
-    y_test = np.array([latents[s] for s in test.speakers])
-    pred = design(test_svcs, test.speakers) @ coef
+    y_train = np.array([latents[s] for s in held.train_svcs])
+    coef, *_ = np.linalg.lstsq(design(held.train_svcs), y_train, rcond=None)
+    y_test = np.array([latents[s] for s in held.svcs])
+    pred = design(held.svcs) @ coef
     ss_res = float(np.sum((pred - y_test) ** 2))
     ss_tot = float(np.sum((y_test - y_test.mean(axis=0)) ** 2))
     r2 = 1.0 - ss_res / ss_tot
@@ -99,15 +91,11 @@ def word_subset_protocol(summary):
     return Result(ok, t2["disjoint"], detail)
 
 
-def code_swap_error(config, svcnet, encoders, net, train, test):
+def code_swap_error(held, net, test):
     """Error with the true code at every level, where each test speaker is
     recognized with the next test speaker's code (cyclically). Equal to
     the own-code error, it shows the recognizer does not use the code."""
-    avg = rec_mod.compute_average_svc(
-        list(pipeline.all_speaker_svcs(config, svcnet, encoders, train).values())
-    )
-    svcs = pipeline.all_speaker_svcs(config, svcnet, encoders, test)
-    speakers = list(test.speakers)
-    swapped = {s: svcs[speakers[(i + 1) % len(speakers)]] for i, s in enumerate(speakers)}
-    rows, _ = rec_mod.ablation_eval(net, test, swapped, avg)
+    speakers = list(held.svcs)
+    swapped = {s: held.svcs[speakers[(i + 1) % len(speakers)]] for i, s in enumerate(speakers)}
+    rows, _ = rec_mod.ablation_eval(net, test, swapped, held.average)
     return rows[-1][1]  # every level on

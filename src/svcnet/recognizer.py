@@ -161,6 +161,7 @@ def _speaker_codes(corpus, svc_per_speaker, svc_dim):
     return codes
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged epoch is refused below, in one line
 def train_recognizer(corpus, svc_per_speaker, config):
     """Mini-batch supervised training on one-of-N word targets, for the
     config's rec_epochs at rec_learning_rate, the speaker's own code (of

@@ -155,6 +155,11 @@ class Stream:
     def __len__(self):
         return len(self.sound)
 
+    def rows(self, which):
+        """The Stream of the presentations that `which`, a boolean mask or
+        an index array, selects, in its order."""
+        return Stream(self.sounds, self.sound[which], self.codes[which], self.utterance[which])
+
     def word_ends(self):
         """The positions of each utterance's (word's) last presentation."""
         u = self.utterance
@@ -225,6 +230,7 @@ def make_target(stream, layout):
     return means[-1, 0], heard[-1, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged epoch is refused below, in one line
 def train_svcnet(corpus, encoders, layout, config):
     """The completion net of the config's svc_* keys, trained in its
     accumulation_mode. Two-pass scheme: fix each speaker's full-profile
@@ -252,11 +258,8 @@ def train_svcnet(corpus, encoders, layout, config):
     x = np.empty((n_rows, layout.width))  # heard means over the last outputs, or over zeros
     epoch_loss = []
     for epoch in range(config.svc_epochs):
-        streams = []
-        for stream, utts in zip(coded, utterances):
-            order = np.concatenate([utts[i] for i in rng.permutation(len(utts))])
-            streams.append(Stream(stream.sounds, stream.sound[order], stream.codes[order],
-                                  stream.utterance[order]))
+        streams = [stream.rows(np.concatenate([utts[i] for i in rng.permutation(len(utts))]))
+                   for stream, utts in zip(coded, utterances)]
         means, heard = _running_means(layout, streams)
         x.fill(0.0)
         sweep_loss = 0.0

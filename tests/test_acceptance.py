@@ -29,7 +29,8 @@ def report(num, desc, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
-    """Full default pipeline; artifacts, summary, and stage timings."""
+    """Full default pipeline; artifacts, summary, the test speakers' codes
+    (pipeline.HeldOut) and stage timings."""
     out = str(tmp_path_factory.mktemp("acceptance") / "run")
     config = RunConfig(out_dir=out)
     timings = {}
@@ -55,6 +56,7 @@ def run(tmp_path_factory):
     timings["total"] = time.monotonic() - t0
 
     _, train, test = pipeline.load_split(config)
+    held = pipeline.code_held_out(config, svcnet, encoders, train, test)
     return {
         "config": config,
         "corpus": corpus,
@@ -65,6 +67,7 @@ def run(tmp_path_factory):
         "svcnet": svcnet,
         "recnet": recnet,
         "summary": summary,
+        "held": held,
         "timings": timings,
     }
 
@@ -139,9 +142,7 @@ def test_criterion_03_ppc_quality(run):
 
 
 def test_criterion_04_code_stability(run):
-    result = quality.code_stability(
-        run["svcnet"], run["encoders"], run["test"], run["config"].accumulation_mode
-    )
+    result = quality.code_stability(run["held"])
     report(
         4,
         "code movement per word settles to <= 25% of the first transition "
@@ -152,9 +153,7 @@ def test_criterion_04_code_stability(run):
 
 
 def test_criterion_05_utterance_independence(run):
-    result = quality.utterance_independence(
-        run["config"], run["svcnet"], run["encoders"], run["test"]
-    )
+    result = quality.utterance_independence(run["held"])
     report(
         5,
         "first-half and second-half codes of one speaker lie closer together "
@@ -166,10 +165,7 @@ def test_criterion_05_utterance_independence(run):
 
 def test_criterion_06_latent_recovery(run):
     config = run["config"]
-    result = quality.latent_recovery(
-        config, run["svcnet"], run["encoders"], run["train"], run["test"],
-        load_latents(config.resolved_latents_path),
-    )
+    result = quality.latent_recovery(run["held"], load_latents(config.resolved_latents_path))
     report(6, "affine map from code to ground-truth speaker latents reaches R^2 >= 0.6",
            result.ok, result.detail)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import importlib.util
 import json
 import os
 import random
@@ -9,14 +11,16 @@ import shutil
 import numpy as np
 import pytest
 
-from svcnet import pipeline
+from svcnet import pipeline, quality
 from svcnet import recognizer as rec_mod
+from svcnet import svc as svc_mod
 from svcnet.cli import main
 from svcnet.config import RunConfig
 from svcnet.corpus import SoundId
 from svcnet.errors import DataError
 from svcnet.fileio import fmt_float
 from svcnet.pipeline import load_split, principal_rotation
+from svcnet.ppc import codable_frames
 
 TINY = dict(
     n_speakers=6,
@@ -351,18 +355,17 @@ class TestTable2:
         _, train, test = load_split(config)
         avg = rec_mod.compute_average_svc(
             list(pipeline.all_speaker_svcs(config, svcnet, encoders, train).values()))
-        coded, halves = pipeline.held_out_frames(test, encoders)
+        frame_sets = [test.frames_of_speaker(s) for s in test.speakers]
         on, off = rec_mod.AvailabilityFlags.all_on(), rec_mod.AvailabilityFlags.all_off()
         scores = {"none": [], "disjoint": [], "same": []}
         errors = {"none": [], "disjoint": [], "same": []}
         in_last, none_labels = [], {}
-        for speaker, codable in zip(test.speakers, coded):
-            first, last = halves[speaker]
+        for frames, codable in zip(frame_sets, codable_frames(frame_sets, encoders)):
+            first, last = pipeline.split_speaker_words(frames)
             disjoint, same = (
                 pipeline.speaker_svc(config, svcnet, encoders,
                                      codable.rows(np.isin(codable.word, words)))
                 for words in (first, last))
-            frames = test.frames_of_speaker(speaker)
             in_last += [w in last for w in frames.word[frames.utterance_bounds()[:-1]]]
             frames = frames.rows(np.isin(frames.word, last))
             bounds = frames.utterance_bounds()
@@ -395,6 +398,87 @@ class TestTable2:
                 utterance, _, label, _ = line.split()
                 predicted[utterance] = label.removeprefix("predicted=")
         assert {u: predicted[u] for u in none_labels} == none_labels
+
+
+class TestHeldOut:
+    def test_codes_equal_coding_each_frame_set_alone(self, mode_run):
+        """code_held_out's single coding pass gives, bit for bit, the train
+        codes of all_speaker_svcs, each test speaker's speaker_svc of its
+        frames and each half's speaker_svc of its codable rows."""
+        config, encoders, svcnet, _, _ = mode_run
+        _, train, test = load_split(config)
+        held = pipeline.code_held_out(config, svcnet, encoders, train, test)
+        train_svcs = pipeline.all_speaker_svcs(config, svcnet, encoders, train)
+        assert list(held.train_svcs) == list(train_svcs)
+        for speaker, code in train_svcs.items():
+            assert np.array_equal(held.train_svcs[speaker], code)
+        assert np.array_equal(held.average,
+                              rec_mod.compute_average_svc(list(train_svcs.values())))
+        frame_sets = [test.frames_of_speaker(s) for s in test.speakers]
+        assert list(held.streams) == list(held.svcs) == list(held.halves) == list(test.speakers)
+        in_last = []
+        for speaker, frames, codable in zip(test.speakers, frame_sets,
+                                            codable_frames(frame_sets, encoders)):
+            assert np.array_equal(held.svcs[speaker],
+                                  pipeline.speaker_svc(config, svcnet, encoders, frames))
+            assert np.array_equal(held.svcs[speaker], held.trajectories[speaker].mean(axis=0))
+            assert len(held.streams[speaker]) == len(held.trajectories[speaker])
+            first, last = pipeline.split_speaker_words(frames)
+            for words, code in zip((first, last), held.halves[speaker]):
+                rows = codable.rows(np.isin(codable.word, words))
+                assert np.array_equal(code, pipeline.speaker_svc(config, svcnet, encoders, rows))
+            in_last.append(np.isin(frames.word, last))
+        assert np.array_equal(held.in_last, np.concatenate(in_last))
+
+    def test_eval_codes_each_test_frame_once(self, mode_run, monkeypatch):
+        """run_eval encodes the train and the test frames once each: one
+        speaker_streams call per split, one extract_svcs call for the train
+        speakers and two for the test speakers (whole streams, halves)."""
+        config, _, _, _, summary = mode_run
+        _, train, test = load_split(config)
+        streams_of, extracted, encoded = [], [], []
+        speaker_streams, extract_svcs = svc_mod.speaker_streams, svc_mod.extract_svcs
+        encode_frames = svc_mod.encode_frames
+
+        def streams_spy(frame_sets, encoders):
+            streams_of.append([f.speakers[f.speaker[0]] for f in frame_sets])
+            return speaker_streams(frame_sets, encoders)
+
+        def extract_spy(svcnet, streams, mode):
+            extracted.append(len(streams))
+            return extract_svcs(svcnet, streams, mode=mode)
+
+        def encode_spy(bank, sounds, ids, frames):
+            encoded.append(len(ids))
+            return encode_frames(bank, sounds, ids, frames)
+
+        monkeypatch.setattr(svc_mod, "speaker_streams", streams_spy)
+        monkeypatch.setattr(svc_mod, "extract_svcs", extract_spy)
+        monkeypatch.setattr(svc_mod, "encode_frames", encode_spy)
+        assert pipeline.run_eval(config) == summary
+        assert streams_of == [list(train.speakers), list(test.speakers)]
+        assert extracted == [len(train.speakers), len(test.speakers), 2 * len(test.speakers)]
+        assert encoded == [len(train), len(test)]
+
+    def test_stability_ratios_are_the_reports(self, tmp_path):
+        """code_stability reads the displacements that stability.csv holds:
+        its per-speaker ratios equal those recomputed from the report (6
+        words, so that every speaker has a fourth word transition)."""
+        config = RunConfig(**dict(TINY, n_words=6), out_dir=str(tmp_path / "run"))
+        pipeline.run_gen(config)
+        encoders = pipeline.run_train_ppc(config)
+        svcnet, _ = pipeline.run_train_svc(config)
+        pipeline.run_train_rec(config)
+        pipeline.run_eval(config)
+        _, train, test = load_split(config)
+        held = pipeline.code_held_out(config, svcnet, encoders, train, test)
+        displacements = {}
+        for speaker, _, d in read_report(config, "stability.csv")[2]:
+            displacements.setdefault(speaker, []).append(float(d))
+        ratios = [f"{s}:{float(np.mean(d[3:])) / max(d[0], 1e-12):.2f}"
+                  for s, d in displacements.items()]
+        assert list(displacements) == list(test.speakers)
+        assert quality.code_stability(held).detail.split()[1:] == ratios
 
 
 class TestMalformedArtifacts:
@@ -667,15 +751,43 @@ class TestRunPipeline:
         assert "done in" not in captured.out
 
 
+class TestQualityScript:
+    """scripts/quality.py, loaded as a module, on one seed of a tiny
+    config with 5 words, so that criterion 4 has a fourth word transition."""
+
+    def test_one_seed(self, monkeypatch, capsys):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "quality.py")
+        spec = importlib.util.spec_from_file_location("quality_script", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        small = functools.partial(RunConfig, **dict(TINY, n_words=5))
+        monkeypatch.setattr(script, "RunConfig", small)
+        assert script.main(["1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and lines[0] == script.row(script.COLUMNS)
+        record = json.loads(lines[-1])
+        cells = record["rows"]["1"]
+        assert list(cells) == list(script.KEYS)
+        assert lines[1] == script.row([1, *cells.values()])
+        assert lines[2] == script.row(["pass", *record["pass"].values()])
+        assert list(record["pass"]) == list(script.KEYS[:5])
+        assert all(re.fullmatch(r"[01]/1", count) for count in record["pass"].values())
+        assert re.fullmatch(r"[0-9]+/[0-9]+\*?", cells["c4"])
+        assert all(re.fullmatch(r"[0-9a-f]{12}", cells[k]) for k in ("enc_svc", "rec", "reports"))
+
+
 class TestDivergence:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_ppc_training_exits_2_and_saves_nothing(self, tmp_path, capsys):
+        """The overflow on the way to a non-finite loss raises no numpy
+        warning: the stage ends in its one-line error alone."""
         cfg = dict(TINY, out_dir=str(tmp_path / "run"), ppc_learning_rate=1e3)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert run_cli("gen", "--config", str(path)) == 0
-        with np.errstate(all="ignore"):
-            assert run_cli("train", "--stage", "ppc", "--config", str(path)) == 2
-        assert "ppc training diverged at epoch" in capsys.readouterr().err
+        assert run_cli("train", "--stage", "ppc", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ppc training diverged at epoch" in err
         assert not os.path.exists(tmp_path / "run" / "models")
 
 
