@@ -201,7 +201,13 @@ def _sound_column(phones, states_per_phone, phone, state):
 def generate_corpus(config):
     """Deterministic corpus plus ground-truth latents per speaker, from
     the config's corpus keys and corpus_seed; DataError for features that
-    overflow."""
+    overflow, in the draw or in rounding them.
+
+    The features are rounded to 12 decimals (a step of 5e-13, far below
+    the default noise_std): below 1000 in magnitude each then has at most 15
+    significant digits, which save_corpus's repr writes and a loader's
+    float parser reads back exactly on its fast path, about 3x quicker
+    than a 17-digit value."""
     rng = np.random.default_rng(config.corpus_seed)
     speakers = tuple(f"s{i:02d}" for i in range(config.n_speakers))
     words = tuple(f"w{i:02d}" for i in range(config.n_words))
@@ -234,6 +240,7 @@ def generate_corpus(config):
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, in one line
         base = np.stack([prototypes + effects @ latents[s] for s in speakers])
         frames = base[speaker, sound] + rng.normal(0.0, config.noise_std, (len(sound), dim))
+        np.round(frames, 12, out=frames)  # short decimals: the file parses on the fast path
     if not np.isfinite(frames).all():
         raise DataError(f"generated features are not finite: noise_std {config.noise_std!r} or "
                         f"speaker_effect_scale {config.speaker_effect_scale!r} is too large")

@@ -79,12 +79,22 @@ def ppc_model_path(config, sound):
     )
 
 
+def ppc_model_pattern(config):
+    return os.path.join(config.resolved_model_dir, "ppc_*.txt")
+
+
 def run_train_ppc(config):
+    """Train and save the encoders, first deleting the model directory's
+    other ppc_*.txt files, so that no encoder of an earlier corpus stays
+    to be loaded with them."""
     _, train, _ = load_split(config)
     encoders, curves = ppc_mod.train_all_encoders(train, config)
     os.makedirs(config.resolved_model_dir, exist_ok=True)
-    for sound, net in encoders.items():
-        save_model(net, ppc_model_path(config, sound))
+    paths = {ppc_model_path(config, sound): net for sound, net in encoders.items()}
+    for stale in set(glob.glob(ppc_model_pattern(config))) - set(paths):
+        os.remove(stale)
+    for path, net in paths.items():
+        save_model(net, path)
     n_epochs = config.ppc_epochs
     rows = []
     for e in range(n_epochs):
@@ -98,7 +108,7 @@ def load_encoders(config):
     """The EncoderBank of the model directory's ppc_*.txt files;
     DataError, naming the file, for an encoder the config would not have
     trained."""
-    pattern = os.path.join(config.resolved_model_dir, "ppc_*.txt")
+    pattern = ppc_model_pattern(config)
     paths = sorted(glob.glob(pattern))
     if not paths:
         raise DataError(f"no encoder models found (expected {pattern})")

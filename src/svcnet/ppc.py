@@ -184,8 +184,13 @@ def train_all_encoders(corpus, config):
     index in the sorted inventory). Sounds with equal frame counts train
     in lockstep; the result equals training them one by one.
 
-    Returns (EncoderBank, per-sound epoch MSE curves).
+    Returns (EncoderBank, per-sound epoch MSE curves); DataError when no
+    sound keeps min_sound_frames frames.
     """
+    most = max(corpus.sound_counts().values(), default=0)
+    if most < max(config.min_sound_frames, 1):
+        raise DataError(f"no sound has min_sound_frames {config.min_sound_frames} training "
+                        f"frames: the most any sound has is {most}")
     kept = _inventory(corpus, config.min_sound_frames)
     sounds = [corpus.sounds[k] for k in kept]
     by_sound = [corpus.frames[corpus.sound == k] for k in kept]  # in row order

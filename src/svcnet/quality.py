@@ -15,6 +15,7 @@ import numpy as np
 
 from . import recognizer as rec_mod
 from . import svc as svc_mod
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -27,10 +28,14 @@ class Result:
 def code_stability(held):
     """Criterion 4: per test speaker, the mean code displacement from the
     fourth word transition on is <= 25% of the first transition, for
-    >= 70% of the speakers."""
+    >= 70% of the speakers; DataError for a speaker with fewer than 5
+    words, who has no fourth transition."""
     good, details = 0, []
     for speaker, stream in held.streams.items():
         disps = svc_mod.svc_stability(held.trajectories[speaker], stream.word_ends())
+        if len(disps) < 4:
+            raise DataError(f"code stability needs 5 words per test speaker: speaker {speaker} "
+                            f"has {len(disps) + 1}")
         early = disps[0]
         late = float(np.mean(disps[3:]))
         good += late <= 0.25 * early

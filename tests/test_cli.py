@@ -106,13 +106,18 @@ class TestGen:
         assert blocker.read_text() == "not a directory"
         assert not (tmp_path / "blocked" / "run").exists()
 
-    @pytest.mark.parametrize("key", ["noise_std", "speaker_effect_scale"])
-    def test_overflowing_features_leave_no_corpus(self, tmp_path, capsys, recwarn, key):
-        """A finite scale whose features overflow to infinity is refused
-        before anything is written, with exit 2, one line naming both
-        scales and no numpy warning."""
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("noise_std", 1e308, id="noise_std"),
+        pytest.param("speaker_effect_scale", 1e308, id="speaker_effect_scale"),
+        pytest.param("speaker_effect_scale", 1e300, id="speaker_effect_scale-rounding"),
+    ])
+    def test_overflowing_features_leave_no_corpus(self, tmp_path, capsys, recwarn, key, value):
+        """A finite scale whose features overflow to infinity, in the draw
+        or (at 1e300) in rounding them to 12 decimals, is refused before
+        anything is written, with exit 2, one line naming both scales and
+        no numpy warning."""
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), key: 1e308}))
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), key: value}))
         assert run_cli("gen", "--config", str(path)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
@@ -479,6 +484,19 @@ class TestHeldOut:
                   for s, d in displacements.items()]
         assert list(displacements) == list(test.speakers)
         assert quality.code_stability(held).detail.split()[1:] == ratios
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stability_refuses_speakers_of_few_words(self, full_run):
+        """TINY has 4 words, so no fourth word transition: criterion 4
+        refuses in one line that names the first test speaker."""
+        config, _ = full_run
+        _, train, test = load_split(config)
+        held = pipeline.code_held_out(config, pipeline.load_svcnet_artifact(config),
+                                      pipeline.load_encoders(config), train, test)
+        with pytest.raises(DataError) as refused:
+            quality.code_stability(held)
+        assert str(refused.value) == (f"code stability needs 5 words per test speaker: "
+                                      f"speaker {test.speakers[0]} has 4")
 
 
 class TestMalformedArtifacts:
@@ -996,6 +1014,49 @@ class TestSoundWithoutEncoder:
             assert run_cli("eval", "--config", tiny_config_path) == 0
         speakers = " ".join(sorted(test.speakers))
         assert f"skipping {n_test} frame(s) of speaker(s) {speakers}" in caplog.text
+
+
+class TestScarceSounds:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_sound_dropped_exits_2_and_saves_nothing(self, tmp_path, capsys):
+        """A split in which no sound keeps min_sound_frames frames is
+        refused in one line naming the key and the largest count, before
+        any sound's drop is logged or any file is written."""
+        cfg = dict(TINY, out_dir=str(tmp_path / "run"), min_sound_frames=100000)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("gen", "--config", str(path)) == 0
+        _, train, _ = load_split(RunConfig.from_file(str(path)))
+        capsys.readouterr()
+        assert run_cli("train", "--stage", "ppc", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        most = max(train.sound_counts().values())
+        assert err.splitlines() == [
+            f"error: no sound has min_sound_frames 100000 training frames: the most any "
+            f"sound has is {most}"
+        ]
+        assert not os.path.exists(tmp_path / "run" / "models")
+        assert not os.path.exists(tmp_path / "run" / "reports")
+
+
+class TestStaleEncoders:
+    def test_train_ppc_leaves_only_its_encoders(self, tmp_path, capsys):
+        """train --stage ppc on a 6-word corpus, over a 10-word run in the
+        same --out, deletes the encoders of the 4 phones the new corpus
+        lacks: the 18 it trained are all that is left."""
+        out = str(tmp_path / "run")
+        for n_words in (10, 6):
+            path = tmp_path / f"words{n_words}.json"
+            path.write_text(json.dumps(dict(TINY, n_words=n_words, states_per_phone=3)))
+            for verb in (("gen",), ("train", "--stage", "ppc")):
+                assert run_cli(*verb, "--config", str(path), "--out", out) == 0
+            config = RunConfig.from_file(str(path))
+            config.out_dir = out
+            models = sorted(os.listdir(config.resolved_model_dir))
+            assert models == sorted(os.path.basename(pipeline.ppc_model_path(config, s))
+                                    for s in pipeline.load_encoders(config))
+        assert len(models) == 18
+        assert "ppc_p09_0.txt" not in models
 
 
 class TestWordSubsetProtocol:

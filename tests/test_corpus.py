@@ -115,6 +115,30 @@ class TestGenerate:
         same = (s1.sound == s0.sound[0]) & (s1.word == s0.word[0])
         assert not np.array_equal(s0.frames[0], s1.frames[np.argmax(same)])
 
+    @pytest.mark.parametrize("config", [RunConfig(), small_config()], ids=["default", "small"])
+    def test_features_are_the_draw_rounded_to_12_decimals(self, monkeypatch, config):
+        """With the rounding taken out, generate_corpus gives the draw
+        itself; the corpus's features are that draw rounded, bit for bit."""
+        corpus, _ = generate_corpus(config)
+        with monkeypatch.context() as m:
+            m.setattr(np, "round", lambda a, decimals, out=None: a)
+            drawn, _ = generate_corpus(config)
+        assert corpus.frames.tobytes() == np.round(drawn.frames, 12).tobytes()
+        assert not np.array_equal(corpus.frames, drawn.frames)
+        assert np.abs(corpus.frames - drawn.frames).max() < 6e-13
+
+    def test_saved_features_have_at_most_15_significant_digits(self, tmp_path):
+        """Each feature field of a default corpus file is short enough for
+        a float parser's fast path (the speed of every stage's load)."""
+        corpus, _ = generate_corpus(RunConfig())
+        path = tmp_path / "corpus.csv"
+        save_corpus(corpus, path)
+        fields = [f for line in path.read_text().splitlines()[1:] for f in line.split(",")[6:]]
+        assert len(fields) == corpus.frames.size
+        digits = [len(f.lstrip("-").partition("e")[0].replace(".", "").strip("0"))
+                  for f in fields]
+        assert max(digits) <= 15
+
 
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
