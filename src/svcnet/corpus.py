@@ -257,24 +257,24 @@ def generate_corpus(config):
     return corpus, latents
 
 
-NAME_RULE = "is not a string free of commas and whitespace"
+NAME_RULE = "is not a non-empty string free of commas and whitespace"
 
 
 def bad_name(names):
-    """The first name that is not a string free of commas and whitespace
-    (the corpus and model formats split on both), else None."""
+    """The first name that is not a non-empty string free of commas and
+    whitespace (the corpus and model formats split on both), else None."""
     for name in names:
-        if not isinstance(name, str) or any(c == "," or c.isspace() for c in name):
+        if not isinstance(name, str) or not name or any(c == "," or c.isspace() for c in name):
             return name
     return None
 
 
 def save_corpus(corpus, path):
-    for kind, names in (("speaker", corpus.speakers), ("word", corpus.words),
-                        ("phone", corpus.phones)):
+    for kind, names in (("speaker name", corpus.speakers), ("word name", corpus.words),
+                        ("phone name", corpus.phones), ("utterance", corpus.utterances)):
         bad = bad_name(names)
         if bad is not None:
-            raise DataError(f"{path}: {kind} name {bad!r} {NAME_RULE}")
+            raise DataError(f"{path}: {kind} {bad!r} {NAME_RULE}")
     header = {
         "format": CORPUS_HEADER_TAG,
         "feature_dim": corpus.feature_dim,
@@ -285,14 +285,13 @@ def save_corpus(corpus, path):
     }
     lines = ["# " + json.dumps(header, sort_keys=True)]
     sounds = [(s.phone, str(s.state)) for s in corpus.sounds]
+    values = map(repr, corpus.frames.ravel().tolist())  # repr round-trips a float exactly
     for speaker, utterance, word, sound, index, features in zip(
         corpus.speaker.tolist(), corpus.utterance.tolist(), corpus.word.tolist(),
-        corpus.sound.tolist(), corpus.index.tolist(), corpus.frames.tolist(),
+        corpus.sound.tolist(), corpus.index.tolist(), zip(*[values] * corpus.feature_dim),
     ):
-        fields = [corpus.speakers[speaker], corpus.utterances[utterance], corpus.words[word],
-                  *sounds[sound], str(index)]
-        fields.extend(map(repr, features))  # repr round-trips a float exactly
-        lines.append(",".join(fields))
+        lines.append(",".join([corpus.speakers[speaker], corpus.utterances[utterance],
+                               corpus.words[word], *sounds[sound], str(index), *features]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -416,28 +415,19 @@ def _header(path, line):
 
 def _data_lines(lines):
     """(line numbers, lines) of the non-empty lines after the header."""
-    numbered = [(n, line) for n, line in enumerate(lines[1:], start=2) if line]
-    return [n for n, _ in numbered], [line for _, line in numbered]
+    data = list(filter(None, lines[1:]))
+    return (range(2, len(lines) + 1) if len(data) == len(lines) - 1
+            else [n for n, line in enumerate(lines[1:], start=2) if line]), data
 
 
-def load_corpus(path):
-    """Parse a corpus file: the header, the six label fields of each line
-    with one split, and all feature fields in one pass. The rows may come
-    in any order; the corpus holds them in canonical order. A bad header
-    or row raises CorpusFormatError naming the file and the line."""
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty corpus file")
-    feature_dim, states_per_phone, speakers, words, phones = _header(path, lines[0])
-    numbers, data = _data_lines(lines)
-    if not data:
-        raise DataError(f"{path}: corpus file has no frames")
+def _parse_lines(path, numbers, data, feature_dim, states_per_phone, speakers, words, phones):
+    """(features, label columns, sorted utterance ids) of the data lines,
+    each split once; CorpusFormatError names the first bad line."""
     rows = [line.split(",", 6) for line in data]
     for number, row in zip(numbers, rows):
         if len(row) < 7:
-            raise CorpusFormatError(
-                path, number, f"expected {6 + feature_dim} fields, got {len(row)}"
-            )
+            raise CorpusFormatError(path, number,
+                                    f"expected {6 + feature_dim} fields, got {len(row)}")
     speaker, utterance, word, phone, state, index, rest = zip(*rows)
     features = _float_rows(path, numbers, rest, feature_dim, 6, "feature")
     speaker = _name_column(path, numbers, speaker, "speaker", speakers)
@@ -445,16 +435,71 @@ def load_corpus(path):
     phone = _name_column(path, numbers, phone, "phone", phones)
     state = _int_column(path, numbers, state, "state", states_per_phone)
     index = _int_column(path, numbers, index, "frame index", 2**62)
+    bad = bad_name(dict.fromkeys(utterance))  # the first bad id in file order
+    if bad is not None:
+        raise CorpusFormatError(path, numbers[utterance.index(bad)],
+                                f"utterance {bad!r} {NAME_RULE}")
     utterances = sorted(set(utterance))
     utterance = _name_column(path, numbers, utterance, "utterance", utterances)
-    _check_utterances(path, numbers, utterance, speaker, word, index)
-    sounds, sound = _sound_column(phones, states_per_phone, phone, state)
-    return Corpus(
-        features,
-        dict(speaker=speaker, utterance=utterance, word=word, sound=sound, index=index),
-        speakers=speakers, utterances=utterances, words=words, phones=phones,
-        sounds=sounds, states_per_phone=states_per_phone,
-    )
+    return features, dict(speaker=speaker, utterance=utterance, word=word, phone=phone,
+                          state=state, index=index), utterances
+
+
+def _read_rows(body, data, feature_dim, states_per_phone, speakers, words, phones):
+    """_parse_lines's result from one structured np.loadtxt pass, which
+    holds no Python object per line; None, for _parse_lines to read or
+    refuse, wherever the two may differ or a line is bad: for text with
+    non-ASCII, a NUL (cut from a string's end), 0x1f (a space to loadtxt's
+    integers only), a space or a tab (none in utterance ids), and below."""
+    if (not body.isascii() or any(c in body for c in "\x00\x1f \t")
+            or data[0].count(",") != 5 + feature_dim):
+        return None
+    width = min(2 * max(map(len, speakers + words + phones), default=0) + 2, 64)  # for two names
+    dtype = [(k, f"S{width}") for k in ("speaker", "utterance", "word", "phone")] + [
+        ("state", np.int64), ("index", np.int64), ("features", float, (feature_dim,))]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):  # loadtxt refuses `1_0`, which np.array reads
+        return None
+    state, index = rows["state"], rows["index"]
+    if len(rows) != len(data) or not np.isfinite(rows["features"]).all() or not (
+            (0 <= state) & (state < states_per_phone) & (0 <= index) & (index < 2**62)).all():
+        return None
+    labels = dict(state=state, index=index)
+    for kind, names in (("speaker", speakers), ("word", words), ("phone", phones),
+                        ("utterance", None)):
+        texts, column = np.unique(rows[kind], return_inverse=True)
+        texts = texts.astype(str).tolist()  # one lookup per distinct name
+        position = {name: i for i, name in enumerate(texts if names is None else names)}
+        ids = np.array([position.get(t, -1) for t in texts])
+        if max(map(len, texts)) >= width or "" in texts or (ids < 0).any():  # cut, empty, unknown
+            return None
+        labels[kind] = ids[column]
+    return rows["features"], labels, texts  # the utterance ids, sorted
+
+
+def load_corpus(path):
+    """Parse a corpus file: the header, then the data lines in one pass
+    (_read_rows), or line by line for the rare forms that pass leaves to
+    _parse_lines. The rows may come in any order; the corpus holds them in
+    canonical order. CorpusFormatError names the file and the bad line."""
+    text = read_text(path)
+    lines = text.splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty corpus file")
+    _, states_per_phone, speakers, words, phones = header = _header(path, lines[0])
+    numbers, data = _data_lines(lines)
+    if not data:
+        raise DataError(f"{path}: corpus file has no frames")
+    features, labels, utterances = (_read_rows(text[len(lines[0]):], data, *header)
+                                    or _parse_lines(path, numbers, data, *header))
+    _check_utterances(path, numbers, *map(labels.get, ("utterance", "speaker", "word", "index")))
+    sounds, labels["sound"] = _sound_column(phones, states_per_phone, labels.pop("phone"),
+                                            labels.pop("state"))
+    return Corpus(features, labels, speakers=speakers, utterances=utterances, words=words,
+                  phones=phones, sounds=sounds, states_per_phone=states_per_phone)
 
 
 def save_latents(latents, path):

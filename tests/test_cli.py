@@ -696,9 +696,10 @@ class TestMalformedArtifacts:
             (3, "p99", "phone 'p99' is not in the header"),
             (4, "7", "state '7' is not in [0, 2)"),
             (5, "0", "frame index 0 repeats in its utterance"),
+            (1, "s00 w00", "utterance 's00 w00' is not a non-empty string free of commas"),
         ],
         ids=["unknown_speaker", "other_speaker", "unknown_word", "other_word",
-             "unknown_phone", "state", "repeated_index"],
+             "unknown_phone", "state", "repeated_index", "utterance_with_space"],
     )
     def test_bad_corpus_row(self, full_run, out, capsys, column, value, message):
         path = out / "corpus.csv"

@@ -1,12 +1,16 @@
+import gc
 import json
 import random
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svcnet.corpus as corpus_mod
 from svcnet.config import RunConfig
 from svcnet.corpus import (
     Corpus,
@@ -200,7 +204,7 @@ class TestRoundTrip:
         with pytest.raises(CorpusFormatError, match=r"^\S*corpus.csv: line 1: bad header: "):
             load_corpus(path)
 
-    @pytest.mark.parametrize("bad", ["w 1", "w,1", "w\t1", "w\n1"])
+    @pytest.mark.parametrize("bad", ["w 1", "w,1", "w\t1", "w\n1", ""])
     @pytest.mark.parametrize("kind", ["speakers", "words", "phones"])
     def test_name_with_comma_or_whitespace_is_refused(self, tmp_path, kind, bad):
         corpus, _ = generate_corpus(small_config())
@@ -220,6 +224,15 @@ class TestRoundTrip:
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(path)
         assert exc.value.line_number == 1 and repr(bad) in str(exc.value)
+
+    @pytest.mark.parametrize("bad", ["s00 w00", ""])
+    def test_bad_utterance_id_is_not_saved(self, tmp_path, bad):
+        corpus, _ = generate_corpus(small_config())
+        corpus.utterances = (bad,) + corpus.utterances[1:]
+        path = tmp_path / "corpus.csv"
+        with pytest.raises(DataError, match=f"{path}: utterance {re.escape(repr(bad))} "):
+            save_corpus(corpus, path)
+        assert not path.exists()
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -370,9 +383,11 @@ class TestParse:
             (4, "x", "state 'x' is not in [0, 2)"),
             (5, "1.5", "frame index '1.5' is not in [0, "),
             (7, "one", "could not convert string 'one' to float64"),
+            (1, "s00 w00", "utterance 's00 w00' is not a non-empty string free of commas"),
+            (1, "", "utterance '' is not a non-empty string free of commas"),
         ],
         ids=["speaker", "word", "phone", "state", "negative_state", "state_text",
-             "index", "feature"],
+             "index", "feature", "utterance_with_space", "empty_utterance"],
     )
     def test_bad_label_names_line(self, tmp_path, column, value, message):
         _, path = saved(tmp_path)
@@ -450,6 +465,128 @@ class TestParse:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorpusFormatError, match=r"line 1: \w+ '\w+' is listed twice"):
             load_corpus(path)
+
+
+def outcome(path):
+    """What load_corpus makes of `path`: the corpus's bytes, labels and
+    tables, or the type and message of the error it raises."""
+    try:
+        corpus = load_corpus(path)
+    except Exception as e:  # compared, type and message, below
+        return type(e), str(e)
+    return (corpus.frames.tobytes(), labels(corpus), corpus.speakers, corpus.utterances,
+            corpus.words, corpus.phones, corpus.sounds, corpus.states_per_phone)
+
+
+def assert_same_outcome(path):
+    """load_corpus gives the line-by-line parse's outcome on `path`, warns
+    of nothing and raises nothing but DataError."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = outcome(path)
+    assert caught == []
+    with mock.patch.object(corpus_mod, "_read_rows", return_value=None):
+        assert found == outcome(path)
+    assert not isinstance(found[0], type) or issubclass(found[0], DataError)
+
+
+# field values that one parse might read otherwise than the other, by
+# column of a 2-feature corpus: padded, cut, empty or unknown names; ids
+# with a space, a NUL (a fixed-width string drops it) or too long to fit;
+# integers that loadtxt refuses (`1_0`, `٣`) or reads past a 0x1f; values
+# out of range or not finite
+NAMES = ["s01", "w01", "p01", " s00", "s00 ", "", "s00\x00", "sé0"]
+INTS = ["1", "2", "-1", "1_0", "1.0", "+1", " 1", "\x1f1", "٣", "", "nan",
+        "99999999999999999999"]
+SWAPS = [NAMES, ["s00-w01", "s00 w00", "", "u" * 40, "s00-w00\x00", "s00"], NAMES, NAMES,
+         INTS, INTS, *[["nan", "1e400", "-inf", "", "+1", "1_0", "1.0", " 1", "-0"]] * 2]
+
+
+class TestBulkParse:
+    """load_corpus reads a file in one structured pass and leaves the rare
+    forms that pass cannot read exactly to the line-by-line parse; either
+    way, the outcome is the line-by-line parse's."""
+
+    def test_every_swap_same_outcome(self, tmp_path):
+        _, path = saved(tmp_path, n_speakers=2, n_words=2, feature_dim=2)
+        lines = path.read_text().splitlines()
+        for column, values in enumerate(SWAPS):
+            for value in values:
+                fields = lines[3].split(",")
+                fields[column] = value
+                path.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+                assert_same_outcome(path)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_outcome_as_line_by_line(self, tmp_path_factory, data):
+        corpus, _ = generate_corpus(small_config(n_speakers=2, n_words=2, feature_dim=2))
+        path = tmp_path_factory.mktemp("bulk") / "corpus.csv"
+        save_corpus(corpus, path)
+        lines = path.read_text().splitlines()
+        newline = "\n"
+        row = lambda: data.draw(st.integers(1, max(1, len(lines) - 1)))
+        edits = data.draw(st.lists(st.sampled_from([
+            "swap", "swap", "swap", "non_ascii", "long_utterance", "crlf", "whitespace_line",
+            "blank_line", "trailing_comma", "missing_field", "delete", "duplicate", "swap_lines",
+        ]), min_size=1, max_size=3))
+        for edit in edits:
+            if edit == "non_ascii":  # a speaker's name, in the header and the rows
+                lines = [line.replace("s00", "sé0") for line in lines]
+            elif edit == "long_utterance":
+                lines = [line.replace("s01-w00", "u" * 40) for line in lines]
+            elif edit == "crlf":
+                newline = "\r\n"
+            elif edit in ("whitespace_line", "blank_line"):
+                lines.insert(row(), " \t " if edit == "whitespace_line" else "")
+            elif len(lines) > 1:
+                i = row()
+                if edit == "swap":
+                    fields = lines[i].split(",")
+                    k = data.draw(st.integers(0, min(len(fields), len(SWAPS)) - 1))
+                    fields[k] = data.draw(st.sampled_from(SWAPS[k]))
+                    lines[i] = ",".join(fields)
+                elif edit == "trailing_comma":
+                    lines[i] += ","
+                elif edit == "missing_field":
+                    lines[i] = lines[i].rpartition(",")[0]
+                elif edit == "delete":
+                    del lines[i]
+                elif edit == "duplicate":
+                    lines.insert(i, lines[i])
+                else:
+                    k = row()
+                    lines[i], lines[k] = lines[k], lines[i]
+        path.write_bytes((newline.join(lines) + newline).encode())
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("overrides", [{}, dict(n_speakers=120, frames_per_state=1)],
+                             ids=["default", "adapt"])
+    def test_generated_corpus_loads_in_one_pass(self, tmp_path, monkeypatch, overrides):
+        """The bulk pass reads a generated corpus, and the load holds no
+        Python object per line, so it runs no cyclic garbage collection."""
+        corpus, _ = generate_corpus(RunConfig(**overrides))
+        path = tmp_path / "corpus.csv"
+        save_corpus(corpus, path)
+
+        def line_by_line(*args):
+            raise AssertionError("the line-by-line parse ran")
+
+        monkeypatch.setattr(corpus_mod, "_parse_lines", line_by_line)
+        collections = []
+
+        def count(phase, info):
+            collections.extend([info["generation"]] if phase == "start" else [])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            loaded = load_corpus(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == []
+        assert loaded.frames.tobytes() == corpus.frames.tobytes()
+        assert labels(loaded) == labels(corpus)
 
 
 class TestLatents:
