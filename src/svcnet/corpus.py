@@ -334,17 +334,25 @@ def _float_rows(path, numbers, texts, width, labels, what):
     return values
 
 
+def _digits(text):
+    """Whether `text` is ASCII decimal digits only (`+1`, ` 1`, `1_0` and
+    `١` are not, though int() reads them)."""
+    return text.isascii() and text.isdigit()
+
+
 def _int_column(path, numbers, texts, what, high):
-    """The integers of `texts`, each in [0, high); CorpusFormatError naming
-    the first line whose text is no such integer."""
+    """The integers of `texts`, each written in ASCII decimal digits and in
+    [0, high); CorpusFormatError naming the first line whose text is no
+    such integer."""
     try:
         values = np.array(texts, dtype=np.int64)
     except (ValueError, OverflowError):
         values = None
-    if values is None or not ((values >= 0) & (values < high)).all():
+    if (values is None or not ((values >= 0) & (values < high)).all()
+            or not all(map(_digits, texts))):
         for number, text in zip(numbers, texts):
             try:
-                fits = 0 <= np.array(text, dtype=np.int64) < high
+                fits = _digits(text) and 0 <= np.array(text, dtype=np.int64) < high
             except (ValueError, OverflowError):
                 fits = False
             if not fits:
@@ -450,23 +458,25 @@ def _read_rows(body, data, feature_dim, states_per_phone, speakers, words, phone
     holds no Python object per line; None, for _parse_lines to read or
     refuse, wherever the two may differ or a line is bad: for text with
     non-ASCII, a NUL (cut from a string's end), 0x1f (a space to loadtxt's
-    integers only), a space or a tab (none in utterance ids), and below."""
-    if (not body.isascii() or any(c in body for c in "\x00\x1f \t")
+    integers only), a space or a tab (none in utterance ids), a `+` (a
+    sign to loadtxt's integers; none in a generated file), and below."""
+    if (not body.isascii() or any(c in body for c in "\x00\x1f \t+")
             or data[0].count(",") != 5 + feature_dim):
         return None
     width = min(2 * max(map(len, speakers + words + phones), default=0) + 2, 64)  # for two names
     dtype = [(k, f"S{width}") for k in ("speaker", "utterance", "word", "phone")] + [
-        ("state", np.int64), ("index", np.int64), ("features", float, (feature_dim,))]
+        ("state", np.uint64), ("index", np.uint64), ("features", float, (feature_dim,))]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, Warning):  # loadtxt refuses `1_0`, which np.array reads
+    except (ValueError, Warning):  # loadtxt refuses `1_0`, which np.array reads, and `-0`
         return None
     state, index = rows["state"], rows["index"]
     if len(rows) != len(data) or not np.isfinite(rows["features"]).all() or not (
-            (0 <= state) & (state < states_per_phone) & (0 <= index) & (index < 2**62)).all():
+            (state < states_per_phone) & (index < 2**62)).all():
         return None
+    state, index = state.astype(np.int64), index.astype(np.int64)
     labels = dict(state=state, index=index)
     for kind, names in (("speaker", speakers), ("word", words), ("phone", phones),
                         ("utterance", None)):

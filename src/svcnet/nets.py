@@ -129,58 +129,23 @@ def forward(params, x, code=None):
     return acts
 
 
-class RowForward:
-    """Stacked forward passes of N networks of one spec, each on B input
-    rows, into output buffers allocated once: the pass of a loop of many
-    small steps, such as a recurrent loop. Weights are (N, out, in)
-    stacks (Step's layout), biases (N, out) or (N, 1, out); one network's
-    (out, in) weights and (out,) biases are the N = 1 case.
-
-    Row (n, b) of every layer equals forward(net_n, x[n, b]) bit for bit:
-    the product W[..., None, :, :] @ x[..., None] runs one matrix-vector
-    product per row, the kernel of W @ x[n, b] (x @ W.T can differ in the
-    last bits), and the bias is added elementwise, to the flat buffer
-    against the bias tiled B times, which spares the broadcast's overhead
-    in a loop of small steps. The weights are read at each call, the
-    biases tiled here: build a new RowForward after changing the biases.
-    """
-
-    def __init__(self, weights, biases, kinds, n_rows):
-        n = biases[0].size // biases[0].shape[-1]  # N bias vectors per layer
-        self.outputs = [np.empty((n, n_rows, b.shape[-1])) for b in biases]
-        self._cols = [out[..., None] for out in self.outputs]
-        self._flat = [out.reshape(-1) for out in self.outputs]
-        tiled = [np.repeat(b.reshape(n, 1, -1), n_rows, axis=1).reshape(-1) for b in biases]
-        self._layers = list(zip([w[..., None, :, :] for w in weights], tiled, kinds))
-
-    def __call__(self, x):
-        """Forward pass of the (N, B, in) rows x, which may be the last
-        output buffer (the input is read by the first layer only); returns
-        the activations of every layer, input included. The outputs are
-        the buffers the next call overwrites."""
-        col = x[..., None]
-        for layer, (w, b, kind) in enumerate(self._layers):
-            np.matmul(w, col, out=self._cols[layer])
-            col, flat = self._cols[layer], self._flat[layer]
-            flat += b
-            activate(flat, kind, out=flat)
-        return [x] + self.outputs
-
-
 def forward_rows(params, x, depth=None):
     """Activations of layers 0 (the input) to `depth` (default: the
     output) for each row of the (B, in) input x: one (B, width) array per
     layer, row b equal to forward(params, x[b]) bit for bit. One pass for
-    all rows: each layer is the broadcast W @ x[:, :, None], one
-    matrix-vector product per row as in RowForward, with the bias added
-    by broadcasting. The layers past `depth` are not read."""
+    all rows: each layer is the broadcast W @ x[..., None], one
+    matrix-vector product per row, the kernel of W @ x[b] (x @ W.T can
+    differ in the last bits), with the bias added by broadcasting. The
+    layers past `depth` are not read. N networks of one spec stacked as
+    Step keeps them, (N, out, in) weights and (N, 1, out) biases, run on
+    (N, B, in) rows: row (n, b) of every layer is network n's."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != params.spec.sizes[0]:
+    if x.ndim != max(2, params.weights[0].ndim) or x.shape[-1] != params.spec.sizes[0]:
         raise StructuralError(f"input has shape {x.shape}, expected (B, {params.spec.sizes[0]})")
     acts = [x]
     layers = zip(params.weights, params.biases, params.spec.activations)
     for w, b, kind in islice(layers, depth):
-        z = np.matmul(w, acts[-1][:, :, None])[:, :, 0]
+        z = np.matmul(w[..., None, :, :], acts[-1][..., None])[..., 0]
         z += b
         acts.append(activate(z, kind, out=z))
     return acts

@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import SoundIndex
 from .errors import DataError, StructuralError
-from .nets import LayerSpec, RowForward, Step, activate, forward, init_network
+from .nets import LayerSpec, NetworkParams, Step, activate, forward, forward_rows, init_network
 
 log = logging.getLogger(__name__)
 
@@ -77,6 +77,8 @@ def _train_lockstep(sounds, frames, config, seeds):
     rows = frames.reshape(-1, feature_dim)
     offsets = np.arange(n_sounds)[:, None] * n_frames
     lead = step.outputs.shape[:-1]  # (N, 1), or (1,) for one encoder
+    stacked = NetworkParams(spec, step.weights, step.biases)
+    sets = frames.reshape(lead[:-1] + frames.shape[1:])  # as the stacked weights: (N, F, dim)
     curves = np.empty((config.ppc_epochs, n_sounds))
     for epoch in range(config.ppc_epochs):
         order = np.array([rng.permutation(n_frames) for rng in rngs]) + offsets
@@ -84,9 +86,9 @@ def _train_lockstep(sounds, frames, config, seeds):
             x = rows[idx.reshape(lead)]
             step(x, x)
         # reconstruction_mse of every encoder in one pass, summed in frame order
-        d = RowForward(step.weights, step.biases, spec.activations, n_frames)(frames)[-1]
-        d -= frames
-        total = np.cumsum((d[..., None, :] @ d[..., None])[..., 0, 0], axis=1)[:, -1]
+        d = forward_rows(stacked, sets)[-1]
+        d -= sets
+        total = np.cumsum((d[..., None, :] @ d[..., None])[..., 0, 0], axis=-1)[..., -1]
         curves[epoch] = total / (n_frames * feature_dim)
         for sound, mse in zip(sounds, curves[epoch]):
             if not np.isfinite(mse):

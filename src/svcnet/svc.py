@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import expit
 
 from .corpus import SoundId, SoundIndex
 from .errors import DataError, StructuralError
 from .fileio import read_arrays, str_list, write_arrays
-from .nets import MODEL_FIELDS, LayerSpec, RowForward, Step, forward_rows, init_network
+from .nets import MODEL_FIELDS, LayerSpec, Step, forward_rows, init_network
 from .nets import model_arrays, model_from_arrays
 from .ppc import codable_frames, encode_frames
 
@@ -282,39 +283,67 @@ def extract_svcs(svcnet, streams, mode=FEEDBACK):
     """The accumulate/forward loop without weight updates for many
     Streams: one (T, svc_dim) trajectory of bottleneck snapshots per
     stream, each equal bit for bit to running the stream alone through an
-    Accumulator and forward().
+    Accumulator and forward(). The trajectories are views of one
+    time-major (T_max, S, svc_dim) array.
 
     One rule for both modes: a row reads feedback only while its stream
     still has an unheard slot; once every slot is heard its input is the
     running means alone, whatever the last output was. So all streams step
-    in lockstep, one stacked forward per step into buffers allocated once,
-    whose last output becomes the next input outside the heard slots, only
-    up to the last step at which an active row of some stream has an
-    unheard slot (none in zero_fill mode); a stream that has ended keeps a
-    row whose values are never read. The rows of every stream after that
-    step read no feedback: they run in one forward_rows pass over the
-    running means, up to the bottleneck only."""
+    in lockstep (_feedback_steps), each step's last output filling the
+    next input outside the heard slots, only up to the last step at which
+    an active row of some stream has an unheard slot (none in zero_fill
+    mode); a stream that has ended keeps a row whose values are never
+    read. The rows of every stream after that step read no feedback: they
+    run in one forward_rows pass over the running means, up to the
+    bottleneck only."""
     _check_mode(mode)
     if not streams:
         return []
-    net, bottleneck = svcnet.net, svcnet.bottleneck_index
     means, heard = _running_means(svcnet.layout, streams)
     lengths = [len(stream) for stream in streams]
     n_steps, n_streams, width = means.shape
     # heard slots only grow, so a stream's rows with an unheard slot come first
     n_loop = (int(np.minimum((~heard.all(axis=-1)).sum(axis=0), lengths).max())
               if mode == FEEDBACK else 0)
-    codes = np.empty((n_streams, n_steps, svcnet.code_dim))  # one trajectory per stream
+    codes = np.empty((n_steps, n_streams, svcnet.code_dim))  # codes[t, s]: stream s, step t
     if n_loop:  # the buffers cost a zero_fill enrollment a few percent
-        step = RowForward(net.weights, net.biases, net.spec.activations, n_streams)
-        x = step.outputs[-1]  # (1, S, W): the last output fills the unheard slots
-        x.fill(0.0)
-        for t in range(n_loop):
-            np.copyto(x, means[t], where=heard[t])
-            codes[:, t] = step(x)[bottleneck][0]
-    rest = forward_rows(net, means[n_loop:].reshape(-1, width), bottleneck)[-1]
-    codes[:, n_loop:] = rest.reshape(n_steps - n_loop, n_streams, svcnet.code_dim).swapaxes(0, 1)
-    return [codes[row, :n] for row, n in enumerate(lengths)]
+        _feedback_steps(svcnet, means[:n_loop], heard[:n_loop], codes[:n_loop])
+    rest = forward_rows(svcnet.net, means[n_loop:].reshape(-1, width), svcnet.bottleneck_index)
+    codes[n_loop:] = rest[-1].reshape(codes[n_loop:].shape)
+    return [codes[:n, row] for row, n in enumerate(lengths)]
+
+
+def _feedback_steps(svcnet, means, heard, codes):
+    """The lockstep loop over the C-contiguous (T, S, ...) means, heard
+    slots and codes: at step t every stream's input is means[t] in the
+    slots heard[t] and the last output elsewhere (zeros at first), and
+    codes[t] receives the bottleneck activations. Each layer is, per row,
+    the W @ x of forward() bit for bit: one stream's rows are plain
+    vectors, so a layer is that same matrix-vector product; S streams'
+    rows are (S, width, 1) columns, one product each, with the bias tiled
+    S times and added elementwise. The buffers and each layer's (weights,
+    output, bias) are set up once, and the bottleneck layer writes
+    straight into codes[t]. The completion net's layers are all sigmoid
+    (build_svcnet; load_svcnet refuses others)."""
+    n_steps, n_streams = means.shape[:2]
+    lead, col = ((), ()) if n_streams == 1 else ((n_streams,), (1,))  # one stream: vectors
+    outs = [np.zeros(lead + (b.size,) + col) for b in svcnet.net.biases]
+    biases = [np.repeat(b[None], n_streams, axis=0).reshape(out.shape)
+              for b, out in zip(svcnet.net.biases, outs)]
+    last, x = outs[-1], outs[-1].reshape(-1)  # the last output fills the unheard slots
+    outs[svcnet.bottleneck_index - 1] = None  # codes[t]
+    layers = list(zip(svcnet.net.weights, outs, biases))
+    taps = codes.reshape((n_steps,) + lead + codes.shape[-1:] + col)
+    copyto, matmul, sigmoid = np.copyto, np.matmul, expit  # local names: ~4% of a step
+    for m, h, tap in zip(means.reshape(n_steps, -1), heard.reshape(n_steps, -1), taps):
+        copyto(x, m, where=h)
+        src = last
+        for w, out, b in layers:
+            out = tap if out is None else out
+            matmul(w, src, out=out)
+            out += b
+            sigmoid(out, out=out)
+            src = out
 
 
 def extract_svc(svcnet, stream, mode=FEEDBACK):

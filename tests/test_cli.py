@@ -1,15 +1,20 @@
+import contextlib
 import dataclasses
 import functools
 import importlib.util
+import io
 import json
 import os
 import random
 import re
 import runpy
 import shutil
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svcnet import pipeline, quality
 from svcnet import recognizer as rec_mod
@@ -712,6 +717,24 @@ class TestMalformedArtifacts:
         assert f"{path}: line 3: {message}" in self.eval_error(full_run, out, capsys)
 
 
+    @pytest.mark.parametrize("value", ["0_1", "+1", "\u0661", " 1"])
+    @pytest.mark.parametrize("column, what", [(4, "state"), (5, "frame index")])
+    def test_integer_field_of_other_than_ascii_digits(self, full_run, out, capsys, column,
+                                                      what, value):
+        """int() reads each of these as 1; the corpus format writes digits."""
+        _, cpath = full_run
+        path = out / "corpus.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["train", "--stage", "ppc", "--config", cpath, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{path}: line 3: {what} {value!r} is not in [0, " in err
+
+
 class TestShuffledCorpus:
     def test_shuffled_rows_train_and_evaluate_identically(self, full_run, tmp_path):
         """A corpus file whose rows are shuffled loads to the canonical
@@ -1076,3 +1099,133 @@ class TestWordSubsetProtocol:
         first = load_split(RunConfig.from_file(cpath))[2].speakers[0]
         assert f"test speaker {first} has 1 word(s)" in err
         assert "word-subset protocol needs >= 2" in err
+
+
+PPC, SVC, REC, EVAL = (("train", "--stage", "ppc"), ("train", "--stage", "svc"),
+                       ("train", "--stage", "rec"), ("eval",))
+
+
+class TestFuzz:
+    """Mutated copies of the tiny run's input files, and edited configs,
+    end in exit status 0, or 2 with one stderr line: never a traceback, a
+    Python warning or a non-finite number written under models/ or
+    reports/. Each example mutates one file of a fresh copy of the run,
+    then runs the verbs that read that file, in pipeline order."""
+
+    READERS = {
+        "corpus.csv": (PPC, SVC, REC, EVAL),
+        "models/ppc_p00_0.txt": (SVC, EVAL, ("plot", "--kind", "ppc_scatter")),
+        "models/ppc_p03_1.txt": (SVC, REC, EVAL),
+        "models/svcnet.txt": (REC, EVAL, ("plot", "--kind", "svc_trajectory")),
+        "models/recognizer.txt": (EVAL,),
+        "config.json": (PPC, SVC, REC, EVAL),
+    }
+    CHARS = ["0", "9", "-", ".", ",", " ", "e", "x", "_", "+", "=", "\t", "\n", "\x00", "é"]
+    FIELDS = ["1e400", "nan", "inf", "-1", "99999999999999999999", ""]
+    NAMES = ["s00", "w01", "p02", "p00:0", "s01-w00", "sigmoid", "linear", "sizes", "w0", "b1"]
+    RENAMED = ["s99", "p00", "tanh", "linear", "p00:9", "x,y", "", "w 0", "٣"]
+    TRAILING = ["x", "\n", ",", " 0.5", "\n1 2 3", "\nw9 1 1\n0.1", "\ns00,s00-w00"]
+    # config values: wrong types, out of range, non-finite; all small, so no
+    # stage can run long or allocate much; a minimum that drops every sound
+    VALUES = ["x", None, True, -1, 0, 1, 2.5, float("inf"), float("nan"), "zero_fill",
+              "bogus"]
+    KEYS = sorted(TINY) + ["accumulation_mode", "min_sound_frames", "rec_window",
+                           "speaker_effect_scale", "corpus_path", "no_such_key"]
+
+    def mutate_text(self, data, text):
+        lines = text.split("\n")
+        line = lambda: data.draw(st.integers(0, len(lines) - 1))  # noqa: E731
+        kind = data.draw(st.sampled_from(["truncate", "char", "delete", "duplicate", "swap",
+                                          "field", "field", "rename", "trailing"]))
+        if kind == "truncate":
+            return text[:data.draw(st.integers(0, len(text) - 1))]
+        if kind == "char":
+            at = data.draw(st.integers(0, len(text) - 1))
+            return text[:at] + data.draw(st.sampled_from(self.CHARS)) + text[at + 1:]
+        if kind in ("delete", "duplicate", "swap"):
+            i, k = line(), line()
+            if kind == "swap":
+                lines[i], lines[k] = lines[k], lines[i]
+            else:
+                lines[i:i + 1] = [lines[i]] * (2 if kind == "duplicate" else 0)
+        elif kind == "field":
+            i = line()
+            sep = "," if "," in lines[i] else " "
+            fields = lines[i].split(sep)
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                st.sampled_from(self.FIELDS))
+            lines[i] = sep.join(fields)
+        elif kind == "rename":
+            name = data.draw(st.sampled_from(self.NAMES))
+            count = data.draw(st.sampled_from([1, -1]))  # the first occurrence, or all
+            return text.replace(name, data.draw(st.sampled_from(self.RENAMED)), count)
+        else:
+            return text + data.draw(st.sampled_from(self.TRAILING))
+        return "\n".join(lines)
+
+    def mutate_config(self, data, config):
+        key = data.draw(st.sampled_from(self.KEYS))
+        edit = data.draw(st.sampled_from(["delete", "set", "set", "drop_all"]))
+        if edit == "drop_all":
+            config["min_sound_frames"] = 100000
+        elif edit == "delete":
+            config.pop(key, None)
+        else:
+            config[key] = data.draw(st.sampled_from(self.VALUES))
+        return json.dumps(config)
+
+    @staticmethod
+    def written(run):
+        """{path: bytes} of every file under models/ and reports/."""
+        found = {}
+        for sub in ("models", "reports"):
+            for root, _, names in os.walk(os.path.join(run, sub)):
+                for name in names:
+                    path = os.path.join(root, name)
+                    with open(path, "rb") as f:
+                        found[path] = f.read()
+        return found
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_input_ends_in_one_line(self, full_run, tmp_path_factory, data):
+        base, _ = full_run
+        run = str(tmp_path_factory.mktemp("fuzz") / "run")
+        shutil.copytree(base.out_dir, run)
+        target = data.draw(st.sampled_from(sorted(self.READERS)))
+        config = dict(TINY, out_dir=run)
+        cpath = os.path.join(run, "config.json")
+        if target == "config.json":
+            text = self.mutate_config(data, config)
+        else:
+            with open(os.path.join(run, target), encoding="utf-8") as f:
+                mutated = self.mutate_text(data, f.read())
+            with open(os.path.join(run, target), "w", encoding="utf-8") as f:
+                f.write(mutated)
+            text = json.dumps(config)
+        with open(cpath, "w", encoding="utf-8") as f:
+            f.write(text)
+        for verb in self.READERS[target]:
+            before = self.written(run)
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                status = main([*verb, "--config", cpath])
+            assert caught == [], (verb, [str(w.message) for w in caught])
+            assert status in (0, 2), (verb, err.getvalue())
+            if status == 2:
+                assert len(err.getvalue().splitlines()) == 1, (verb, err.getvalue())
+            for path, content in self.written(run).items():
+                if before.get(path) != content:
+                    tokens = re.split(r"[\s,=]+", content.decode("utf-8", "replace"))
+                    assert all(np.isfinite(v) for v in map(_number, tokens) if v is not None), \
+                        (verb, path)
+
+
+def _number(token):
+    """The float a text token reads as, or None."""
+    try:
+        return float(token)
+    except ValueError:
+        return None

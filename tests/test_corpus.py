@@ -382,12 +382,18 @@ class TestParse:
             (4, "-1", "state '-1' is not in [0, 2)"),
             (4, "x", "state 'x' is not in [0, 2)"),
             (5, "1.5", "frame index '1.5' is not in [0, "),
+            (5, "0_1", "frame index '0_1' is not in [0, "),
+            (5, "+1", "frame index '+1' is not in [0, "),
+            (5, "\u0661", "frame index '\u0661' is not in [0, "),
+            (5, " 1", "frame index ' 1' is not in [0, "),
+            (4, "-0", "state '-0' is not in [0, 2)"),
             (7, "one", "could not convert string 'one' to float64"),
             (1, "s00 w00", "utterance 's00 w00' is not a non-empty string free of commas"),
             (1, "", "utterance '' is not a non-empty string free of commas"),
         ],
         ids=["speaker", "word", "phone", "state", "negative_state", "state_text",
-             "index", "feature", "utterance_with_space", "empty_utterance"],
+             "index", "index_underscore", "index_plus", "index_arabic_indic", "index_space",
+             "state_negative_zero", "feature", "utterance_with_space", "empty_utterance"],
     )
     def test_bad_label_names_line(self, tmp_path, column, value, message):
         _, path = saved(tmp_path)
@@ -493,11 +499,12 @@ def assert_same_outcome(path):
 # field values that one parse might read otherwise than the other, by
 # column of a 2-feature corpus: padded, cut, empty or unknown names; ids
 # with a space, a NUL (a fixed-width string drops it) or too long to fit;
-# integers that loadtxt refuses (`1_0`, `٣`) or reads past a 0x1f; values
-# out of range or not finite
+# integers that loadtxt refuses (`1_0`, `٣`), reads past a 0x1f or reads
+# with a sign (`+1`, `-0`), none of them ASCII digits only; values out of
+# range or not finite
 NAMES = ["s01", "w01", "p01", " s00", "s00 ", "", "s00\x00", "sé0"]
-INTS = ["1", "2", "-1", "1_0", "1.0", "+1", " 1", "\x1f1", "٣", "", "nan",
-        "99999999999999999999"]
+INTS = ["1", "2", "-1", "1_0", "0_1", "1.0", "+1", " 1", "\x1f1", "٣", "\u0661", "-0", "",
+        "nan", "99999999999999999999"]
 SWAPS = [NAMES, ["s00-w01", "s00 w00", "", "u" * 40, "s00-w00\x00", "s00"], NAMES, NAMES,
          INTS, INTS, *[["nan", "1e400", "-inf", "", "+1", "1_0", "1.0", " 1", "-0"]] * 2]
 

@@ -8,7 +8,6 @@ from svcnet.nets import (
     ACTIVATIONS,
     LayerSpec,
     NetworkParams,
-    RowForward,
     backward,
     forward,
     forward_rows,
@@ -146,9 +145,9 @@ class TestForwardRows:
 
     @pytest.mark.parametrize("n_nets, n_rows", [(1, 1), (1, 6), (5, 1), (3, 8)])
     def test_stack_equals_forward_per_net_and_row(self, n_nets, n_rows):
-        """N networks of one spec on (N, B, in) rows: row (n, b) of every
-        layer equals forward(net_n, x[n, b]), with the biases given as
-        (N, out) or, as Step keeps them, (N, 1, out)."""
+        """N networks of one spec stacked as Step keeps them, (N, out, in)
+        weights and (N, 1, out) biases, on (N, B, in) rows: row (n, b) of
+        every layer equals forward(net_n, x[n, b])."""
         rng = np.random.default_rng(10 * n_nets + n_rows)
         for trial in range(30):
             n_layers = int(rng.integers(2, 6))
@@ -160,30 +159,14 @@ class TestForwardRows:
                 for b in net.biases:
                     b[:] = rng.normal(0, 1, b.shape)
             weights = [np.array(ws) for ws in zip(*(net.weights for net in nets))]
-            biases = [np.array(bs)[:, None] if trial % 2 else np.array(bs)
-                      for bs in zip(*(net.biases for net in nets))]
+            biases = [np.array(bs)[:, None] for bs in zip(*(net.biases for net in nets))]
             x = rng.normal(0, 2, (n_nets, n_rows, sizes[0]))
-            acts = RowForward(weights, biases, kinds, n_rows)(x)
+            acts = forward_rows(NetworkParams(LayerSpec(sizes, kinds), weights, biases), x)
             assert [a.shape for a in acts] == [(n_nets, n_rows, w) for w in sizes]
             for n, net in enumerate(nets):
                 for b in range(n_rows):
                     for rows, single in zip(acts, forward(net, x[n, b])):
                         assert np.array_equal(rows[n, b], single)
-
-    def test_steps_fed_back_from_the_last_output(self):
-        """RowForward called on its own last output buffer, as a recurrent
-        loop does, equals forward() on a copy of that output."""
-        rng = np.random.default_rng(3)
-        p = init_network(spec([9, 4, 2, 4, 9]), seed=1)
-        step = RowForward(p.weights, p.biases, p.spec.activations, 3)
-        x = step.outputs[-1]
-        x[0] = rng.random((3, 9))
-        for _ in range(5):
-            inputs = x[0].copy()
-            acts = step(x)
-            for n in range(3):
-                for batched, single in zip(acts[1:], forward(p, inputs[n])[1:]):
-                    assert np.array_equal(batched[0, n], single)
 
     def test_stops_at_depth(self):
         """Up to layer `depth` the pass returns the full pass's layers 0 to

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from svcnet import svc as svc_mod
 from svcnet.config import RunConfig
@@ -455,19 +456,57 @@ class TestBatchedExtract:
             assert np.array_equal(traj, reference_trajectory(svcnet, stream, FEEDBACK))
 
     @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("flank_width", [0, 4])
+    def test_one_stream_alone_equals_it_in_a_batch(self, mode, flank_width):
+        """One stream alone runs the loop on plain vectors, several run it on
+        columns: each of a whole stream, a stream of length 1 and a stream
+        that ends inside the feedback loop gives the reference trajectory
+        both ways. With flank 0 the bottleneck is the first layer, so the
+        first layer writes the trajectory."""
+        svcnet, full = self._streams(flank_width)
+        held_back = full[2].sound == full[2].sound[0]
+        late = part(full[2], np.concatenate([np.flatnonzero(~held_back),
+                                             np.flatnonzero(held_back)[:1]]))
+        n_loop = self.last_open_step(svcnet, late) + 1
+        cases = [full[0], part(full[1], slice(1)), part(full[1], slice(n_loop // 2))]
+        assert 1 < len(cases[2]) < n_loop
+        for stream in cases:
+            alone = extract_svcs(svcnet, [stream], mode)[0]
+            beside = extract_svcs(svcnet, [late, stream, full[0]], mode)[1]
+            assert np.array_equal(alone, reference_trajectory(svcnet, stream, mode))
+            assert np.array_equal(beside, alone)
+
+    @pytest.mark.parametrize("svc_dim", [1, 2, 3])
+    def test_final_svc_of_a_batched_trajectory(self, svc_dim):
+        """A trajectory of a batch is a view of the time-major codes, not
+        contiguous; its mean has the bits of the contiguous trajectory's."""
+        corpus, encoders, layout, cfg = tiny_setup()
+        svcnet, _ = train_svcnet(corpus, encoders, layout, replace(cfg, svc_dim=svc_dim))
+        streams = speaker_streams([corpus.frames_of_speaker(s) for s in corpus.speakers],
+                                  encoders)
+        for mode in MODES:
+            for stream, traj in zip(streams, extract_svcs(svcnet, streams, mode)):
+                assert not traj.flags.c_contiguous
+                code = final_svc(traj).tobytes()
+                assert code == np.ascontiguousarray(traj).mean(axis=0).tobytes()
+                assert code == final_svc(reference_trajectory(svcnet, stream, mode)).tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_lockstep_steps_stop_at_last_open_step(self, monkeypatch, mode):
-        steps = []
+        """Each step of the lockstep loop runs every layer's sigmoid once."""
+        calls = []
 
-        class Counting(svc_mod.RowForward):
-            def __call__(self, x):
-                steps.append(1)
-                return super().__call__(x)
+        def counting(z, out):
+            calls.append(1)
+            return expit(z, out=out)
 
-        monkeypatch.setattr(svc_mod, "RowForward", Counting)
+        monkeypatch.setattr(svc_mod, "expit", counting)
         svcnet, streams = self._mixed_streams()
         extract_svcs(svcnet, streams, mode)
+        steps, left = divmod(len(calls), len(svcnet.net.weights))
         last = max(self.last_open_step(svcnet, s) for s in streams)
-        assert len(steps) == (last + 1 if mode == FEEDBACK else 0)
+        assert left == 0
+        assert steps == (last + 1 if mode == FEEDBACK else 0)
 
     @pytest.mark.parametrize("flank_width", [0, 4])
     def test_rows_after_the_loop_stop_at_the_bottleneck(self, flank_width):
