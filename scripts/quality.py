@@ -12,13 +12,13 @@ recognized with another test speaker's code, every level on; when it
 equals the own-code error, criterion 7's value, the recognizer does not
 use the code), and the first 12 hex digits of three SHA-256 digests:
 one over the encoders and `svcnet.txt`, one over `recognizer.txt`, and
-one over the report files (the reports' `#` provenance lines name the
-temporary directory, so they are left out). The model digest is split
+one over the report files, whole: no report line names the directory
+it was written to, so any two runs compare. The model digest is split
 so that a change to the recognizer alone shows as a change in its
-column only. A last row counts the seeds that
-passed each criterion. The output ends with one JSON line that holds the
-same cells, keyed by seed and column, and the pass counts, for pasting
-into a benchmark record. A full run takes several minutes.
+column only. A last row counts the seeds that passed each criterion.
+The output ends with one JSON line that holds the same cells, keyed by
+seed and column, and the pass counts, for pasting into a benchmark
+record. A full run takes several minutes.
 """
 
 import hashlib
@@ -43,19 +43,14 @@ def row(cells):
     return "  ".join(str(c).rjust(w) for c, w in zip(cells, WIDTHS))
 
 
-def digest(directory, skip_comments=False, keep=lambda name: True):
+def digest(directory, keep=lambda name: True):
     """SHA-256 over the names and bytes of the files of a directory that
-    `keep(name)` admits, optionally without the lines that start with `#`;
-    the first 12 hex digits."""
+    `keep(name)` admits; the first 12 hex digits."""
     h = hashlib.sha256()
     for name in filter(keep, sorted(os.listdir(directory))):
         h.update(f"{name}\n".encode())
         with open(os.path.join(directory, name), "rb") as f:
-            data = f.read()
-        if skip_comments:
-            data = b"".join(line for line in data.splitlines(keepends=True)
-                            if not line.startswith(b"#"))
-        h.update(data)
+            h.update(f.read())
     return h.hexdigest()[:12]
 
 
@@ -83,7 +78,7 @@ def measure(seed, out_dir):
     models = config.resolved_model_dir
     digests = (digest(models, keep=lambda name: name != RECOGNIZER),
                digest(models, keep=lambda name: name == RECOGNIZER),
-               digest(config.resolved_report_dir, skip_comments=True))
+               digest(config.resolved_report_dir))
     return results, summary, swap, digests
 
 

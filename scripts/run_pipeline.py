@@ -8,9 +8,9 @@ Runs the `svcnet` CLI verbs in order, each with the flags given here, and
 prints each stage's wall time as it ends. Stops at the first verb that
 fails and exits with its status (1 usage error, 2 data/model error).
 Ends with the digests of the models and of the reports, as
-`scripts/quality.py` prints them (the reports without their `#`
-provenance lines, which name the output directory), so that runs from
-different checkouts can be compared.
+`scripts/quality.py` prints them; runs of one config into any two
+directories, from any two checkouts, print the same digests when their
+files are byte-identical.
 """
 
 import os
@@ -49,7 +49,7 @@ def main(argv=None):
     print(f"\npipeline complete in {total:.1f}s")
     config = cli.load_config(cli.build_parser().parse_args([*VERBS[0], *flags]))
     print(f"models {digest(config.resolved_model_dir)} "
-          f"reports {digest(config.resolved_report_dir, skip_comments=True)}")
+          f"reports {digest(config.resolved_report_dir)}")
     return 0
 
 

@@ -23,6 +23,9 @@ RANGES = (
     (("ppc_learning_rate", "svc_learning_rate", "rec_learning_rate", "train_fraction"), 0, False),
 )
 
+# where a run is written, not what it computes
+PATHS = ("out_dir", "corpus_path", "model_dir", "report_dir")
+
 
 @dataclass
 class RunConfig:
@@ -125,7 +128,9 @@ class RunConfig:
         self.rec_seed = seed + 4
 
     def config_hash(self):
-        canon = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        """Hash of every field but the PATHS: one config written anywhere hashes alike."""
+        fields = {k: v for k, v in dataclasses.asdict(self).items() if k not in PATHS}
+        canon = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     @classmethod

@@ -104,7 +104,13 @@ def _parse(lines, kind, parsers):
             raise StructuralError(f"truncated: {name} needs {n_rows} rows, {len(rows)} left")
         if any(len(row) != shape[-1] for row in rows):
             raise StructuralError(f"{name}: rows are not of shape {shape}")
-        arr = np.array([[float(v) for v in row] for row in rows]).reshape(shape)
+        values = []
+        for line, row in enumerate(rows, pos + 2):
+            try:
+                values.append([float(v) for v in row])
+            except ValueError as e:
+                raise StructuralError(f"line {line}: {name}: {e}") from None
+        arr = np.array(values).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise StructuralError(f"{name}: non-finite value")
         arrays[name] = arr

@@ -2,7 +2,8 @@
 
 Every stage is deterministic given the run configuration: all randomness
 flows from the per-stage seeds, and every report carries a provenance
-header with the config hash, seeds, and corpus path.
+header with the config hash, seeds, and corpus path; none of it names
+the directory the run was written to.
 """
 
 import glob
@@ -23,23 +24,23 @@ from .fileio import atomic_write_text, fmt_float
 from .nets import load_model, save_model
 
 
-def provenance_header(config):
+def write_report_lines(config, name, lines):
+    """Write the report `name`: `#` provenance lines, then `lines`. The
+    provenance depends on the config alone: its hash (which leaves the
+    paths out), the seeds and the corpus path relative to the report."""
     seeds = ",".join(f"{k}:{v}" for k, v in config.seeds().items())
-    return [
-        f"# config_hash={config.config_hash()}",
-        f"# seeds={seeds}",
-        f"# corpus={config.resolved_corpus_path}",
-    ]
+    corpus = os.path.relpath(config.resolved_corpus_path, config.resolved_report_dir)
+    head = [f"# config_hash={config.config_hash()}", f"# seeds={seeds}", f"# corpus={corpus}"]
+    os.makedirs(config.resolved_report_dir, exist_ok=True)
+    path = os.path.join(config.resolved_report_dir, name)
+    atomic_write_text(path, "\n".join([*head, *lines]) + "\n")
+    return path
 
 
 def write_report(config, name, header_cols, rows):
-    os.makedirs(config.resolved_report_dir, exist_ok=True)
-    path = os.path.join(config.resolved_report_dir, name)
-    lines = provenance_header(config)
-    lines.append(",".join(header_cols))
+    lines = [",".join(header_cols)]
     lines.extend(",".join(str(v) for v in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
+    return write_report_lines(config, name, lines)
 
 
 # ---------------------------------------------------------------- stages
@@ -282,17 +283,11 @@ def run_eval(config):
     ]
     write_report(config, "ablation.csv", ("acoustic", "state", "word", "error_rate"), rows)
 
-    pred_lines = provenance_header(config)
-    for utt, truth, label, flags in ablation_log:
-        pred_lines.append(
-            f"{utt} true={truth} predicted={label} "
-            f"flags={int(flags.acoustic)}{int(flags.state)}{int(flags.word)}"
-        )
-    os.makedirs(config.resolved_report_dir, exist_ok=True)
-    atomic_write_text(
-        os.path.join(config.resolved_report_dir, "predictions.txt"),
-        "\n".join(pred_lines) + "\n",
-    )
+    write_report_lines(config, "predictions.txt", [
+        f"{utt} true={truth} predicted={label} "
+        f"flags={int(flags.acoustic)}{int(flags.state)}{int(flags.word)}"
+        for utt, truth, label, flags in ablation_log
+    ])
 
     # same-vs-different-words protocol: recognize each speaker's last
     # ceil(half) words with a code from {none, the other words, the same

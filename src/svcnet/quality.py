@@ -98,9 +98,16 @@ def word_subset_protocol(summary):
 
 def code_swap_error(held, net, test):
     """Error with the true code at every level, where each test speaker is
-    recognized with the next test speaker's code (cyclically). Equal to
-    the own-code error, it shows the recognizer does not use the code."""
+    recognized with the next test speaker's code (cyclically): one
+    all-on recognition pass over the test utterances. Equal to the
+    own-code error, it shows the recognizer does not use the code."""
     speakers = list(held.svcs)
     swapped = {s: held.svcs[speakers[(i + 1) % len(speakers)]] for i, s in enumerate(speakers)}
-    rows, _ = rec_mod.ablation_eval(net, test, swapped, held.average)
-    return rows[-1][1]  # every level on
+    bounds = test.utterance_bounds()
+    starts = bounds[:-1]
+    feats = [test.frames[a:b] for a, b in zip(starts, bounds[1:])]
+    codes = [swapped[test.speakers[k]] for k in test.speaker[starts]]
+    on = rec_mod.AvailabilityFlags.all_on()
+    labels = rec_mod.recognize_utterances(net, feats, codes, [on], held.average)[0].argmax(axis=-1)
+    truths = [test.words[w] for w in test.word[starts]]
+    return rec_mod.error_rate([net.words[label] != truth for label, truth in zip(labels, truths)])

@@ -268,12 +268,18 @@ class TestReports:
             assert all(np.isfinite(float(r[1])) for r in rows)
 
     def test_provenance_headers(self, full_run):
+        """The provenance names no directory the run was written to: the
+        config hash leaves the four paths out, and the corpus path is
+        relative to the report directory."""
         config, _ = full_run
         comments, _, _ = read_report(config, "ablation.csv")
-        joined = "\n".join(comments)
-        assert config.config_hash() in joined
-        assert "seeds=" in joined
-        assert config.resolved_corpus_path in joined
+        assert comments == [f"# config_hash={config.config_hash()}",
+                            "# seeds=corpus:11,split:12,ppc:13,svc:14,rec:15",
+                            "# corpus=../corpus.csv"]
+        moved = dataclasses.replace(config, out_dir="elsewhere", corpus_path="c.csv",
+                                    model_dir="m", report_dir="r")
+        assert moved.config_hash() == config.config_hash()
+        assert dataclasses.replace(config, svc_epochs=5).config_hash() != config.config_hash()
 
     def test_ablation_shape(self, full_run):
         config, _ = full_run
@@ -490,6 +496,35 @@ class TestHeldOut:
         assert list(displacements) == list(test.speakers)
         assert quality.code_stability(held).detail.split()[1:] == ratios
 
+    def test_code_swap_error_is_the_ablations_all_on_row(self, mode_run, monkeypatch):
+        """code_swap_error's one all-on pass scores every test utterance
+        bit for bit as ablation_eval's all-on setting does with each test
+        speaker's code swapped for the next one's, so its error is that
+        setting's row."""
+        config, encoders, svcnet, net, _ = mode_run
+        _, train, test = load_split(config)
+        held = pipeline.code_held_out(config, svcnet, encoders, train, test)
+        speakers = list(test.speakers)
+        swapped = {s: held.svcs[speakers[(i + 1) % len(speakers)]] for i, s in enumerate(speakers)}
+        assert not any(np.array_equal(swapped[s], held.svcs[s]) for s in speakers)
+        recognize = rec_mod.recognize_utterances
+        calls = []  # (flags, scores) of each recognition pass
+
+        def spy(*args):
+            calls.append((list(args[3]), recognize(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(rec_mod, "recognize_utterances", spy)
+        rows, _ = rec_mod.ablation_eval(net, test, swapped, held.average)
+        blocks = len(calls)
+        error = quality.code_swap_error(held, net, test)
+        on = rec_mod.AvailabilityFlags.all_on()
+        [(flags, scores)] = calls[blocks:]
+        assert flags == [on]
+        all_on = np.concatenate([s[f.index(on)] for f, s in calls[:blocks]])
+        assert np.array_equal(scores[0], all_on)
+        assert rows[-1][0] == on and error == rows[-1][1]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stability_refuses_speakers_of_few_words(self, full_run):
         """TINY has 4 words, so no fourth word transition: criterion 4
@@ -557,6 +592,26 @@ class TestMalformedArtifacts:
         lines[2] = re.sub(r"\d", "x", lines[2], count=1)
         path.write_text("".join(lines))
         assert name in self.eval_error(full_run, out, capsys)
+
+    @pytest.mark.parametrize("mutation", ["deleted_row", "non_numeric_value"])
+    def test_encoder_row_value_not_a_float(self, full_run, out, capsys, mutation):
+        """A row value that float() refuses is named with its line and its
+        array. With a row of w1 deleted, the b1 header is read as w1's
+        last row (TINY's w1 is 2 wide, as many fields as the header)."""
+        _, cpath = full_run
+        path = out / "models" / "ppc_p00_0.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        w1 = [line.split()[0] for line in lines].index("w1")
+        if mutation == "deleted_row":
+            del lines[w1 + 1]
+            number, value = [line.split()[0] for line in lines].index("b1") + 1, "b1"
+        else:
+            lines[w1 + 1] = "x " + lines[w1 + 1].split(" ", 1)[1]
+            number, value = w1 + 2, "x"
+        path.write_text("".join(lines))
+        assert main(["train", "--stage", "svc", "--config", cpath, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {number}: w1: could not convert string to float: {value!r}\n")
 
     @pytest.mark.parametrize(
         "name",
@@ -757,11 +812,8 @@ class TestShuffledCorpus:
             assert (out / "models" / name).read_bytes() == open(original, "rb").read(), name
         for name in ("metrics_ppc.csv", "metrics_svc.csv", "metrics_rec.csv", "ablation.csv",
                      "table2.csv", "stability.csv", "predictions.txt"):
-            rows = [
-                [line for line in open(p).read().splitlines() if not line.startswith("#")]
-                for p in (os.path.join(config.resolved_report_dir, name), out / "reports" / name)
-            ]
-            assert rows[0] == rows[1], name
+            original = os.path.join(config.resolved_report_dir, name)
+            assert (out / "reports" / name).read_bytes() == open(original, "rb").read(), name
 
 
 class TestRunPipeline:
@@ -782,7 +834,28 @@ class TestRunPipeline:
         quality = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
                                               "quality.py"))
         assert out.splitlines()[-1] == (f"models {quality['digest'](models)} "
-                                        f"reports {quality['digest'](reports, True)}")
+                                        f"reports {quality['digest'](reports)}")
+
+    def test_two_output_directories_write_identical_files(self, tiny_config_path, tmp_path,
+                                                         monkeypatch, capsys):
+        """Models and reports depend on the config and the code alone: the
+        config run into a relative and a deeper absolute directory writes
+        the same bytes, provenance lines and plot exports included, and
+        prints the same digests."""
+        monkeypatch.chdir(tmp_path)
+        outs = [tmp_path / "a" / "run", tmp_path / "b" / "deeper" / "run"]
+        digests = []
+        for out in ("a/run", str(outs[1])):
+            assert self.run_script("--config", tiny_config_path, "--out", out) == 0
+            digests.append(capsys.readouterr().out.splitlines()[-1])
+        assert digests[0] == digests[1]
+        assert "svc_halves.csv" in os.listdir(outs[0] / "reports")
+        for sub in ("models", "reports"):
+            names = sorted(os.listdir(outs[0] / sub))
+            assert names == sorted(os.listdir(outs[1] / sub))
+            for name in names:
+                a, b = (out / sub / name for out in outs)
+                assert a.read_bytes() == b.read_bytes(), name
 
     def test_stops_at_first_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

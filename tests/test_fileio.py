@@ -46,6 +46,7 @@ class TestArrays:
             ("svcnet-thing v2 n=1\nm 1000000000000 2\n1.0 2.0\n", "truncated"),
             ("svcnet-thing v2 n=1\nm 2 2\n1.0 2.0\n3.0\n", "not of shape"),
             ("svcnet-thing v2 n=1\nv 2\n1.0 x\n", "could not convert"),
+            ("svcnet-thing v2 n=1\nm 2 2\n1.0 2.0\n3.0 y\n", "line 4: m: could not convert"),
             ("svcnet-thing v2 n=1\nv 2\n1.0 nan\n", "non-finite"),
             ("svcnet-thing v2 n=1\nv 2\n1.0 -inf\n", "non-finite"),
         ],
