@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CorpusFormatError, DataError, StructuralError
-from .fileio import atomic_write_text, fmt_float, read_text
+from .fileio import atomic_write_text, fmt_float, is_digits, read_text
 
 CORPUS_HEADER_TAG = "svcnet-corpus v1"
 LABELS = ("speaker", "utterance", "word", "sound", "index")
@@ -45,7 +45,7 @@ class SoundId(NamedTuple):
     def parse(cls, text):
         """The inverse of str(): "phone:state"; DataError otherwise."""
         phone, _, state = text.rpartition(":")
-        if not phone or not state.isdecimal():
+        if not phone or not is_digits(state):
             raise DataError(f"bad sound {text!r}: expected phone:state, such as p00:0")
         return cls(phone, int(state))
 
@@ -334,12 +334,6 @@ def _float_rows(path, numbers, texts, width, labels, what):
     return values
 
 
-def _digits(text):
-    """Whether `text` is ASCII decimal digits only (`+1`, ` 1`, `1_0` and
-    `١` are not, though int() reads them)."""
-    return text.isascii() and text.isdigit()
-
-
 def _int_column(path, numbers, texts, what, high):
     """The integers of `texts`, each written in ASCII decimal digits and in
     [0, high); CorpusFormatError naming the first line whose text is no
@@ -349,10 +343,10 @@ def _int_column(path, numbers, texts, what, high):
     except (ValueError, OverflowError):
         values = None
     if (values is None or not ((values >= 0) & (values < high)).all()
-            or not all(map(_digits, texts))):
+            or not all(map(is_digits, texts))):
         for number, text in zip(numbers, texts):
             try:
-                fits = _digits(text) and 0 <= np.array(text, dtype=np.int64) < high
+                fits = is_digits(text) and 0 <= np.array(text, dtype=np.int64) < high
             except (ValueError, OverflowError):
                 fits = False
             if not fits:
@@ -400,8 +394,9 @@ def _header(path, line):
         raise CorpusFormatError(path, 1, "missing header line")
     try:  # a JSON object with these keys; JSONDecodeError is a ValueError
         header = json.loads(line[2:])
-        feature_dim = int(header["feature_dim"])
-        states_per_phone = int(header["states_per_phone"])
+        feature_dim, states_per_phone = header["feature_dim"], header["states_per_phone"]
+        if type(feature_dim) is not int or type(states_per_phone) is not int:  # bool is an int
+            raise TypeError("feature_dim and states_per_phone must be JSON integers")
         speakers, words, phones = (tuple(header[k]) for k in ("speakers", "words", "phones"))
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusFormatError(path, 1, f"bad header: {e!r}") from None

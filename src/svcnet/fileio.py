@@ -46,6 +46,19 @@ def read_text(path):
             raise DataError(f"{path}: not UTF-8 text") from None
 
 
+def is_digits(text):
+    """Whether `text` is ASCII decimal digits only (`+1`, ` 1`, `1_0` and
+    `١` are not, though int() reads them)."""
+    return text.isascii() and text.isdigit()
+
+
+def parse_int(text):
+    """The integer of `text` in ASCII decimal digits, the only form written."""
+    if not is_digits(text):
+        raise ValueError(f"{text!r} is not written in ASCII digits")
+    return int(text)
+
+
 def str_list(text):
     return tuple(text.split(","))
 
@@ -95,18 +108,21 @@ def _parse(lines, kind, parsers):
     pos = 1
     while pos < len(lines):
         name, *dims = lines[pos].split() or [""]
-        shape = tuple(int(d) for d in dims if d.isdecimal() and int(d) > 0)
+        shape = tuple(int(d) for d in dims if is_digits(d) and int(d) > 0)
         if not name or name in arrays or len(dims) not in (1, 2) or len(shape) != len(dims):
             raise StructuralError(f"line {pos + 1}: bad array header {lines[pos][:40]!r}")
         n_rows = shape[0] if len(shape) == 2 else 1
-        rows = [ln.split() for ln in lines[pos + 1 : pos + 1 + n_rows]]
+        texts = lines[pos + 1 : pos + 1 + n_rows]
+        rows = [ln.split() for ln in texts]
         if len(rows) < n_rows:
             raise StructuralError(f"truncated: {name} needs {n_rows} rows, {len(rows)} left")
         if any(len(row) != shape[-1] for row in rows):
             raise StructuralError(f"{name}: rows are not of shape {shape}")
         values = []
-        for line, row in enumerate(rows, pos + 2):
+        for line, (text, row) in enumerate(zip(texts, rows), pos + 2):
             try:
+                if not text.isascii() or "_" in text:  # float() reads `1_0` and `٢` too
+                    raise ValueError(f"not a row of ASCII floats without '_': {text[:40]!r}")
                 values.append([float(v) for v in row])
             except ValueError as e:
                 raise StructuralError(f"line {line}: {name}: {e}") from None

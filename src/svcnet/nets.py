@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import StructuralError
-from .fileio import check_shapes, read_arrays, str_list, write_arrays
+from .fileio import check_shapes, parse_int, read_arrays, str_list, write_arrays
 
 ACTIVATIONS = ("sigmoid", "tanh", "linear")
 
@@ -427,7 +427,8 @@ def gradient_check_battery(n_networks=100, seed=0, eps=1e-6):
     return worst
 
 
-MODEL_FIELDS = {"sizes": str_list, "activations": str_list}  # LayerSpec makes sizes ints
+MODEL_FIELDS = {"sizes": lambda text: tuple(map(parse_int, str_list(text))),
+                "activations": str_list}
 
 
 def _model_names(spec):

@@ -291,12 +291,7 @@ def run_eval(config):
 
     # same-vs-different-words protocol: recognize each speaker's last
     # ceil(half) words with a code from {none, the other words, the same
-    # words}, every speaker's utterances in one block per code source
-    frames = test.rows(held.in_last)
-    bounds = frames.utterance_bounds()
-    feats = [frames.frames[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    words = [frames.words[w] for w in frames.word[bounds[:-1]]]
-    speakers = [frames.speakers[k] for k in frames.speaker[bounds[:-1]]]
+    # words}, every speaker's utterances in one pass per code source.
     # "none" runs every level from the average code, as the ablation's
     # first, all-off setting does: its log starts with every test
     # utterance under that setting, in row order
@@ -305,13 +300,11 @@ def run_eval(config):
     per_source_errors = {"none": [
         label != truth for (_, truth, label, _), last in zip(off_log, last_utterances) if last
     ]}
-    on = rec_mod.AvailabilityFlags.all_on()
+    on, frames = rec_mod.AvailabilityFlags.all_on(), test.rows(held.in_last)
     for source, half in (("disjoint", 0), ("same", 1)):
-        codes = np.array([held.halves[speaker][half] for speaker in speakers])
-        scores = rec_mod.recognize_utterances(net, feats, codes, [on], held.average)[0]
-        per_source_errors[source] = [
-            net.words[label] != word for label, word in zip(scores.argmax(axis=-1), words)
-        ]
+        codes = {speaker: held.halves[speaker][half] for speaker in test.speakers}
+        _, wrong = rec_mod.word_errors(net, frames, codes, [on], held.average)
+        per_source_errors[source] = wrong[0]
     table2_rows = [
         (source, fmt_float(rec_mod.error_rate(per_source_errors[source])))
         for source in ("none", "disjoint", "same")

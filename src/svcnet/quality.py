@@ -103,11 +103,6 @@ def code_swap_error(held, net, test):
     own-code error, it shows the recognizer does not use the code."""
     speakers = list(held.svcs)
     swapped = {s: held.svcs[speakers[(i + 1) % len(speakers)]] for i, s in enumerate(speakers)}
-    bounds = test.utterance_bounds()
-    starts = bounds[:-1]
-    feats = [test.frames[a:b] for a, b in zip(starts, bounds[1:])]
-    codes = [swapped[test.speakers[k]] for k in test.speaker[starts]]
     on = rec_mod.AvailabilityFlags.all_on()
-    labels = rec_mod.recognize_utterances(net, feats, codes, [on], held.average)[0].argmax(axis=-1)
-    truths = [test.words[w] for w in test.word[starts]]
-    return rec_mod.error_rate([net.words[label] != truth for label, truth in zip(labels, truths)])
+    _, wrong = rec_mod.word_errors(net, test, swapped, [on], held.average)
+    return rec_mod.error_rate(wrong[0])

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, StructuralError
-from .fileio import check_shapes, read_arrays, str_list, write_arrays
+from .fileio import check_shapes, parse_int, read_arrays, str_list, write_arrays
 from .nets import LayerSpec, NetworkParams, Step, flat_views, init_network
 
 SVC_HIDDEN_WIDTH = 2  # fixed side-path width
@@ -206,57 +206,44 @@ def train_recognizer(corpus, svc_per_speaker, config):
     return net, metrics
 
 
-def _utterance_means(rows, lengths):
-    """Mean over each utterance of rows (..., n_rows, n_words), the
-    utterances' rows consecutive. Summed from zero in row order, as a
-    running += over the frames does: step k adds every utterance's k-th
-    row, or zero where the utterance is shorter, which adds nothing."""
-    lengths = np.asarray(lengths)
-    utterance = np.repeat(np.arange(len(lengths)), lengths)
-    position = np.arange(len(utterance)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    padded = np.zeros(rows.shape[:-2] + (lengths.max(), len(lengths), rows.shape[-1]))
-    padded[..., position, utterance, :] = rows
-    sums = np.zeros(padded.shape[:-3] + padded.shape[-2:])
-    for k in range(padded.shape[-3]):
-        sums += padded[..., k, :, :]
+def _utterance_means(rows, bounds):
+    """Mean over each utterance of rows (..., n_rows, n_words), utterance u
+    being rows bounds[u]:bounds[u + 1]. Summed from zero in row order, as
+    recognize's running += does: step k adds the k-th row of every
+    utterance that has one."""
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    sums = np.zeros(rows.shape[:-2] + (len(starts), rows.shape[-1]))
+    for k in range(lengths.max()):
+        has = lengths > k
+        sums[..., has, :] += rows[..., starts[has] + k, :]
     return sums / lengths[:, None]
 
 
-def recognize_utterances(net, utterances, svc, flag_list, avg):
-    """Mean word scores (n_flags, n_utterances, n_words) of each utterance
-    (a sequence of feature vectors) under each flag setting; per level the
-    side path runs from the utterance's code (flag on) or the
-    cross-speaker average (flag off). `svc` is one code for every
-    utterance, or one code per utterance, (n_utterances, svc_dim).
+def recognize_corpus(net, corpus, svc_per_speaker, flag_list, avg):
+    """Mean word scores (n_flags, n_utterances, n_words) of the corpus's
+    utterances, in row order, under each flag setting; per level the side
+    path runs from the utterance's speaker's code (flag on) or the
+    cross-speaker average (flag off). `svc_per_speaker` holds a code for
+    every corpus speaker, as train_recognizer's does.
 
     All frames go through the net as one block of stacked rows (W @
-    rows[:, :, None], one matrix-vector product per row), so the scores
-    equal per-frame forward_frame sums bit for bit. Each layer's main-path
-    product is formed once per distinct input: the acoustic one once, the
-    state one per acoustic flag and the word one per (acoustic, state)
-    flags. Each distinct code's side-path terms U @ h are formed once per
-    level and gathered to its utterances' frames. The block's arrays grow
-    with its frames."""
-    lengths = [len(u) for u in utterances]
-    if not lengths or min(lengths) == 0:
-        raise DataError("empty utterance")
-    codes, which = np.asarray(svc, dtype=float), None
-    if codes.ndim == 2:
-        if len(codes) != len(utterances):
-            raise StructuralError(f"{len(codes)} codes for {len(utterances)} utterances")
-        codes, which = np.unique(codes, axis=0, return_inverse=True)
-    else:
-        codes = codes[None]
-    # each frame's distinct code; a single code broadcasts
-    frame_code = np.repeat(which.reshape(-1), lengths) if len(codes) > 1 else slice(None)
-    hidden = {True: [svc_hidden(net, code) for code in codes],
-              False: [svc_hidden(net, np.asarray(avg, dtype=float))]}
+    rows[:, :, None], one matrix-vector product per row), each window
+    clipped at its utterance's bounds, so the scores equal recognize's
+    per-frame sums bit for bit. Each layer's main-path product is formed
+    once per distinct input: the acoustic one once, the state one per
+    acoustic flag and the word one per (acoustic, state) flags. Each
+    speaker's side-path terms U @ h are formed once per level and
+    gathered to its frames. The block's arrays grow with the corpus."""
+    bounds = corpus.utterance_bounds()
+    if len(bounds) < 2:
+        raise DataError("no utterance to recognize")
+    hidden = [svc_hidden(net, code)
+              for code in _speaker_codes(corpus, svc_per_speaker, net.svc_dim)]
+    h_avg = svc_hidden(net, avg)
     # flag -> per level, each frame's side-path terms U @ h
-    side = {}
-    for on, hs in hidden.items():
-        pick = frame_code if on else slice(None)
-        side[on] = [np.array([u @ h for h in hs])[pick] for u in net.net.injections]
-    x = np.concatenate([window_frames(u, net.window) for u in utterances])
+    side = {True: [np.array([u @ h for h in hidden])[corpus.speaker] for u in net.net.injections],
+            False: [u @ h_avg for u in net.net.injections]}
+    x = window_frames(corpus.frames, net.window, bounds)
     if x.shape[1] != net.input_dim:
         raise StructuralError(f"frame input width {x.shape[1]} != {net.input_dim}")
 
@@ -278,13 +265,25 @@ def recognize_utterances(net, utterances, svc, flag_list, avg):
             s = expit(into_state[a_key] + side[flags.state][1])
             into_word[s_key] = main_path(w_word, b_word, s)
         expit(into_word[s_key] + side[flags.word][2], out=y[k])
-    return _utterance_means(y, lengths)
+    return _utterance_means(y, bounds)
 
 
 def recognize(net, utterance_features, svc, flags, avg):
-    """Classify one utterance; per level the side path runs from the true
-    code (flag on) or the cross-speaker average (flag off)."""
-    scores = recognize_utterances(net, [utterance_features], svc, [flags], avg)[0, 0]
+    """Classify one utterance frame by frame, the reference that
+    recognize_corpus is checked against: each frame stacked with its
+    +-window neighbours (edge-padded), one forward_frame per frame, per
+    level the side path from the true code (flag on) or the cross-speaker
+    average (flag off), and the scores summed in frame order."""
+    feats = np.array(utterance_features, dtype=float)
+    if len(feats) == 0:
+        raise DataError("empty utterance")
+    h_true, h_avg = svc_hidden(net, svc), svc_hidden(net, avg)
+    levels = [h_true if on else h_avg for on in (flags.acoustic, flags.state, flags.word)]
+    scores = np.zeros(len(net.words))
+    for i in range(len(feats)):
+        x = feats[np.clip(range(i - net.window, i + net.window + 1), 0, len(feats) - 1)]
+        scores += forward_frame(net, x.reshape(-1), *levels)[2]
+    scores /= len(feats)
     return net.words[int(np.argmax(scores))], scores
 
 
@@ -296,39 +295,39 @@ def compute_average_svc(svcs):
 
 def error_rate(wrong):
     """Share of misrecognized utterances, from one flag per utterance."""
-    return sum(wrong) / len(wrong)
+    return float(np.mean(wrong))
+
+
+def word_errors(net, corpus, svc_per_speaker, flag_list, avg):
+    """(labels, wrong), each (n_flags, n_utterances): for each utterance of
+    the corpus, in row order, and each flag setting, the index into
+    net.words of the word recognize_corpus scores highest, and whether
+    that is not the utterance's word."""
+    labels = recognize_corpus(net, corpus, svc_per_speaker, flag_list, avg).argmax(axis=-1)
+    truths = np.array(corpus.words)[corpus.word[corpus.utterance_bounds()[:-1]]]
+    return labels, np.array(net.words)[labels] != truths
 
 
 def ablation_eval(net, test_corpus, svc_per_speaker, avg):
     """Error rate for each of the 8 availability combinations, plus the
-    per-utterance prediction log in row order. The utterances of each
-    SPEAKERS_PER_BLOCK consecutive speakers are recognized under all 8
-    settings as one block, each with its speaker's code."""
-    bounds = test_corpus.utterance_bounds()
-    starts = bounds[:-1]
-    grid = flag_grid()
-    predicted = np.empty((len(grid), len(starts)), dtype=int)
-    speaker = test_corpus.speaker[starts]
-    # a speaker's utterances are consecutive: cut before every
-    # SPEAKERS_PER_BLOCK-th speaker's first one
-    cuts = (np.flatnonzero(np.diff(speaker)) + 1)[SPEAKERS_PER_BLOCK - 1 :: SPEAKERS_PER_BLOCK]
-    for block in np.split(np.arange(len(starts)), cuts):
-        feats = [test_corpus.frames[bounds[u] : bounds[u + 1]] for u in block]
-        svc = [svc_per_speaker[test_corpus.speakers[k]] for k in speaker[block]]
-        predicted[:, block] = recognize_utterances(net, feats, svc, grid, avg).argmax(axis=-1)
+    per-utterance prediction log in row order. Each SPEAKERS_PER_BLOCK
+    consecutive speakers are recognized under all 8 settings as one
+    block, a corpus of only their rows, each with its own code."""
+    grid, speakers = flag_grid(), test_corpus.speakers
+    blocks = [test_corpus.restricted_to_speakers(speakers[k : k + SPEAKERS_PER_BLOCK])
+              for k in range(0, len(speakers), SPEAKERS_PER_BLOCK)]
+    blocks = [word_errors(net, block, svc_per_speaker, grid, avg) for block in blocks]
+    labels, wrong = (np.concatenate(parts, axis=1) for parts in zip(*blocks))
+    starts = test_corpus.utterance_bounds()[:-1]
     utterances = [test_corpus.utterances[u] for u in test_corpus.utterance[starts]]
     truths = [test_corpus.words[w] for w in test_corpus.word[starts]]
-    rows, log = [], []
-    for flags, labels in zip(grid, predicted):
-        words = [net.words[label] for label in labels]
-        log += [(utt, truth, word, flags) for utt, truth, word in zip(utterances, truths, words)]
-        rows.append((flags, error_rate([word != truth for word, truth in zip(words, truths)])))
-    return rows, log
+    log = [(utt, truth, net.words[label], flags) for flags, row in zip(grid, labels.tolist())
+           for utt, truth, label in zip(utterances, truths, row)]
+    return [(flags, error_rate(row)) for flags, row in zip(grid, wrong)], log
 
 
-REC_FIELDS = dict(
-    words=str_list, feature_dim=int, svc_dim=int, window=int, acoustic_units=int, state_units=int
-)
+REC_FIELDS = dict(words=str_list, feature_dim=parse_int, svc_dim=parse_int, window=parse_int,
+                  acoustic_units=parse_int, state_units=parse_int)
 
 
 def save_recognizer(net, path):
@@ -336,8 +335,6 @@ def save_recognizer(net, path):
 
 
 def _recognizer_from_arrays(fields, arrays):
-    if fields["window"] < 0:
-        raise StructuralError(f"window {fields['window']} is negative")
     spec = recognizer_spec(**fields)
     check_shapes(arrays, dict(zip(PARAM_NAMES, spec.param_shapes())))
     net = NetworkParams.from_arrays(spec, list(arrays.values()))  # in PARAM_NAMES order, as checked

@@ -15,7 +15,7 @@ from scipy.special import expit
 
 from .corpus import SoundId, SoundIndex
 from .errors import DataError, StructuralError
-from .fileio import read_arrays, str_list, write_arrays
+from .fileio import parse_int, read_arrays, str_list, write_arrays
 from .nets import MODEL_FIELDS, LayerSpec, Step, forward_rows, init_network
 from .nets import model_arrays, model_from_arrays
 from .ppc import codable_frames, encode_frames
@@ -369,7 +369,8 @@ def final_svc(trajectory):
     return trajectory.mean(axis=0)
 
 
-SVCNET_FIELDS = {**MODEL_FIELDS, "code_dim": int, "bottleneck": int, "sounds": str_list}
+SVCNET_FIELDS = {**MODEL_FIELDS, "code_dim": parse_int, "bottleneck": parse_int,
+                 "sounds": str_list}
 
 
 def save_svcnet(svcnet, path):

@@ -336,12 +336,15 @@ class TestReports:
         ]
 
 
-@pytest.fixture(scope="module", params=["feedback", "zero_fill"])
+@pytest.fixture(scope="module", params=[("feedback", 0), ("zero_fill", 0), ("feedback", 2)],
+                ids=["feedback", "zero_fill", "rec_window_2"])
 def mode_run(request, tmp_path_factory):
-    """A tiny pipeline in each accumulation mode: config, encoders, svcnet,
+    """A tiny pipeline in each accumulation mode, and one whose recognizer
+    windows are clipped at utterance edges: config, encoders, svcnet,
     recognizer and the eval summary."""
-    out = tmp_path_factory.mktemp(request.param) / "run"
-    config = RunConfig(**TINY, accumulation_mode=request.param, out_dir=str(out))
+    mode, window = request.param
+    out = tmp_path_factory.mktemp(mode) / "run"
+    config = RunConfig(**TINY, accumulation_mode=mode, rec_window=window, out_dir=str(out))
     pipeline.run_gen(config)
     encoders = pipeline.run_train_ppc(config)
     svcnet, _ = pipeline.run_train_svc(config)
@@ -352,20 +355,21 @@ def mode_run(request, tmp_path_factory):
 class TestTable2:
     def test_equals_per_speaker_loop(self, mode_run, monkeypatch):
         """Table 2 equals the per-speaker protocol: each speaker's
-        last-half utterances recognized in one call per code source, with
-        the half codes coded one speaker half at a time; its "none" column
-        equals the ablation's all-off predictions on those utterances.
-        Tiny recognizers predict alike under every code, so the scores of
-        run_eval's blocks are compared too, bit for bit."""
+        last-half utterances recognized frame by frame (`recognize`) under
+        each code source, with the half codes coded one speaker half at a
+        time; its "none" column equals the ablation's all-off predictions
+        on those utterances. Tiny recognizers predict alike under every
+        code, so the scores of run_eval's passes are compared too, bit for
+        bit."""
         config, encoders, svcnet, net, summary = mode_run
-        recognize = rec_mod.recognize_utterances
+        recognize = rec_mod.recognize_corpus
         blocks = []  # (flags, scores) of each call run_eval makes
 
         def spy(*args):
             blocks.append((args[3], recognize(*args)))
             return blocks[-1][1]
 
-        monkeypatch.setattr(rec_mod, "recognize_utterances", spy)
+        monkeypatch.setattr(rec_mod, "recognize_corpus", spy)
         assert pipeline.run_eval(config) == summary
 
         _, train, test = load_split(config)
@@ -389,7 +393,8 @@ class TestTable2:
             words = [frames.words[w] for w in frames.word[bounds[:-1]]]
             for source, code, flags in (("none", avg, off), ("disjoint", disjoint, on),
                                         ("same", same, on)):
-                scores[source].append(recognize(net, feats, code, [flags], avg)[0])
+                scores[source].append(np.array(
+                    [rec_mod.recognize(net, f, code, flags, avg)[1] for f in feats]))
                 labels = [net.words[k] for k in scores[source][-1].argmax(axis=-1)]
                 errors[source] += [label != word for label, word in zip(labels, words)]
                 if source == "none":
@@ -507,14 +512,14 @@ class TestHeldOut:
         speakers = list(test.speakers)
         swapped = {s: held.svcs[speakers[(i + 1) % len(speakers)]] for i, s in enumerate(speakers)}
         assert not any(np.array_equal(swapped[s], held.svcs[s]) for s in speakers)
-        recognize = rec_mod.recognize_utterances
+        recognize = rec_mod.recognize_corpus
         calls = []  # (flags, scores) of each recognition pass
 
         def spy(*args):
             calls.append((list(args[3]), recognize(*args)))
             return calls[-1][1]
 
-        monkeypatch.setattr(rec_mod, "recognize_utterances", spy)
+        monkeypatch.setattr(rec_mod, "recognize_corpus", spy)
         rows, _ = rec_mod.ablation_eval(net, test, swapped, held.average)
         blocks = len(calls)
         error = quality.code_swap_error(held, net, test)
@@ -612,6 +617,31 @@ class TestMalformedArtifacts:
         assert main(["train", "--stage", "svc", "--config", cpath, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: line {number}: w1: could not convert string to float: {value!r}\n")
+
+    @pytest.mark.parametrize(
+        "name, pattern, value",
+        [
+            ("recognizer.txt", r"window=0 ", "window=0_0 "),
+            ("recognizer.txt", r"svc_dim=2 ", "svc_dim=+2 "),
+            ("recognizer.txt", r"svc_dim=2 ", "svc_dim=\u0662 "),
+            ("svcnet.txt", r"bottleneck=2 ", "bottleneck=0_2 "),
+            ("svcnet.txt", r"p00:0,", "p00:\u0660,"),
+            ("ppc_p00_0.txt", r"sizes=6,2,6 ", "sizes=6,+2,6 "),
+            ("ppc_p00_0.txt", r"\nw0 2 6\n", "\nw0 \u0662 6\n"),
+            ("ppc_p00_0.txt", r"\nw0 2 6\n\S+", "\nw0 2 6\n1_0"),
+            ("ppc_p00_0.txt", r"\nw0 2 6\n\S+", "\nw0 2 6\n\u0662"),
+        ],
+        ids=["window_0_0", "svc_dim_plus", "svc_dim_arabic", "bottleneck_0_2", "sound_arabic",
+             "sizes_plus", "array_dim_arabic", "row_value_1_0", "row_value_arabic"],
+    )
+    def test_number_in_a_form_never_written(self, full_run, out, capsys, name, pattern, value):
+        """int() and float() read each of these as the number the file
+        held; the model format writes ASCII digits without '_'."""
+        path = out / "models" / name
+        text = path.read_text()
+        assert re.search(pattern, text)
+        path.write_text(re.sub(pattern, value, text, count=1), encoding="utf-8")
+        assert name in self.eval_error(full_run, out, capsys)
 
     @pytest.mark.parametrize(
         "name",
@@ -1194,7 +1224,7 @@ class TestFuzz:
         "config.json": (PPC, SVC, REC, EVAL),
     }
     CHARS = ["0", "9", "-", ".", ",", " ", "e", "x", "_", "+", "=", "\t", "\n", "\x00", "é"]
-    FIELDS = ["1e400", "nan", "inf", "-1", "99999999999999999999", ""]
+    FIELDS = ["1e400", "nan", "inf", "-1", "99999999999999999999", "", "0_1", "+1", "\u0662"]
     NAMES = ["s00", "w01", "p02", "p00:0", "s01-w00", "sigmoid", "linear", "sizes", "w0", "b1"]
     RENAMED = ["s99", "p00", "tanh", "linear", "p00:9", "x,y", "", "w 0", "٣"]
     TRAILING = ["x", "\n", ",", " 0.5", "\n1 2 3", "\nw9 1 1\n0.1", "\ns00,s00-w00"]

@@ -200,9 +200,20 @@ class TestRoundTrip:
         corpus, _ = generate_corpus(small_config())
         path = tmp_path / "corpus.csv"
         save_corpus(corpus, path)
-        path.write_text(path.read_text().replace('"feature_dim"', '"feature_dims"', 1))
-        with pytest.raises(CorpusFormatError, match=r"^\S*corpus.csv: line 1: bad header: "):
-            load_corpus(path)
+        text = path.read_text()
+        header = json.loads(text.splitlines()[0][2:])
+        # a missing key; numbers that int() reads, but that are no JSON integer
+        edits = [text.replace('"feature_dim"', '"feature_dims"', 1)]
+        for key, value in (("feature_dim", header["feature_dim"] + 0.9),
+                           ("feature_dim", str(header["feature_dim"])),
+                           ("states_per_phone", True)):
+            lines = text.splitlines(keepends=True)
+            lines[0] = "# " + json.dumps({**header, key: value}) + "\n"
+            edits.append("".join(lines))
+        for edit in edits:
+            path.write_text(edit)
+            with pytest.raises(CorpusFormatError, match=r"^\S*corpus.csv: line 1: bad header: "):
+                load_corpus(path)
 
     @pytest.mark.parametrize("bad", ["w 1", "w,1", "w\t1", "w\n1", ""])
     @pytest.mark.parametrize("kind", ["speakers", "words", "phones"])

@@ -5,7 +5,8 @@ import pytest
 from scipy.special import expit
 
 from svcnet.config import RunConfig
-from svcnet.corpus import generate_corpus, load_corpus, save_corpus
+from svcnet import recognizer as rec_mod
+from svcnet.corpus import Corpus, SoundId, generate_corpus, load_corpus, save_corpus
 from svcnet.errors import DataError, StructuralError
 from svcnet.nets import Step, flat_views, forward
 from svcnet.recognizer import (
@@ -21,8 +22,8 @@ from svcnet.recognizer import (
     init_recognizer,
     load_recognizer,
     recognize,
+    recognize_corpus,
     recognizer_spec,
-    recognize_utterances,
     save_recognizer,
     svc_hidden,
     train_recognizer,
@@ -359,89 +360,87 @@ class TestRecognize:
             recognize(net, [], np.zeros(2), AvailabilityFlags.all_on(), np.zeros(2))
 
 
-def reference_scores(net, features, svc, flags, avg):
-    """Mean per-frame forward_frame output over one utterance, each frame
-    windowed by hand; the per-frame loop the batched recognizer replaces."""
-    h_true, h_avg = svc_hidden(net, svc), svc_hidden(net, avg)
-    levels = [h_true if on else h_avg for on in (flags.acoustic, flags.state, flags.word)]
-    n = len(features)
-    scores = np.zeros(len(net.words))
-    for i in range(n):
-        x = np.concatenate([
-            features[min(max(k, 0), n - 1)] for k in range(i - net.window, i + net.window + 1)
-        ])
-        scores += forward_frame(net, x, *levels)[2]
-    scores /= n
-    return scores
+def random_corpus(rng, lengths, dim=6):
+    """A Corpus of normal random frames: speaker s has one utterance per
+    entry of lengths[s], of that many frames, each of a random word."""
+    speaker, utterance, word, index, names = [], [], [], [], []
+    for s, utterance_lengths in enumerate(lengths):
+        for n in utterance_lengths:
+            speaker += [s] * n
+            utterance += [len(names)] * n
+            word += [int(rng.integers(len(WORDS)))] * n
+            index += range(n)
+            names.append(f"u{len(names):02d}")
+    return Corpus(
+        rng.normal(0, 1, (len(speaker), dim)),
+        dict(speaker=speaker, utterance=utterance, word=word, sound=[0] * len(speaker),
+             index=index),
+        speakers=[f"s{s}" for s in range(len(lengths))], utterances=names, words=WORDS,
+        phones=("p0",), sounds=(SoundId("p0", 0),), states_per_phone=1,
+    )
+
+
+def random_net(rng, window):
+    net = init_recognizer(WORDS, 6, small_config(rec_window=window))
+    for p in net.param_arrays():
+        p[...] = rng.normal(0, 1, p.shape)
+    return net
 
 
 class TestBatchedRecognizer:
     @pytest.mark.parametrize("window", [0, 2])
     def test_equals_per_frame_loop(self, window):
-        """All 8 flag settings, utterances of unequal length (one of a
-        single frame), random biases: the scores match exactly."""
+        """All 8 flag settings, three speakers with utterances of unequal
+        length (one of a single frame), random biases and codes: every
+        utterance scores as recognize's per-frame loop scores it with
+        its speaker's code, exactly."""
         rng = np.random.default_rng(window)
-        net = init_recognizer(WORDS, 6, small_config(rec_window=window))
-        for p in net.param_arrays():
-            p[...] = rng.normal(0, 1, p.shape)
-        utterances = [list(rng.normal(0, 1, (n, 6))) for n in (5, 1, 9, 2)]
-        svc, avg = rng.random(2), rng.random(2)
+        net = random_net(rng, window)
+        corpus = random_corpus(rng, [(5, 1), (9,), (2, 4, 3)])
+        svcs = {s: rng.random(2) for s in corpus.speakers}
+        avg = rng.random(2)
         grid = flag_grid()
-        scores = recognize_utterances(net, utterances, svc, grid, avg)
-        assert scores.shape == (8, len(utterances), len(WORDS))
+        scores = recognize_corpus(net, corpus, svcs, grid, avg)
+        bounds = corpus.utterance_bounds()
+        assert scores.shape == (8, 6, len(WORDS))
         for k, flags in enumerate(grid):
-            for u, feats in enumerate(utterances):
-                expected = reference_scores(net, feats, svc, flags, avg)
+            for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                svc = svcs[corpus.speakers[corpus.speaker[lo]]]
+                label, expected = recognize(net, corpus.frames[lo:hi], svc, flags, avg)
                 assert np.array_equal(scores[k, u], expected)
-                assert np.array_equal(recognize(net, feats, svc, flags, avg)[1], expected)
+                assert label == net.words[scores[k, u].argmax()]
 
-    @pytest.mark.parametrize("window", [0, 2])
-    def test_one_code_per_utterance(self, window):
-        """Per-utterance codes, some repeated and not consecutive: each
-        utterance scores as it does alone with its own code, exactly."""
-        rng = np.random.default_rng(10 + window)
-        net = init_recognizer(WORDS, 6, small_config(rec_window=window))
-        for p in net.param_arrays():
-            p[...] = rng.normal(0, 1, p.shape)
-        utterances = [list(rng.normal(0, 1, (n, 6))) for n in (4, 1, 7, 3, 2)]
-        a, b, c = rng.random((3, 2))
-        codes, avg = np.array([a, b, a, c, b]), rng.random(2)
-        grid = flag_grid()
-        scores = recognize_utterances(net, utterances, codes, grid, avg)
-        assert scores.shape == (8, len(utterances), len(WORDS))
-        for k, flags in enumerate(grid):
-            for u, (feats, code) in enumerate(zip(utterances, codes)):
-                assert np.array_equal(scores[k, u], reference_scores(net, feats, code, flags, avg))
-        same = recognize_utterances(net, utterances, np.array([a] * 5), grid, avg)
-        assert np.array_equal(same, recognize_utterances(net, utterances, a, grid, avg))
-
-    def test_code_count_differs_from_utterances(self):
-        net = init_recognizer(WORDS, 6, small_config())
-        with pytest.raises(StructuralError):
-            recognize_utterances(net, [[np.zeros(6)]] * 3, np.zeros((2, 2)), flag_grid(),
-                                 np.zeros(2))
+    def test_speaker_without_a_code(self):
+        rng = np.random.default_rng(1)
+        corpus = random_corpus(rng, [(2,), (3,)])
+        with pytest.raises(DataError, match="^speaker s1 has no speaker code$"):
+            recognize_corpus(random_net(rng, 0), corpus, {"s0": np.zeros(2)}, flag_grid(),
+                             np.zeros(2))
 
     def test_flag_subset_and_order(self):
-        net = init_recognizer(WORDS, 6, small_config())
         rng = np.random.default_rng(5)
-        utterances = [list(rng.normal(0, 1, (3, 6)))]
-        svc, avg = rng.random(2), rng.random(2)
+        net = random_net(rng, 0)
+        corpus = random_corpus(rng, [(3,)])
+        svcs, avg = {"s0": rng.random(2)}, rng.random(2)
         flags = [AvailabilityFlags(True, False, True), AvailabilityFlags.all_off()]
-        scores = recognize_utterances(net, utterances, svc, flags, avg)
+        scores = recognize_corpus(net, corpus, svcs, flags, avg)
         for k, f in enumerate(flags):
-            assert np.array_equal(scores[k, 0], reference_scores(net, utterances[0], svc, f, avg))
+            expected = recognize(net, corpus.frames, svcs["s0"], f, avg)[1]
+            assert np.array_equal(scores[k, 0], expected)
 
     def test_empty_utterance_in_block(self):
-        net = init_recognizer(WORDS, 6, small_config())
-        with pytest.raises(DataError):
-            recognize_utterances(
-                net, [[np.zeros(6)], []], np.zeros(2), flag_grid(), np.zeros(2)
-            )
+        """A block of no rows has no utterance to score."""
+        corpus = random_corpus(np.random.default_rng(0), [()])
+        with pytest.raises(DataError, match="no utterance"):
+            recognize_corpus(random_net(np.random.default_rng(0), 0), corpus,
+                             {"s0": np.zeros(2)}, flag_grid(), np.zeros(2))
 
     def test_wrong_feature_width(self):
-        net = init_recognizer(WORDS, 6, small_config())
+        rng = np.random.default_rng(2)
+        corpus = random_corpus(rng, [(2,)], dim=5)
         with pytest.raises(StructuralError):
-            recognize_utterances(net, [[np.zeros(5)]], np.zeros(2), flag_grid(), np.zeros(2))
+            recognize_corpus(random_net(rng, 0), corpus, {"s0": np.zeros(2)}, flag_grid(),
+                             np.zeros(2))
 
 
 class TestAblation:
@@ -481,7 +480,7 @@ class TestAblation:
             assert rate == pytest.approx(wrong / len(utterances))
         assert len(log) == 8 * len(utterances)
 
-    def test_speaker_blocks_equal_one_speaker_at_a_time(self):
+    def test_speaker_blocks_equal_one_speaker_at_a_time(self, monkeypatch):
         """Nine speakers, so blocks of 4, 4 and 1: the rows and the log
         equal those of recognizing each speaker's utterances alone with
         its code. The random net and codes are ones under which the codes
@@ -502,13 +501,19 @@ class TestAblation:
         grid = flag_grid()
         labels = []
         for speaker in corpus.speakers:
-            frames = corpus.frames_of_speaker(speaker)
-            utterances = [u.frames for u in frames.by_utterance().values()]
-            labels.append(recognize_utterances(net, utterances, svcs[speaker], grid, avg)
-                          .argmax(axis=-1))
+            alone = corpus.restricted_to_speakers([speaker])
+            labels.append(recognize_corpus(net, alone, svcs, grid, avg).argmax(axis=-1))
         labels = np.concatenate(labels, axis=1)
         assert not (labels == labels[0]).all()
+        blocks = []  # the speakers of each recognition pass
+
+        def spy(net, corpus, *args):
+            blocks.append(corpus.speakers)
+            return recognize_corpus(net, corpus, *args)
+
+        monkeypatch.setattr(rec_mod, "recognize_corpus", spy)
         rows, log = ablation_eval(net, corpus, svcs, avg)
+        assert blocks == [corpus.speakers[:4], corpus.speakers[4:8], corpus.speakers[8:]]
         assert [net.words[k] for k in labels.reshape(-1)] == [entry[2] for entry in log]
         truths = [entry[1] for entry in log[: labels.shape[1]]]
         for (flags, rate), predicted in zip(rows, labels):
