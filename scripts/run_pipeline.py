@@ -4,9 +4,11 @@ evaluation reports, and all plot-data exports.
 
     python3 scripts/run_pipeline.py [--config PATH] [--out DIR] [--seed N]
 
-Runs the `svcnet` CLI verbs in order, each with the flags given here, and
-prints each stage's wall time as it ends. Stops at the first verb that
-fails and exits with its status (1 usage error, 2 data/model error).
+Reads the config once, so that a config that can be read only once (a
+pipe) serves every verb, then runs the `svcnet` CLI verbs in order on it,
+each with the flags given here, and prints each stage's wall time as it
+ends. Stops at the first verb that fails and exits with its status (1
+usage error, 2 data/model error).
 Ends with the digests of the models and of the reports, as
 `scripts/quality.py` prints them; runs of one config into any two
 directories, from any two checkouts, print the same digests when their
@@ -36,10 +38,14 @@ VERBS = (
 
 def main(argv=None):
     flags = sys.argv[1:] if argv is None else list(argv)
+    try:
+        config = cli.load_config(cli.build_parser().parse_args([*VERBS[0], *flags]))
+    except cli.ERRORS as e:
+        return cli.error_status(e)
     total = 0.0
     for verb in VERBS:
         t0 = time.monotonic()
-        status = cli.main([*verb, *flags])
+        status = cli.main([*verb, *flags], config)
         if status != 0:
             return status
         elapsed = time.monotonic() - t0
@@ -47,7 +53,6 @@ def main(argv=None):
         name = " ".join(v for v in verb if not v.startswith("--"))
         print(f"{name}: done in {elapsed:.1f}s")
     print(f"\npipeline complete in {total:.1f}s")
-    config = cli.load_config(cli.build_parser().parse_args([*VERBS[0], *flags]))
     print(f"models {digest(config.resolved_model_dir)} "
           f"reports {digest(config.resolved_report_dir)}")
     return 0

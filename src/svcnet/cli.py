@@ -70,7 +70,9 @@ def load_config(args):
     return config
 
 
-def run(argv):
+def run(argv, config=None):
+    """Parse argv and run its verb on `config`, or on the RunConfig its
+    flags name when config is None."""
     args = build_parser().parse_args(argv)
     if args.command == "gradcheck":
         worst = gradient_check_battery(n_networks=100, seed=0)
@@ -78,7 +80,8 @@ def run(argv):
         print(f"gradcheck: max relative error {worst:.3e} over 100 networks "
               f"-> {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 2
-    config = load_config(args)
+    if config is None:
+        config = load_config(args)
     if args.command == "gen":
         corpus, _ = pipeline.run_gen(config)
         print(
@@ -125,15 +128,24 @@ def run(argv):
     raise _UsageError(f"unknown command {args.command!r}")
 
 
-def main(argv=None):
-    try:
-        return run(sys.argv[1:] if argv is None else argv)
-    except _UsageError as e:
+ERRORS = (_UsageError, DataError, StructuralError, OSError)
+
+
+def error_status(e):
+    """Print one of the ERRORS as one stderr line; return its exit status."""
+    if isinstance(e, _UsageError):
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (DataError, StructuralError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    print(f"error: {e}", file=sys.stderr)
+    return 2
+
+
+def main(argv=None, config=None):
+    """Run one verb (see run) and return its exit status."""
+    try:
+        return run(sys.argv[1:] if argv is None else argv, config)
+    except ERRORS as e:
+        return error_status(e)
 
 
 if __name__ == "__main__":

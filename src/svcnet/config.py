@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .fileio import read_text
+from .recognizer import SVC_HIDDEN_WIDTH
 from .svc import FEEDBACK, MODES
 
 
@@ -25,6 +26,17 @@ RANGES = (
 
 # where a run is written, not what it computes
 PATHS = ("out_dir", "corpus_path", "model_dir", "report_dir")
+
+# The largest model and corpus a config may order, far above every test
+# and benchmark config: the default's largest net, the completion net, has
+# 1,574 parameters, and its corpus 4,800 frames of 8 features.
+MAX_NET_PARAMS = 1_000_000
+MAX_CORPUS_VALUES = 10_000_000
+
+
+def _dense(*widths):
+    """Weights and biases of a dense net of these layer widths."""
+    return sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
 
 
 @dataclass
@@ -91,6 +103,41 @@ class RunConfig:
                     )
         if not self.train_fraction < 1:  # a share of the speakers
             raise DataError(f"config key 'train_fraction' must be < 1, got {self.train_fraction!r}")
+        self._check_budget()
+
+    def _check_budget(self):
+        """Refuse a generated corpus of over MAX_CORPUS_VALUES values (its
+        frames, each frame's recognizer window, and the speaker effects),
+        or a stage net of over MAX_NET_PARAMS parameters, in one line
+        naming the keys that set its size."""
+        n_sounds = self.n_words * self.states_per_phone  # every phone of the inventory occurs
+        width = n_sounds * self.ppc_dim  # the completion net's layout
+        frames = (self.n_speakers * self.n_words * self.phones_per_word * self.states_per_phone
+                  * self.frames_per_state)
+        flank = (self.svc_flank,) if self.svc_flank else ()
+        units = (self.rec_acoustic_units, self.rec_state_units, self.n_words)
+        budgets = (
+            ("corpus arrays of", "values", MAX_CORPUS_VALUES,
+             frames * self.feature_dim * (2 * self.rec_window + 1)
+             + n_sounds * self.feature_dim * self.latent_dim,
+             ("n_speakers", "n_words", "phones_per_word", "states_per_phone", "frames_per_state",
+              "feature_dim", "rec_window", "latent_dim")),
+            ("an encoder of", "parameters", MAX_NET_PARAMS,
+             _dense(self.feature_dim, self.ppc_dim, self.feature_dim), ("feature_dim", "ppc_dim")),
+            ("a completion net of", "parameters", MAX_NET_PARAMS,
+             _dense(width, *flank, self.svc_dim, *flank, width),
+             ("n_words", "states_per_phone", "ppc_dim", "svc_flank", "svc_dim")),
+            ("a recognizer of", "parameters", MAX_NET_PARAMS,
+             _dense(self.feature_dim * (2 * self.rec_window + 1), *units)
+             + _dense(self.svc_dim, SVC_HIDDEN_WIDTH) + SVC_HIDDEN_WIDTH * sum(units),
+             ("feature_dim", "rec_window", "rec_acoustic_units", "rec_state_units", "n_words",
+              "svc_dim")),
+        )
+        for what, unit, budget, size, keys in budgets:
+            if size > budget:
+                named = ", ".join(f"{key}={getattr(self, key)}" for key in keys)
+                raise DataError(f"config keys {named} order {what} {size:,} {unit}, "
+                                f"over the budget of {budget:,}")
 
     # resolved paths -----------------------------------------------------
     @property

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import StructuralError
 from .fileio import check_shapes, parse_int, read_arrays, str_list, write_arrays
 
 ACTIVATIONS = ("sigmoid", "tanh", "linear")
+HALF, ONE = np.array(0.5), np.array(1.0)  # 0-d: cheaper ufunc operands than Python floats
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,22 @@ def init_network(spec, seed):
     return NetworkParams.from_arrays(spec, arrays)
 
 
+def sigmoid(z, out=None):
+    """The logistic function as (tanh(z * 1/2) + 1) * 1/2, in four
+    in-place ufunc calls; in place with out=z. tanh saturates to exactly
+    -1 or 1 without overflowing, so no input warns: +-inf and any large
+    z give exactly 0.0 or 1.0, and NaN gives NaN."""
+    out = np.multiply(z, HALF, out=np.empty(np.shape(z)) if out is None else out)
+    np.tanh(out, out=out)
+    out += ONE
+    out *= HALF
+    return out
+
+
 def activate(z, kind, out=None):
     """f(z); in place with out=z."""
     if kind == "sigmoid":
-        return expit(z, out=out)
+        return sigmoid(z, out)
     if kind == "tanh":
         return np.tanh(z, out=out)
     return z

@@ -13,11 +13,10 @@ code at every level. The net is a nets.NetworkParams with a side layer
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError, StructuralError
 from .fileio import check_shapes, parse_int, read_arrays, str_list, write_arrays
-from .nets import LayerSpec, NetworkParams, Step, flat_views, init_network
+from .nets import LayerSpec, NetworkParams, Step, flat_views, init_network, sigmoid
 
 SVC_HIDDEN_WIDTH = 2  # fixed side-path width
 BATCH_FRAMES = 16  # frames per training step
@@ -100,7 +99,7 @@ def svc_hidden(net, svc):
     if svc.shape != (net.svc_dim,):
         raise StructuralError(f"svc shape {svc.shape} != ({net.svc_dim},)")
     w, b = net.net.side
-    return expit(w @ svc + b)
+    return sigmoid(w @ svc + b)
 
 
 def forward_frame(net, x, h_acoustic, h_state, h_word):
@@ -111,7 +110,7 @@ def forward_frame(net, x, h_acoustic, h_state, h_word):
     acts = []
     for w, b, u, h in zip(net.net.weights, net.net.biases, net.net.injections,
                           (h_acoustic, h_state, h_word)):
-        x = expit(w @ x + b + u @ h)
+        x = sigmoid(w @ x + b + u @ h)
         acts.append(x)
     return tuple(acts)
 
@@ -259,12 +258,12 @@ def recognize_corpus(net, corpus, svc_per_speaker, flag_list, avg):
     for k, flags in enumerate(flag_list):
         a_key, s_key = flags.acoustic, (flags.acoustic, flags.state)
         if a_key not in into_state:
-            a = expit(into_acoustic + side[flags.acoustic][0])
-            into_state[a_key] = main_path(w_state, b_state, a)
+            a = into_acoustic + side[flags.acoustic][0]
+            into_state[a_key] = main_path(w_state, b_state, sigmoid(a, out=a))
         if s_key not in into_word:
-            s = expit(into_state[a_key] + side[flags.state][1])
-            into_word[s_key] = main_path(w_word, b_word, s)
-        expit(into_word[s_key] + side[flags.word][2], out=y[k])
+            s = into_state[a_key] + side[flags.state][1]
+            into_word[s_key] = main_path(w_word, b_word, sigmoid(s, out=s))
+        sigmoid(np.add(into_word[s_key], side[flags.word][2], out=y[k]), out=y[k])
     return _utterance_means(y, bounds)
 
 

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import SoundId, SoundIndex
 from .errors import DataError, StructuralError
 from .fileio import parse_int, read_arrays, str_list, write_arrays
-from .nets import MODEL_FIELDS, LayerSpec, Step, forward_rows, init_network
+from .nets import MODEL_FIELDS, ONE, LayerSpec, Step, forward_rows, init_network
 from .nets import model_arrays, model_from_arrays
 from .ppc import codable_frames, encode_frames
 
@@ -315,35 +314,51 @@ def extract_svcs(svcnet, streams, mode=FEEDBACK):
 
 def _feedback_steps(svcnet, means, heard, codes):
     """The lockstep loop over the C-contiguous (T, S, ...) means, heard
-    slots and codes: at step t every stream's input is means[t] in the
+    slots and codes. At step t every stream's input is means[t] in the
     slots heard[t] and the last output elsewhere (zeros at first), and
-    codes[t] receives the bottleneck activations. Each layer is, per row,
-    the W @ x of forward() bit for bit: one stream's rows are plain
-    vectors, so a layer is that same matrix-vector product; S streams'
-    rows are (S, width, 1) columns, one product each, with the bias tiled
-    S times and added elementwise. The buffers and each layer's (weights,
+    codes[t] receives the bottleneck activations, each equal to
+    forward()'s bit for bit.
+
+    The completion net is all sigmoid (build_svcnet; load_svcnet refuses
+    others), and nets.sigmoid(z) is (tanh(z/2) + 1)/2. So the loop carries
+    u = 2 sigmoid(z) = tanh(z/2) + 1, two calls a layer fewer. It runs on
+    weights W/4, biases b/2 and the means doubled, so (W/4) @ u + b/2 is
+    exactly z/2: scaling by a power of two commutes with every rounding,
+    fused multiply-adds included. The bottleneck writes u into codes[t],
+    and the codes are halved once after the loop. The one limit is a
+    subnormal weight or bias (below 2.2e-308), which loses bits when
+    scaled, so that its layer may differ from forward() in the last bit.
+
+    One stream's rows are plain vectors, and a layer's product is np.dot,
+    the matrix-vector kernel of forward()'s W @ x. S streams' rows are
+    (S, width, 1) columns, one matmul product each, with the bias tiled S
+    times and added elementwise. The buffers and each layer's (weights,
     output, bias) are set up once, and the bottleneck layer writes
-    straight into codes[t]. The completion net's layers are all sigmoid
-    (build_svcnet; load_svcnet refuses others)."""
+    straight into codes[t]."""
     n_steps, n_streams = means.shape[:2]
     lead, col = ((), ()) if n_streams == 1 else ((n_streams,), (1,))  # one stream: vectors
     outs = [np.zeros(lead + (b.size,) + col) for b in svcnet.net.biases]
-    biases = [np.repeat(b[None], n_streams, axis=0).reshape(out.shape)
+    weights = [w * 0.25 for w in svcnet.net.weights]
+    biases = [np.repeat(b[None] * 0.5, n_streams, axis=0).reshape(out.shape)
               for b, out in zip(svcnet.net.biases, outs)]
     last, x = outs[-1], outs[-1].reshape(-1)  # the last output fills the unheard slots
     outs[svcnet.bottleneck_index - 1] = None  # codes[t]
-    layers = list(zip(svcnet.net.weights, outs, biases))
+    layers = list(zip(weights, outs, biases))
     taps = codes.reshape((n_steps,) + lead + codes.shape[-1:] + col)
-    copyto, matmul, sigmoid = np.copyto, np.matmul, expit  # local names: ~4% of a step
-    for m, h, tap in zip(means.reshape(n_steps, -1), heard.reshape(n_steps, -1), taps):
+    doubled = means.reshape(n_steps, -1) * 2.0
+    copyto, add, tanh, one = np.copyto, np.add, np.tanh, ONE  # local names: ~4% of a step
+    product = np.dot if n_streams == 1 else np.matmul
+    for m, h, tap in zip(doubled, heard.reshape(n_steps, -1), taps):
         copyto(x, m, where=h)
         src = last
         for w, out, b in layers:
             out = tap if out is None else out
-            matmul(w, src, out=out)
-            out += b
-            sigmoid(out, out=out)
+            product(w, src, out)
+            add(out, b, out)
+            tanh(out, out)
+            add(out, one, out)
             src = out
+    codes *= 0.5
 
 
 def extract_svc(svcnet, stream, mode=FEEDBACK):

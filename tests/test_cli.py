@@ -887,6 +887,20 @@ class TestRunPipeline:
                 a, b = (out / sub / name for out in outs)
                 assert a.read_bytes() == b.read_bytes(), name
 
+    def test_reads_the_config_once(self, tiny_config_path, monkeypatch, capsys):
+        """Every verb runs on the one config read at the start, so a config
+        that can be read only once, such as a pipe, serves the pipeline."""
+        paths, original = [], RunConfig.from_file.__func__
+
+        def counting(cls, path):
+            paths.append(path)
+            return original(cls, path)
+
+        monkeypatch.setattr(RunConfig, "from_file", classmethod(counting))
+        assert self.run_script("--config", tiny_config_path) == 0
+        assert paths == [tiny_config_path]
+        assert "pipeline complete" in capsys.readouterr().out
+
     def test_stops_at_first_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_speakers": 0, "out_dir": str(tmp_path / "run")}))
@@ -1069,6 +1083,39 @@ class TestConfigRanges:
         assert len(err.splitlines()) == 1 and "seed must be >= 0" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "edits, named",
+        [(dict(svc_flank=100000, rec_acoustic_units=10**6, n_speakers=10**7),
+          "n_speakers=10000000"),
+         (dict(svc_flank=100000), "svc_flank=100000"),
+         (dict(rec_acoustic_units=10**6), "rec_acoustic_units=1000000"),
+         (dict(ppc_dim=10**6), "ppc_dim=1000000"),
+         (dict(latent_dim=10**7), "latent_dim=10000000"),
+         (dict(rec_window=10**5), "rec_window=100000")],
+    )
+    def test_oversized_model_or_corpus_refused(self, tmp_path, capsys, edits, named):
+        """A config whose corpus arrays or largest stage net exceed the
+        budgets is refused before any work, in one line naming its keys."""
+        with pytest.raises(DataError, match=f"{named}.* over the budget of"):
+            RunConfig(**edits)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **edits}))
+        assert run_cli("gen", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and named in err and str(path) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_budget_far_above_the_benchmark_configs(self):
+        """The default and the benchmark workloads, with ten times their
+        speakers, frames and hidden widths, are accepted."""
+        bench = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                                            "run.py"))
+        for config in [RunConfig()] + [RunConfig(**w.overrides)
+                                       for w in bench["WORKLOADS"].values()]:
+            keys = ("n_speakers", "frames_per_state", "svc_flank", "rec_acoustic_units",
+                    "rec_state_units")
+            dataclasses.replace(config, **{k: 10 * getattr(config, k) for k in keys})
+
     def test_bounds_themselves_accepted(self):
         config = RunConfig(svc_flank=0, rec_window=0, ppc_epochs=0, noise_std=0.0,
                            corpus_seed=0, n_speakers=1, ppc_dim=1)
@@ -1234,6 +1281,11 @@ class TestFuzz:
               "bogus"]
     KEYS = sorted(TINY) + ["accumulation_mode", "min_sound_frames", "rec_window",
                            "speaker_effect_scale", "corpus_path", "no_such_key"]
+    # width and size keys, and values that order a net or corpus past the budgets
+    SIZES = ["n_speakers", "n_words", "phones_per_word", "states_per_phone", "frames_per_state",
+             "feature_dim", "latent_dim", "ppc_dim", "svc_dim", "svc_flank",
+             "rec_acoustic_units", "rec_state_units", "rec_window"]
+    LARGE = [10**5, 10**12]
 
     def mutate_text(self, data, text):
         lines = text.split("\n")
@@ -1268,9 +1320,11 @@ class TestFuzz:
 
     def mutate_config(self, data, config):
         key = data.draw(st.sampled_from(self.KEYS))
-        edit = data.draw(st.sampled_from(["delete", "set", "set", "drop_all"]))
+        edit = data.draw(st.sampled_from(["delete", "set", "set", "drop_all", "grow"]))
         if edit == "drop_all":
             config["min_sound_frames"] = 100000
+        elif edit == "grow":
+            config[data.draw(st.sampled_from(self.SIZES))] = data.draw(st.sampled_from(self.LARGE))
         elif edit == "delete":
             config.pop(key, None)
         else:

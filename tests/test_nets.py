@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svcnet
+from svcnet.config import RunConfig
+from svcnet.corpus import SoundId
 from svcnet.errors import StructuralError
 from svcnet.nets import (
     ACTIVATIONS,
@@ -22,7 +29,9 @@ from svcnet.nets import (
     grads_from_activations,
     save_model,
     sgd_step,
+    sigmoid,
 )
+from svcnet.svc import SoundLayout, build_svcnet
 
 
 def spec(sizes, acts=None):
@@ -121,6 +130,63 @@ class TestForward:
         p = init_network(spec([2, 2]), seed=0)
         with pytest.raises(StructuralError):
             forward(p, np.zeros(3))
+
+
+class TestSigmoid:
+    """nets.sigmoid, (tanh(z/2) + 1)/2, is the package's one logistic
+    function, and numpy alone computes it."""
+
+    def test_close_to_exp_form(self):
+        z = np.linspace(-40.0, 40.0, 160001)
+        assert np.abs(sigmoid(z) - 1.0 / (1.0 + np.exp(-z))).max() <= 2.3e-16
+
+    def test_zero_is_one_half(self):
+        assert sigmoid(0) == 0.5 and sigmoid(np.zeros(3)).tolist() == [0.5] * 3
+
+    def test_saturates_without_warning(self):
+        with np.errstate(all="raise"):
+            out = sigmoid(np.array([1e308, np.inf, -1e308, -np.inf, np.nan]))
+        assert out[:4].tolist() == [1.0, 1.0, 0.0, 0.0] and np.isnan(out[4])
+
+    def test_in_place(self):
+        z = np.array([-3.0, 0.25, 7.0])
+        expected = sigmoid(z)
+        assert sigmoid(z, out=z) is z and np.array_equal(z, expected)
+
+    def test_same_bits_in_any_layout(self):
+        """Rows, columns, Fortran-ordered and strided arrays get the bits of
+        the same values as a contiguous vector, so every batched pass keeps
+        forward()'s."""
+        z = np.random.default_rng(2).normal(0, 8, (61, 60))
+        by_value = lambda a: np.array([sigmoid(v) for v in a.ravel().tolist()])  # noqa: E731
+        for view in (z, z.T, np.asfortranarray(z), z[::3, 1::2], z[:, 7]):
+            assert np.array_equal(sigmoid(view).ravel(), by_value(view))
+
+    @pytest.mark.parametrize("flank", [RunConfig().svc_flank, 0])
+    def test_vector_dot_equals_matmul(self, flank):
+        """The one-stream feedback loop's np.dot(W, x, out) has the bits of
+        forward()'s W @ x on every layer of the default completion net and
+        of its flank 0 form."""
+        cfg = RunConfig()
+        sounds = [SoundId(f"p{p:02d}", s) for p in range(cfg.n_words)
+                  for s in range(cfg.states_per_phone)]
+        net = build_svcnet(SoundLayout.from_sounds(sounds, cfg.ppc_dim), cfg.svc_dim, flank, 1).net
+        rng = np.random.default_rng(flank)
+        for layer in net.weights:
+            for _ in range(200):
+                w = rng.normal(0, 1, layer.shape)
+                x, out = rng.random(w.shape[1]), np.empty(w.shape[0])
+                np.dot(w, x, out)
+                assert np.array_equal(out, w @ x), w.shape
+
+    def test_package_imports_no_scipy(self):
+        code = ("import sys, svcnet.cli, svcnet.pipeline, svcnet.quality; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(svcnet.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestForwardRows:

@@ -2,13 +2,12 @@ import random
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from svcnet.config import RunConfig
 from svcnet import recognizer as rec_mod
 from svcnet.corpus import Corpus, SoundId, generate_corpus, load_corpus, save_corpus
 from svcnet.errors import DataError, StructuralError
-from svcnet.nets import Step, flat_views, forward
+from svcnet.nets import Step, flat_views, forward, sigmoid
 from svcnet.recognizer import (
     BATCH_FRAMES,
     SVC_HIDDEN_WIDTH,
@@ -243,10 +242,10 @@ class TestTraining:
             for start in range(0, len(order), BATCH_FRAMES):
                 rows = order[start : start + BATCH_FRAMES]
                 x, c, t = inputs[rows], codes[rows], targets[rows]
-                h = expit(c @ w_svc.T + b_svc)
-                a = expit(x @ w_acoustic.T + b_acoustic + h @ u_acoustic.T)
-                s = expit(a @ w_state.T + b_state + h @ u_state.T)
-                y = expit(s @ w_word.T + b_word + h @ u_word.T)
+                h = sigmoid(c @ w_svc.T + b_svc)
+                a = sigmoid(x @ w_acoustic.T + b_acoustic + h @ u_acoustic.T)
+                s = sigmoid(a @ w_state.T + b_state + h @ u_state.T)
+                y = sigmoid(s @ w_word.T + b_word + h @ u_word.T)
                 dy = (y - t) * ((1.0 - y) * y)
                 ds = (dy @ w_word) * ((1.0 - s) * s)
                 da = (ds @ w_state) * ((1.0 - a) * a)

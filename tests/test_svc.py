@@ -1,11 +1,11 @@
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from svcnet import svc as svc_mod
 from svcnet.config import RunConfig
@@ -493,20 +493,44 @@ class TestBatchedExtract:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_lockstep_steps_stop_at_last_open_step(self, monkeypatch, mode):
-        """Each step of the lockstep loop runs every layer's sigmoid once."""
+        """Each step of the lockstep loop runs every layer's tanh once."""
         calls = []
+        tanh = np.tanh
 
-        def counting(z, out):
-            calls.append(1)
-            return expit(z, out=out)
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_code is svc_mod._feedback_steps.__code__:
+                calls.append(1)
+            return tanh(*args, **kwargs)
 
-        monkeypatch.setattr(svc_mod, "expit", counting)
+        monkeypatch.setattr(np, "tanh", counting)
         svcnet, streams = self._mixed_streams()
         extract_svcs(svcnet, streams, mode)
         steps, left = divmod(len(calls), len(svcnet.net.weights))
         last = max(self.last_open_step(svcnet, s) for s in streams)
         assert left == 0
         assert steps == (last + 1 if mode == FEEDBACK else 0)
+
+    @pytest.mark.parametrize("flank_width", [0, 4])
+    def test_saturated_units_equal_reference_loop(self, flank_width):
+        """With the weights scaled x80, units reach exactly 0.0 and 1.0
+        (tanh at -1 and 1, where 2 sigmoid and its halving meet the edges of
+        the float grid). The lockstep loop still gives the reference
+        trajectory bit for bit, for one stream alone and three side by side."""
+        svcnet, full = self._streams(flank_width)
+        net = svcnet.net.copy()
+        for w in net.weights:
+            w *= 80.0
+        loud = replace(svcnet, net=net)
+        acc, edges = Accumulator(loud.layout, FEEDBACK), set()
+        for sound, code in pairs(full[0]):
+            acts = forward(loud.net, acc.observe(sound, code))
+            units = np.concatenate(acts[1:])
+            edges.update(units[(units == 0) | (units == 1)].tolist())
+            acc.commit_output(acts[-1])
+        assert edges == {0.0, 1.0}
+        for streams in ([full[0]], [full[0], part(full[1], slice(5)), full[2]]):
+            for stream, traj in zip(streams, extract_svcs(loud, streams, FEEDBACK)):
+                assert np.array_equal(traj, reference_trajectory(loud, stream, FEEDBACK))
 
     @pytest.mark.parametrize("flank_width", [0, 4])
     def test_rows_after_the_loop_stop_at_the_bottleneck(self, flank_width):
