@@ -101,25 +101,32 @@ def init_network(spec, seed):
     return NetworkParams.from_arrays(spec, arrays)
 
 
+def _activation(z, kind, out):
+    """The numpy calls that write f(z) into out, as (function, args)
+    pairs: the one definition of each activation, which activate() runs
+    and Step plans. out may be z."""
+    if kind == "sigmoid":  # (tanh(z * 1/2) + 1) * 1/2
+        return ((np.multiply, (z, HALF, out)), (np.tanh, (out, out)),
+                (np.add, (out, ONE, out)), (np.multiply, (out, HALF, out)))
+    if kind == "tanh":
+        return ((np.tanh, (z, out)),)
+    return () if out is z else ((np.copyto, (out, z)),)
+
+
+def activate(z, kind, out=None):
+    """f(z) into out, a new array by default; in place with out=z."""
+    out = np.empty(np.shape(z)) if out is None else out
+    for function, args in _activation(z, kind, out):
+        function(*args)
+    return out
+
+
 def sigmoid(z, out=None):
     """The logistic function as (tanh(z * 1/2) + 1) * 1/2, in four
     in-place ufunc calls; in place with out=z. tanh saturates to exactly
     -1 or 1 without overflowing, so no input warns: +-inf and any large
     z give exactly 0.0 or 1.0, and NaN gives NaN."""
-    out = np.multiply(z, HALF, out=np.empty(np.shape(z)) if out is None else out)
-    np.tanh(out, out=out)
-    out += ONE
-    out *= HALF
-    return out
-
-
-def activate(z, kind, out=None):
-    """f(z); in place with out=z."""
-    if kind == "sigmoid":
-        return sigmoid(z, out)
-    if kind == "tanh":
-        return np.tanh(z, out=out)
-    return z
+    return activate(z, "sigmoid", out)
 
 
 def forward(params, x, code=None):
@@ -131,13 +138,15 @@ def forward(params, x, code=None):
             f"input has shape {x.shape}, expected ({params.spec.sizes[0]},)"
         )
     acts = [x]
-    h = activate(params.side[0] @ code + params.side[1], "sigmoid") if params.side else None
+    if params.side:
+        h = params.side[0] @ code + params.side[1]
+        activate(h, "sigmoid", out=h)
     for layer, (w, b, kind) in enumerate(zip(params.weights, params.biases,
                                              params.spec.activations)):
         z = w @ acts[-1] + b
         if params.side:
             z += params.injections[layer] @ h
-        acts.append(activate(z, kind))
+        acts.append(activate(z, kind, out=z))
     return acts
 
 
@@ -182,18 +191,16 @@ def masked_loss(params, x, target, mask, code=None):
 
 
 def _times_deriv(v, a, kind, tmp, out):
-    """out = v * f'(a), with f'(a) formed first from the activation value."""
+    """The numpy calls that write v * f'(a) into out, f'(a) formed first
+    in tmp from the activation value a, as (function, args) pairs. out may
+    be v."""
     if kind == "sigmoid":
-        np.subtract(1.0, a, out=tmp)
-        tmp *= a
-    elif kind == "tanh":
-        np.multiply(a, a, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-    else:
-        if out is not v:
-            np.copyto(out, v)
-        return
-    np.multiply(v, tmp, out=out)
+        return ((np.subtract, (ONE, a, tmp)), (np.multiply, (tmp, a, tmp)),
+                (np.multiply, (v, tmp, out)))
+    if kind == "tanh":
+        return ((np.multiply, (a, a, tmp)), (np.subtract, (ONE, tmp, tmp)),
+                (np.multiply, (v, tmp, out)))
+    return () if out is v else ((np.copyto, (out, v)),)
 
 
 def _deriv(a, kind):
@@ -257,13 +264,20 @@ class Step:
     array stacked over the networks: `weights` (N, out, in), `biases`
     (N, 1, out), `side` and `injections`; each network's arrays are
     rebound to views of them. `grad` has the same layout, so the update is
-    one `flat -= lr * grad`. Activations are (N, B, width). With one
-    network every array, inputs and outputs included, is a view without
-    the N axis, so every product is the cheaper 2-D one. Per layer the
+    one `flat -= lr * grad`. Activations are (N, B, width). Per layer the
     forward pass is `acts @ W.T + b` (+ `h @ U.T`), each weight gradient
     `delta.T @ input`, each bias gradient delta summed over rows. The side
     layer's delta is (delta_0 @ U_0 + delta_1 @ U_1 + ...) * f'(h).
-    Shapes are checked and every buffer is allocated here, once.
+
+    Shapes are checked, every buffer is allocated and the forward pass,
+    the backprop and the update are planned here, once: each is a tuple of
+    (numpy function, args) calls over the buffers, with every activation
+    and derivative written as _activation and _times_deriv define it. A
+    call copies in its inputs and the residual, then runs the plans. With
+    one network every array, inputs and outputs included, is a view
+    without the N axis, and each product is the 2-D np.dot: it has
+    matmul's bits on every product a Step forms (a test pins it) and
+    costs less to dispatch. N stacked networks take the batched matmul.
 
     An inactive row contributes nothing: its input, code and target are
     never read (its input keeps that row's last active one, zeros at
@@ -297,33 +311,59 @@ class Step:
         self.weights, self.biases = params.weights, params.biases
         self.side, self.injections = params.side, params.injections
         self.grad_w, self.grad_b = grads.weights, grads.biases
-        self._kinds = spec.activations
-        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         rows = (n_rows,) if n == 1 else (n, n_rows)
-        self._acts = [np.zeros(rows + (width,)) for width in spec.sizes]
-        # on one row a layer's delta is its bias gradient
-        summed = n_rows > 1
-        self._deltas = ([np.empty(rows + (width,)) for width in spec.sizes[1:]]
-                        if summed else self.grad_b)
-        self._tmp = [np.empty_like(d) for d in self._deltas]
-        # weight gradients as (delta.T, input, out) and bias ones as (delta, out)
-        deltas_t = [d.swapaxes(-1, -2) for d in self._deltas]
-        self._products = list(zip(deltas_t, self._acts, self.grad_w))
-        self._sums = list(zip(self._deltas, self.grad_b)) if summed else []
-        if spec.side:
-            self._code = np.zeros(rows + (spec.side[0],))
-            self._hidden = np.empty(rows + (spec.side[1],))
-            self._side_t = self.side[0].swapaxes(-1, -2)
-            self._injections_t = [u.swapaxes(-1, -2) for u in self.injections]
-            self._side_delta = np.empty_like(self._hidden) if summed else grads.side[1]
-            self._side_tmp = np.empty_like(self._hidden)
-            self._products += [(d, self._hidden, g) for d, g in zip(deltas_t, grads.injections)]
-            self._products.append((self._side_delta.swapaxes(-1, -2), self._code, grads.side[0]))
-            self._sums += [(self._side_delta, grads.side[1])] if summed else []
-        self.outputs = self._acts[-1]
+        acts = [np.zeros(rows + (width,)) for width in spec.sizes]
+        self._input, self.outputs = acts[0], acts[-1]
         self._where = np.empty(self.outputs.shape, dtype=bool)
         self._resid = np.empty_like(self.outputs)
-        self._learning_rate = learning_rate
+        # on one row a layer's delta is its bias gradient
+        summed = n_rows > 1
+        deltas = [np.empty(rows + (width,)) for width in spec.sizes[1:]] if summed else self.grad_b
+        tmp = [np.empty_like(d) for d in deltas]
+        kinds = spec.activations
+        product = np.dot if n == 1 else np.matmul
+
+        forward = []
+        if spec.side:
+            self._code = np.zeros(rows + (spec.side[0],))
+            h = np.empty(rows + (spec.side[1],))
+            forward += [(product, (self._code, self.side[0].swapaxes(-1, -2), h)),
+                        (np.add, (h, self.side[1], h)), *_activation(h, "sigmoid", h)]
+        for layer, kind in enumerate(kinds):
+            out = acts[layer + 1]
+            forward += [(product, (acts[layer], self.weights[layer].swapaxes(-1, -2), out)),
+                        (np.add, (out, self.biases[layer], out))]
+            if spec.side:
+                u_t = self.injections[layer].swapaxes(-1, -2)
+                forward += [(product, (h, u_t, tmp[layer])), (np.add, (out, tmp[layer], out))]
+            forward += _activation(out, kind, out)
+
+        backward = list(_times_deriv(self._resid, self.outputs, kinds[-1], tmp[-1], deltas[-1]))
+        for layer in range(len(deltas) - 1, 0, -1):
+            back = deltas[layer - 1]
+            backward.append((product, (deltas[layer], self.weights[layer], back)))
+            backward += _times_deriv(back, acts[layer], kinds[layer - 1], tmp[layer - 1], back)
+        # weight gradients as (delta.T, input, out) and bias ones as (delta, out)
+        deltas_t = [d.swapaxes(-1, -2) for d in deltas]
+        products = list(zip(deltas_t, acts, self.grad_w))
+        sums = list(zip(deltas, self.grad_b)) if summed else []
+        if spec.side:
+            delta = np.empty_like(h) if summed else grads.side[1]
+            side_tmp = np.empty_like(h)
+            backward.append((product, (deltas[0], self.injections[0], delta)))
+            for layer_delta, u in zip(deltas[1:], self.injections[1:]):
+                backward += [(product, (layer_delta, u, side_tmp)),
+                             (np.add, (delta, side_tmp, delta))]
+            backward += _times_deriv(delta, h, "sigmoid", side_tmp, delta)
+            products += [(d, h, g) for d, g in zip(deltas_t, grads.injections)]
+            products.append((delta.swapaxes(-1, -2), self._code, grads.side[0]))
+            sums += [(delta, grads.side[1])] if summed else []
+        backward += [(product, args) for args in products]
+        backward += [(np.add.reduce, (d, -2, None, g, True)) for d, g in sums]
+
+        self._forward, self._backward = tuple(forward), tuple(backward)
+        self._update = ((np.multiply, (self.grad, learning_rate, self.grad)),
+                        (np.subtract, (self.flat, self.grad, self.flat)))
 
     def forward(self, x, active=None, code=None):
         """Stacked forward pass of the (N, B, in) inputs `x`, and with a
@@ -331,21 +371,12 @@ class Step:
         (N, B, out) outputs, a buffer the next call overwrites. Rows whose
         `active` entry (bool, broadcast against (N, B, 1); None for all
         rows) is False are not read. One network's shapes drop the N."""
-        acts = self._acts
         where = {} if active is None else {"where": active}
-        np.copyto(acts[0], x, **where)
+        np.copyto(self._input, x, **where)
         if self.side:
             np.copyto(self._code, code, **where)
-            h = np.matmul(self._code, self._side_t, out=self._hidden)
-            h += self.side[1]
-            activate(h, "sigmoid", out=h)
-        for layer, kind in enumerate(self._kinds):
-            out = acts[layer + 1]
-            np.matmul(acts[layer], self._weights_t[layer], out=out)
-            out += self.biases[layer]
-            if self.side:
-                out += np.matmul(h, self._injections_t[layer], out=self._tmp[layer])
-            activate(out, kind, out=out)
+        for function, args in self._forward:
+            function(*args)
         return self.outputs
 
     def gradients(self, x, target, mask=None, active=None, code=None):
@@ -359,32 +390,19 @@ class Step:
             mask = np.logical_and(active, True if mask is None else mask, out=self._where)
         resid = self._resid
         if mask is None:
-            np.subtract(out, target, out=resid)
+            np.subtract(out, target, resid)
         else:
             resid.fill(0.0)
             np.subtract(out, target, out=resid, where=mask)
-        acts, deltas, kinds, tmp = self._acts, self._deltas, self._kinds, self._tmp
-        _times_deriv(resid, out, kinds[-1], tmp[-1], deltas[-1])
-        for layer in range(len(deltas) - 1, 0, -1):
-            back = deltas[layer - 1]
-            np.matmul(deltas[layer], self.weights[layer], out=back)
-            _times_deriv(back, acts[layer], kinds[layer - 1], tmp[layer - 1], back)
-        if self.side:
-            delta = np.matmul(deltas[0], self.injections[0], out=self._side_delta)
-            for layer_delta, u in zip(deltas[1:], self.injections[1:]):
-                delta += np.matmul(layer_delta, u, out=self._side_tmp)
-            _times_deriv(delta, self._hidden, "sigmoid", self._side_tmp, delta)
-        for delta_t, below, grad in self._products:
-            np.matmul(delta_t, below, out=grad)
-        for delta, grad in self._sums:
-            np.add.reduce(delta, axis=-2, keepdims=True, out=grad)
+        for function, args in self._backward:
+            function(*args)
         return resid
 
     def __call__(self, x, target, mask=None, active=None, code=None):
         """gradients(), then one update of every network."""
         resid = self.gradients(x, target, mask, active, code)
-        np.multiply(self.grad, self._learning_rate, out=self.grad)
-        self.flat -= self.grad
+        for function, args in self._update:
+            function(*args)
         return resid
 
 

@@ -122,7 +122,7 @@ def encode_frames(bank, sounds, ids, frames):
     stacks, in one broadcast W @ x[:, :, None] pass: one matrix-vector
     product per row, the kernel of forward()'s W @ x."""
     which = bank.index.of_table(sounds)[ids]
-    if (which < 0).any():
+    if np.logical_or.reduce(which < 0):  # ndarray.any's reduction, without its wrapper
         raise StructuralError(f"no encoder for sound {sounds[ids[np.argmax(which < 0)]]}")
     z = np.matmul(bank.weights[which], np.asarray(frames, dtype=float)[:, :, None])[:, :, 0]
     z += bank.biases[which]

@@ -59,7 +59,7 @@ class SoundLayout:
         """Each presentation's slot number (its sound's index in `sounds`)
         in a Stream."""
         slots = self._index.of_table(stream.sounds)[stream.sound]
-        if (slots < 0).any():
+        if np.logical_or.reduce(slots < 0):  # ndarray.any's reduction, without its wrapper
             sound = stream.sounds[stream.sound[np.argmax(slots < 0)]]
             raise StructuralError(f"sound {sound} not in layout")
         return slots
@@ -381,7 +381,7 @@ def final_svc(trajectory):
     trajectory = np.asarray(trajectory)
     if trajectory.size == 0:
         raise DataError("empty trajectory")
-    return trajectory.mean(axis=0)
+    return np.add.reduce(trajectory, axis=0) / len(trajectory)  # mean's arithmetic, unwrapped
 
 
 SVCNET_FIELDS = {**MODEL_FIELDS, "code_dim": parse_int, "bottleneck": parse_int,

@@ -1258,8 +1258,8 @@ PPC, SVC, REC, EVAL = (("train", "--stage", "ppc"), ("train", "--stage", "svc"),
 class TestFuzz:
     """Mutated copies of the tiny run's input files, and edited configs,
     end in exit status 0, or 2 with one stderr line: never a traceback, a
-    Python warning or a non-finite number written under models/ or
-    reports/. Each example mutates one file of a fresh copy of the run,
+    Python warning or a non-finite computed value written under models/
+    or reports/. Each example mutates one file of a fresh copy of the run,
     then runs the verbs that read that file, in pipeline order."""
 
     READERS = {
@@ -1331,17 +1331,41 @@ class TestFuzz:
             config[key] = data.draw(st.sampled_from(self.VALUES))
         return json.dumps(config)
 
+    NAME_COLUMNS = ("speaker", "svc_source")  # report columns that hold names, not values
+
     @staticmethod
     def written(run):
-        """{path: bytes} of every file under models/ and reports/."""
+        """{(sub, path): bytes} of every file under models/ and reports/."""
         found = {}
         for sub in ("models", "reports"):
             for root, _, names in os.walk(os.path.join(run, sub)):
                 for name in names:
                     path = os.path.join(root, name)
                     with open(path, "rb") as f:
-                        found[path] = f.read()
+                        found[sub, path] = f.read()
         return found
+
+    @classmethod
+    def computed_values(cls, sub, path, content):
+        """The fields of a written file that hold computed values: every
+        array row of a model file, and in a CSV report every field of a
+        data row outside the name columns. Names are copied from the
+        input, which may hold one such as 1e400; headers, `#` lines and
+        predictions.txt's labels hold no value."""
+        lines = content.decode("utf-8", "replace").splitlines()
+        if sub == "models":
+            values, at = [], 1  # past the header line, one array at a time
+            while at < len(lines):
+                dims = lines[at].split()[1:]
+                n_rows = int(dims[0]) if len(dims) == 2 else 1
+                values += " ".join(lines[at + 1:at + 1 + n_rows]).split()
+                at += 1 + n_rows
+            return values
+        if not path.endswith(".csv"):
+            return []
+        header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+        keep = [k for k, column in enumerate(header) if column not in cls.NAME_COLUMNS]
+        return [row[k] for row in rows for k in keep]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -1373,16 +1397,7 @@ class TestFuzz:
             assert status in (0, 2), (verb, err.getvalue())
             if status == 2:
                 assert len(err.getvalue().splitlines()) == 1, (verb, err.getvalue())
-            for path, content in self.written(run).items():
-                if before.get(path) != content:
-                    tokens = re.split(r"[\s,=]+", content.decode("utf-8", "replace"))
-                    assert all(np.isfinite(v) for v in map(_number, tokens) if v is not None), \
-                        (verb, path)
-
-
-def _number(token):
-    """The float a text token reads as, or None."""
-    try:
-        return float(token)
-    except ValueError:
-        return None
+            for (sub, path), content in self.written(run).items():
+                if before.get((sub, path)) != content:
+                    values = self.computed_values(sub, path, content)
+                    assert all(np.isfinite(float(v)) for v in values), (verb, path)

@@ -31,6 +31,7 @@ from svcnet.nets import (
     sgd_step,
     sigmoid,
 )
+from svcnet.recognizer import recognizer_spec
 from svcnet.svc import SoundLayout, build_svcnet
 
 
@@ -162,22 +163,53 @@ class TestSigmoid:
         for view in (z, z.T, np.asfortranarray(z), z[::3, 1::2], z[:, 7]):
             assert np.array_equal(sigmoid(view).ravel(), by_value(view))
 
-    @pytest.mark.parametrize("flank", [RunConfig().svc_flank, 0])
-    def test_vector_dot_equals_matmul(self, flank):
-        """The one-stream feedback loop's np.dot(W, x, out) has the bits of
-        forward()'s W @ x on every layer of the default completion net and
-        of its flank 0 form."""
+    @pytest.mark.parametrize("case", [str(RunConfig().svc_flank), "0", "rec0", "rec2", "specs"])
+    def test_vector_dot_equals_matmul(self, case):
+        """np.dot has matmul's bits on every product it forms here: the
+        one-stream feedback loop's 1-D np.dot(W, x, out), forward()'s
+        W @ x, on every layer, and each forward, back and weight-gradient
+        product of a one-network Step, which runs them as 2-D np.dot. The
+        nets: the default completion net and its flank 0 form on 14 rows,
+        the recognizer, side layer and injections included, at rec_window
+        0 and 2 on 16 rows, and random gradcheck-sized specs on one row.
+        A BLAS on which the two differ fails here by name."""
         cfg = RunConfig()
-        sounds = [SoundId(f"p{p:02d}", s) for p in range(cfg.n_words)
-                  for s in range(cfg.states_per_phone)]
-        net = build_svcnet(SoundLayout.from_sounds(sounds, cfg.ppc_dim), cfg.svc_dim, flank, 1).net
-        rng = np.random.default_rng(flank)
-        for layer in net.weights:
-            for _ in range(200):
-                w = rng.normal(0, 1, layer.shape)
-                x, out = rng.random(w.shape[1]), np.empty(w.shape[0])
-                np.dot(w, x, out)
-                assert np.array_equal(out, w @ x), w.shape
+        if case.isdigit():
+            sounds = [SoundId(f"p{p:02d}", s) for p in range(cfg.n_words)
+                      for s in range(cfg.states_per_phone)]
+            layout = SoundLayout.from_sounds(sounds, cfg.ppc_dim)
+            cases, draws = [(build_svcnet(layout, cfg.svc_dim, int(case), 1).net.spec, 14)], 50
+        elif case.startswith("rec"):
+            words = [f"w{i:02d}" for i in range(cfg.n_words)]
+            cases = [(recognizer_spec(words, cfg.feature_dim, cfg.svc_dim, int(case[3:]),
+                                      cfg.rec_acoustic_units, cfg.rec_state_units), 16)]
+            draws = 50
+        else:
+            spec_rng = np.random.default_rng(7)
+            cases, draws = [], 5
+            for _ in range(40):
+                n_layers = int(spec_rng.integers(2, 5))
+                side = tuple(int(w) for w in spec_rng.integers(1, 5, 2)) if len(cases) % 2 else ()
+                cases.append((LayerSpec(tuple(int(w) for w in spec_rng.integers(1, 9, n_layers)),
+                                        ("sigmoid",) * (n_layers - 1), side), 1))
+        rng = np.random.default_rng(0)
+        for net_spec, n_rows in cases:
+            params = init_network(net_spec, 1)
+            for layer in params.weights:
+                for _ in range(4 * draws):
+                    w = rng.normal(0, 1, layer.shape)
+                    x, out = rng.random(w.shape[1]), np.empty(w.shape[0])
+                    np.dot(w, x, out)
+                    assert np.array_equal(out, w @ x), w.shape
+            step = Step([params], n_rows, 0.0)
+            products = [args for f, args in step._forward + step._backward if f is np.dot]
+            n_layers = len(net_spec.activations)
+            assert len(products) == (6 * n_layers + 1 if net_spec.side else 3 * n_layers - 1)
+            for a, b, out in products:
+                for _ in range(draws):
+                    a[...], b[...] = rng.normal(0, 1, a.shape), rng.normal(0, 1, b.shape)
+                    np.dot(a, b, out)
+                    assert out.tobytes() == np.matmul(a, b).tobytes(), (a.shape, b.shape)
 
     def test_package_imports_no_scipy(self):
         code = ("import sys, svcnet.cli, svcnet.pipeline, svcnet.quality; "
