@@ -19,7 +19,6 @@ file whose rows are shuffled loads to the same corpus as a sorted one.
 
 import json
 import re
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -295,76 +294,6 @@ def save_corpus(corpus, path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _loadtxt(texts):
-    """np.loadtxt of comma-separated texts, as a 2-D array. A text that is
-    empty or blank is skipped by loadtxt, which the caller sees as a row
-    count that differs from len(texts)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # "input contained no data"
-        return np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
-
-
-def _float_rows(path, numbers, texts, width, labels, what):
-    """(len(texts), width) floats, one row per comma-separated text (a
-    line after its `labels` label fields), parsed in one pass.
-    CorpusFormatError names the first bad line, numbers[i]: one of another
-    width, with a value that is no float, or with a non-finite `what`
-    value."""
-    try:
-        values = _loadtxt(texts)
-    except ValueError:
-        values = None
-    if values is None or values.shape != (len(texts), width):
-        for number, text in zip(numbers, texts):
-            fields = text.count(",") + 1
-            if fields != width:
-                raise CorpusFormatError(
-                    path, number, f"expected {labels + width} fields, got {labels + fields}"
-                )
-            try:
-                error = None if _loadtxt([text]).shape == (1, width) else "no value"
-            except ValueError as e:
-                error = re.sub(r" at row \d+, column \d+\.?$", "", str(e))
-            if error is not None:
-                raise CorpusFormatError(path, number, error)
-        raise CorpusFormatError(path, numbers[0], "unreadable values")
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise CorpusFormatError(path, numbers[np.argmin(finite)], f"non-finite {what} value")
-    return values
-
-
-def _int_column(path, numbers, texts, what, high):
-    """The integers of `texts`, each written in ASCII decimal digits and in
-    [0, high); CorpusFormatError naming the first line whose text is no
-    such integer."""
-    try:
-        values = np.array(texts, dtype=np.int64)
-    except (ValueError, OverflowError):
-        values = None
-    if (values is None or not ((values >= 0) & (values < high)).all()
-            or not all(map(is_digits, texts))):
-        for number, text in zip(numbers, texts):
-            try:
-                fits = is_digits(text) and 0 <= np.array(text, dtype=np.int64) < high
-            except (ValueError, OverflowError):
-                fits = False
-            if not fits:
-                raise CorpusFormatError(path, number, f"{what} {text!r} is not in [0, {high})")
-    return values
-
-
-def _name_column(path, numbers, texts, what, names):
-    """Each text's index in `names`; CorpusFormatError naming the first
-    line whose text is not one of them."""
-    index = {name: i for i, name in enumerate(names)}
-    ids = np.array([index.get(text, -1) for text in texts])
-    if (ids < 0).any():
-        i = int(np.argmax(ids < 0))
-        raise CorpusFormatError(path, numbers[i], f"{what} {texts[i]!r} is not in the header")
-    return ids
-
-
 def _check_utterances(path, numbers, utterance, speaker, word, index):
     """Every row of an utterance has the speaker and the word of its first
     row, and no (utterance, index) pair repeats; CorpusFormatError naming
@@ -423,83 +352,109 @@ def _data_lines(lines):
             else [n for n, line in enumerate(lines[1:], start=2) if line]), data
 
 
-def _parse_lines(path, numbers, data, feature_dim, states_per_phone, speakers, words, phones):
-    """(features, label columns, sorted utterance ids) of the data lines,
-    each split once; CorpusFormatError names the first bad line."""
-    rows = [line.split(",", 6) for line in data]
-    for number, row in zip(numbers, rows):
-        if len(row) < 7:
-            raise CorpusFormatError(path, number,
-                                    f"expected {6 + feature_dim} fields, got {len(row)}")
-    speaker, utterance, word, phone, state, index, rest = zip(*rows)
-    features = _float_rows(path, numbers, rest, feature_dim, 6, "feature")
-    speaker = _name_column(path, numbers, speaker, "speaker", speakers)
-    word = _name_column(path, numbers, word, "word", words)
-    phone = _name_column(path, numbers, phone, "phone", phones)
-    state = _int_column(path, numbers, state, "state", states_per_phone)
-    index = _int_column(path, numbers, index, "frame index", 2**62)
-    bad = bad_name(dict.fromkeys(utterance))  # the first bad id in file order
-    if bad is not None:
-        raise CorpusFormatError(path, numbers[utterance.index(bad)],
-                                f"utterance {bad!r} {NAME_RULE}")
-    utterances = sorted(set(utterance))
-    utterance = _name_column(path, numbers, utterance, "utterance", utterances)
-    return features, dict(speaker=speaker, utterance=utterance, word=word, phone=phone,
-                          state=state, index=index), utterances
+def _refuse_row(path, numbers, data, labels, fields, error=None):
+    """Raise the CorpusFormatError of the first bad line of `data` (file
+    lines `numbers`): one of `labels` fields or fewer, else the row that
+    np.loadtxt's `error` names (from 0 in a value error, from 1 in a width
+    error), else the first row, which is then of another width."""
+    found = re.search(r" at row (\d+)(, column)?", str(error))
+    row = int(found[1]) - (found[2] is None) if found else 0
+    counts = [line.count(",") + 1 for line in data]
+    i = next((i for i, n in enumerate(counts) if n <= labels), row)
+    message = re.sub(r" at row \d+, column \d+\.?$", "", str(error))
+    raise CorpusFormatError(path, numbers[i], message if counts[i] == fields
+                            else f"expected {fields} fields, got {counts[i]}")
 
 
-def _read_rows(body, data, feature_dim, states_per_phone, speakers, words, phones):
-    """_parse_lines's result from one structured np.loadtxt pass, which
-    holds no Python object per line; None, for _parse_lines to read or
-    refuse, wherever the two may differ or a line is bad: for text with
-    non-ASCII, a NUL (cut from a string's end), 0x1f (a space to loadtxt's
-    integers only), a space or a tab (none in utterance ids), a `+` (a
-    sign to loadtxt's integers; none in a generated file), and below."""
-    if (not body.isascii() or any(c in body for c in "\x00\x1f \t+")
-            or data[0].count(",") != 5 + feature_dim):
-        return None
-    width = min(2 * max(map(len, speakers + words + phones), default=0) + 2, 64)  # for two names
-    dtype = [(k, f"S{width}") for k in ("speaker", "utterance", "word", "phone")] + [
-        ("state", np.uint64), ("index", np.uint64), ("features", float, (feature_dim,))]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, Warning):  # loadtxt refuses `1_0`, which np.array reads, and `-0`
-        return None
-    state, index = rows["state"], rows["index"]
-    if len(rows) != len(data) or not np.isfinite(rows["features"]).all() or not (
-            (state < states_per_phone) & (index < 2**62)).all():
-        return None
-    state, index = state.astype(np.int64), index.astype(np.int64)
-    labels = dict(state=state, index=index)
-    for kind, names in (("speaker", speakers), ("word", words), ("phone", phones),
-                        ("utterance", None)):
-        texts, column = np.unique(rows[kind], return_inverse=True)
-        texts = texts.astype(str).tolist()  # one lookup per distinct name
-        position = {name: i for i, name in enumerate(texts if names is None else names)}
-        ids = np.array([position.get(t, -1) for t in texts])
-        if max(map(len, texts)) >= width or "" in texts or (ids < 0).any():  # cut, empty, unknown
-            return None
-        labels[kind] = ids[column]
-    return rows["features"], labels, texts  # the utterance ids, sorted
+def _refuse_first(path, numbers, data, bad, field, what, rule):
+    """CorpusFormatError naming the first line at which `bad` holds, with
+    the text of its field `field`, if there is one."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CorpusFormatError(path, numbers[i], f"{what} {data[i].split(',')[field]!r} {rule}")
+
+
+def _read_rows(path, numbers, data, texts, ints, width, what, size):
+    """(the floats, the label columns) of `data`, the non-empty lines after
+    a header (file lines `numbers`), from one structured np.loadtxt pass
+    that holds no Python object per line. A line holds the text fields
+    `texts`, the integer fields `ints`, then `width` floats. A text column
+    comes as (its distinct texts, sorted; each row's index into them), an
+    integer column as uint64, 2**64 - 1 (past every bound) where the text
+    is not ASCII digits. CorpusFormatError names the first line of another
+    width, then the first with a value that is no float, then the first
+    with a non-finite `what` value.
+
+    Texts are read as bytes of `size`, widened when one fills it; as str
+    for non-ASCII text; as objects for text with a NUL, which a
+    fixed-width string drops at its end. Integers are read as uint64 if
+    the text has no `+`, space, tab or 0x1f (a sign or a space to
+    loadtxt), else as texts."""
+    fields = len(texts) + len(ints) + width
+    if data[0].count(",") != fields - 1:  # before a (width,) field is built
+        _refuse_row(path, numbers, data, fields - width, fields)
+    body = "".join(data)
+    kind = "O" if "\x00" in body else "S" if body.isascii() else "U"
+    exact = kind == "S" and not any(c in body for c in "+ \t\x1f")  # no sign or space for uint64
+    while True:
+        text = "O" if kind == "O" else f"{kind}{size}"
+        dtype = [(k, text) for k in texts] + [(k, np.uint64 if exact else text) for k in ints]
+        try:
+            rows = np.loadtxt(data, dtype=dtype + [("values", float, (width,))], delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError as e:
+            if exact:  # `1_0`, `-1` or `x`: refused below, in column order, as text
+                exact = False
+                continue
+            _refuse_row(path, numbers, data, fields - width, fields, e)
+        columns = {k: np.unique(rows[k], return_inverse=True)  # each field read as text
+                   for k, t in dtype if t == text}
+        if kind == "O" or all(np.strings.str_len(u).max() < size for u, _ in columns.values()):
+            break
+        kind, size = (kind, 4 * size) if size < 64 else ("O", size)  # a text may have been cut
+    finite = np.isfinite(rows["values"]).all(axis=1)
+    if not finite.all():
+        raise CorpusFormatError(path, numbers[np.argmin(finite)], f"non-finite {what} value")
+    columns = {k: ((u.astype(str) if kind == "S" else u).tolist(), inverse)
+               for k, (u, inverse) in columns.items()}
+    for k in ints:
+        distinct, inverse = columns.get(k, (None, None))
+        columns[k] = rows[k] if distinct is None else np.array(
+            [min(int(t), 2**64 - 1) if is_digits(t) else 2**64 - 1 for t in distinct],
+            dtype=np.uint64)[inverse]
+    return rows["values"], columns
 
 
 def load_corpus(path):
     """Parse a corpus file: the header, then the data lines in one pass
-    (_read_rows), or line by line for the rare forms that pass leaves to
-    _parse_lines. The rows may come in any order; the corpus holds them in
-    canonical order. CorpusFormatError names the file and the bad line."""
-    text = read_text(path)
-    lines = text.splitlines()
+    (_read_rows), each label checked against the header. The rows may
+    come in any order; the corpus holds them in canonical order.
+    CorpusFormatError names the file and the bad line."""
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty corpus file")
-    _, states_per_phone, speakers, words, phones = header = _header(path, lines[0])
+    feature_dim, states_per_phone, speakers, words, phones = _header(path, lines[0])
     numbers, data = _data_lines(lines)
     if not data:
         raise DataError(f"{path}: corpus file has no frames")
-    features, labels, utterances = (_read_rows(text[len(lines[0]):], data, *header)
-                                    or _parse_lines(path, numbers, data, *header))
+    size = min(2 * max(map(len, speakers + words + phones), default=0) + 2, 64)  # two names
+    features, columns = _read_rows(path, numbers, data, ("speaker", "utterance", "word", "phone"),
+                                   ("state", "index"), feature_dim, "feature", size)
+    labels = {}
+    for field, kind, names in ((0, "speaker", speakers), (2, "word", words), (3, "phone", phones)):
+        distinct, inverse = columns[kind]
+        position = {name: i for i, name in enumerate(names)}
+        labels[kind] = np.array([position.get(t, -1) for t in distinct])[inverse]
+        _refuse_first(path, numbers, data, labels[kind] < 0, field, kind, "is not in the header")
+    for field, kind, what, high in ((4, "state", "state", states_per_phone),
+                                    (5, "index", "frame index", 2**62)):
+        _refuse_first(path, numbers, data, columns[kind] >= high, field, what,
+                      f"is not in [0, {high})")
+        labels[kind] = columns[kind].astype(np.int64)
+    utterances, labels["utterance"] = columns["utterance"]
+    if " ".join(utterances).split() != utterances:  # an id is empty or holds whitespace
+        named = np.array([bad_name([u]) is None for u in utterances])
+        _refuse_first(path, numbers, data, ~named[labels["utterance"]], 1, "utterance", NAME_RULE)
     _check_utterances(path, numbers, *map(labels.get, ("utterance", "speaker", "word", "index")))
     sounds, labels["sound"] = _sound_column(phones, states_per_phone, labels.pop("phone"),
                                             labels.pop("state"))
@@ -515,10 +470,9 @@ def save_latents(latents, path):
 
 
 def load_latents(path):
-    """Speaker -> latent vector. The values are parsed and checked as a
-    corpus's features are; a row of another width than the header, a
-    repeated speaker or a file without rows is refused, naming the file
-    (and the line)."""
+    """Speaker -> latent vector, read as a corpus's rows are (_read_rows); a
+    row of another width than the header, a repeated speaker or a file
+    without rows is refused, naming the file (and the line)."""
     lines = read_text(path).splitlines()
     width = len(lines[0].split(",")) - 1 if lines else 0
     if width < 1:
@@ -526,16 +480,12 @@ def load_latents(path):
     numbers, data = _data_lines(lines)
     if not data:
         raise DataError(f"{path}: no latents found")
-    rows = [line.split(",", 1) for line in data]
-    for number, row in zip(numbers, rows):
-        if len(row) < 2:
-            raise CorpusFormatError(path, number, f"expected {1 + width} fields, got 1")
-    speakers = [row[0] for row in rows]
-    values = _float_rows(path, numbers, [row[1] for row in rows], width, 1, "latent")
-    if len(set(speakers)) < len(speakers):
-        i = next(i for i, s in enumerate(speakers) if s in speakers[:i])
-        raise CorpusFormatError(path, numbers[i], f"speaker {speakers[i]!r} repeats")
-    return dict(zip(speakers, values))
+    values, columns = _read_rows(path, numbers, data, ("speaker",), (), width, "latent", 16)
+    speakers, inverse = columns["speaker"]
+    repeat = np.ones(len(data), dtype=bool)
+    repeat[np.unique(inverse, return_index=True)[1]] = False  # all but each first row
+    _refuse_first(path, numbers, data, repeat, 0, "speaker", "repeats")
+    return dict(zip([speakers[k] for k in inverse.tolist()], values))
 
 
 def split_corpus(corpus, train_fraction, seed):

@@ -3,14 +3,12 @@ import json
 import random
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import svcnet.corpus as corpus_mod
 from svcnet.config import RunConfig
 from svcnet.corpus import (
     Corpus,
@@ -263,6 +261,17 @@ def rewrite_rows(path, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
+def set_field(path, row, column, value):
+    """Set field `column` of a saved corpus's data line `row` (file line
+    row + 2) to `value`."""
+
+    def edit(fields, k):
+        if k == row:
+            fields[column] = value
+
+    rewrite_rows(path, edit)
+
+
 def saved(tmp_path, **kw):
     corpus, _ = generate_corpus(small_config(**kw))
     path = tmp_path / "corpus.csv"
@@ -342,6 +351,44 @@ class TestColumns:
         assert np.array_equal(shuffled.frames, corpus.frames)
 
 
+def _swap_refusals():
+    """(column, value, message) of each refused field value, at line 8 of
+    a small corpus, that the cases of test_bad_label_names_line do not
+    list: names padded, empty, NUL-ended (a fixed-width string drops the
+    NUL), non-ASCII or of another column; integers that int() or loadtxt
+    reads and that are no ASCII digits; non-finite or empty values."""
+    names = [" s00", "s00 ", "", "s00\x00", "s\u00e90"]
+    cases = [(0, "s01", "speaker differs from line 2 of its utterance"),
+             (2, "w01", "word differs from line 2 of its utterance"),
+             (5, "1", "frame index 1 repeats in its utterance"),
+             (5, "2", "frame index 2 repeats in its utterance")]
+    for column, kind, others in ((0, "speaker", ["w01", "p01"]), (2, "word", ["s01", "p01"]),
+                                 (3, "phone", ["s01", "w01"])):
+        cases += [(column, v, f"{kind} {v!r} is not in the header") for v in others + names]
+    ints = ["-1", "1_0", "1.0", "\x1f1", "\u0663", "-0", "", "nan", "9" * 20]
+    # the cases of the test hold state -1 and -0, index 1.5, 0_1, +1, ١ and ' 1'
+    cases += [(4, v, f"state {v!r} is not in [0, 2)")
+              for v in ["2", "0_1", "+1", " 1", "\u0661"] + ints if v not in ("-1", "-0")]
+    cases += [(5, v, f"frame index {v!r} is not in [0, ") for v in ints]
+    for column in (6, 7):
+        cases += [(column, v, "non-finite feature value") for v in ("nan", "1e400", "-inf")]
+        cases += [(column, v, f"could not convert string {v!r} to float64") for v in ("", "1_0")]
+    return cases
+
+
+SWAP_REFUSALS = _swap_refusals()
+
+# (column, value, the text save_corpus writes for it) of each form of a
+# field value that loads: the values of other rows, ids that fill a name
+# column or end in a NUL, floats with a sign, an exponent, or whitespace
+# or 0x1f around them
+ACCEPTED = [(1, "u" * 40, "u" * 40), (1, "s00-w00\x00", "s00-w00\x00"), (1, "s00", "s00"),
+            (3, "p01", "p01"), (4, "1", "1"),
+            *[(c, v, written) for c in (6, 7) for v, written in (
+                ("+1", "1.0"), ("1.0", "1.0"), (" 1", "1.0"), ("-0", "-0.0"), ("1e+16", "1e+16"),
+                (" 1.5", "1.5"), ("1 ", "1.0"), ("\t1", "1.0"), ("\x1f1", "1.0"))]]
+
+
 class TestParse:
     """load_corpus parses the features in one pass and checks every label
     against the header; each bad row is refused, naming file and line."""
@@ -401,10 +448,12 @@ class TestParse:
             (7, "one", "could not convert string 'one' to float64"),
             (1, "s00 w00", "utterance 's00 w00' is not a non-empty string free of commas"),
             (1, "", "utterance '' is not a non-empty string free of commas"),
+            *SWAP_REFUSALS,
         ],
         ids=["speaker", "word", "phone", "state", "negative_state", "state_text",
              "index", "index_underscore", "index_plus", "index_arabic_indic", "index_space",
-             "state_negative_zero", "feature", "utterance_with_space", "empty_utterance"],
+             "state_negative_zero", "feature", "utterance_with_space", "empty_utterance",
+             *[f"swap{c}-{v!a}" for c, v, _ in SWAP_REFUSALS]],
     )
     def test_bad_label_names_line(self, tmp_path, column, value, message):
         _, path = saved(tmp_path)
@@ -420,10 +469,11 @@ class TestParse:
         assert str(exc.value).startswith(f"{path}: line 8: {message}")
 
     @pytest.mark.parametrize(
-        "blank, message", [("", "no value"), (" ", "could not convert string ' ' to float64")]
+        "blank, message", [pytest.param("", "could not convert string '' to float64", id="empty"),
+                           (" ", "could not convert string ' ' to float64")]
     )
     def test_blank_feature_is_refused(self, tmp_path, blank, message):
-        """loadtxt skips a blank line; the row count check catches it."""
+        """An empty or blank feature field is no float, also as the only one."""
         _, path = saved(tmp_path, feature_dim=1)
 
         def edit(fields, k):
@@ -434,6 +484,94 @@ class TestParse:
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(path)
         assert str(exc.value) == f"{path}: line 4: {message}"
+
+    @pytest.mark.parametrize("column, value, written", ACCEPTED,
+                             ids=[f"{c}-{v!a}" for c, v, _ in ACCEPTED])
+    def test_accepted_form_loads(self, tmp_path, column, value, written):
+        """A field in any accepted form loads to its value: the corpus
+        saves to the file's lines with that field as save_corpus writes it."""
+        _, path = saved(tmp_path)
+        expected = tmp_path / "expected.csv"
+        expected.write_text(path.read_text())
+        set_field(path, 6, column, value)
+        set_field(expected, 6, column, written)
+        save_corpus(load_corpus(path), tmp_path / "again.csv")
+        again = (tmp_path / "again.csv").read_text().splitlines()
+        assert sorted(again) == sorted(expected.read_text().splitlines())
+
+    @pytest.mark.parametrize("old, new", [("s00", "s\u00e90"), ("s00", "s\u4e2d0"),
+                                          ("s01-w00", "u" * 40), ("s01-w00", "u" * 70)],
+                             ids=["latin", "cjk", "id40", "id70"])
+    def test_non_ascii_names_and_long_ids_load(self, tmp_path, old, new):
+        """Non-ASCII names (header and rows), and utterance ids wider than
+        the first width of a name column, load as written."""
+        _, path = saved(tmp_path)
+        path.write_text(path.read_text().replace(old, new), encoding="utf-8")
+        save_corpus(load_corpus(path), tmp_path / "again.csv")
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        again = (tmp_path / "again.csv").read_text(encoding="utf-8").splitlines()
+        assert json.loads(again[0][2:]) == json.loads(header[2:])
+        assert sorted(again[1:]) == sorted(rows)
+
+    def test_row_moved_into_another_utterance(self, tmp_path):
+        """A row given another utterance's id is that utterance's first
+        row; the utterance's own rows then name it."""
+        _, path = saved(tmp_path)
+        set_field(path, 6, 1, "s00-w01")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line 10: word differs from line 8 of its utterance"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("gap", ["", " \t "], ids=["blank", "whitespace"])
+    @pytest.mark.parametrize("error", ["value", "width"])
+    def test_refusal_past_a_gap_names_its_line(self, tmp_path, newline, where, gap, error):
+        """loadtxt counts the rows of a value error from 0 and of a width
+        error from 1, without the blank lines; each maps to its file line.
+        A whitespace-only line is a row of one field, named before any
+        other bad value, wherever it is."""
+        _, path = saved(tmp_path)
+        lines = path.read_text().splitlines()
+        fields = lines[7].split(",")
+        fields[7:8] = ["x"] if error == "value" else ["0.5", "0.5"]
+        lines[7] = ",".join(fields)
+        lines.insert(3 if where == "before" else 9, gap)
+        path.write_bytes((newline.join(lines) + newline).encode())
+        if gap:
+            line, message = (4 if where == "before" else 10), "expected 11 fields, got 1"
+        else:
+            line = 9 if where == "before" else 8
+            message = ("could not convert string 'x' to float64" if error == "value"
+                       else "expected 11 fields, got 12")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line {line}: {message}"
+
+    def test_header_width_is_checked_before_the_rows_are_read(self, tmp_path):
+        """The first row's width is held to the header's before the
+        (feature_dim,) field of the rows is built, so a feature_dim of
+        10**12 is refused on line 2, with nothing allocated for it."""
+        _, path = saved(tmp_path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0][2:])
+        lines[0] = "# " + json.dumps({**header, "feature_dim": 10**12})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line 2: expected 1000000000006 fields, got 11"
+
+    def test_header_without_names_refuses_the_rows(self, tmp_path):
+        """A header may list no speakers, words or phones: its first row
+        then names a speaker not in it."""
+        _, path = saved(tmp_path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0][2:])
+        lines[0] = "# " + json.dumps({**header, "speakers": [], "words": [], "phones": []})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line 2: speaker 's00' is not in the header"
 
     def test_repeated_frame_index(self, tmp_path):
         _, path = saved(tmp_path)
@@ -484,35 +622,13 @@ class TestParse:
             load_corpus(path)
 
 
-def outcome(path):
-    """What load_corpus makes of `path`: the corpus's bytes, labels and
-    tables, or the type and message of the error it raises."""
-    try:
-        corpus = load_corpus(path)
-    except Exception as e:  # compared, type and message, below
-        return type(e), str(e)
-    return (corpus.frames.tobytes(), labels(corpus), corpus.speakers, corpus.utterances,
-            corpus.words, corpus.phones, corpus.sounds, corpus.states_per_phone)
-
-
-def assert_same_outcome(path):
-    """load_corpus gives the line-by-line parse's outcome on `path`, warns
-    of nothing and raises nothing but DataError."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        found = outcome(path)
-    assert caught == []
-    with mock.patch.object(corpus_mod, "_read_rows", return_value=None):
-        assert found == outcome(path)
-    assert not isinstance(found[0], type) or issubclass(found[0], DataError)
-
-
-# field values that one parse might read otherwise than the other, by
+# field values that one reading might take otherwise than another, by
 # column of a 2-feature corpus: padded, cut, empty or unknown names; ids
 # with a space, a NUL (a fixed-width string drops it) or too long to fit;
 # integers that loadtxt refuses (`1_0`, `٣`), reads past a 0x1f or reads
 # with a sign (`+1`, `-0`), none of them ASCII digits only; values out of
-# range or not finite
+# range or not finite. test_bad_label_names_line, ACCEPTED and
+# test_row_moved_into_another_utterance pin the outcome of each.
 NAMES = ["s01", "w01", "p01", " s00", "s00 ", "", "s00\x00", "sé0"]
 INTS = ["1", "2", "-1", "1_0", "0_1", "1.0", "+1", " 1", "\x1f1", "٣", "\u0661", "-0", "",
         "nan", "99999999999999999999"]
@@ -521,23 +637,14 @@ SWAPS = [NAMES, ["s00-w01", "s00 w00", "", "u" * 40, "s00-w00\x00", "s00"], NAME
 
 
 class TestBulkParse:
-    """load_corpus reads a file in one structured pass and leaves the rare
-    forms that pass cannot read exactly to the line-by-line parse; either
-    way, the outcome is the line-by-line parse's."""
-
-    def test_every_swap_same_outcome(self, tmp_path):
-        _, path = saved(tmp_path, n_speakers=2, n_words=2, feature_dim=2)
-        lines = path.read_text().splitlines()
-        for column, values in enumerate(SWAPS):
-            for value in values:
-                fields = lines[3].split(",")
-                fields[column] = value
-                path.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
-                assert_same_outcome(path)
+    """load_corpus reads a file in one structured pass, which loads it or
+    names the file's first bad line."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
-    def test_same_outcome_as_line_by_line(self, tmp_path_factory, data):
+    def test_edits_load_or_name_a_line(self, tmp_path_factory, data):
+        """Edited corpus files load, or raise a DataError, naming a line of
+        the file if any; nothing warns."""
         corpus, _ = generate_corpus(small_config(n_speakers=2, n_words=2, feature_dim=2))
         path = tmp_path_factory.mktemp("bulk") / "corpus.csv"
         save_corpus(corpus, path)
@@ -576,21 +683,24 @@ class TestBulkParse:
                     k = row()
                     lines[i], lines[k] = lines[k], lines[i]
         path.write_bytes((newline.join(lines) + newline).encode())
-        assert_same_outcome(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                load_corpus(path)
+            except CorpusFormatError as e:
+                assert 1 <= e.line_number <= len(lines)
+            except DataError:
+                pass
+        assert caught == []
 
     @pytest.mark.parametrize("overrides", [{}, dict(n_speakers=120, frames_per_state=1)],
                              ids=["default", "adapt"])
-    def test_generated_corpus_loads_in_one_pass(self, tmp_path, monkeypatch, overrides):
-        """The bulk pass reads a generated corpus, and the load holds no
-        Python object per line, so it runs no cyclic garbage collection."""
+    def test_generated_corpus_loads_in_one_pass(self, tmp_path, overrides):
+        """The load of a generated corpus holds no Python object per line,
+        so it runs no cyclic garbage collection."""
         corpus, _ = generate_corpus(RunConfig(**overrides))
         path = tmp_path / "corpus.csv"
         save_corpus(corpus, path)
-
-        def line_by_line(*args):
-            raise AssertionError("the line-by-line parse ran")
-
-        monkeypatch.setattr(corpus_mod, "_parse_lines", line_by_line)
         collections = []
 
         def count(phase, info):
@@ -618,9 +728,10 @@ class TestLatents:
             ("s00,0.5,0.1,0.3\n", 2, "expected 3 fields, got 4"),
             ("s00\n", 2, "expected 3 fields, got 1"),
             ("s00,0.5,0.1\ns00,0.2,0.2\n", 3, "speaker 's00' repeats"),
+            ("s00,0.5,0.1\n \t \n", 3, "expected 3 fields, got 1"),
         ],
         ids=["bad_float", "nan", "inf", "ragged_short", "ragged_long", "no_values",
-             "duplicate"],
+             "duplicate", "whitespace_line"],
     )
     def test_bad_row_names_line(self, tmp_path, body, line, message):
         path = tmp_path / "latents.csv"
@@ -628,6 +739,15 @@ class TestLatents:
         with pytest.raises(DataError) as exc:
             load_latents(path)
         assert str(exc.value) == f"{path}: line {line}: {message}"
+
+    @pytest.mark.parametrize("row, speaker, values",
+                             [("s00,+0.5,0.1", "s00", [0.5, 0.1]),
+                              ("s\u00e90,0.5,1e+16", "s\u00e90", [0.5, 1e16])],
+                             ids=["plus", "non_ascii"])
+    def test_accepted_forms(self, tmp_path, row, speaker, values):
+        path = tmp_path / "latents.csv"
+        path.write_text("speaker,l_0,l_1\n" + row + "\n", encoding="utf-8")
+        assert {k: v.tolist() for k, v in load_latents(path).items()} == {speaker: values}
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "latents.csv"
